@@ -19,6 +19,16 @@ from . import suites
 from . import tangle as tg
 
 
+def _depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError("depth must be nonnegative, got %d" % depth)
+    return depth
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vtknot",
@@ -50,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an identity suite and report each check")
     common(p)
     p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES)
-    p.add_argument("--depth", type=int, default=4, help="word/degree truncation")
+    p.add_argument("--depth", type=_depth, default=4, help="word/degree truncation")
 
     p = sub.add_parser("qdim", help="quantum dimension of the configured module")
     common(p)
@@ -60,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="dump quasi-R components degree by degree")
     common(p)
-    p.add_argument("--depth", type=int, default=4, help="largest degree sum dumped")
+    p.add_argument("--depth", type=_depth, default=4, help="largest degree sum dumped")
     return ap
 
 

@@ -28,13 +28,14 @@ class RunConfig:
     basis_order: str
 
 
-def _read_pairs(path):
-    pairs = []
+def _read_table(path):
+    """Map each key to (value, line number); a repeated key is an error."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as e:
         raise ConfigError("cannot read %s: %s" % (path, e))
+    table = {}
     for ln, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -42,8 +43,11 @@ def _read_pairs(path):
         if "=" not in line:
             raise ConfigError("%s:%d: expected key = value" % (path, ln))
         key, _, val = line.partition("=")
-        pairs.append((key.strip(), val.strip(), ln))
-    return pairs
+        key = key.strip()
+        if key in table:
+            raise ConfigError("%s:%d: duplicate key %r" % (path, ln, key))
+        table[key] = (val.strip(), ln)
+    return table
 
 
 def _int(path, ln, val):
@@ -61,10 +65,7 @@ def _int_row(path, ln, val, width):
 
 
 def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
-    pairs = _read_pairs(path)
-    table = {}
-    for key, val, ln in pairs:
-        table[key] = (val, ln)
+    table = _read_table(path)
     if "dim" not in table:
         raise ConfigError("%s: missing dim" % path)
     dim = _int(path, table["dim"][1], table["dim"][0])
@@ -116,12 +117,7 @@ def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
 
 
 def load_config(path) -> RunConfig:
-    pairs = _read_pairs(path)
-    table = {}
-    for key, val, ln in pairs:
-        if key in table:
-            raise ConfigError("%s:%d: duplicate key %r" % (path, ln, key))
-        table[key] = (val, ln)
+    table = _read_table(path)
     for need in ("rank", "module"):
         if need not in table:
             raise ConfigError("%s: missing %s" % (path, need))

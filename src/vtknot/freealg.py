@@ -9,10 +9,12 @@ The coproduct r is the algebra map F -> F (x) F for the twisted product
     (x1 (x) x2)(y1 (x) y2)
         = v^(|y1|.|x2|) t^(<|y1|,|x2|> - <|x2|,|y1|>) x1 y1 (x) x2 y2
 
-sending each generator to theta_i (x) 1 + 1 (x) theta_i; rbar uses the same
-recipe with the v-twist inverted.  deriv_r / deriv_l extract the single-letter
-components of r from the right / left tensor slot and satisfy letter
-recursions that the tests check against r directly.
+sending each generator to theta_i (x) 1 + 1 (x) theta_i; rbar is coproduct_r
+with vsign = -1, the same recipe with the v-twist inverted.  deriv gives the
+letter derivations: on E-words it extracts the single-letter components of r
+from the right ("r") or left ("l") tensor slot, and on F-words (side "F") it
+gives their mirror images with the t-twist inverted.  All four follow one
+letter recursion; the tests check the E-side ones against r directly.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ def f_eq(a: FElem, b: FElem) -> bool:
     return True
 
 
-def f_is_zero(a: FElem) -> bool:
-    return all(c.is_zero() for c in a.values())
-
-
 def deg(spec: cartan.CartanSpec, word: Word) -> cartan.Degree:
     counts = [0] * spec.rank
     for i in word:
@@ -100,12 +98,6 @@ def t_add(a: FTensor, b: FTensor) -> FTensor:
     return out
 
 
-def t_scale(a: FTensor, c: RatFunc) -> FTensor:
-    if c.is_zero():
-        return {}
-    return {key: x * c for key, x in a.items()}
-
-
 def t_eq(a: FTensor, b: FTensor) -> bool:
     for key in set(a) | set(b):
         if not rf_eq(a.get(key, ZERO), b.get(key, ZERO)):
@@ -128,14 +120,6 @@ def _tensor_mul(spec: cartan.CartanSpec, a: FTensor, b: FTensor, vsign: int) -> 
     return out
 
 
-def tensor_mul(spec: cartan.CartanSpec, a: FTensor, b: FTensor) -> FTensor:
-    return _tensor_mul(spec, a, b, 1)
-
-
-def tensor_mul_bar(spec: cartan.CartanSpec, a: FTensor, b: FTensor) -> FTensor:
-    return _tensor_mul(spec, a, b, -1)
-
-
 @lru_cache(maxsize=None)
 def _word_coproduct(spec: cartan.CartanSpec, word: Word, vsign: int) -> FTensor:
     if not word:
@@ -146,61 +130,38 @@ def _word_coproduct(spec: cartan.CartanSpec, word: Word, vsign: int) -> FTensor:
     return _tensor_mul(spec, head, gen, vsign)
 
 
-def coproduct_r(spec: cartan.CartanSpec, x: FElem) -> FTensor:
+def coproduct_r(spec: cartan.CartanSpec, x: FElem, vsign: int = 1) -> FTensor:
+    """The coproduct r; vsign = -1 inverts the v-twist and gives rbar."""
     out = {}
     for w, c in x.items():
-        for key, tc in _word_coproduct(spec, w, 1).items():
-            _tensor_accumulate(out, key, tc * c)
-    return out
-
-
-def coproduct_rbar(spec: cartan.CartanSpec, x: FElem) -> FTensor:
-    out = {}
-    for w, c in x.items():
-        for key, tc in _word_coproduct(spec, w, -1).items():
+        for key, tc in _word_coproduct(spec, w, vsign).items():
             _tensor_accumulate(out, key, tc * c)
     return out
 
 
 @lru_cache(maxsize=None)
-def _deriv_r_word(spec: cartan.CartanSpec, i: int, word: Word) -> FElem:
+def _deriv_word(spec: cartan.CartanSpec, i: int, word: Word, end: str, side: str) -> FElem:
     # r_i(w' theta_j) = v^(i.j) t^(<j,i>-<i,j>) r_i(w') theta_j + delta_ij w'
-    if not word:
-        return {}
-    head, j = word[:-1], word[-1]
-    ei, ej = cartan.unit(spec, i), cartan.unit(spec, j)
-    tw = cartan.brace(spec, ei, ej)
-    out = {w + (j,): c * tw for w, c in _deriv_r_word(spec, i, head).items()}
-    if j == i:
-        out = f_add(out, {head: ONE})
-    return out
-
-
-@lru_cache(maxsize=None)
-def _deriv_l_word(spec: cartan.CartanSpec, i: int, word: Word) -> FElem:
     # ir(theta_j w'') = delta_ij w'' + v^(i.j) t^(<i,j>-<j,i>) theta_j ir(w'')
+    # and on F-words the t-twist is inverted
     if not word:
         return {}
-    j, tail = word[0], word[1:]
+    right = end == "r"
+    j, rest = (word[-1], word[:-1]) if right else (word[0], word[1:])
     ei, ej = cartan.unit(spec, i), cartan.unit(spec, j)
-    tw = cartan.brace(spec, ej, ei)
-    out = {(j,) + w: c * tw for w, c in _deriv_l_word(spec, i, tail).items()}
+    tw = cartan.brace(spec, ei, ej) if right == (side == "E") else cartan.brace(spec, ej, ei)
+    sub = _deriv_word(spec, i, rest, end, side)
+    out = {(w + (j,) if right else (j,) + w): c * tw for w, c in sub.items()}
     if j == i:
-        out = f_add(out, {tail: ONE})
+        out = f_add(out, {rest: ONE})
     return out
 
 
-def deriv_r(spec: cartan.CartanSpec, i: int, x: FElem) -> FElem:
+def deriv(spec: cartan.CartanSpec, i: int, x: FElem, end: str, side: str = "E") -> FElem:
+    """Letter derivation r_i (end "r") or ir (end "l"); side "F" for F-words."""
     out = {}
     for w, c in x.items():
-        out = f_add(out, f_scale(_deriv_r_word(spec, i, w), c))
-    return out
-
-
-def deriv_l(spec: cartan.CartanSpec, i: int, x: FElem) -> FElem:
-    out = {}
-    for w, c in x.items():
-        out = f_add(out, f_scale(_deriv_l_word(spec, i, w), c))
+        out = f_add(out, f_scale(_deriv_word(spec, i, w, end, side), c))
     return out
 
 
@@ -239,7 +200,7 @@ def _form_words(spec: cartan.CartanSpec, xw: Word, yw: Word) -> RatFunc:
     nu_rest = deg(spec, rest)
     tfac = mono(1, 0, 2 * cartan.bracket(spec, cartan.unit(spec, i), nu_rest))
     acc = ZERO
-    for w, c in _deriv_l_word(spec, i, xw).items():
+    for w, c in _deriv_word(spec, i, xw, "l", "E").items():
         acc = acc + c * _form_words(spec, w, rest)
     return scale * tfac * acc
 
@@ -255,8 +216,12 @@ def form(spec: cartan.CartanSpec, x: FElem, y: FElem) -> RatFunc:
     return out
 
 
-def serre_element(spec: cartan.CartanSpec, i: int, j: int) -> FElem:
-    """Quantum Serre relator in degree (1-<a_ij>) alpha_i + alpha_j; i != j."""
+def serre_element(spec: cartan.CartanSpec, i: int, j: int, side: str = "E") -> FElem:
+    """Quantum Serre relator in degree (1-<a_ij>) alpha_i + alpha_j; i != j.
+
+    The negative side ("F") has the same coefficients with the divided
+    powers of theta_i on the two sides of theta_j swapped.
+    """
     if i == j:
         raise ValueError("serre element needs distinct indices")
     o = spec.omega
@@ -270,26 +235,8 @@ def serre_element(spec: cartan.CartanSpec, i: int, j: int) -> FElem:
         pp = n - p
         texp = -p * (pp * o[i][i] - o[i][j] + o[j][i])
         coeff = mono((-1) ** p, 0, texp) / (qfact(p, d) * qfact(pp, d))
-        out = f_add(out, {(i,) * p + (j,) + (i,) * pp: coeff})
-    return out
-
-
-def serre_element_f(spec: cartan.CartanSpec, i: int, j: int) -> FElem:
-    """Negative-side relator: same coefficients, divided-power placement swapped."""
-    if i == j:
-        raise ValueError("serre element needs distinct indices")
-    o = spec.omega
-    n = 1 - Fraction(spec.dot[i][j], o[i][i])
-    if n.denominator != 1 or n < 1:
-        raise ValueError("inadmissible pair for a serre element")
-    n = int(n)
-    d = o[i][i]
-    out = {}
-    for p in range(n + 1):
-        pp = n - p
-        texp = -p * (pp * o[i][i] - o[i][j] + o[j][i])
-        coeff = mono((-1) ** p, 0, texp) / (qfact(p, d) * qfact(pp, d))
-        out = f_add(out, {(i,) * pp + (j,) + (i,) * p: coeff})
+        left, right = (p, pp) if side == "E" else (pp, p)
+        out = f_add(out, {(i,) * left + (j,) + (i,) * right: coeff})
     return out
 
 

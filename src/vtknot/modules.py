@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import cartan as ca
 from . import linalg as la
@@ -129,10 +130,11 @@ def validate_module(m: WeightModule) -> list:
         for j in range(spec.rank):
             if i == j:
                 continue
-            if not la.is_zero_matrix(act_elem(m, freealg.serre_element(spec, i, j), "E")):
-                failures.append("higher braid relation fails on the E side for (%d, %d)" % (i + 1, j + 1))
-            if not la.is_zero_matrix(act_elem(m, freealg.serre_element_f(spec, i, j), "F")):
-                failures.append("higher braid relation fails on the F side for (%d, %d)" % (i + 1, j + 1))
+            for side in ("E", "F"):
+                if not la.is_zero_matrix(act_elem(m, freealg.serre_element(spec, i, j, side), side)):
+                    failures.append(
+                        "higher braid relation fails on the %s side for (%d, %d)" % (side, i + 1, j + 1)
+                    )
     seen = set()
     return [x for x in failures if not (x in seen or seen.add(x))]
 
@@ -295,28 +297,45 @@ def theta_degrees(a: WeightModule, b: WeightModule) -> list:
     return sorted(_raising_degrees(a) & _raising_degrees(b))
 
 
-def theta_mat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
-    out = la.identity(a.dim * b.dim)
-    for nu in theta_degrees(a, b):
-        for (fw, ew), coeff in quasir.theta(a.spec, nu, order).items():
-            mf = act_word(a, fw, "F")
-            me = act_word(b, ew, "E")
-            if la.is_zero_matrix(mf) or la.is_zero_matrix(me):
+def _theta_op(mods, s: int, l: int, table, order: str, degrees=None) -> la.Matrix:
+    """Sum of coeff * F_fw on slot s (x) E_ew on slot l over a theta table.
+
+    mods lists the tensor factors; the other slots carry the identity.  The
+    degrees default to 0 and every degree that can act on slots s and l;
+    degree 0 contributes the identity and negative degrees contribute zero.
+    """
+    spec = mods[0].spec
+    size = prod(m.dim for m in mods)
+    if degrees is None:
+        degrees = [(0,) * spec.rank] + theta_degrees(mods[s], mods[l])
+    out = la.zeros(size, size)
+    for nu in degrees:
+        if any(x < 0 for x in nu):
+            continue
+        if not any(nu):
+            out = la.mat_add(out, la.identity(size))
+            continue
+        for (fw, ew), coeff in table(spec, nu, order).items():
+            mats = [
+                act_word(m, fw, "F") if k == s else act_word(m, ew, "E") if k == l
+                else la.identity(m.dim)
+                for k, m in enumerate(mods)
+            ]
+            if la.is_zero_matrix(mats[s]) or la.is_zero_matrix(mats[l]):
                 continue
-            out = la.mat_add(out, la.mat_scale(la.kron(mf, me), coeff))
+            term = mats[0]
+            for x in mats[1:]:
+                term = la.kron(term, x)
+            out = la.mat_add(out, la.mat_scale(term, coeff))
     return out
+
+
+def theta_mat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
+    return _theta_op([a, b], 0, 1, quasir.theta, order)
 
 
 def theta_bar_mat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
-    out = la.identity(a.dim * b.dim)
-    for nu in theta_degrees(a, b):
-        for (fw, ew), coeff in quasir.theta_bar(a.spec, nu, order).items():
-            mf = act_word(a, fw, "F")
-            me = act_word(b, ew, "E")
-            if la.is_zero_matrix(mf) or la.is_zero_matrix(me):
-                continue
-            out = la.mat_add(out, la.mat_scale(la.kron(mf, me), coeff))
-    return out
+    return _theta_op([a, b], 0, 1, quasir.theta_bar, order)
 
 
 def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:

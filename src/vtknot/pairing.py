@@ -4,10 +4,11 @@ E-words and F-words are both plain index tuples; which side a dict lives on
 is determined by the function applied to it.  The pairing phi is computed by
 peeling the first F-letter:
 
-    (x, F_i y) = (v_i^-1 - v_i)^-1 (rplus_l(i, x), y)
+    (x, F_i y) = (v_i^-1 - v_i)^-1 (ir(x), y)
 
-with (1,1) = 1 and degree mismatch pairing to zero.  The four letter
-derivations (rplus_* on E-words, rminus_* on F-words) give three alternative
+with (1,1) = 1 and degree mismatch pairing to zero, where ir is
+freealg.deriv(spec, i, x, "l").  The same derivation peels the other end
+(end "r") or acts on F-words (side "F"), which gives three alternative
 peeling orders; the tests check all four agree.
 """
 
@@ -17,53 +18,6 @@ from functools import lru_cache
 
 from . import cartan, freealg, linalg
 from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, bar_t, inv, mono
-
-
-def rplus_r(spec: cartan.CartanSpec, i: int, x: freealg.FElem) -> freealg.FElem:
-    return freealg.deriv_r(spec, i, x)
-
-
-def rplus_l(spec: cartan.CartanSpec, i: int, x: freealg.FElem) -> freealg.FElem:
-    return freealg.deriv_l(spec, i, x)
-
-
-@lru_cache(maxsize=None)
-def _rminus_r_word(spec: cartan.CartanSpec, i: int, word) -> freealg.FElem:
-    # t-twist is inverted relative to the E-side rule
-    if not word:
-        return {}
-    head, j = word[:-1], word[-1]
-    tw = cartan.brace(spec, cartan.unit(spec, j), cartan.unit(spec, i))
-    out = {w + (j,): c * tw for w, c in _rminus_r_word(spec, i, head).items()}
-    if j == i:
-        out = freealg.f_add(out, {head: ONE})
-    return out
-
-
-@lru_cache(maxsize=None)
-def _rminus_l_word(spec: cartan.CartanSpec, i: int, word) -> freealg.FElem:
-    if not word:
-        return {}
-    j, tail = word[0], word[1:]
-    tw = cartan.brace(spec, cartan.unit(spec, i), cartan.unit(spec, j))
-    out = {(j,) + w: c * tw for w, c in _rminus_l_word(spec, i, tail).items()}
-    if j == i:
-        out = freealg.f_add(out, {tail: ONE})
-    return out
-
-
-def rminus_r(spec: cartan.CartanSpec, i: int, y: freealg.FElem) -> freealg.FElem:
-    out = {}
-    for w, c in y.items():
-        out = freealg.f_add(out, freealg.f_scale(_rminus_r_word(spec, i, w), c))
-    return out
-
-
-def rminus_l(spec: cartan.CartanSpec, i: int, y: freealg.FElem) -> freealg.FElem:
-    out = {}
-    for w, c in y.items():
-        out = freealg.f_add(out, freealg.f_scale(_rminus_l_word(spec, i, w), c))
-    return out
 
 
 def _peel_scale(spec: cartan.CartanSpec, i: int) -> RatFunc:
@@ -79,7 +33,7 @@ def _phi_words(spec: cartan.CartanSpec, ew, fw) -> RatFunc:
         return ONE
     i, rest = fw[0], fw[1:]
     acc = ZERO
-    for w, c in freealg._deriv_l_word(spec, i, ew).items():
+    for w, c in freealg._deriv_word(spec, i, ew, "l", "E").items():
         val = _phi_words(spec, w, rest)
         if not val.is_zero():
             acc = acc + c * val

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cartan, freealg, linalg, pairing
-from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, mono
+from .ratfield import ZERO, mono
 
 
 class BasisError(RuntimeError):
@@ -70,7 +70,6 @@ def theta(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dic
 @lru_cache(maxsize=None)
 def theta_bar(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dict:
     """Closed form of the conjugated component, via the sigma-twisted duals."""
-    words, _, ginv = _basis_data(spec, mu, order)
     scale = mono(
         (-1) ** cartan.tr(mu),
         Fraction(cartan.dot(spec, mu, mu), 2)
@@ -78,18 +77,10 @@ def theta_bar(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") ->
         0,
     )
     out = {}
-    for a, wa in enumerate(words):
-        for c, wc in enumerate(words):
-            coeff = ginv[a][c]
-            if coeff.is_zero():
-                continue
-            rev, tw = freealg._sigma_word(spec, wc)
-            key = (wa, rev)
-            acc = out.get(key, ZERO) + scale * coeff * tw
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+    # sigma reverses words, a bijection, so no two entries share a key
+    for (wa, wc), coeff in theta(spec, mu, order).items():
+        rev, tw = freealg._sigma_word(spec, wc)
+        out[(wa, rev)] = scale * coeff * tw
     return out
 
 

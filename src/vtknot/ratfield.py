@@ -7,6 +7,8 @@ Conventions:
                 equality is by cross-multiplication
 
 All coefficients and exponents are fractions.Fraction; no floats anywhere.
+The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
+with different signs.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
 joined by ` + ` / ` - `, exponent 1 and coefficient 1 elided, integer
 exponents printed bare (`v^-2`), fractional ones in parens (`v^(1/2)`).
@@ -213,18 +215,6 @@ V = v_pow(1)
 T = t_pow(1)
 
 
-def add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a + b
-
-
-def mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a * b
-
-
-def neg(a: RatFunc) -> RatFunc:
-    return -a
-
-
 def inv(a: RatFunc) -> RatFunc:
     if a.num.is_zero():
         raise ZeroDivisionError("inverse of zero in Q(v,t)")
@@ -238,17 +228,20 @@ def eq(a: RatFunc, b: RatFunc) -> bool:
     return (a.num * b.den).terms == (b.num * a.den).terms
 
 
+def _flip(a: RatFunc, v_sign: int, t_sign: int) -> RatFunc:
+    """Multiply every v exponent by v_sign and every t exponent by t_sign."""
+    num, den = LaurentPoly.__new__(LaurentPoly), LaurentPoly.__new__(LaurentPoly)
+    for res, p in ((num, a.num), (den, a.den)):
+        res.terms = {
+            ExpPair(v_sign * key.v_exp, t_sign * key.t_exp): coeff
+            for key, coeff in p.terms.items()
+        }
+    return RatFunc(num, den)
+
+
 def bar(a: RatFunc) -> RatFunc:
     """The Q-algebra involution v -> v^-1, t -> t."""
-
-    def flip(p: LaurentPoly) -> LaurentPoly:
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {
-            ExpPair(-key.v_exp, key.t_exp): coeff for key, coeff in p.terms.items()
-        }
-        return res
-
-    return RatFunc(flip(a.num), flip(a.den))
+    return _flip(a, -1, 1)
 
 
 def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -313,15 +306,7 @@ def is_laurent(a: RatFunc) -> bool:
 
 def bar_t(a: RatFunc) -> RatFunc:
     """The involution t -> t^-1, v fixed."""
-
-    def flip(p: LaurentPoly) -> LaurentPoly:
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {
-            ExpPair(key.v_exp, -key.t_exp): coeff for key, coeff in p.terms.items()
-        }
-        return res
-
-    return RatFunc(flip(a.num), flip(a.den))
+    return _flip(a, 1, -1)
 
 
 class SpecializeError(ValueError):

@@ -58,7 +58,7 @@ def _rbar_is_flip(spec, x):
             1, -ca.dot(spec, da, db), ca.angle(spec, db, da) - ca.angle(spec, da, db)
         )
         flipped = fa.t_add(flipped, {(b, a): c * tw})
-    return fa.t_eq(flipped, fa.coproduct_rbar(spec, x))
+    return fa.t_eq(flipped, fa.coproduct_r(spec, x, -1))
 
 
 def _derivs_are_slices(spec, x):
@@ -71,9 +71,9 @@ def _derivs_are_slices(spec, x):
                 right = fa.f_add(right, {a: c})
             if a == (i,):
                 left = fa.f_add(left, {b: c})
-        if not fa.f_eq(fa.deriv_r(spec, i, x), right):
+        if not fa.f_eq(fa.deriv(spec, i, x, "r"), right):
             return False
-        if not fa.f_eq(fa.deriv_l(spec, i, x), left):
+        if not fa.f_eq(fa.deriv(spec, i, x, "l"), left):
             return False
     return True
 
@@ -134,33 +134,21 @@ def suite_forms(cfg, depth):
 
 # -------------------------------------------------------------- pairing
 
-def _phi_f_right(spec, ew, fw):
-    if not fw:
-        return ONE if not ew else ZERO
-    i, rest = fw[-1], fw[:-1]
+def _phi_peel(spec, ew, fw, end, side):
+    """phi by peeling the `end` letter of the `side` word and deriving the other."""
+    if side == "F":
+        peeled, other, other_side = fw, ew, "E"
+    else:
+        peeled, other, other_side = ew, fw, "F"
+    if not peeled:
+        return ONE if not other else ZERO
+    i, rest = (peeled[-1], peeled[:-1]) if end == "r" else (peeled[0], peeled[1:])
     acc = ZERO
-    for w, c in pr.rplus_r(spec, i, fa.felem(ew)).items():
-        acc = acc + c * _phi_f_right(spec, w, rest)
-    return pr._peel_scale(spec, i) * acc
-
-
-def _phi_e_first(spec, ew, fw):
-    if not ew:
-        return ONE if not fw else ZERO
-    i, rest = ew[0], ew[1:]
-    acc = ZERO
-    for w, c in pr.rminus_l(spec, i, fa.felem(fw)).items():
-        acc = acc + c * _phi_e_first(spec, rest, w)
-    return pr._peel_scale(spec, i) * acc
-
-
-def _phi_e_last(spec, ew, fw):
-    if not ew:
-        return ONE if not fw else ZERO
-    i, rest = ew[-1], ew[:-1]
-    acc = ZERO
-    for w, c in pr.rminus_r(spec, i, fa.felem(fw)).items():
-        acc = acc + c * _phi_e_last(spec, rest, w)
+    for w, c in fa.deriv(spec, i, fa.felem(other), end, other_side).items():
+        if side == "F":
+            acc = acc + c * _phi_peel(spec, w, rest, end, side)
+        else:
+            acc = acc + c * _phi_peel(spec, rest, w, end, side)
     return pr._peel_scale(spec, i) * acc
 
 
@@ -185,11 +173,9 @@ def suite_pairing(cfg, depth):
         for ew in words:
             for fw in words:
                 want = pr.phi(spec, fa.felem(ew), fa.felem(fw))
-                peel = (
-                    peel
-                    and rf.eq(_phi_f_right(spec, ew, fw), want)
-                    and rf.eq(_phi_e_first(spec, ew, fw), want)
-                    and rf.eq(_phi_e_last(spec, ew, fw), want)
+                peel = peel and all(
+                    rf.eq(_phi_peel(spec, ew, fw, end, side), want)
+                    for end, side in (("r", "F"), ("l", "E"), ("r", "E"))
                 )
                 invariance = invariance and rf.eq(
                     want,
@@ -248,23 +234,6 @@ def _theta_tables_agree(spec, mu, lhs, rhs):
     return True
 
 
-def _theta_component(a, b, mu, order):
-    """Matrix of the degree-mu theta term on a (x) b; zero off N[I]."""
-    dim = a.dim * b.dim
-    if all(x == 0 for x in mu):
-        return la.identity(dim)
-    if any(x < 0 for x in mu):
-        return la.zeros(dim, dim)
-    out = la.zeros(dim, dim)
-    for (fw, ew), coeff in sorted(qr.theta(a.spec, mu, order).items()):
-        mf = mo.act_word(a, fw, "F")
-        me = mo.act_word(b, ew, "E")
-        if la.is_zero_matrix(mf) or la.is_zero_matrix(me):
-            continue
-        out = la.mat_add(out, la.mat_scale(la.kron(mf, me), coeff))
-    return out
-
-
 def _coprod_word(a, b, w, side, bar=False):
     out = la.identity(a.dim * b.dim)
     step = mo.coprod_E if side == "E" else mo.coprod_F
@@ -285,9 +254,9 @@ def _ladder_holds(m, mu, i, order):
     """Per-degree slices of the defining relations for theta on m (x) m."""
     spec = m.spec
     dim = m.dim
-    th = _theta_component(m, m, mu, order)
+    th = mo._theta_op([m, m], 0, 1, qr.theta, order, [mu])
     down = tuple(x - y for x, y in zip(mu, ca.unit(spec, i)))
-    th_down = _theta_component(m, m, down, order)
+    th_down = mo._theta_op([m, m], 0, 1, qr.theta, order, [down])
     ei = m.act_E[i]
     fi = m.act_F[i]
     ki = mo.act_K(m, ca.unit(spec, i))
@@ -498,23 +467,6 @@ def _mixed_crossings(m, order):
     return rpm, rmp
 
 
-def _theta_slots(mods, s, l, order):
-    spec = mods[0].spec
-    dims = [x.dim for x in mods]
-    total = dims[0] * dims[1] * dims[2]
-    out = la.identity(total)
-    for mu in mo.theta_degrees(mods[s], mods[l]):
-        for (fw, ew), coeff in sorted(qr.theta(spec, mu, order).items()):
-            mats = [la.identity(x) for x in dims]
-            mats[s] = mo.act_word(mods[s], fw, "F")
-            mats[l] = mo.act_word(mods[l], ew, "E")
-            if la.is_zero_matrix(mats[s]) or la.is_zero_matrix(mats[l]):
-                continue
-            term = la.kron(la.kron(mats[0], mats[1]), mats[2])
-            out = la.mat_add(out, la.mat_scale(term, coeff))
-    return out
-
-
 def _ftilde_slots(mods, s, l):
     spec = mods[0].spec
     entries = []
@@ -546,8 +498,8 @@ def _transport_holds(m, order):
             lhs_head = la.mat_add(lhs_head, la.kron(mat12, mat3))
     lhs = la.mat_mul(lhs_head, la.mat_mul(f31, f32))
     rhs = la.mat_mul(
-        la.mat_mul(_theta_slots(mods, 2, 0, order), f31),
-        la.mat_mul(_theta_slots(mods, 2, 1, order), f32),
+        la.mat_mul(mo._theta_op(mods, 2, 0, qr.theta, order), f31),
+        la.mat_mul(mo._theta_op(mods, 2, 1, qr.theta, order), f32),
     )
     return la.mat_eq(lhs, rhs)
 
@@ -556,7 +508,7 @@ def _weight_factor_commutes(m, order):
     mods = [m, m, m]
     f31 = _ftilde_slots(mods, 2, 0)
     f32 = _ftilde_slots(mods, 2, 1)
-    th12 = _theta_slots(mods, 0, 1, order)
+    th12 = mo._theta_op(mods, 0, 1, qr.theta, order)
     ff = la.mat_mul(f31, f32)
     return la.mat_eq(la.mat_mul(ff, th12), la.mat_mul(th12, ff))
 

@@ -121,6 +121,20 @@ def test_verify_rejects_bogus_suite(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["verify", "theta"])
+def test_negative_depth_is_rejected(capsys, command):
+    argv = [command, "--config", SL2, "--depth", "-3"]
+    if command == "verify":
+        argv += ["--suite", "all"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "passed" not in captured.out
+    assert captured.out == ""
+    assert "depth must be nonnegative" in captured.err
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "invariant", "--config", SL2, "--tangle", "figure8")
     second = run(capsys, "invariant", "--config", SL2, "--tangle", "figure8")

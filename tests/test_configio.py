@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from vtknot import cli
 from vtknot import configio as cio
 from vtknot import modules as mo
 from vtknot import ratfield as rf
@@ -126,3 +127,18 @@ def test_basis_order_flag(tmp_path):
     )
     with pytest.raises(cio.ConfigError):
         cio.load_config(path)
+
+
+def test_module_file_duplicate_key_exits_2(tmp_path, capsys):
+    mod = _write(
+        tmp_path, "dup.mod", "dim = 2\nweight.1 = 1/2\nweight.1 = -1/2\nE.1.1.2 = 1\n"
+    )
+    path = _write(
+        tmp_path,
+        "dup.cfg",
+        "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = file:dup.mod\n",
+    )
+    assert cli.main(["qdim", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s:3: duplicate key 'weight.1'" % mod in captured.err

@@ -24,7 +24,7 @@ def test_coproduct_on_two_letters():
 
 
 def test_coproduct_bar_on_two_letters():
-    got = fa.coproduct_rbar(SL3, fa.felem((0, 1)))
+    got = fa.coproduct_r(SL3, fa.felem((0, 1)), -1)
     want = {
         ((0, 1), ()): rf.ONE,
         ((0,), (1,)): rf.ONE,
@@ -37,10 +37,10 @@ def test_coproduct_bar_on_two_letters():
 def test_deriv_on_repeated_letter():
     x = fa.felem((0, 0))
     want = fa.f_scale(fa.felem((0,)), rf.parse("1 + v^2"))
-    assert fa.f_eq(fa.deriv_l(SL2, 0, x), want)
-    assert fa.f_eq(fa.deriv_r(SL2, 0, x), want)
-    assert fa.deriv_l(SL2, 0, fa.felem(())) == {}
-    assert fa.f_eq(fa.deriv_l(SL2, 0, fa.felem((0,))), fa.felem(()))
+    assert fa.f_eq(fa.deriv(SL2, 0, x, "l"), want)
+    assert fa.f_eq(fa.deriv(SL2, 0, x, "r"), want)
+    assert fa.deriv(SL2, 0, fa.felem(()), "l") == {}
+    assert fa.f_eq(fa.deriv(SL2, 0, fa.felem((0,)), "l"), fa.felem(()))
 
 
 def test_form_oracles():
@@ -138,7 +138,7 @@ def test_rbar_is_flip_of_r(x):
             ca.angle(SL3, db, da) - ca.angle(SL3, da, db),
         )
         flipped = fa.t_add(flipped, {(b, a): c * tw})
-    assert fa.t_eq(flipped, fa.coproduct_rbar(SL3, x))
+    assert fa.t_eq(flipped, fa.coproduct_r(SL3, x, -1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,8 +153,8 @@ def test_derivs_extract_coproduct_slices(x):
                 right = fa.f_add(right, {a: c})
             if a == (i,):
                 left = fa.f_add(left, {b: c})
-        assert fa.f_eq(fa.deriv_r(SL3, i, x), right)
-        assert fa.f_eq(fa.deriv_l(SL3, i, x), left)
+        assert fa.f_eq(fa.deriv(SL3, i, x, "r"), right)
+        assert fa.f_eq(fa.deriv(SL3, i, x, "l"), left)
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,12 +2,18 @@
 
 from fractions import Fraction
 
+import pathlib
+
 import pytest
 
 from vtknot import cartan as ca
+from vtknot import configio as cio
 from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import ratfield as rf
+from vtknot import tangle as tg
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 SL3 = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
 
@@ -189,3 +195,28 @@ def test_sl3_natural_validates():
         la.mat_mul(nat.act_F[0], nat.act_E[0]),
     )
     assert rf.eq(comm[0][0], rf.parse("t^(1/3)"))
+
+
+def test_revlex_basis_gives_the_same_crossings_and_invariants(tmp_path):
+    lex_path = CONFIGS / "sl3.cfg"
+    rev_path = tmp_path / "sl3_revlex.cfg"
+    rev_path.write_text(
+        lex_path.read_text().replace(
+            "file:sl3_natural.mod", "file:%s" % (CONFIGS / "sl3_natural.mod")
+        )
+        + "basis_order = revlex\n"
+    )
+    lex = cio.load_config(str(lex_path))
+    rev = cio.load_config(str(rev_path))
+    assert (lex.basis_order, rev.basis_order) == ("lex", "revlex")
+    for build in (mo.rmat, mo.rmat_inv):
+        a = build(lex.module, lex.module, lex.basis_order)
+        b = build(rev.module, rev.module, rev.basis_order)
+        assert len(a) == len(b) == 9
+        for ra, rb in zip(a, b):
+            assert all(rf.eq(x, y) for x, y in zip(ra, rb))
+    for name in ("trefoil", "figure8"):
+        assert rf.eq(
+            tg.invariant(name, lex.module, lex.basis_order),
+            tg.invariant(name, rev.module, rev.basis_order),
+        )

@@ -55,7 +55,7 @@ def test_serre_relators_are_radical():
     for i, j in ((0, 1), (1, 0)):
         mu = fa.deg(SL3, next(iter(fa.serre_element(SL3, i, j))))
         se = fa.serre_element(SL3, i, j)
-        sf = fa.serre_element_f(SL3, i, j)
+        sf = fa.serre_element(SL3, i, j, "F")
         for w in fa.words_of_degree(mu):
             assert rf.eq(pr.phi(SL3, se, fa.felem(w)), rf.ZERO)
             assert rf.eq(pr.phi(SL3, fa.felem(w), sf), rf.ZERO)
@@ -77,34 +77,34 @@ def word_pairs(draw):
 
 
 def _phi_f_right(ew, fw):
-    # (x, y F_i) = (v_i^-1 - v_i)^-1 (rplus_r(i, x), y)
+    # (x, y F_i) = (v_i^-1 - v_i)^-1 (deriv(i, x, "r"), y)
     if not fw:
         return rf.ONE if not ew else rf.ZERO
     i, rest = fw[-1], fw[:-1]
     acc = rf.ZERO
-    for w, c in pr.rplus_r(SL3, i, fa.felem(ew)).items():
+    for w, c in fa.deriv(SL3, i, fa.felem(ew), "r").items():
         acc = acc + c * _phi_f_right(w, rest)
     return pr._peel_scale(SL3, i) * acc
 
 
 def _phi_e_first(ew, fw):
-    # (E_i x, y) = (v_i^-1 - v_i)^-1 (x, rminus_l(i, y))
+    # (E_i x, y) = (v_i^-1 - v_i)^-1 (x, deriv(i, y, "l", "F"))
     if not ew:
         return rf.ONE if not fw else rf.ZERO
     i, rest = ew[0], ew[1:]
     acc = rf.ZERO
-    for w, c in pr.rminus_l(SL3, i, fa.felem(fw)).items():
+    for w, c in fa.deriv(SL3, i, fa.felem(fw), "l", "F").items():
         acc = acc + c * _phi_e_first(rest, w)
     return pr._peel_scale(SL3, i) * acc
 
 
 def _phi_e_last(ew, fw):
-    # (x E_i, y) = (v_i^-1 - v_i)^-1 (x, rminus_r(i, y))
+    # (x E_i, y) = (v_i^-1 - v_i)^-1 (x, deriv(i, y, "r", "F"))
     if not ew:
         return rf.ONE if not fw else rf.ZERO
     i, rest = ew[-1], ew[:-1]
     acc = rf.ZERO
-    for w, c in pr.rminus_r(SL3, i, fa.felem(fw)).items():
+    for w, c in fa.deriv(SL3, i, fa.felem(fw), "r", "F").items():
         acc = acc + c * _phi_e_last(rest, w)
     return pr._peel_scale(SL3, i) * acc
 

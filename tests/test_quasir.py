@@ -75,7 +75,7 @@ def test_expand_indicators_and_radical():
     se = fa.serre_element(SL3, 0, 1)
     for c in qr.expand(SL3, se, "+").values():
         assert rf.eq(c, rf.ZERO)
-    sf = fa.serre_element_f(SL3, 0, 1)
+    sf = fa.serre_element(SL3, 0, 1, "F")
     for c in qr.expand(SL3, sf, "-").values():
         assert rf.eq(c, rf.ZERO)
 
