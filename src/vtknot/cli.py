@@ -1,12 +1,14 @@
 """Command line front end: invariants, identity suites, diagnostic dumps.
 
 Exit codes: 0 success (and all checks passing for verify), 1 tangle
-parse/type failures or a failing suite, 2 configuration problems.
+parse/type failures, a failing suite or stdout closed early, 2 configuration
+problems.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -194,7 +196,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early; silence the flush at interpreter exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (configio.ConfigError, rf.SpecializeError, qr.BasisError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -234,22 +234,6 @@ def _theta_tables_agree(spec, mu, lhs, rhs):
     return True
 
 
-def _coprod_word(a, b, w, side, bar=False):
-    out = la.identity(a.dim * b.dim)
-    step = mo.coprod_E if side == "E" else mo.coprod_F
-    for i in w:
-        out = la.mat_mul(out, step(a, b, i, bar))
-    return out
-
-
-def _coprod_elem(a, b, x, side, bar=False):
-    dim = a.dim * b.dim
-    out = la.zeros(dim, dim)
-    for w, c in sorted(x.items()):
-        out = la.mat_add(out, la.mat_scale(_coprod_word(a, b, w, side, bar), c))
-    return out
-
-
 def _ladder_holds(m, mu, i, order):
     """Per-degree slices of the defining relations for theta on m (x) m."""
     spec = m.spec
@@ -283,12 +267,11 @@ def _ladder_holds(m, mu, i, order):
     return all(checks)
 
 
-def _delta_plus_holds(m, w, order):
+def _delta_plus_holds(m, mm, w, order):
     spec = m.spec
     lam = fa.deg(spec, w)
-    lhs = _coprod_word(m, m, w, "E")
-    dim = m.dim * m.dim
-    rhs = la.zeros(dim, dim)
+    lhs = mo.act_word(mm, w, "E")
+    rhs = la.zeros(mm.dim, mm.dim)
     for mu in ca.degrees_below(lam):
         nu = ca.deg_sub(lam, mu)
         try:
@@ -312,12 +295,11 @@ def _delta_plus_holds(m, w, order):
     return la.mat_eq(lhs, rhs)
 
 
-def _delta_minus_holds(m, w, order):
+def _delta_minus_holds(m, mm, w, order):
     spec = m.spec
     lam = fa.deg(spec, w)
-    lhs = _coprod_word(m, m, w, "F")
-    dim = m.dim * m.dim
-    rhs = la.zeros(dim, dim)
+    lhs = mo.act_word(mm, w, "F")
+    rhs = la.zeros(mm.dim, mm.dim)
     for mu in ca.degrees_below(lam):
         nu = ca.deg_sub(lam, mu)
         try:
@@ -373,9 +355,10 @@ def suite_quasiR(cfg, depth):
     tb = mo.theta_bar_mat(m, m, order)
     intertwines = True
     for i in range(spec.rank):
-        for side in ("E", "F"):
-            straight = _coprod_word(m, m, (i,), side)
-            conjd = _coprod_word(m, m, (i,), side, bar=True)
+        for straight, conjd in (
+            (mm.act_E[i], mo.coprod_E(m, m, i, True)),
+            (mm.act_F[i], mo.coprod_F(m, m, i, True)),
+        ):
             intertwines = intertwines and la.mat_eq(
                 la.mat_mul(straight, th), la.mat_mul(th, conjd)
             )
@@ -386,8 +369,8 @@ def suite_quasiR(cfg, depth):
     delta = True
     for mu in ca.degrees_tr_upto(spec.rank, min(depth, 3)):
         for w in fa.words_of_degree(mu):
-            delta = delta and _delta_plus_holds(m, w, order)
-            delta = delta and _delta_minus_holds(m, w, order)
+            delta = delta and _delta_plus_holds(m, mm, w, order)
+            delta = delta and _delta_minus_holds(m, mm, w, order)
     return [
         ("dual bases pair to indicator values", dual_pair),
         ("theta solves the coproduct ladder degree by degree", ladder),
@@ -401,27 +384,6 @@ def suite_quasiR(cfg, depth):
 
 # -------------------------------------------------------------- rmatrix
 
-def _zigzags_hold(m):
-    d = m.dim
-    dual = mo.dual(m)
-    id_m = la.identity(d)
-    id_d = la.identity(dual.dim)
-    ev = mo.ev_map(m)
-    qtr = mo.qtr_map(m)
-    coev = mo.coev_map(m)
-    coqtr = mo.coqtr_map(m)
-    z1 = la.mat_mul(la.kron(qtr, id_m), la.kron(id_m, coev))
-    z2 = la.mat_mul(la.kron(id_m, ev), la.kron(coqtr, id_m))
-    z3 = la.mat_mul(la.kron(ev, id_d), la.kron(id_d, coqtr))
-    z4 = la.mat_mul(la.kron(id_d, qtr), la.kron(coev, id_d))
-    return (
-        la.mat_eq(z1, id_m)
-        and la.mat_eq(z2, id_m)
-        and la.mat_eq(z3, id_d)
-        and la.mat_eq(z4, id_d)
-    )
-
-
 def _cap_slide_holds(m, order):
     d = m.dim
     dual = mo.dual(m)
@@ -430,19 +392,6 @@ def _cap_slide_holds(m, order):
     lhs = la.mat_mul(outer, la.kron(la.identity(d * d), mo.rmat(dual, dual, order)))
     rhs = la.mat_mul(outer, la.kron(mo.rmat(m, m, order), la.identity(d * d)))
     return la.mat_eq(lhs, rhs)
-
-
-def _twist_scalar_holds(m, order):
-    d = m.dim
-    unit = tg.crossing_unit(m)
-    top = la.kron(la.identity(d), mo.qtr_map(m))
-    bottom = la.kron(la.identity(d), mo.coqtr_map(m))
-    got = la.mat_mul(top, la.mat_mul(la.kron(mo.rmat(m, m, order), la.identity(d)), bottom))
-    ok = la.mat_eq(got, la.mat_scale(la.identity(d), unit))
-    got_inv = la.mat_mul(
-        top, la.mat_mul(la.kron(mo.rmat_inv(m, m, order), la.identity(d)), bottom)
-    )
-    return ok and la.mat_eq(got_inv, la.mat_scale(la.identity(d), rf.inv(unit)))
 
 
 def _mixed_crossings(m, order):
@@ -491,7 +440,7 @@ def _transport_holds(m, order):
     for mu in degs:
         words = qr.select_basis(spec, mu, order)
         for ai, wa in enumerate(words):
-            mat12 = _coprod_elem(m, m, qr.dual_element(spec, mu, ai, order), "E")
+            mat12 = mo.act_elem(pair, qr.dual_element(spec, mu, ai, order), "E")
             mat3 = mo.act_word(m, wa, "F")
             if la.is_zero_matrix(mat3):
                 continue
@@ -631,9 +580,9 @@ def suite_rmatrix(cfg, depth):
     out = [
         ("crossing is a module map", mo.is_module_map(mm, mm, rr)),
         ("crossing and its inverse cancel", cancel),
-        ("zigzag identities hold", _zigzags_hold(m)),
+        ("zigzag identities hold", _all_hold(_CURLS, m, order)),
         ("crossing slides across a cap", _cap_slide_holds(m, order)),
-        ("full twist through a cup gives the framing unit", _twist_scalar_holds(m, order)),
+        ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m, order)),
         ("mixed crossing matches its cup and cap form", mixed_match),
         ("mixed crossings compose to the identity", mixed_cancel),
         ("coproduct transport assembles iterated twists", _transport_holds(m, order)),
@@ -704,26 +653,28 @@ _SLIDE_RHS = (
 _ROT_Y = "coev * up * dn ; dn * xp * dn ; dn * up * qtr"
 _ROT_T = "dn * up * coqtr ; dn * xm * dn ; ev * up * dn"
 
-
-def _move_pairs():
-    pairs = [
-        ("left curl straightens on an upward strand", tg.parse("up * coev ; qtr * up"), tg.parse("up")),
-        ("right curl straightens on an upward strand", tg.parse("coqtr * up ; up * ev"), tg.parse("up")),
-        ("left curl straightens on a downward strand", tg.parse("dn * coqtr ; ev * dn"), tg.parse("dn")),
-        ("right curl straightens on a downward strand", tg.parse("coev * dn ; dn * qtr"), tg.parse("dn")),
-        ("positive crossing slides around a clasp", tg.parse(_SLIDE_LHS % "xp"), tg.parse(_SLIDE_RHS % "xp")),
-        ("negative crossing slides around a clasp", tg.parse(_SLIDE_LHS % "xm"), tg.parse(_SLIDE_RHS % "xm")),
-        ("opposite crossings cancel, positive on top", tg.parse("xm ; xp"), tg.parse("up * up")),
-        ("opposite crossings cancel, negative on top", tg.parse("xp ; xm"), tg.parse("up * up")),
-        ("braid move holds", tg.parse("xp * up ; up * xp ; xp * up"), tg.parse("up * xp ; xp * up ; up * xp")),
-        ("positive kink vanishes", tg.parse("up * coqtr ; xp * dn ; up * qtr"), tg.parse("up")),
-        ("negative kink vanishes", tg.parse("up * coqtr ; xm * dn ; up * qtr"), tg.parse("up")),
-        ("rotation round trip is the identity, one way",
-         tg.compose(tg.parse(_ROT_T), tg.parse(_ROT_Y)), tg.parse("up * dn")),
-        ("rotation round trip is the identity, other way",
-         tg.compose(tg.parse(_ROT_Y), tg.parse(_ROT_T)), tg.parse("dn * up")),
-    ]
-    return pairs
+# (name, lhs, rhs) word pairs; the rmatrix suite reuses the curls and kinks
+_CURLS = (
+    ("left curl straightens on an upward strand", "up * coev ; qtr * up", "up"),
+    ("right curl straightens on an upward strand", "coqtr * up ; up * ev", "up"),
+    ("left curl straightens on a downward strand", "dn * coqtr ; ev * dn", "dn"),
+    ("right curl straightens on a downward strand", "coev * dn ; dn * qtr", "dn"),
+)
+_MOVES = (
+    ("positive crossing slides around a clasp", _SLIDE_LHS % "xp", _SLIDE_RHS % "xp"),
+    ("negative crossing slides around a clasp", _SLIDE_LHS % "xm", _SLIDE_RHS % "xm"),
+    ("opposite crossings cancel, positive on top", "xm ; xp", "up * up"),
+    ("opposite crossings cancel, negative on top", "xp ; xm", "up * up"),
+    ("braid move holds", "xp * up ; up * xp ; xp * up", "up * xp ; xp * up ; up * xp"),
+)
+_KINKS = (
+    ("positive kink vanishes", "up * coqtr ; xp * dn ; up * qtr", "up"),
+    ("negative kink vanishes", "up * coqtr ; xm * dn ; up * qtr", "up"),
+)
+_ROTATIONS = (
+    ("rotation round trip is the identity, one way", _ROT_Y + " ; " + _ROT_T, "up * dn"),
+    ("rotation round trip is the identity, other way", _ROT_T + " ; " + _ROT_Y, "dn * up"),
+)
 
 
 def tangles_equal(a, b, m, order="lex"):
@@ -732,11 +683,16 @@ def tangles_equal(a, b, m, order="lex"):
     return la.mat_eq(tg.functor_T(a, m, order), tg.functor_T(b, m, order))
 
 
+def _all_hold(table, m, order):
+    return all(tangles_equal(tg.parse(a), tg.parse(b), m, order) for _, a, b in table)
+
+
 def suite_tangle_relations(cfg, depth):
     m = cfg.module
     order = cfg.basis_order
     return [
-        (name, tangles_equal(lhs, rhs, m, order)) for name, lhs, rhs in _move_pairs()
+        (name, tangles_equal(tg.parse(a), tg.parse(b), m, order))
+        for name, a, b in _CURLS + _MOVES + _KINKS + _ROTATIONS
     ]
 
 

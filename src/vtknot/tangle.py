@@ -2,8 +2,9 @@
 
 Words are rows of generators listed bottom to top; a row is a horizontal
 tensor of generators.  Each generator has a fixed boundary type and adjacent
-rows must match.  Evaluation sends a word to a matrix over Q(v,t); rows are
-composed sparsely since the intermediate objects grow as d^strands.
+rows must match.  Evaluation sends a word to a matrix over Q(v,t): each
+cup, cap or crossing acts on its own strands of a sparse operator, so no
+row-wide Kronecker product is ever formed.
 """
 
 from __future__ import annotations
@@ -117,62 +118,6 @@ def tensorw(a: TangleWord, b: TangleWord) -> TangleWord:
     return word([tuple(x) + tuple(y) for x, y in zip(ra, rb)])
 
 
-# sparse matrices as (nrows, ncols, {r: {c: value}})
-
-
-def _sparse(dense):
-    nr = len(dense)
-    nc = len(dense[0]) if nr else 0
-    rows = {}
-    for r in range(nr):
-        nz = {c: x for c, x in enumerate(dense[r]) if not x.is_zero()}
-        if nz:
-            rows[r] = nz
-    return (nr, nc, rows)
-
-
-def _skron(a, b):
-    ar, ac, arows = a
-    br, bc, brows = b
-    out = {}
-    for r1, row1 in arows.items():
-        for r2, row2 in brows.items():
-            orow = out.setdefault(r1 * br + r2, {})
-            for c1, x in row1.items():
-                for c2, y in row2.items():
-                    orow[c1 * bc + c2] = x * y
-    return (ar * br, ac * bc, out)
-
-
-def _smul(a, b):
-    ar, ac, arows = a
-    br, bc, brows = b
-    assert ac == br, "shape mismatch"
-    out = {}
-    for r, row in arows.items():
-        acc = {}
-        for s, x in row.items():
-            brow = brows.get(s)
-            if not brow:
-                continue
-            for c, y in brow.items():
-                prev = acc.get(c)
-                acc[c] = x * y if prev is None else prev + x * y
-        acc = {c: v for c, v in acc.items() if not v.is_zero()}
-        if acc:
-            out[r] = acc
-    return (ar, bc, out)
-
-
-def _dense(a):
-    nr, nc, rows = a
-    out = la.zeros(nr, nc)
-    for r, row in rows.items():
-        for c, x in row.items():
-            out[r][c] = x
-    return out
-
-
 def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
     """f(lam,lam) v^2_{-lam} for the highest weight lam; the curl scalar."""
     lam = mo.highest_weight(m)
@@ -180,27 +125,64 @@ def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
     return ca.f(m.spec, lam, lam) * vd * vd
 
 
+def _generator(g: str, m: mo.WeightModule, order: str) -> la.Matrix:
+    """Matrix of one cup, cap or crossing on the strands it occupies."""
+    if g == "xp":
+        return la.mat_scale(mo.rmat(m, m, order), rf.inv(crossing_unit(m)))
+    if g == "xm":
+        return la.mat_scale(mo.rmat_inv(m, m, order), crossing_unit(m))
+    maps = {"ev": mo.ev_map, "qtr": mo.qtr_map, "coev": mo.coev_map, "coqtr": mo.coqtr_map}
+    return maps[g](m)
+
+
+def _apply(gen, acc, ds, dt, dlo):
+    """Apply gen, a dt x ds matrix, to one generator's strands of acc's rows.
+
+    Row index (hi*ds + r)*dlo + lo becomes (hi*dt + r')*dlo + lo for every
+    nonzero gen[r'][r]: the strands left (hi) and right (lo) of the generator
+    are untouched.
+    """
+    out = {}
+    for r, arow in acc.items():
+        hi, rest = divmod(r, ds * dlo)
+        mid, lo = divmod(rest, dlo)
+        for r2 in range(dt):
+            x = gen[r2][mid]
+            if x.is_zero():
+                continue
+            orow = out.setdefault((hi * dt + r2) * dlo + lo, {})
+            for c, y in arow.items():
+                prev = orow.get(c)
+                orow[c] = x * y if prev is None else prev + x * y
+    out = {r: {c: v for c, v in orow.items() if not v.is_zero()} for r, orow in out.items()}
+    return {r: orow for r, orow in out.items() if orow}
+
+
 def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex") -> la.Matrix:
-    """Evaluate the word on the module: + strands carry m, - strands dual(m)."""
-    unit = crossing_unit(m)
-    gens = {
-        "up": la.identity(m.dim),
-        "dn": la.identity(m.dim),
-        "ev": mo.ev_map(m),
-        "qtr": mo.qtr_map(m),
-        "coev": mo.coev_map(m),
-        "coqtr": mo.coqtr_map(m),
-        "xp": la.mat_scale(mo.rmat(m, m, order), rf.inv(unit)),
-        "xm": la.mat_scale(mo.rmat_inv(m, m, order), unit),
-    }
-    sgens = {g: _sparse(mat) for g, mat in gens.items()}
-    acc = None
+    """Evaluate the word on the module: + strands carry m, - strands dual(m).
+
+    The functor is strict monoidal, so each generator of a row acts on its
+    own strands only and up/dn do nothing.  The operator from the source
+    boundary is kept as a sparse {row: {col: value}} map.
+    """
+    d = m.dim
+    gens = {}
+    acc = {c: {c: ONE} for c in range(d ** len(w.source))}
     for row in w.rows:
-        rowmat = (1, 1, {0: {0: ONE}})
+        lo = len(_row_boundary(row)[0])
         for g in row:
-            rowmat = _skron(rowmat, sgens[g])
-        acc = rowmat if acc is None else _smul(rowmat, acc)
-    return _dense(acc)
+            s, t = (len(x) for x in BOUNDARY[g])
+            lo -= s
+            if g in ("up", "dn"):
+                continue
+            if g not in gens:
+                gens[g] = _generator(g, m, order)
+            acc = _apply(gens[g], acc, d ** s, d ** t, d ** lo)
+    out = la.zeros(d ** len(w.target), d ** len(w.source))
+    for r, arow in acc.items():
+        for c, x in arow.items():
+            out[r][c] = x
+    return out
 
 
 def closure(w: TangleWord) -> TangleWord:

@@ -1,12 +1,16 @@
 """Command line contract: outputs, exit codes, and determinism."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from vtknot import cli
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 SL2 = str(CONFIGS / "sl2.cfg")
 SL3 = str(CONFIGS / "sl3.cfg")
 
@@ -143,3 +147,19 @@ def test_output_is_deterministic(capsys):
     b = run(capsys, "verify", "--config", SL2, "--suite", "forms")
     assert a == b
     assert a[0] == 0
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader leaves after one line, as `| head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vtknot.cli", "theta", "--config", SL2, "--depth", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == b"1 | 1 | 1 | -v + v^-1\n"
+    assert b"Traceback" not in err

@@ -1,15 +1,19 @@
 """Tangle word parsing, typing, evaluation, closures, and invariant values."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtknot import configio
 from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import ratfield as rf
 from vtknot import tangle as tg
 
 M1 = mo.rank1_simple(1)
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_parse_and_boundary_types():
@@ -133,6 +137,64 @@ def test_functor_is_strict_on_composition(ta, tb):
     got = tg.functor_T(tg.compose(a, b), M1)
     want = la.mat_mul(tg.functor_T(a, M1), tg.functor_T(b, M1))
     assert la.mat_eq(got, want)
+
+
+# a cup or cap at offset 0, in the middle and last, next to crossings
+_LOCAL = (
+    "coev * up * dn ; dn * xp * dn ; dn * up * qtr",
+    "dn * up * coqtr ; dn * xm * dn ; ev * up * dn",
+    "up * coev * up ; up * dn * xp ; up * ev * up",
+    "up * coqtr * up ; xm * dn * up ; up * qtr * up",
+)
+
+
+def _dense_T(w, gens, d):
+    """Reference evaluation: kron each row's matrices, multiply rows upward."""
+    acc = la.identity(d ** len(w.source))
+    for row in w.rows:
+        rowmat = [[rf.ONE]]
+        for g in row:
+            rowmat = la.kron(rowmat, gens[g])
+        acc = la.mat_mul(rowmat, acc)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["sl2.cfg", "sl3.cfg"])
+def test_functor_matches_dense_row_by_row_evaluation(name):
+    cfg = configio.load_config(str(CONFIGS / name))
+    m, order = cfg.module, cfg.basis_order
+    unit = tg.crossing_unit(m)
+    gens = {
+        "up": la.identity(m.dim),
+        "dn": la.identity(m.dim),
+        "ev": mo.ev_map(m),
+        "qtr": mo.qtr_map(m),
+        "coev": mo.coev_map(m),
+        "coqtr": mo.coqtr_map(m),
+        "xp": la.mat_scale(mo.rmat(m, m, order), rf.inv(unit)),
+        "xm": la.mat_scale(mo.rmat_inv(m, m, order), unit),
+    }
+    for text in _POOL + _LOCAL:
+        w = tg.parse(text)
+        assert la.mat_eq(tg.functor_T(w, m, order), _dense_T(w, gens, m.dim)), text
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from(("xp", "xm"))), min_size=1, max_size=5),
+    st.sampled_from(("xp", "xm")),
+)
+def test_invariant_is_markov_stable(n, letters, last):
+    # a braid on n strands; a stabilization adds strand n + 1 and one crossing
+    rows = []
+    for k, g in letters:
+        k %= n - 1
+        rows.append(("up",) * k + (g,) + ("up",) * (n - 2 - k))
+    stabilized = [row + ("up",) for row in rows] + [("up",) * (n - 1) + (last,)]
+    lhs = tg.invariant(tg.word(rows), M1)
+    rhs = tg.invariant(tg.word(stabilized), M1)
+    assert rf.eq(lhs, rhs)
 
 
 @pytest.mark.parametrize("g", ["xp", "xm", "up * up"])
