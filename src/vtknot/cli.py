@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and all checks passing for verify), 1 tangle
 parse/type failures, a failing suite or stdout closed early, 2 configuration
-problems.
+problems, including a module with no unique maximal weight.
 """
 
 from __future__ import annotations
@@ -154,12 +154,8 @@ def _cmd_rmatrix(args) -> int:
     mat = mo.rmat(m, m, cfg.basis_order)
     for r in range(mm.dim):
         for c in range(mm.dim):
-            if mat[r][c].is_zero():
-                continue
-            print(
-                "%s | %s | %s"
-                % (mm.labels[r], mm.labels[c], rf.render(rf.reduce_poly(mat[r][c])))
-            )
+            if not mat[r][c].is_zero():
+                print("%s | %s | %s" % (mm.labels[r], mm.labels[c], rf.render(mat[r][c])))
     return 0
 
 
@@ -204,7 +200,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (configio.ConfigError, rf.SpecializeError, qr.BasisError) as e:
+    except (
+        configio.ConfigError, rf.SpecializeError, qr.BasisError, mo.HighestWeightError
+    ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except tg.TangleError as e:

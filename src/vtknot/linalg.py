@@ -44,7 +44,7 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(a: Matrix, s: RatFunc) -> Matrix:
-    return [[s * x for x in row] for row in a]
+    return [[x if x.is_zero() else s * x for x in row] for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -265,14 +265,6 @@ def qdim(m: WeightModule) -> RatFunc:
     return out
 
 
-def ftilde(a: WeightModule, b: WeightModule) -> la.Matrix:
-    return _diag(ca.f(a.spec, wa, wb) for wa in a.weights for wb in b.weights)
-
-
-def ftilde_inv(a: WeightModule, b: WeightModule) -> la.Matrix:
-    return _diag(ca.brace(a.spec, wa, wb) for wa in a.weights for wb in b.weights)
-
-
 def perm(a: WeightModule, b: WeightModule) -> la.Matrix:
     """Flip a (x) b -> b (x) a."""
     out = la.zeros(a.dim * b.dim, a.dim * b.dim)
@@ -339,17 +331,44 @@ def theta_bar_mat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Ma
 
 
 def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
-    """Braiding a (x) b -> b (x) a: flip, then the weight factor, then theta."""
-    return la.mat_mul(
-        theta_mat(b, a, order), la.mat_mul(ftilde(b, a), perm(a, b))
-    )
+    """Braiding a (x) b -> b (x) a: flip, then the weight factor, then theta.
+
+    The flip and the diagonal weight factor only move and scale columns of
+    theta_mat(b, a): for c1 < a.dim and c2 < b.dim, column c1*b.dim + c2 of
+    the result is column c2*a.dim + c1 of theta times f(w_b[c2], w_a[c1]).
+    Each nonzero entry goes through reduce_poly once, here.
+    """
+    th = theta_mat(b, a, order)
+    out = la.zeros(a.dim * b.dim, a.dim * b.dim)
+    for c1, wa in enumerate(a.weights):
+        for c2, wb in enumerate(b.weights):
+            j, i = c1 * b.dim + c2, c2 * a.dim + c1
+            s = ca.f(a.spec, wb, wa)
+            for r, row in enumerate(th):
+                if not row[i].is_zero():
+                    out[r][j] = rf.reduce_poly(row[i] * s)
+    return out
 
 
 def rmat_inv(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
-    """Inverse braiding b (x) a -> a (x) b, via the conjugated theta."""
-    return la.mat_mul(
-        perm(b, a), la.mat_mul(ftilde_inv(b, a), theta_bar_mat(b, a, order))
-    )
+    """Inverse braiding b (x) a -> a (x) b, via the conjugated theta.
+
+    Row c1*b.dim + c2 of the result is row c2*a.dim + c1 of
+    theta_bar_mat(b, a) times brace(w_b[c2], w_a[c1]); each nonzero entry
+    goes through reduce_poly once, here.
+    """
+    tb = theta_bar_mat(b, a, order)
+    out = la.zeros(a.dim * b.dim, a.dim * b.dim)
+    for c1, wa in enumerate(a.weights):
+        for c2, wb in enumerate(b.weights):
+            j, i = c1 * b.dim + c2, c2 * a.dim + c1
+            s = ca.brace(a.spec, wb, wa)
+            out[j] = [x if x.is_zero() else rf.reduce_poly(s * x) for x in tb[i]]
+    return out
+
+
+class HighestWeightError(ValueError):
+    """The module's weights have no single maximum, so no crossing unit."""
 
 
 def highest_weight(m: WeightModule):
@@ -360,7 +379,7 @@ def highest_weight(m: WeightModule):
         ):
             tops.append(lam)
     if len(tops) != 1:
-        raise ValueError("module has no unique maximal weight")
+        raise HighestWeightError("module has no unique maximal weight")
     return tops[0]
 
 

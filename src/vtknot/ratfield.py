@@ -128,7 +128,11 @@ LP_ONE = lp_mono(1)
 
 
 class RatFunc:
-    """Element of Q(v,t) as num/den; monomial denominators fold into num."""
+    """Element of Q(v,t) as num/den; monomial denominators fold into num.
+
+    Every Laurent value therefore carries the shared LP_ONE as its den, which
+    is what the fast paths of + and * test for.
+    """
 
     __slots__ = ("num", "den")
 
@@ -158,6 +162,12 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if self.den is LP_ONE and other.den is LP_ONE:
+            # Laurent fast path: nothing to normalize
+            res = RatFunc.__new__(RatFunc)
+            res.num = self.num + other.num
+            res.den = LP_ONE
+            return res
         if self.den.terms == other.den.terms:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(
@@ -174,6 +184,11 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if self.den is LP_ONE and other.den is LP_ONE:
+            res = RatFunc.__new__(RatFunc)
+            res.num = self.num * other.num
+            res.den = LP_ONE
+            return res
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":

@@ -163,3 +163,39 @@ def test_closed_stdout_ends_quietly():
     assert proc.wait(timeout=120) == 1
     assert first == b"1 | 1 | 1 | -v + v^-1\n"
     assert b"Traceback" not in err
+
+
+_NATURAL_PLUS_DUAL = """dim = 6
+weight.1 = 2/3 1/3
+weight.2 = -1/3 1/3
+weight.3 = -1/3 -2/3
+weight.4 = -2/3 -1/3
+weight.5 = 1/3 -1/3
+weight.6 = 1/3 2/3
+E.1.1.2 = 1
+E.2.2.3 = 1
+F.1.2.1 = t^(1/3)
+F.2.3.2 = t^(1/3)
+E.1.5.4 = -v^-1 * t^(-1/3)
+E.2.6.5 = -v^-1 * t^(-1/3)
+F.1.4.5 = -v
+F.2.5.6 = -v
+"""
+
+
+def test_module_without_unique_top_weight_exits_2(tmp_path):
+    (tmp_path / "sum.mod").write_text(_NATURAL_PLUS_DUAL)
+    cfg = tmp_path / "sum.cfg"
+    cfg.write_text(
+        (CONFIGS / "sl3.cfg").read_text().replace("file:sl3_natural.mod", "file:sum.mod")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "vtknot.cli", "invariant", "--config", str(cfg),
+         "--tangle", "trefoil"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert "error: module has no unique maximal weight" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -220,3 +220,39 @@ def test_revlex_basis_gives_the_same_crossings_and_invariants(tmp_path):
             tg.invariant(name, lex.module, lex.basis_order),
             tg.invariant(name, rev.module, rev.basis_order),
         )
+
+
+def _dense_rmat(a, b):
+    f = mo._diag(ca.f(a.spec, wb, wa) for wb in b.weights for wa in a.weights)
+    return la.mat_mul(mo.theta_mat(b, a), la.mat_mul(f, mo.perm(a, b)))
+
+
+def _dense_rmat_inv(a, b):
+    brace = mo._diag(ca.brace(a.spec, wb, wa) for wb in b.weights for wa in a.weights)
+    return la.mat_mul(mo.perm(b, a), la.mat_mul(brace, mo.theta_bar_mat(b, a)))
+
+
+_PAIRS = {
+    "sl2": lambda: (M1, M1),
+    "rank1:2": lambda: (M2, M2),
+    "sl3": lambda: (sl3_natural(), sl3_natural()),
+    "rank1:2 and its dual": lambda: (M2, mo.dual(M2)),
+    "sl3 and its dual": lambda: (sl3_natural(), mo.dual(sl3_natural())),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+def test_crossing_by_index_matches_dense_products(pair):
+    a, b = _PAIRS[pair]()
+    assert la.mat_eq(mo.rmat(a, b), _dense_rmat(a, b))
+    assert la.mat_eq(mo.rmat_inv(a, b), _dense_rmat_inv(a, b))
+
+
+@pytest.mark.parametrize(
+    "m", [M2, mo.rank1_simple(3), sl3_natural()], ids=["rank1:2", "rank1:3", "sl3"]
+)
+def test_crossing_entries_are_laurent(m):
+    for build in (mo.rmat, mo.rmat_inv):
+        for row in build(m, m):
+            for x in row:
+                assert x.is_zero() or len(x.den.terms) == 1, rf.render(x)

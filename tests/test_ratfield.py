@@ -177,3 +177,62 @@ def test_bar_is_multiplicative(a, b):
 @given(ratfuncs())
 def test_render_parse_round_trip(a):
     assert rf.eq(rf.parse(rf.render(a)), a)
+
+
+def _nonmonomial(p):
+    return len(p.terms) > 1
+
+
+_divisors = laurents(max_terms=3).filter(_nonmonomial)
+_monomials = st.builds(rf.lp_mono, st.integers(1, 3), _exps, _exps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents(), _divisors)
+def test_reduce_poly_divides_out_an_exact_denominator(a, b):
+    got = rf.reduce_poly(rf.RatFunc(a * b, b))
+    assert got.den == rf.LP_ONE
+    assert got.num.terms == a.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs())
+def test_reduce_poly_is_idempotent(a):
+    once = rf.reduce_poly(a)
+    twice = rf.reduce_poly(once)
+    assert rf.eq(once, a)
+    assert (twice.num.terms, twice.den.terms) == (once.num.terms, once.den.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurents(), _divisors, _monomials)
+def test_reduce_poly_keeps_a_fraction_it_cannot_divide(a, b, r):
+    # a non-monomial b never divides a*b + r: the units are the monomials
+    x = rf.RatFunc(a * b + r, b)
+    got = rf.reduce_poly(x)
+    assert (got.num.terms, got.den.terms) == (x.num.terms, x.den.terms)
+
+
+def test_reduce_poly_agrees_with_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    v, t = sympy.symbols("v t")
+
+    def to_sympy(p):
+        # the drawn exponents lie in (1/2)Z; v -> v^2, t -> t^2 makes them integers
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * v ** int(2 * k.v_exp) * t ** int(2 * k.t_exp)
+             for k, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(laurents(max_terms=3), _divisors, st.booleans())
+    def check(a, b, divisible):
+        x = rf.RatFunc(a * b if divisible else a, b)
+        got = rf.reduce_poly(x)
+        num, den = sympy.fraction(sympy.cancel(to_sympy(x.num) / to_sympy(x.den)))
+        assert (len(got.den.terms) == 1) == sympy.Poly(den, v, t).is_monomial
+        assert sympy.cancel(to_sympy(got.num) / to_sympy(got.den) - num / den) == 0
+
+    check()

@@ -14,6 +14,7 @@ from vtknot import tangle as tg
 
 M1 = mo.rank1_simple(1)
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
 
 
 def test_parse_and_boundary_types():
@@ -92,6 +93,20 @@ def test_invariant_hopf_and_figure8():
     f8 = tg.invariant("figure8", M1)
     assert rf.eq(f8, rf.bar(f8))
     assert rf.eq(f8, rf.parse("v^5 + v^-5"))
+
+
+def test_torus_knot_mirror_is_bar_on_rank1_2():
+    cfg = configio.load_config(str(BENCH_CONFIGS / "rank1_2.cfg"))
+    t43 = " ; ".join(["xp*up*up ; up*xp*up ; up*up*xp"] * 3)
+    val = tg.invariant(t43, cfg.module, cfg.basis_order)
+    mirror = tg.invariant(t43.replace("xp", "xm"), cfg.module, cfg.basis_order)
+    assert rf.eq(mirror, rf.bar(val))
+    assert not rf.eq(mirror, val)
+
+
+def test_figure8_is_amphichiral_on_rank1_3():
+    val = tg.invariant("figure8", mo.rank1_simple(3))
+    assert rf.eq(val, rf.bar(val))
 
 
 def test_rank1_invariants_are_t_free_laurent():
