@@ -17,8 +17,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def t_free(val):
-    terms = list(val.num.terms) + list(val.den.terms)
-    return all(e.t_exp == 0 for e in terms)
+    terms = list(val.num.fraction_terms()) + list(val.den.fraction_terms())
+    return all(e.t_exp == 0 for e, _ in terms)
 
 
 def main():

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and all checks passing for verify), 1 tangle
 parse/type failures, a failing suite or stdout closed early, 2 configuration
-problems, including a module with no unique maximal weight.
+problems, including a module with no unique maximal weight and, for
+`invariant`, a module on which the twist is not one scalar (a reducible one).
 """
 
 from __future__ import annotations
@@ -201,7 +202,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except (
-        configio.ConfigError, rf.SpecializeError, qr.BasisError, mo.HighestWeightError
+        configio.ConfigError,
+        rf.SpecializeError,
+        qr.BasisError,
+        mo.HighestWeightError,
+        tg.FramingError,
     ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -1,12 +1,25 @@
 """Exact arithmetic in the field Q(v,t) with rational exponents of v and t.
 
 Conventions:
-    ExpPair     a (v_exp, t_exp) pair of exact rationals
-    LaurentPoly finite map ExpPair -> nonzero rational coefficient
+    LaurentPoly sum of c * v^(a/scale) * t^(b/scale): `terms` maps int pairs
+                (a, b) to nonzero coefficients and `scale` is one positive
+                int per polynomial, the least common denominator of its
+                exponents.  The form is minimal (scale and all exponents
+                have gcd 1; zero has scale 1), so structural == and hash
+                are value equality: v^(1/2) * v^(-1/2) equals LP_ONE.
+                Coefficients are int when integral, fractions.Fraction
+                otherwise; the numeric tower keeps == and hash consistent.
     RatFunc     num/den with den nonzero; fractions are NOT gcd-reduced,
                 equality is by cross-multiplication
+    ExpPair     a (v_exp, t_exp) pair of Fractions, the form the edges see:
+                the LaurentPoly constructor takes {(v_exp, t_exp): rational}
+                maps (parse and lp_mono go through it), and
+                LaurentPoly.fraction_terms() yields (ExpPair, Fraction)
+                pairs (specialize and any caller that reads exponents)
 
-All coefficients and exponents are fractions.Fraction; no floats anywhere.
+Sums, products, shifts and exact division work on the int lattice, with
+Fraction arithmetic only for non-integral coefficients; operands of different
+scales are rescaled once to their lcm.  No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
@@ -18,6 +31,7 @@ Term order is descending by (v_exp, t_exp).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 
@@ -26,101 +40,163 @@ class ExpPair(NamedTuple):
     t_exp: Fraction
 
 
-_ZERO_EXP = ExpPair(Fraction(0), Fraction(0))
-
-
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _coeff(c):
+    """An integral Fraction as an int; any other coefficient unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _div(a, b):
+    """Exact quotient of two coefficients, an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a) / b)
+
+
+def _raw(terms: dict, scale: int) -> "LaurentPoly":
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.terms = terms
+    res.scale = scale
+    return res
+
+
+def _make(terms: dict, scale: int) -> "LaurentPoly":
+    """Wrap fresh nonzero terms, reducing scale and coefficients to minimal form."""
+    if scale != 1:
+        g = scale
+        for a, b in terms:
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        if g != 1:
+            terms = {(a // g, b // g): c for (a, b), c in terms.items()}
+            scale //= g
+    for c in terms.values():
+        if type(c) is not int:
+            terms = {k: _coeff(c) for k, c in terms.items()}
+            break
+    return _raw(terms, scale)
+
+
+def _terms_at(p: "LaurentPoly", scale: int) -> dict:
+    """p's terms over a multiple of its scale."""
+    if p.scale == scale:
+        return p.terms
+    f = scale // p.scale
+    return {(a * f, b * f): c for (a, b), c in p.terms.items()}
+
+
+def _shift_mul(p: "LaurentPoly", dv: int, dt: int, scale: int, q=1) -> "LaurentPoly":
+    """q * v^(dv/scale) * t^(dt/scale) * p."""
+    s = lcm(p.scale, scale)
+    f, g = s // p.scale, s // scale
+    dv, dt = dv * g, dt * g
+    return _make({(a * f + dv, b * f + dt): c * q for (a, b), c in p.terms.items()}, s)
 
 
 class LaurentPoly:
     """Laurent polynomial in v, t with rational exponents; immutable by convention."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "scale")
 
     def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                if not isinstance(key, ExpPair):
-                    key = ExpPair(_frac(key[0]), _frac(key[1]))
-                cleaned[key] = _frac(coeff)
-        self.terms = cleaned
+        """From a map of (v_exp, t_exp) pairs of rationals to rational coefficients."""
+        rows = [
+            (_frac(ve), _frac(te), _frac(c))
+            for (ve, te), c in (terms or {}).items()
+            if c != 0
+        ]
+        # the lcm of reduced denominators is already the minimal scale
+        s = lcm(*(x.denominator for ve, te, _ in rows for x in (ve, te)))
+        self.terms = {(int(ve * s), int(te * s)): _coeff(c) for ve, te, c in rows}
+        self.scale = s
+
+    def fraction_terms(self):
+        """Yield (ExpPair, Fraction) for every term: the view for the edges."""
+        s = self.scale
+        for (a, b), c in self.terms.items():
+            yield ExpPair(Fraction(a, s), Fraction(b, s)), Fraction(c)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return (
+            isinstance(other, LaurentPoly)
+            and self.scale == other.scale
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.scale, frozenset(self.terms.items())))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
+        s = self.scale
+        if s == other.scale:
+            out, add = dict(self.terms), other.terms
+        else:
+            s = lcm(s, other.scale)
+            out, add = dict(_terms_at(self, s)), _terms_at(other, s)
+        for key, coeff in add.items():
             acc = out.get(key)
             if acc is None:
                 out[key] = coeff
             else:
-                acc = acc + coeff
-                if acc == 0:
-                    del out[key]
-                else:
+                acc += coeff
+                if acc:
                     out[key] = acc
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+                else:
+                    del out[key]
+        return _make(out, s)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {key: -coeff for key, coeff in self.terms.items()}
-        return res
+        return _raw({key: -coeff for key, coeff in self.terms.items()}, self.scale)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        s = self.scale
+        if s == other.scale:
+            left, right = self.terms, other.terms
+        else:
+            s = lcm(s, other.scale)
+            left, right = _terms_at(self, s), _terms_at(other, s)
         out = {}
-        for (av, at), ac in self.terms.items():
-            for (bv, bt), bc in other.terms.items():
-                key = ExpPair(av + bv, at + bt)
-                acc = out.get(key)
+        get = out.get
+        for (av, at), ac in left.items():
+            for (bv, bt), bc in right.items():
+                key = (av + bv, at + bt)
+                acc = get(key)
                 if acc is None:
                     out[key] = ac * bc
                 else:
-                    acc = acc + ac * bc
-                    if acc == 0:
-                        del out[key]
-                    else:
+                    acc += ac * bc
+                    if acc:
                         out[key] = acc
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+                    else:
+                        del out[key]
+        return _make(out, s)
 
-    def scale(self, q: Fraction) -> "LaurentPoly":
-        if q == 0:
-            return LP_ZERO
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {key: coeff * q for key, coeff in self.terms.items()}
-        return res
-
-    def shift(self, dv: Fraction, dt: Fraction) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {
-            ExpPair(key.v_exp + dv, key.t_exp + dt): coeff
-            for key, coeff in self.terms.items()
-        }
-        return res
+    def shift(self, dv, dt) -> "LaurentPoly":
+        """self * v^dv * t^dt for rational dv, dt."""
+        dv, dt = _frac(dv), _frac(dt)
+        s = lcm(dv.denominator, dt.denominator)
+        return _shift_mul(self, int(dv * s), int(dt * s), s)
 
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)})"
 
 
 def lp_mono(coeff=1, v_exp=0, t_exp=0) -> LaurentPoly:
-    return LaurentPoly({ExpPair(_frac(v_exp), _frac(t_exp)): _frac(coeff)})
+    return LaurentPoly({(v_exp, t_exp): coeff})
 
 
 LP_ZERO = LaurentPoly()
@@ -139,22 +215,24 @@ class RatFunc:
     def __init__(self, num: LaurentPoly, den: LaurentPoly = LP_ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if len(den.terms) == 1:
+        terms = den.terms
+        if len(terms) == 1:
             # exact monomial division, no gcd machinery needed
-            (dv, dt), dc = next(iter(den.terms.items()))
+            (dv, dt), dc = next(iter(terms.items()))
             if dv or dt or dc != 1:
-                num = num.shift(-dv, -dt).scale(Fraction(1) / dc)
+                num = _shift_mul(num, -dv, -dt, den.scale, _div(1, dc))
             den = LP_ONE
         elif num.is_zero():
             den = LP_ONE
         else:
             # pull out the denominator's monomial content and lead coefficient
-            minv = min(k.v_exp for k in den.terms)
-            mint = min(k.t_exp for k in den.terms)
-            lead = den.terms[max(den.terms)]
+            minv = min(a for a, _ in terms)
+            mint = min(b for _, b in terms)
+            lead = terms[max(terms)]
             if minv or mint or lead != 1:
-                den = den.shift(-minv, -mint).scale(Fraction(1) / lead)
-                num = num.shift(-minv, -mint).scale(Fraction(1) / lead)
+                q = _div(1, lead)
+                num = _shift_mul(num, -minv, -mint, den.scale, q)
+                den = _shift_mul(den, -minv, -mint, den.scale, q)
         self.num = num
         self.den = den
 
@@ -168,7 +246,7 @@ class RatFunc:
             res.num = self.num + other.num
             res.den = LP_ONE
             return res
-        if self.den.terms == other.den.terms:
+        if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -238,19 +316,17 @@ def inv(a: RatFunc) -> RatFunc:
 
 def eq(a: RatFunc, b: RatFunc) -> bool:
     """Authoritative equality: a.num*b.den == b.num*a.den as LaurentPoly."""
-    if a.den.terms == b.den.terms:
-        return a.num.terms == b.num.terms
-    return (a.num * b.den).terms == (b.num * a.den).terms
+    if a.den == b.den:
+        return a.num == b.num
+    return a.num * b.den == b.num * a.den
 
 
 def _flip(a: RatFunc, v_sign: int, t_sign: int) -> RatFunc:
     """Multiply every v exponent by v_sign and every t exponent by t_sign."""
-    num, den = LaurentPoly.__new__(LaurentPoly), LaurentPoly.__new__(LaurentPoly)
-    for res, p in ((num, a.num), (den, a.den)):
-        res.terms = {
-            ExpPair(v_sign * key.v_exp, t_sign * key.t_exp): coeff
-            for key, coeff in p.terms.items()
-        }
+    num, den = (
+        _raw({(v_sign * x, t_sign * y): c for (x, y), c in p.terms.items()}, p.scale)
+        for p in (a.num, a.den)
+    )
     return RatFunc(num, den)
 
 
@@ -273,35 +349,35 @@ def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LP_ZERO
     if len(b.terms) == 1:
         (bv, bt), bc = next(iter(b.terms.items()))
-        return a.shift(-bv, -bt).scale(Fraction(1) / bc)
-    eb = max(b.terms)
-    cb = b.terms[eb]
+        return _shift_mul(a, -bv, -bt, b.scale, _div(1, bc))
+    s = lcm(a.scale, b.scale)
+    ta, tb = _terms_at(a, s), _terms_at(b, s)
+    ebv, ebt = eb = max(tb)
+    cb = tb[eb]
     # exact quotients have all exponents >= lexmin(a)-lexmin(b) in both the
     # (v,t) and the (t,v) orders; an inexact division violates one of them
-    la, lb = min(a.terms), min(b.terms)
-    bound = (la.v_exp - lb.v_exp, la.t_exp - lb.t_exp)
-    ra = min(a.terms, key=lambda k: (k.t_exp, k.v_exp))
-    rb = min(b.terms, key=lambda k: (k.t_exp, k.v_exp))
-    rbound = (ra.t_exp - rb.t_exp, ra.v_exp - rb.v_exp)
-    rem = dict(a.terms)
+    la, lb = min(ta), min(tb)
+    bound = (la[0] - lb[0], la[1] - lb[1])
+    ra = min(ta, key=lambda k: (k[1], k[0]))
+    rb = min(tb, key=lambda k: (k[1], k[0]))
+    rbound = (ra[1] - rb[1], ra[0] - rb[0])
+    rem = dict(ta)
     quot = {}
     while rem:
         er = max(rem)
-        qe = ExpPair(er.v_exp - eb.v_exp, er.t_exp - eb.t_exp)
-        if (qe.v_exp, qe.t_exp) < bound or (qe.t_exp, qe.v_exp) < rbound:
+        qv, qt = er[0] - ebv, er[1] - ebt
+        if (qv, qt) < bound or (qt, qv) < rbound:
             raise ValueError("polynomial division is not exact")
-        qc = rem[er] / cb
-        quot[qe] = qc
-        for ke, kc in b.terms.items():
-            key = ExpPair(qe.v_exp + ke.v_exp, qe.t_exp + ke.t_exp)
-            acc = rem.get(key, Fraction(0)) - qc * kc
-            if acc == 0:
-                rem.pop(key, None)
-            else:
+        qc = _div(rem[er], cb)
+        quot[(qv, qt)] = qc
+        for (kv, kt), kc in tb.items():
+            key = (qv + kv, qt + kt)
+            acc = rem.get(key, 0) - qc * kc
+            if acc:
                 rem[key] = acc
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.terms = quot
-    return res
+            else:
+                rem.pop(key, None)
+    return _make(quot, s)
 
 
 def reduce_poly(a: RatFunc) -> RatFunc:
@@ -361,24 +437,15 @@ def _rat_pow(base: Fraction, exp: Fraction) -> Fraction:
 
 def _specialize_poly(p: LaurentPoly, assign: dict) -> LaurentPoly:
     out = {}
-    for key, coeff in p.terms.items():
-        c = coeff
-        ve, te = key.v_exp, key.t_exp
+    for (ve, te), c in p.fraction_terms():
         if "v" in assign:
             c *= _rat_pow(assign["v"], ve)
-            ve = Fraction(0)
+            ve = 0
         if "t" in assign:
             c *= _rat_pow(assign["t"], te)
-            te = Fraction(0)
-        k = ExpPair(ve, te)
-        acc = out.get(k, Fraction(0)) + c
-        if acc == 0:
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    res = LaurentPoly.__new__(LaurentPoly)
-    res.terms = out
-    return res
+            te = 0
+        out[ve, te] = out.get((ve, te), 0) + c
+    return LaurentPoly(out)
 
 
 def specialize(a: RatFunc, assignments: dict) -> RatFunc:
@@ -398,10 +465,9 @@ def qint(n: int, d) -> RatFunc:
     if n < 0:
         raise ValueError("quantum integer needs n >= 0")
     d = _frac(d)
-    terms = {}
-    for k in range(n):
-        terms[ExpPair(d * (n - 1 - 2 * k), d * (n - 1))] = Fraction(1)
-    return RatFunc(LaurentPoly(terms))
+    a = d.numerator
+    terms = {(a * (n - 1 - 2 * k), a * (n - 1)): 1 for k in range(n)}
+    return RatFunc(_make(terms, d.denominator))
 
 
 def qfact(n: int, d) -> RatFunc:
@@ -411,25 +477,24 @@ def qfact(n: int, d) -> RatFunc:
     return out
 
 
-def _render_exp(name: str, e: Fraction) -> str:
-    if e == 1:
-        return name
-    if e.denominator == 1:
-        return f"{name}^{e}"
-    return f"{name}^({e})"
+def _render_exp(name: str, e: int, scale: int) -> str:
+    g = gcd(e, scale)
+    e, scale = e // g, scale // g
+    if scale != 1:
+        return f"{name}^({e}/{scale})"
+    return name if e == 1 else f"{name}^{e}"
 
 
 def render_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for key in sorted(p.terms, reverse=True):
-        coeff = p.terms[key]
+    for (a, b), coeff in sorted(p.terms.items(), reverse=True):
         factors = []
-        if key.v_exp:
-            factors.append(_render_exp("v", key.v_exp))
-        if key.t_exp:
-            factors.append(_render_exp("t", key.t_exp))
+        if a:
+            factors.append(_render_exp("v", a, p.scale))
+        if b:
+            factors.append(_render_exp("t", b, p.scale))
         mag = abs(coeff)
         if mag != 1 or not factors:
             factors.insert(0, str(mag))

@@ -668,8 +668,8 @@ _MOVES = (
     ("braid move holds", "xp * up ; up * xp ; xp * up", "up * xp ; xp * up ; up * xp"),
 )
 _KINKS = (
-    ("positive kink vanishes", "up * coqtr ; xp * dn ; up * qtr", "up"),
-    ("negative kink vanishes", "up * coqtr ; xm * dn ; up * qtr", "up"),
+    ("positive kink vanishes", tg.KINK % "xp", "up"),
+    ("negative kink vanishes", tg.KINK % "xm", "up"),
 )
 _ROTATIONS = (
     ("rotation round trip is the identity, one way", _ROT_Y + " ; " + _ROT_T, "up * dn"),

@@ -40,6 +40,17 @@ class TangleError(ValueError):
     pass
 
 
+class FramingError(ValueError):
+    """The twist does not act on the module by one scalar, as on a reducible
+    module: crossing_unit cannot normalize the framing, so closures of
+    isotopic diagrams would get different values."""
+
+
+# a curl on one upward strand; normalized, it is the identity exactly when the
+# twist acts by crossing_unit, the one scalar the crossings are divided by
+KINK = "up * coqtr ; %s * dn ; up * qtr"
+
+
 @dataclass(frozen=True)
 class TangleWord:
     rows: tuple
@@ -158,15 +169,18 @@ def _apply(gen, acc, ds, dt, dlo):
     return {r: orow for r, orow in out.items() if orow}
 
 
-def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex") -> la.Matrix:
+def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex", gens=None) -> la.Matrix:
     """Evaluate the word on the module: + strands carry m, - strands dual(m).
 
     The functor is strict monoidal, so each generator of a row acts on its
     own strands only and up/dn do nothing.  The operator from the source
-    boundary is kept as a sparse {row: {col: value}} map.
+    boundary is kept as a sparse {row: {col: value}} map.  gens holds the
+    generator matrices already built for (m, order) and gains those the
+    word adds, so evaluations that share it build each generator once.
     """
     d = m.dim
-    gens = {}
+    if gens is None:
+        gens = {}
     acc = {c: {c: ONE} for c in range(d ** len(w.source))}
     for row in w.rows:
         lo = len(_row_boundary(row)[0])
@@ -203,6 +217,19 @@ def closure(w: TangleWord) -> TangleWord:
 
 
 def invariant(w, m: mo.WeightModule, order: str = "lex") -> rf.RatFunc:
+    """Framing-normalized invariant of the closure of w on m.
+
+    Raises FramingError when the twist is not one scalar on m.  The check
+    evaluates a kink with the crossing the word uses, built once for both.
+    """
     if isinstance(w, str):
         w = parse(BUILTINS.get(w.strip(), w))
-    return functor_T(closure(w), m, order)[0][0]
+    used = {g for row in w.rows for g in row}
+    x = "xm" if "xm" in used and "xp" not in used else "xp"
+    gens = {}
+    if not la.mat_eq(functor_T(parse(KINK % x), m, order, gens), la.identity(m.dim)):
+        raise FramingError(
+            "the twist does not act on the module by one scalar (is it reducible?), "
+            "so its values would depend on the framing"
+        )
+    return functor_T(closure(w), m, order, gens)[0][0]

@@ -199,3 +199,34 @@ def test_module_without_unique_top_weight_exits_2(tmp_path):
     assert "error: module has no unique maximal weight" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# the two-dimensional simple rank-one module plus the trivial one: the twist
+# acts on the two summands by different scalars
+_SIMPLE_PLUS_TRIVIAL = """\
+dim = 3
+weight.1 = 1/2
+weight.2 = -1/2
+weight.3 = 0
+E.1.1.2 = 1
+F.1.2.1 = 1
+"""
+
+
+@pytest.mark.parametrize("tangle", ["up", "xp", "xm ; xm ; xm"])
+def test_reducible_module_is_refused(tmp_path, tangle):
+    (tmp_path / "sum.mod").write_text(_SIMPLE_PLUS_TRIVIAL)
+    cfg = tmp_path / "sum.cfg"
+    cfg.write_text(
+        (CONFIGS / "sl2.cfg").read_text().replace("rank1:1", "file:sum.mod")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "vtknot.cli", "invariant", "--config", str(cfg),
+         "--tangle", tangle],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert "error: the twist does not act on the module by one scalar" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -1,5 +1,7 @@
 """Exact-arithmetic core: frozen values first, then algebraic properties."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -222,7 +224,7 @@ def test_reduce_poly_agrees_with_sympy_cancel():
         return sum(
             (sympy.Rational(c.numerator, c.denominator)
              * v ** int(2 * k.v_exp) * t ** int(2 * k.t_exp)
-             for k, c in p.terms.items()),
+             for k, c in p.fraction_terms()),
             sympy.Integer(0),
         )
 
@@ -236,3 +238,151 @@ def test_reduce_poly_agrees_with_sympy_cancel():
         assert sympy.cancel(to_sympy(got.num) / to_sympy(got.den) - num / den) == 0
 
     check()
+
+
+# ------------------------------------------------- reference model
+
+# The lattice core against a plain {(v_exp, t_exp): coeff} map of Fractions.
+# Values go in through the constructor and come out through fraction_terms();
+# only _canonical looks at the stored int form itself.
+
+
+def _ref(p):
+    return dict(p.fraction_terms())
+
+
+def _ref_sum(*maps):
+    out = {}
+    for m in maps:
+        for k, c in m.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    return _ref_sum(*({(av + bv, at + bt): ac * bc} for (av, at), ac in a.items()
+                      for (bv, bt), bc in b.items()))
+
+
+def _ref_map(a, f):
+    return {f(v, t): c for (v, t), c in a.items()}
+
+
+def _ref_render(a):
+    out = ""
+    for (v, t), c in sorted(a.items(), reverse=True):
+        fs = [n if e == 1 else f"{n}^{e}" if e.denominator == 1 else f"{n}^({e})"
+              for n, e in (("v", v), ("t", t)) if e]
+        if abs(c) != 1 or not fs:
+            fs.insert(0, str(abs(c)))
+        out += (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        out += " * ".join(fs)
+    return out or "0"
+
+
+def _canonical(p):
+    """Minimal scale and int coefficients wherever they are integral."""
+    ints = [e for key in p.terms for e in key]
+    return math.gcd(p.scale, *ints) == 1 and all(
+        type(c) is int or c.denominator != 1 for c in p.terms.values()
+    )
+
+
+_lattice_exps = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+_lattice_coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+_ref_polys = st.dictionaries(
+    st.tuples(_lattice_exps, _lattice_exps), _lattice_coeffs, max_size=4
+).map(lambda m: {k: c for k, c in m.items() if c})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ref_polys, _ref_polys)
+def test_sum_product_difference_match_the_reference(a, b):
+    pa, pb = rf.LaurentPoly(a), rf.LaurentPoly(b)
+    neg_a, neg_b = ({k: -c for k, c in m.items()} for m in (a, b))
+    for got, want in ((pa, a), (pa + pb, _ref_sum(a, b)), (pa * pb, _ref_mul(a, b)),
+                      (pa - pb, _ref_sum(a, neg_b)), (-pa, neg_a)):
+        assert _ref(got) == want
+        assert _canonical(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ref_polys, _lattice_exps, _lattice_exps)
+def test_shift_and_flips_match_the_reference(a, dv, dt):
+    p = rf.LaurentPoly(a)
+    shifted = p.shift(dv, dt)
+    assert _ref(shifted) == _ref_map(a, lambda v, t: (v + dv, t + dt))
+    assert _canonical(shifted)
+    assert _ref(rf.bar(rf.RatFunc(p)).num) == _ref_map(a, lambda v, t: (-v, t))
+    assert _ref(rf.bar_t(rf.RatFunc(p)).num) == _ref_map(a, lambda v, t: (v, -t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ref_polys, _ref_polys.filter(lambda m: len(m) > 1), _lattice_exps, _lattice_exps)
+def test_exact_and_inexact_division_match_the_reference(a, b, rv, rt):
+    pa, pb = rf.LaurentPoly(a), rf.LaurentPoly(b)
+    got = rf.poly_div_exact(rf.LaurentPoly(_ref_mul(a, b)), pb)
+    assert _ref(got) == a
+    assert _canonical(got)
+    # a non-monomial b never divides a*b + r for a monomial r
+    with pytest.raises(ValueError):
+        rf.poly_div_exact(rf.LaurentPoly(_ref_sum(_ref_mul(a, b), {(rv, rt): 1})), pb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ref_polys, st.sampled_from(["v", "t"]), st.sampled_from([1, 2, Fraction(1, 3)]))
+def test_specialize_matches_the_reference(a, name, root):
+    # x = root^210 has a rational e-th power for every drawn exponent e
+    root = Fraction(root)
+    got = rf.specialize(rf.RatFunc(rf.LaurentPoly(a)), {name: root ** 210})
+
+    def term(v, t, c):
+        if name == "v":
+            return {(0, t): c * root ** int(210 * v)}
+        return {(v, 0): c * root ** int(210 * t)}
+
+    want = _ref_sum(*(term(v, t, c) for (v, t), c in a.items()))
+    assert _ref(got.num) == want
+    assert got.den == rf.LP_ONE
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ref_polys)
+def test_render_matches_the_reference_and_parses_back(a):
+    p = rf.LaurentPoly(a)
+    assert rf.render_poly(p) == _ref_render(a)
+    back = rf.parse(rf.render(rf.RatFunc(p)))
+    assert back.den == rf.LP_ONE and back.num == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ref_polys, _lattice_coeffs.filter(bool), _lattice_exps, _lattice_exps)
+def test_equal_values_compare_and_hash_alike(a, c, rv, rt):
+    p = rf.LaurentPoly(a)
+    # a detour through a finer lattice and back: the cancellation shrinks it
+    fine = rf.lp_mono(c, rv + Fraction(1, 7), rt)
+    q = (p + fine) - fine
+    assert q == p and hash(q) == hash(p) and q.scale == p.scale
+    r = (p * fine) * rf.lp_mono(1 / c, -rv - Fraction(1, 7), -rt)
+    assert r == p and hash(r) == hash(p)
+    assert rf.lp_mono(1, Fraction(1, 2)) * rf.lp_mono(1, Fraction(-1, 2)) == rf.LP_ONE
+    half = rf.lp_mono(Fraction(1, 2))
+    assert half + half == rf.LP_ONE and hash(half + half) == hash(rf.LP_ONE)
+
+
+def test_integral_sums_and_products_make_no_fraction():
+    a = rf.parse("2*v^(1/2)*t^(-1/3) - 3*v^(3/7) + 1").num
+    b = rf.parse("v^(1/5) - 4*t^(2/3) + 5*v^-2").num
+    made = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            made.append(frame)
+
+    sys.setprofile(watch)
+    try:
+        prod, total = a * b, a + b
+    finally:
+        sys.setprofile(None)
+    assert not made
+    assert len(prod.terms) == 9 and len(total.terms) == 6
