@@ -4,11 +4,15 @@ The three integer forms on basis indices:
     angle(i,j)   = Omega[i][j]
     bracket(i,j) = 2*delta_ij*Omega[i][i] - Omega[i][j]
     dot(i,j)     = angle(i,j) + angle(j,i)
-all extend bilinearly to rational coordinate vectors.
+all extend bilinearly to rational coordinate vectors.  They accumulate in
+plain int arithmetic and return an int whenever the value is integral, which
+it always is on degrees; a Fraction appears only when fractional weight
+coordinates give a fractional value.
 
 Degrees are tuples of nonnegative ints (elements of N[I]); weights are tuples
-of Fractions (Q[I]).  Both feed the multiplicative forms brace, f, c that
-produce the v/t twist monomials used everywhere downstream.
+of rationals (Q[I]), Fractions as `weight` builds them.  Both feed the
+multiplicative forms brace, f, c that produce the v/t twist monomials used
+everywhere downstream.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .ratfield import RatFunc, mono
+from .ratfield import RatFunc, _coeff, mono
 
 
 Degree = tuple
@@ -95,36 +99,28 @@ def weight(coords) -> Weight:
     return tuple(Fraction(x) for x in coords)
 
 
-def _bilinear(matrix, lam, mu) -> Fraction:
-    total = Fraction(0)
+def _bilinear(matrix, lam, mu):
+    total = 0
     for i, a in enumerate(lam):
-        if not a:
-            continue
-        row = matrix[i]
-        for j, b in enumerate(mu):
-            if b:
-                total += Fraction(a) * Fraction(b) * row[j]
-    return total
+        if a:
+            row = matrix[i]
+            for j, b in enumerate(mu):
+                if b:
+                    total += a * b * row[j]
+    return _coeff(total)
 
 
-def angle(spec: CartanSpec, lam, mu) -> Fraction:
+def angle(spec: CartanSpec, lam, mu):
     return _bilinear(spec.omega, lam, mu)
 
 
-def bracket(spec: CartanSpec, lam, mu) -> Fraction:
-    total = Fraction(0)
-    for i, a in enumerate(lam):
-        if not a:
-            continue
-        for j, b in enumerate(mu):
-            if not b:
-                continue
-            val = 2 * spec.omega[i][i] - spec.omega[i][j] if i == j else -spec.omega[i][j]
-            total += Fraction(a) * Fraction(b) * val
-    return total
+def bracket(spec: CartanSpec, lam, mu):
+    """2 * sum_i lam_i mu_i Omega[i][i] - angle(lam, mu)."""
+    diag = sum(a * b * spec.omega[i][i] for i, (a, b) in enumerate(zip(lam, mu)))
+    return _coeff(2 * diag - angle(spec, lam, mu))
 
 
-def dot(spec: CartanSpec, lam, mu) -> Fraction:
+def dot(spec: CartanSpec, lam, mu):
     return _bilinear(spec.dot, lam, mu)
 
 
@@ -151,21 +147,11 @@ def d_i(spec: CartanSpec, i: int) -> int:
 
 def v_deg(spec: CartanSpec, nu) -> RatFunc:
     """v_nu = prod v_i^(nu_i); accepts rational coordinates."""
-    e = sum((Fraction(x) * spec.omega[i][i] for i, x in enumerate(nu)), Fraction(0))
-    return mono(1, e, 0)
-
-
-def t_deg(spec: CartanSpec, nu) -> RatFunc:
-    e = sum((Fraction(x) * spec.omega[i][i] for i, x in enumerate(nu)), Fraction(0))
-    return mono(1, 0, e)
+    return mono(1, sum(x * spec.omega[i][i] for i, x in enumerate(nu)), 0)
 
 
 def tr(nu) -> int:
     return sum(nu)
-
-
-def deg_add(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def deg_sub(a: Degree, b: Degree):
@@ -175,19 +161,15 @@ def deg_sub(a: Degree, b: Degree):
 
 
 def weight_add(a, b) -> Weight:
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def weight_sub(a, b) -> Weight:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def weight_neg(a) -> Weight:
-    return tuple(-Fraction(x) for x in a)
-
-
-def zero_degree(spec: CartanSpec) -> Degree:
-    return (0,) * spec.rank
+    return tuple(-x for x in a)
 
 
 def degrees_of_tr(rank: int, n: int):

@@ -8,6 +8,10 @@ from .ratfield import RatFunc, ZERO, ONE
 Matrix = list
 
 
+class ShapeError(ValueError):
+    """Operands whose sizes (or, for modules, whose data) do not fit together."""
+
+
 def zeros(rows: int, cols: int) -> Matrix:
     return [[ZERO for _ in range(cols)] for _ in range(rows)]
 
@@ -18,7 +22,8 @@ def identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    assert not a or len(a[0]) == k, "shape mismatch"
+    if a and len(a[0]) != k:
+        raise ShapeError("cannot multiply a %dx%d matrix by a %dx%d one" % (n, len(a[0]), k, m))
     out = zeros(n, m)
     for r in range(n):
         arow = a[r]

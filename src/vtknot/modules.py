@@ -36,8 +36,10 @@ class WeightModule:
 def make_module(spec, labels, weights, act_E, act_F) -> WeightModule:
     labels = tuple(str(x) for x in labels)
     weights = tuple(ca.weight(w) for w in weights)
-    assert len(weights) == len(labels)
-    assert len(act_E) == spec.rank and len(act_F) == spec.rank
+    if len(weights) != len(labels):
+        raise la.ShapeError("%d weights for %d basis vectors" % (len(weights), len(labels)))
+    if len(act_E) != spec.rank or len(act_F) != spec.rank:
+        raise la.ShapeError("need one E and one F action per index of a rank-%d datum" % spec.rank)
     return WeightModule(
         spec,
         labels,
@@ -156,13 +158,15 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
     F walks down the string, E comes back with coefficients a_k fixed by the
     commutator relation; the recursion must close with a_{n+1} = 0.
     """
-    assert spec.rank == 1 and n >= 0
+    if spec.rank != 1 or n < 0:
+        raise la.ShapeError("rank1_simple needs a rank-one datum and n >= 0")
     lam = ca.weight((Fraction(n, 2),))
     weights = [ca.weight_sub(lam, (k,)) for k in range(n + 1)]
     acoef = [ZERO]
     for k in range(1, n + 2):
         acoef.append(acoef[k - 1] + kappa(spec, 0, ca.weight_sub(lam, (k - 1,))))
-    assert acoef[n + 1].is_zero()
+    if not acoef[n + 1].is_zero():
+        raise la.ShapeError("the E coefficients do not close the string at n = %d" % n)
     aE = la.zeros(n + 1, n + 1)
     aF = la.zeros(n + 1, n + 1)
     for k in range(n):
@@ -192,7 +196,8 @@ def coprod_F(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.
 
 
 def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
-    assert a.spec is b.spec or a.spec == b.spec
+    if a.spec != b.spec:
+        raise la.ShapeError("tensor factors over different Cartan data")
     spec = a.spec
     labels = tuple("(%s,%s)" % (x, y) for x in a.labels for y in b.labels)
     weights = tuple(ca.weight_add(wa, wb) for wa in a.weights for wb in b.weights)

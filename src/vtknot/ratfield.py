@@ -10,16 +10,19 @@ Conventions:
                 Coefficients are int when integral, fractions.Fraction
                 otherwise; the numeric tower keeps == and hash consistent.
     RatFunc     num/den with den nonzero; fractions are NOT gcd-reduced,
-                equality is by cross-multiplication
+                equality is by cross-multiplication.  Values are immutable,
+                so a sum with a zero operand returns the other operand.
     ExpPair     a (v_exp, t_exp) pair of Fractions, the form the edges see:
                 the LaurentPoly constructor takes {(v_exp, t_exp): rational}
-                maps (parse and lp_mono go through it), and
+                maps (specialize and the reference tests go through it), and
                 LaurentPoly.fraction_terms() yields (ExpPair, Fraction)
                 pairs (specialize and any caller that reads exponents)
 
-Sums, products, shifts and exact division work on the int lattice, with
-Fraction arithmetic only for non-integral coefficients; operands of different
-scales are rescaled once to their lcm.  No floats anywhere.
+lp_mono (and so mono, const, v_pow, t_pow) writes its one term straight onto
+the lattice: int exponents take scale 1 and make no Fraction.  Sums,
+products, shifts and exact division work on the int lattice, with Fraction
+arithmetic only for non-integral coefficients; operands of different scales
+are rescaled once to their lcm.  No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
@@ -196,7 +199,21 @@ class LaurentPoly:
 
 
 def lp_mono(coeff=1, v_exp=0, t_exp=0) -> LaurentPoly:
-    return LaurentPoly({(v_exp, t_exp): coeff})
+    """coeff * v^v_exp * t^t_exp, written straight onto the lattice.
+
+    The result is the constructor's: int exponents take scale 1, rational
+    ones the lcm of their denominators, and a zero coeff gives zero.
+    """
+    if type(coeff) is not int:
+        coeff = _coeff(_frac(coeff))
+    if not coeff:
+        return _raw({}, 1)
+    if type(v_exp) is int and type(t_exp) is int:
+        return _raw({(v_exp, t_exp): coeff}, 1)
+    ve, te = _frac(v_exp), _frac(t_exp)
+    s = lcm(ve.denominator, te.denominator)
+    key = (ve.numerator * (s // ve.denominator), te.numerator * (s // te.denominator))
+    return _raw({key: coeff}, s)
 
 
 LP_ZERO = LaurentPoly()
@@ -240,6 +257,11 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        # values are immutable, so a zero operand can hand back the other one
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if self.den is LP_ONE and other.den is LP_ONE:
             # Laurent fast path: nothing to normalize
             res = RatFunc.__new__(RatFunc)
@@ -571,8 +593,10 @@ class _Parser:
     def term(self) -> RatFunc:
         out = self.factor()
         while self.peek() in ("*", "/"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.factor()
+            if op == "/" and rhs.is_zero():
+                raise ParseError(f"division by zero at position {pos}")
             out = out * rhs if op == "*" else out / rhs
         return out
 
@@ -591,7 +615,7 @@ class _Parser:
         else:
             raise ParseError(f"unexpected token {value!r} at position {pos}")
         if self.peek() == "^":
-            self.take()
+            pos = self.take()[2]
             e = self.exponent()
             if kind == "var":
                 return v_pow(e) if value == "v" else t_pow(e)
@@ -601,6 +625,8 @@ class _Parser:
             n = int(e)
             for _ in range(abs(n)):
                 out = out * base
+            if n < 0 and out.is_zero():
+                raise ParseError(f"zero raised to a negative power at position {pos}")
             return inv(out) if n < 0 else out
         return base
 
@@ -626,7 +652,10 @@ class _Parser:
         numer = int(self.take("num")[1])
         if self.peek() == "/":
             self.take()
-            denom = int(self.take("num")[1])
+            _, text, pos = self.take("num")
+            denom = int(text)
+            if not denom:
+                raise ParseError(f"zero denominator in exponent at position {pos}")
             return sign * Fraction(numer, denom)
         return sign * Fraction(numer)
 

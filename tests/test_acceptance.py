@@ -9,6 +9,9 @@ import pathlib
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vtknot import cli
 from vtknot import configio as cio
 from vtknot import linalg as la
@@ -186,6 +189,16 @@ def test_figure_eight_is_amphichiral():
 def test_rank_one_invariants_carry_no_t():
     for name in sorted(tg.BUILTINS):
         assert _t_free_laurent(tg.invariant(name, SL2.module)), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(("xp", "xm"))),
+                min_size=1, max_size=6))
+def test_sl3_braid_closures_are_t_free(letters):
+    # the sl3 crossing carries t^(+-1/3), but only as a diagonal twist of its
+    # t = 1 value, so closures do not see t (Reshetikhin's twist theorem)
+    rows = [("up",) * k + (g,) + ("up",) * (1 - k) for k, g in letters]
+    assert _t_free_laurent(tg.invariant(tg.word(rows), SL3.module, SL3.basis_order))
 
 
 # ------------------------------------------------------- quadratic relation

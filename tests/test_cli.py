@@ -230,3 +230,21 @@ def test_reducible_module_is_refused(tmp_path, tangle):
     assert "error: the twist does not act on the module by one scalar" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("entry", ["1/0", "v^(1/0)", "(v - v)^-1", "1/(v-v)"])
+def test_module_entry_dividing_by_zero_exits_2(tmp_path, entry):
+    (tmp_path / "m.mod").write_text(
+        "dim = 2\nweight.1 = 1/2\nweight.2 = -1/2\nE.1.1.2 = %s\nF.1.2.1 = 1\n" % entry
+    )
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text((CONFIGS / "sl2.cfg").read_text().replace("rank1:1", "file:m.mod"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vtknot.cli", "qdim", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: %s:4: " % (tmp_path / "m.mod"))
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

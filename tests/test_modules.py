@@ -1,8 +1,10 @@
 """Weight modules: actions, duals, evaluation maps, and the crossing matrix."""
 
-from fractions import Fraction
-
+import os
 import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -256,3 +258,37 @@ def test_crossing_entries_are_laurent(m):
         for row in build(m, m):
             for x in row:
                 assert x.is_zero() or len(x.den.terms) == 1, rf.render(x)
+
+
+_SHAPE_CASES = """\
+from vtknot import cartan as ca, linalg as la, modules as mo, ratfield as rf
+sl3 = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
+m1 = mo.rank1_simple(1)
+cases = {
+    "mat_mul": lambda: la.mat_mul(la.identity(2), la.identity(3)),
+    "make_module weights": lambda: mo.make_module(
+        mo.RANK1, ("a", "b"), [(0,)], ([[rf.ZERO]],), ([[rf.ZERO]],)),
+    "make_module actions": lambda: mo.make_module(mo.RANK1, ("a",), [(0,)], (), ()),
+    "rank1_simple rank": lambda: mo.rank1_simple(1, sl3),
+    "rank1_simple size": lambda: mo.rank1_simple(-1),
+    "tensor": lambda: mo.tensor(m1, mo.trivial(sl3)),
+}
+for name, build in cases.items():
+    try:
+        build()
+    except la.ShapeError:
+        continue
+    raise SystemExit("no ShapeError from " + name)
+print("ok")
+"""
+
+
+def test_shape_errors_survive_optimized_mode():
+    # asserts vanish under -O; the named error must not
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SHAPE_CASES],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+    assert issubclass(la.ShapeError, ValueError)

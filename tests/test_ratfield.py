@@ -113,7 +113,7 @@ def test_specialize_errors():
 
 
 def test_parse_errors():
-    for text in ("v +", "x", "v^(1/2", "(v", "v^^2"):
+    for text in ("v +", "x", "v^(1/2", "(v", "v^^2", "1/0", "1/(v-v)", "v^(1/0)", "(v - v)^-1"):
         with pytest.raises(rf.ParseError):
             rf.parse(text)
     with pytest.raises(rf.ParseError, match="position"):
@@ -386,3 +386,39 @@ def test_integral_sums_and_products_make_no_fraction():
         sys.setprofile(None)
     assert not made
     assert len(prod.terms) == 9 and len(total.terms) == 6
+
+
+# ------------------------------------------------- the twist-monomial path
+
+_int_or_lattice_exps = st.one_of(st.integers(-6, 6), _lattice_exps)
+
+
+def _structure(p):
+    """scale, terms and the exact types of exponents and coefficients."""
+    return p.scale, {(a, b, type(a), type(b)): (c, type(c)) for (a, b), c in p.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-3, 3), _lattice_coeffs), _int_or_lattice_exps,
+       _int_or_lattice_exps)
+def test_mono_is_the_constructor_written_onto_the_lattice(c, ve, te):
+    want = _structure(rf.LaurentPoly({(ve, te): c}))
+    assert _structure(rf.lp_mono(c, ve, te)) == want
+    got = rf.mono(c, ve, te)
+    assert _structure(got.num) == want and got.den is rf.LP_ONE
+    if c == 0:
+        assert rf.lp_mono(c, ve, te) == rf.LP_ZERO
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs())
+def test_zero_operand_returns_the_other_operand(x):
+    zero = rf.mono(0, Fraction(1, 3), 2)
+    if x.is_zero():
+        # either operand is the right answer; it must still be a zero
+        assert (rf.ZERO + x).is_zero() and (x + zero).is_zero()
+        return
+    assert rf.ZERO + x is x
+    assert x + rf.ZERO is x
+    assert x - rf.ZERO is x
+    assert zero + x is x and x + zero is x
