@@ -153,10 +153,8 @@ def _cmd_rmatrix(args) -> int:
     m = cfg.module
     mm = mo.tensor(m, m)
     mat = mo.rmat(m, m, cfg.basis_order)
-    for r in range(mm.dim):
-        for c in range(mm.dim):
-            if not mat[r][c].is_zero():
-                print("%s | %s | %s" % (mm.labels[r], mm.labels[c], rf.render(mat[r][c])))
+    for r, c, x in mat.items():
+        print("%s | %s | %s" % (mm.labels[r], mm.labels[c], rf.render(x)))
     return 0
 
 

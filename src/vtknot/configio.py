@@ -73,8 +73,8 @@ def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
         raise ConfigError("%s: dim must be positive" % path)
     labels = ["m%d" % (k + 1) for k in range(dim)]
     weights = [None] * dim
-    act_E = [la.zeros(dim, dim) for _ in range(spec.rank)]
-    act_F = [la.zeros(dim, dim) for _ in range(spec.rank)]
+    act_E = [{} for _ in range(spec.rank)]
+    act_F = [{} for _ in range(spec.rank)]
     for key, (val, ln) in table.items():
         parts = key.split(".")
         if key == "dim":
@@ -107,13 +107,14 @@ def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
                 entry = rf.parse(val)
             except rf.ParseError as e:
                 raise ConfigError("%s:%d: %s" % (path, ln, e))
-            (act_E if parts[0] == "E" else act_F)[i - 1][r - 1][c - 1] = entry
+            (act_E if parts[0] == "E" else act_F)[i - 1].setdefault(r - 1, {})[c - 1] = entry
         else:
             raise ConfigError("%s:%d: unknown key %r" % (path, ln, key))
     missing = [str(k + 1) for k in range(dim) if weights[k] is None]
     if missing:
         raise ConfigError("%s: missing weight for basis vectors %s" % (path, ", ".join(missing)))
-    return mo.make_module(spec, labels, weights, act_E, act_F)
+    actions = [[la.Matrix(dim, dim, x) for x in act] for act in (act_E, act_F)]
+    return mo.make_module(spec, labels, weights, *actions)
 
 
 def load_config(path) -> RunConfig:

@@ -1,104 +1,141 @@
-"""Dense exact linear algebra over Q(v,t); matrices are lists of RatFunc rows."""
+"""Exact linear algebra over Q(v,t).
+
+`Matrix` is the one operator type: a shape plus the nonzero entries only,
+as {row: {col: value}} with both key levels ascending.  A loop over the
+entries therefore visits them in the order of a dense row-by-row scan, so
+each entry of a product or sum adds its terms in that order and unreduced
+values keep one exact form.  `m[r, c]` reads an entry, ZERO when absent.
+
+The Bareiss routines `rank`, `inverse` and `solve` work on plain lists of
+rows instead: their inputs are coefficient tables, such as Gram blocks,
+which elimination fills in anyway.
+"""
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from . import ratfield
 from .ratfield import RatFunc, ZERO, ONE
-
-Matrix = list
 
 
 class ShapeError(ValueError):
     """Operands whose sizes (or, for modules, whose data) do not fit together."""
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO for _ in range(cols)] for _ in range(rows)]
+class Matrix:
+    """A rows x cols matrix over Q(v,t) that stores its nonzero entries only.
+
+    The constructor takes {row: {col: value}}, drops zero values and empty
+    rows, and sorts both key levels; treat the result as immutable.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries=None):
+        self.rows, self.cols = rows, cols
+        self.entries = {}
+        for r in sorted(entries or ()):
+            row = entries[r]
+            kept = {c: row[c] for c in sorted(row) if not row[c].is_zero()}
+            if kept:
+                self.entries[r] = kept
+
+    def __getitem__(self, rc) -> RatFunc:
+        r, c = rc
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError("no entry (%d, %d) in a %dx%d matrix" % (r, c, self.rows, self.cols))
+        return self.entries.get(r, {}).get(c, ZERO)
+
+    def items(self):
+        """(row, col, value) of each nonzero entry, in row-major order."""
+        for r, row in self.entries.items():
+            for c, x in row.items():
+                yield r, c, x
 
 
 def identity(n: int) -> Matrix:
-    return [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    return Matrix(n, n, {k: {k: ONE} for k in range(n)})
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != k:
-        raise ShapeError("cannot multiply a %dx%d matrix by a %dx%d one" % (n, len(a[0]), k, m))
-    out = zeros(n, m)
-    for r in range(n):
-        arow = a[r]
-        orow = out[r]
-        for s in range(k):
-            x = arow[s]
-            if x.is_zero():
-                continue
-            brow = b[s]
-            for c in range(m):
-                y = brow[c]
-                if not y.is_zero():
-                    orow[c] = orow[c] + x * y
-    return out
+    if a.cols != b.rows:
+        raise ShapeError("cannot multiply a %dx%d matrix by a %dx%d one"
+                         % (a.rows, a.cols, b.rows, b.cols))
+    out = {}
+    for r, arow in a.entries.items():
+        orow = out[r] = {}
+        for s, x in arow.items():
+            for c, y in b.entries.get(s, {}).items():
+                prev = orow.get(c)
+                orow[c] = x * y if prev is None else prev + x * y
+    return Matrix(a.rows, b.cols, out)
+
+
+def _entrywise(a: Matrix, b: Matrix, op) -> Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeError("cannot combine a %dx%d matrix with a %dx%d one"
+                         % (a.rows, a.cols, b.rows, b.cols))
+    out = {r: dict(row) for r, row in a.entries.items()}
+    for r, brow in b.entries.items():
+        orow = out.setdefault(r, {})
+        for c, y in brow.items():
+            orow[c] = op(orow.get(c, ZERO), y)
+    return Matrix(a.rows, a.cols, out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return _entrywise(a, b, add)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return _entrywise(a, b, sub)
+
+
+def mat_map(a: Matrix, fn) -> Matrix:
+    """fn applied to every nonzero entry; zeros it returns are dropped."""
+    out = {r: {c: fn(x) for c, x in row.items()} for r, row in a.entries.items()}
+    return Matrix(a.rows, a.cols, out)
 
 
 def mat_scale(a: Matrix, s: RatFunc) -> Matrix:
-    return [[x if x.is_zero() else s * x for x in row] for row in a]
+    return mat_map(a, lambda x: s * x)
 
 
 def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
+    out = {}
+    for r, c, x in a.items():
+        out.setdefault(c, {})[r] = x
+    return Matrix(a.cols, a.rows, out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row-major, matching left-associated tensor bases."""
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in range(len(a))]
-    br, bc = len(b), len(b[0])
-    out = zeros(len(a) * br, len(a[0]) * bc)
-    for i, arow in enumerate(a):
-        for j, x in enumerate(arow):
-            if x.is_zero():
-                continue
-            for p in range(br):
-                orow = out[i * br + p]
-                brow = b[p]
-                for q in range(bc):
-                    y = brow[q]
-                    if not y.is_zero():
-                        orow[j * bc + q] = x * y
-    return out
+    out = {}
+    for i, arow in a.entries.items():
+        for p, brow in b.entries.items():
+            out[i * b.rows + p] = {
+                j * b.cols + q: x * y for j, x in arow.items() for q, y in brow.items()
+            }
+    return Matrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
+    # no zero is stored, so equal matrices store the same positions
+    if (a.rows, a.cols) != (b.rows, b.cols) or a.entries.keys() != b.entries.keys():
         return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
+    for r, arow in a.entries.items():
+        brow = b.entries[r]
+        if arow.keys() != brow.keys() or not all(ratfield.eq(x, brow[c]) for c, x in arow.items()):
             return False
-        for x, y in zip(ra, rb):
-            if not ratfield.eq(x, y):
-                return False
     return True
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
 
 
 class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-def _poly_rows(a: Matrix) -> list:
+def _poly_rows(a: list) -> list:
     """Clear denominators row by row; rank and row spans are preserved."""
     out = []
     for row in a:
@@ -155,18 +192,18 @@ def _bareiss(rows: list, pivot_cols: int) -> list:
     return pivots
 
 
-def rank(a: Matrix) -> int:
+def rank(a: list) -> int:
     if not a or not a[0]:
         return 0
     rows = _poly_rows(a)
     return len(_bareiss(rows, len(a[0])))
 
 
-def inverse(a: Matrix) -> Matrix:
+def inverse(a: list) -> list:
     n = len(a)
     if n == 0:
         return []
-    aug = [list(row) + irow for row, irow in zip(a, identity(n))]
+    aug = [list(row) + [ONE if c == r else ZERO for c in range(n)] for r, row in enumerate(a)]
     rows = _poly_rows(aug)
     pivots = _bareiss(rows, n)
     if len(pivots) != n:
@@ -175,7 +212,7 @@ def inverse(a: Matrix) -> Matrix:
     suffix = [ratfield.LP_ONE] * (n + 1)
     for k in range(n - 1, -1, -1):
         suffix[k] = rows[k][k] * suffix[k + 1]
-    out = zeros(n, n)
+    out = [[None] * n for _ in range(n)]
     nums = [[None] * n for _ in range(n)]
     for k in range(n):
         for i in range(n - 1, -1, -1):
@@ -192,7 +229,7 @@ def inverse(a: Matrix) -> Matrix:
     return out
 
 
-def solve(a: Matrix, b: list) -> list:
+def solve(a: list, b: list) -> list:
     """Solve a @ x = b for a square invertible a."""
     ainv = inverse(a)
     return [

@@ -1,10 +1,11 @@
 """Finite-dimensional weight modules and the operators built on them.
 
-A module is stored as plain matrix data: `act_E[i][r][c]` is the coefficient
-of `basis[r]` in `E_i . basis[c]`, and likewise for `act_F`.  Everything else
-(tensor products, duals, evaluation and trace maps, the braiding) is derived
-from that data, so a module loaded from a file and a module built in code go
-through identical paths.
+A module is stored as sparse matrix data: `act_E[i]` is a dim x dim
+`linalg.Matrix` whose entry `[r, c]` is the coefficient of `basis[r]` in
+`E_i . basis[c]`, and likewise for `act_F`.  Everything else (tensor
+products, duals, evaluation and trace maps, the braiding) is derived from
+that data as `linalg.Matrix` operators, so a module loaded from a file and a
+module built in code go through identical paths.
 """
 
 from __future__ import annotations
@@ -38,15 +39,13 @@ def make_module(spec, labels, weights, act_E, act_F) -> WeightModule:
     weights = tuple(ca.weight(w) for w in weights)
     if len(weights) != len(labels):
         raise la.ShapeError("%d weights for %d basis vectors" % (len(weights), len(labels)))
+    act_E, act_F = tuple(act_E), tuple(act_F)
     if len(act_E) != spec.rank or len(act_F) != spec.rank:
         raise la.ShapeError("need one E and one F action per index of a rank-%d datum" % spec.rank)
-    return WeightModule(
-        spec,
-        labels,
-        weights,
-        tuple([list(row) for row in m] for m in act_E),
-        tuple([list(row) for row in m] for m in act_F),
-    )
+    n = len(labels)
+    if any((x.rows, x.cols) != (n, n) for x in act_E + act_F):
+        raise la.ShapeError("every action must be a %dx%d matrix" % (n, n))
+    return WeightModule(spec, labels, weights, act_E, act_F)
 
 
 def keig(spec: ca.CartanSpec, mu, lam) -> RatFunc:
@@ -61,11 +60,7 @@ def kpeig(spec: ca.CartanSpec, mu, lam) -> RatFunc:
 
 def _diag(values) -> la.Matrix:
     vals = list(values)
-    n = len(vals)
-    out = la.zeros(n, n)
-    for k in range(n):
-        out[k][k] = vals[k]
-    return out
+    return la.Matrix(len(vals), len(vals), {k: {k: x} for k, x in enumerate(vals)})
 
 
 def act_K(m: WeightModule, mu) -> la.Matrix:
@@ -85,7 +80,7 @@ def act_word(m: WeightModule, word, side: str) -> la.Matrix:
 
 
 def act_elem(m: WeightModule, x, side: str) -> la.Matrix:
-    out = la.zeros(m.dim, m.dim)
+    out = la.Matrix(m.dim, m.dim)
     for word, coeff in x.items():
         out = la.mat_add(out, la.mat_scale(act_word(m, word, side), coeff))
     return out
@@ -107,14 +102,11 @@ def validate_module(m: WeightModule) -> list:
     for i in range(spec.rank):
         e = ca.unit(spec, i)
         for mats, shift, tag in ((m.act_E, e, "E"), (m.act_F, ca.weight_neg(e), "F")):
-            for r in range(m.dim):
-                for c in range(m.dim):
-                    if mats[i][r][c].is_zero():
-                        continue
-                    if m.weights[r] != ca.weight_add(m.weights[c], shift):
-                        failures.append(
-                            "%s_%d breaks the weight grading at entry (%d, %d)" % (tag, i + 1, r + 1, c + 1)
-                        )
+            for r, c, _ in mats[i].items():
+                if m.weights[r] != ca.weight_add(m.weights[c], shift):
+                    failures.append(
+                        "%s_%d breaks the weight grading at entry (%d, %d)" % (tag, i + 1, r + 1, c + 1)
+                    )
     for i in range(spec.rank):
         for j in range(spec.rank):
             lhs = la.mat_sub(
@@ -123,7 +115,7 @@ def validate_module(m: WeightModule) -> list:
             if i == j:
                 rhs = _diag(kappa(spec, i, w) for w in m.weights)
             else:
-                rhs = la.zeros(m.dim, m.dim)
+                rhs = la.Matrix(m.dim, m.dim)
             if not la.mat_eq(lhs, rhs):
                 failures.append("commutator of E_%d with F_%d is wrong" % (i + 1, j + 1))
     from . import freealg
@@ -133,7 +125,7 @@ def validate_module(m: WeightModule) -> list:
             if i == j:
                 continue
             for side in ("E", "F"):
-                if not la.is_zero_matrix(act_elem(m, freealg.serre_element(spec, i, j, side), side)):
+                if act_elem(m, freealg.serre_element(spec, i, j, side), side).entries:
                     failures.append(
                         "higher braid relation fails on the %s side for (%d, %d)" % (side, i + 1, j + 1)
                     )
@@ -142,7 +134,7 @@ def validate_module(m: WeightModule) -> list:
 
 
 def trivial(spec: ca.CartanSpec) -> WeightModule:
-    z = [[ZERO]]
+    z = la.Matrix(1, 1)
     return make_module(
         spec, ("1",), (tuple(0 for _ in range(spec.rank)),),
         tuple(z for _ in range(spec.rank)), tuple(z for _ in range(spec.rank)),
@@ -167,11 +159,8 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
         acoef.append(acoef[k - 1] + kappa(spec, 0, ca.weight_sub(lam, (k - 1,))))
     if not acoef[n + 1].is_zero():
         raise la.ShapeError("the E coefficients do not close the string at n = %d" % n)
-    aE = la.zeros(n + 1, n + 1)
-    aF = la.zeros(n + 1, n + 1)
-    for k in range(n):
-        aF[k + 1][k] = ONE
-        aE[k][k + 1] = acoef[k + 1]
+    aE = la.Matrix(n + 1, n + 1, {k: {k + 1: acoef[k + 1]} for k in range(n)})
+    aF = la.Matrix(n + 1, n + 1, {k + 1: {k: ONE} for k in range(n)})
     return make_module(spec, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,))
 
 
@@ -233,34 +222,24 @@ def _v2(spec: ca.CartanSpec, w) -> RatFunc:
 
 def ev_map(m: WeightModule) -> la.Matrix:
     """dual(M) (x) M -> trivial, w* (x) w' -> w*(w')."""
-    out = la.zeros(1, m.dim * m.dim)
-    for k in range(m.dim):
-        out[0][k * m.dim + k] = ONE
-    return out
+    return la.Matrix(1, m.dim * m.dim, {0: {k * m.dim + k: ONE for k in range(m.dim)}})
 
 
 def qtr_map(m: WeightModule) -> la.Matrix:
     """M (x) dual(M) -> trivial, with the v^2_{-|w|} twist."""
-    out = la.zeros(1, m.dim * m.dim)
-    for k in range(m.dim):
-        out[0][k * m.dim + k] = _v2(m.spec, ca.weight_neg(m.weights[k]))
-    return out
+    row = {k * m.dim + k: _v2(m.spec, ca.weight_neg(w)) for k, w in enumerate(m.weights)}
+    return la.Matrix(1, m.dim * m.dim, {0: row})
 
 
 def coev_map(m: WeightModule) -> la.Matrix:
     """trivial -> dual(M) (x) M, 1 -> sum v^2_{|w|} w* (x) w."""
-    out = la.zeros(m.dim * m.dim, 1)
-    for k in range(m.dim):
-        out[k * m.dim + k][0] = _v2(m.spec, m.weights[k])
-    return out
+    col = {k * m.dim + k: {0: _v2(m.spec, w)} for k, w in enumerate(m.weights)}
+    return la.Matrix(m.dim * m.dim, 1, col)
 
 
 def coqtr_map(m: WeightModule) -> la.Matrix:
     """trivial -> M (x) dual(M), 1 -> sum w (x) w*."""
-    out = la.zeros(m.dim * m.dim, 1)
-    for k in range(m.dim):
-        out[k * m.dim + k][0] = ONE
-    return out
+    return la.Matrix(m.dim * m.dim, 1, {k * m.dim + k: {0: ONE} for k in range(m.dim)})
 
 
 def qdim(m: WeightModule) -> RatFunc:
@@ -272,11 +251,10 @@ def qdim(m: WeightModule) -> RatFunc:
 
 def perm(a: WeightModule, b: WeightModule) -> la.Matrix:
     """Flip a (x) b -> b (x) a."""
-    out = la.zeros(a.dim * b.dim, a.dim * b.dim)
-    for c1 in range(a.dim):
-        for c2 in range(b.dim):
-            out[c2 * a.dim + c1][c1 * b.dim + c2] = ONE
-    return out
+    n = a.dim * b.dim
+    return la.Matrix(n, n, {
+        c2 * a.dim + c1: {c1 * b.dim + c2: ONE} for c1 in range(a.dim) for c2 in range(b.dim)
+    })
 
 
 def _raising_degrees(m: WeightModule) -> set:
@@ -305,7 +283,7 @@ def _theta_op(mods, s: int, l: int, table, order: str, degrees=None) -> la.Matri
     size = prod(m.dim for m in mods)
     if degrees is None:
         degrees = [(0,) * spec.rank] + theta_degrees(mods[s], mods[l])
-    out = la.zeros(size, size)
+    out = la.Matrix(size, size)
     for nu in degrees:
         if any(x < 0 for x in nu):
             continue
@@ -318,7 +296,7 @@ def _theta_op(mods, s: int, l: int, table, order: str, degrees=None) -> la.Matri
                 else la.identity(m.dim)
                 for k, m in enumerate(mods)
             ]
-            if la.is_zero_matrix(mats[s]) or la.is_zero_matrix(mats[l]):
+            if not (mats[s].entries and mats[l].entries):
                 continue
             term = mats[0]
             for x in mats[1:]:
@@ -344,15 +322,15 @@ def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
     Each nonzero entry goes through reduce_poly once, here.
     """
     th = theta_mat(b, a, order)
-    out = la.zeros(a.dim * b.dim, a.dim * b.dim)
-    for c1, wa in enumerate(a.weights):
-        for c2, wb in enumerate(b.weights):
-            j, i = c1 * b.dim + c2, c2 * a.dim + c1
-            s = ca.f(a.spec, wb, wa)
-            for r, row in enumerate(th):
-                if not row[i].is_zero():
-                    out[r][j] = rf.reduce_poly(row[i] * s)
-    return out
+    move = {
+        c2 * a.dim + c1: (c1 * b.dim + c2, ca.f(a.spec, wb, wa))
+        for c1, wa in enumerate(a.weights) for c2, wb in enumerate(b.weights)
+    }
+    out = {}
+    for r, i, x in th.items():
+        j, s = move[i]
+        out.setdefault(r, {})[j] = rf.reduce_poly(x * s)
+    return la.Matrix(th.rows, th.cols, out)
 
 
 def rmat_inv(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
@@ -363,13 +341,13 @@ def rmat_inv(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
     goes through reduce_poly once, here.
     """
     tb = theta_bar_mat(b, a, order)
-    out = la.zeros(a.dim * b.dim, a.dim * b.dim)
+    out = {}
     for c1, wa in enumerate(a.weights):
         for c2, wb in enumerate(b.weights):
-            j, i = c1 * b.dim + c2, c2 * a.dim + c1
             s = ca.brace(a.spec, wb, wa)
-            out[j] = [x if x.is_zero() else rf.reduce_poly(s * x) for x in tb[i]]
-    return out
+            row = tb.entries.get(c2 * a.dim + c1, {})
+            out[c1 * b.dim + c2] = {c: rf.reduce_poly(s * x) for c, x in row.items()}
+    return la.Matrix(tb.rows, tb.cols, out)
 
 
 class HighestWeightError(ValueError):
@@ -389,10 +367,8 @@ def highest_weight(m: WeightModule):
 
 
 def is_module_map(dom: WeightModule, cod: WeightModule, mat: la.Matrix) -> bool:
-    for r in range(cod.dim):
-        for c in range(dom.dim):
-            if not mat[r][c].is_zero() and cod.weights[r] != dom.weights[c]:
-                return False
+    if any(cod.weights[r] != dom.weights[c] for r, c, _ in mat.items()):
+        return False
     for i in range(dom.spec.rank):
         for side in ("act_E", "act_F"):
             du = getattr(dom, side)[i]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import cartan, freealg, linalg
+from . import cartan, freealg
 from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, bar_t, inv, mono
 
 
@@ -65,7 +65,7 @@ def sigma_minus(spec: cartan.CartanSpec, y: freealg.FElem) -> freealg.FElem:
     return out
 
 
-def gram(spec: cartan.CartanSpec, mu: cartan.Degree) -> linalg.Matrix:
+def gram(spec: cartan.CartanSpec, mu: cartan.Degree) -> list:
     """phi on all word pairs of one degree, rows and columns in word order."""
     words = freealg.words_of_degree(mu)
     return [

@@ -2,9 +2,9 @@
 
 Words are rows of generators listed bottom to top; a row is a horizontal
 tensor of generators.  Each generator has a fixed boundary type and adjacent
-rows must match.  Evaluation sends a word to a matrix over Q(v,t): each
-cup, cap or crossing acts on its own strands of a sparse operator, so no
-row-wide Kronecker product is ever formed.
+rows must match.  Evaluation sends a word to a sparse `linalg.Matrix` over
+Q(v,t): each cup, cap or crossing acts on its own strands of the operator
+built so far, so no row-wide Kronecker product is ever formed.
 """
 
 from __future__ import annotations
@@ -149,18 +149,16 @@ def _generator(g: str, m: mo.WeightModule, order: str) -> la.Matrix:
 def _apply(gen, acc, ds, dt, dlo):
     """Apply gen, a dt x ds matrix, to one generator's strands of acc's rows.
 
-    Row index (hi*ds + r)*dlo + lo becomes (hi*dt + r')*dlo + lo for every
-    nonzero gen[r'][r]: the strands left (hi) and right (lo) of the generator
-    are untouched.
+    acc is a {row: {col: value}} map.  Row index (hi*ds + r)*dlo + lo becomes
+    (hi*dt + r')*dlo + lo for every nonzero gen[r', r], read from column r of
+    gen: the strands left (hi) and right (lo) of the generator are untouched.
     """
+    cols = la.transpose(gen).entries
     out = {}
     for r, arow in acc.items():
         hi, rest = divmod(r, ds * dlo)
         mid, lo = divmod(rest, dlo)
-        for r2 in range(dt):
-            x = gen[r2][mid]
-            if x.is_zero():
-                continue
+        for r2, x in cols.get(mid, {}).items():
             orow = out.setdefault((hi * dt + r2) * dlo + lo, {})
             for c, y in arow.items():
                 prev = orow.get(c)
@@ -192,11 +190,7 @@ def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex", gens=None) 
             if g not in gens:
                 gens[g] = _generator(g, m, order)
             acc = _apply(gens[g], acc, d ** s, d ** t, d ** lo)
-    out = la.zeros(d ** len(w.target), d ** len(w.source))
-    for r, arow in acc.items():
-        for c, x in arow.items():
-            out[r][c] = x
-    return out
+    return la.Matrix(d ** len(w.target), d ** len(w.source), acc)
 
 
 def closure(w: TangleWord) -> TangleWord:
@@ -232,4 +226,4 @@ def invariant(w, m: mo.WeightModule, order: str = "lex") -> rf.RatFunc:
             "the twist does not act on the module by one scalar (is it reducible?), "
             "so its values would depend on the framing"
         )
-    return functor_T(closure(w), m, order, gens)[0][0]
+    return functor_T(closure(w), m, order, gens)[0, 0]

@@ -217,10 +217,10 @@ def _monomial_roots(alpha, beta):
 def test_normalized_crossing_has_quadratic_minimal_polynomial():
     m = SL2.module
     b = tg.functor_T(tg.parse("xp"), m)
-    rel = su.quadratic_relation(b)
+    rel = su.annihilator(b, 2)
     assert rel is not None
-    alpha, beta = rel
-    scalar = la.mat_scale(la.identity(len(b)), b[0][0])
+    beta, alpha = rel  # b^2 = beta + alpha b
+    scalar = la.mat_scale(la.identity(b.rows), b[0, 0])
     assert not la.mat_eq(b, scalar)  # degree exactly two
     roots = _monomial_roots(alpha, beta)
     print(

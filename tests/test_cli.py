@@ -107,6 +107,15 @@ def test_verify_suite_passes(capsys):
     assert lines[-1] == "all 2 checks passed"
 
 
+def test_verify_passes_on_the_trivial_module(capsys, tmp_path):
+    # the 1x1 normalized crossing satisfies x = 1, a relation of degree dim M = 1
+    cfg = tmp_path / "trivial.cfg"
+    cfg.write_text(pathlib.Path(SL2).read_text().replace("rank1:1", "rank1:0"))
+    rc, out, _ = run(capsys, "verify", "--config", str(cfg), "--suite", "all")
+    assert out.splitlines()[-1] == "all 43 checks passed"
+    assert rc == 0
+
+
 def test_verify_lines_format(capsys):
     rc, out, _ = run(
         capsys,

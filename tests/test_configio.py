@@ -24,7 +24,7 @@ def test_loads_rank_two_config_with_module_file():
     cfg = cio.load_config(str(CONFIGS / "sl3.cfg"))
     assert cfg.spec.rank == 2
     assert cfg.module.labels == ("x1", "x2", "x3")
-    assert rf.eq(cfg.module.act_F[0][1][0], rf.parse("t^(1/3)"))
+    assert rf.eq(cfg.module.act_F[0][1, 0], rf.parse("t^(1/3)"))
     assert mo.validate_module(cfg.module) == []
 
 

@@ -67,9 +67,9 @@ def test_functor_identity_and_scalars():
     got = tg.functor_T(tg.parse("up * coev ; qtr * up"), M1)
     assert la.mat_eq(got, la.identity(2))
     loop = tg.functor_T(tg.parse("coqtr ; qtr"), M1)
-    assert rf.eq(loop[0][0], rf.parse("v + v^-1"))
+    assert rf.eq(loop[0, 0], rf.parse("v + v^-1"))
     xp = tg.functor_T(tg.parse("xp"), M1)
-    assert rf.eq(xp[0][0], rf.parse("v"))
+    assert rf.eq(xp[0, 0], rf.parse("v"))
 
 
 def test_invariant_unknot_and_kinks():
@@ -167,7 +167,7 @@ def _dense_T(w, gens, d):
     """Reference evaluation: kron each row's matrices, multiply rows upward."""
     acc = la.identity(d ** len(w.source))
     for row in w.rows:
-        rowmat = [[rf.ONE]]
+        rowmat = la.identity(1)
         for g in row:
             rowmat = la.kron(rowmat, gens[g])
         acc = la.mat_mul(rowmat, acc)
