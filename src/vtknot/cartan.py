@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .ratfield import RatFunc, _coeff, mono
@@ -124,20 +125,29 @@ def dot(spec: CartanSpec, lam, mu):
     return _bilinear(spec.dot, lam, mu)
 
 
+@lru_cache(maxsize=None)
+def twist(spec: CartanSpec, lam: tuple, mu: tuple, vsign: int) -> RatFunc:
+    """v^(vsign * lam.mu) t^(<mu,lam> - <lam,mu>), the one twist monomial.
+
+    vsign = 1 is brace(lam, mu), vsign = -1 is f(mu, lam) = brace(mu, lam)^-1
+    and vsign = 0 keeps only the t-power.  Cached: the values are immutable.
+    """
+    return mono(1, vsign * dot(spec, lam, mu), angle(spec, mu, lam) - angle(spec, lam, mu))
+
+
 def brace(spec: CartanSpec, lam, mu) -> RatFunc:
     """v^(lam.mu) t^(<mu,lam> - <lam,mu>), multiplicative in each slot."""
-    return mono(1, dot(spec, lam, mu), angle(spec, mu, lam) - angle(spec, lam, mu))
+    return twist(spec, lam, mu, 1)
 
 
 def f(spec: CartanSpec, lam, mu) -> RatFunc:
     """Inverse of brace: v^(-lam.mu) t^(<lam,mu> - <mu,lam>)."""
-    return mono(1, -dot(spec, lam, mu), angle(spec, lam, mu) - angle(spec, mu, lam))
+    return twist(spec, mu, lam, -1)
 
 
 def c(spec: CartanSpec, i: int, lam) -> RatFunc:
     """c_{i,lam} = t^(<lam,i> - <i,lam>) for a generator index i (0-based)."""
-    e = unit(spec, i)
-    return mono(1, 0, angle(spec, lam, e) - angle(spec, e, lam))
+    return twist(spec, unit(spec, i), lam, 0)
 
 
 def d_i(spec: CartanSpec, i: int) -> int:

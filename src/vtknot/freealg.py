@@ -111,11 +111,7 @@ def _tensor_mul(spec: cartan.CartanSpec, a: FTensor, b: FTensor, vsign: int) -> 
         dx2 = deg(spec, x2)
         for (y1, y2), cb in b.items():
             dy1 = deg(spec, y1)
-            tw = mono(
-                1,
-                vsign * cartan.dot(spec, dy1, dx2),
-                cartan.angle(spec, dy1, dx2) - cartan.angle(spec, dx2, dy1),
-            )
+            tw = cartan.twist(spec, dx2, dy1, vsign)
             _tensor_accumulate(out, (x1 + y1, x2 + y2), ca * cb * tw)
     return out
 

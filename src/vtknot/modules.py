@@ -48,27 +48,23 @@ def make_module(spec, labels, weights, act_E, act_F) -> WeightModule:
     return WeightModule(spec, labels, weights, act_E, act_F)
 
 
-def keig(spec: ca.CartanSpec, mu, lam) -> RatFunc:
-    """Eigenvalue of K_mu on a vector of weight lam."""
-    return ca.brace(spec, mu, lam)
-
-
-def kpeig(spec: ca.CartanSpec, mu, lam) -> RatFunc:
-    """Eigenvalue of K'_mu: the v-power flips sign, the t-power does not."""
-    return rf.mono(1, -ca.dot(spec, mu, lam), ca.angle(spec, lam, mu) - ca.angle(spec, mu, lam))
-
-
 def _diag(values) -> la.Matrix:
     vals = list(values)
     return la.Matrix(len(vals), len(vals), {k: {k: x} for k, x in enumerate(vals)})
 
 
+def _kdiag(m: WeightModule, mu, vsign: int) -> la.Matrix:
+    """K_mu on m for vsign = 1, K'_mu for vsign = -1: the v-power flips sign,
+    the t-power does not."""
+    return _diag(ca.twist(m.spec, mu, w, vsign) for w in m.weights)
+
+
 def act_K(m: WeightModule, mu) -> la.Matrix:
-    return _diag(keig(m.spec, mu, w) for w in m.weights)
+    return _kdiag(m, mu, 1)
 
 
 def act_Kp(m: WeightModule, mu) -> la.Matrix:
-    return _diag(kpeig(m.spec, mu, w) for w in m.weights)
+    return _kdiag(m, mu, -1)
 
 
 def act_word(m: WeightModule, word, side: str) -> la.Matrix:
@@ -166,9 +162,7 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
 
 def coprod_E(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
     spec = a.spec
-    e = ca.unit(spec, i)
-    eig = kpeig if bar else keig
-    kdiag = _diag(eig(spec, e, w) for w in a.weights)
+    kdiag = _kdiag(a, ca.unit(spec, i), -1 if bar else 1)
     return la.mat_add(
         la.kron(a.act_E[i], la.identity(b.dim)), la.kron(kdiag, b.act_E[i])
     )
@@ -176,9 +170,7 @@ def coprod_E(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.
 
 def coprod_F(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
     spec = a.spec
-    e = ca.unit(spec, i)
-    eig = keig if bar else kpeig
-    kdiag = _diag(eig(spec, e, w) for w in b.weights)
+    kdiag = _kdiag(b, ca.unit(spec, i), 1 if bar else -1)
     return la.mat_add(
         la.kron(la.identity(a.dim), b.act_F[i]), la.kron(a.act_F[i], kdiag)
     )
@@ -201,8 +193,9 @@ def dual(m: WeightModule) -> WeightModule:
     dE, dF = [], []
     for i in range(spec.rank):
         e = ca.unit(spec, i)
-        kinv = _diag(rf.inv(keig(spec, e, w)) for w in m.weights)
-        kpinv = _diag(rf.inv(kpeig(spec, e, w)) for w in m.weights)
+        # the inverse of twist(e, w, s) is twist(w, e, -s)
+        kinv = _diag(ca.twist(spec, w, e, -1) for w in m.weights)
+        kpinv = _diag(ca.twist(spec, w, e, 1) for w in m.weights)
         sE = la.mat_scale(la.mat_mul(kinv, m.act_E[i]), -ONE)
         sF = la.mat_scale(la.mat_mul(m.act_F[i], kpinv), -ONE)
         dE.append(la.transpose(sE))

@@ -10,8 +10,15 @@ Conventions:
                 Coefficients are int when integral, fractions.Fraction
                 otherwise; the numeric tower keeps == and hash consistent.
     RatFunc     num/den with den nonzero; fractions are NOT gcd-reduced,
-                equality is by cross-multiplication.  Values are immutable,
-                so a sum with a zero operand returns the other operand.
+                equality is by cross-multiplication.  The den is normal: the
+                shared LP_ONE, or a polynomial of two or more terms with
+                lex-lead coefficient 1 and least v and t exponents 0; a zero
+                value has den LP_ONE.  A product of normal dens is normal
+                (and LP_ONE only when both are), so +, - and * build their
+                results directly; only the constructor (and so /, inv and
+                the flips) pays the normalizing pass.  Values are immutable,
+                so a sum with a zero operand and a product with ONE return
+                the other operand.
     ExpPair     a (v_exp, t_exp) pair of Fractions, the form the edges see:
                 the LaurentPoly constructor takes {(v_exp, t_exp): rational}
                 maps (specialize and the reference tests go through it), and
@@ -22,7 +29,10 @@ lp_mono (and so mono, const, v_pow, t_pow) writes its one term straight onto
 the lattice: int exponents take scale 1 and make no Fraction.  Sums,
 products, shifts and exact division work on the int lattice, with Fraction
 arithmetic only for non-integral coefficients; operands of different scales
-are rescaled once to their lcm.  No floats anywhere.
+are rescaled once to their lcm.  A LaurentPoly product with a monomial factor
+is one shift of the other factor (that factor itself when the monomial is
+LP_ONE, which lp_mono(1) returns); only two polynomials of two or more terms
+go through the loop over term pairs.  No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
@@ -104,6 +114,39 @@ def _shift_mul(p: "LaurentPoly", dv: int, dt: int, scale: int, q=1) -> "LaurentP
     return _make({(a * f + dv, b * f + dt): c * q for (a, b), c in p.terms.items()}, s)
 
 
+def _mono_mul(p: "LaurentPoly", m: "LaurentPoly") -> "LaurentPoly":
+    """p * m for a monomial m: p itself when m is one, else one shift."""
+    ((dv, dt), c), = m.terms.items()
+    if not (dv or dt) and c == 1:
+        return p
+    return _shift_mul(p, dv, dt, m.scale, c)
+
+
+def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
+    """p * q summed over every pair of terms."""
+    s = p.scale
+    if s == q.scale:
+        left, right = p.terms, q.terms
+    else:
+        s = lcm(s, q.scale)
+        left, right = _terms_at(p, s), _terms_at(q, s)
+    out = {}
+    get = out.get
+    for (av, at), ac in left.items():
+        for (bv, bt), bc in right.items():
+            key = (av + bv, at + bt)
+            acc = get(key)
+            if acc is None:
+                out[key] = ac * bc
+            else:
+                acc += ac * bc
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+    return _make(out, s)
+
+
 class LaurentPoly:
     """Laurent polynomial in v, t with rational exponents; immutable by convention."""
 
@@ -166,27 +209,17 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        s = self.scale
-        if s == other.scale:
-            left, right = self.terms, other.terms
-        else:
-            s = lcm(s, other.scale)
-            left, right = _terms_at(self, s), _terms_at(other, s)
-        out = {}
-        get = out.get
-        for (av, at), ac in left.items():
-            for (bv, bt), bc in right.items():
-                key = (av + bv, at + bt)
-                acc = get(key)
-                if acc is None:
-                    out[key] = ac * bc
-                else:
-                    acc += ac * bc
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return _make(out, s)
+        # values are immutable, so a unit factor hands back the other one and
+        # a monomial factor is one shift, with no pair loop
+        if other is LP_ONE:
+            return self
+        if self is LP_ONE:
+            return other
+        if len(other.terms) == 1:
+            return _mono_mul(self, other)
+        if len(self.terms) == 1:
+            return _mono_mul(other, self)
+        return _pair_mul(self, other)
 
     def shift(self, dv, dt) -> "LaurentPoly":
         """self * v^dv * t^dt for rational dv, dt."""
@@ -196,6 +229,9 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)})"
+
+
+LP_ONE = _raw({(0, 0): 1}, 1)
 
 
 def lp_mono(coeff=1, v_exp=0, t_exp=0) -> LaurentPoly:
@@ -209,6 +245,8 @@ def lp_mono(coeff=1, v_exp=0, t_exp=0) -> LaurentPoly:
     if not coeff:
         return _raw({}, 1)
     if type(v_exp) is int and type(t_exp) is int:
+        if coeff == 1 and not (v_exp or t_exp):
+            return LP_ONE
         return _raw({(v_exp, t_exp): coeff}, 1)
     ve, te = _frac(v_exp), _frac(t_exp)
     s = lcm(ve.denominator, te.denominator)
@@ -217,14 +255,14 @@ def lp_mono(coeff=1, v_exp=0, t_exp=0) -> LaurentPoly:
 
 
 LP_ZERO = LaurentPoly()
-LP_ONE = lp_mono(1)
 
 
 class RatFunc:
     """Element of Q(v,t) as num/den; monomial denominators fold into num.
 
     Every Laurent value therefore carries the shared LP_ONE as its den, which
-    is what the fast paths of + and * test for.
+    is what the fast paths of + and * test for.  The constructor puts any
+    other den in normal form (see the module docstring).
     """
 
     __slots__ = ("num", "den")
@@ -269,8 +307,8 @@ class RatFunc:
             res.den = LP_ONE
             return res
         if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(
+            return _normal(self.num + other.num, self.den)
+        return _normal(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
@@ -284,12 +322,20 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.den is LP_ONE and other.den is LP_ONE:
-            res = RatFunc.__new__(RatFunc)
-            res.num = self.num * other.num
-            res.den = LP_ONE
-            return res
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b = self.num, other.num
+        if self.den is LP_ONE:
+            if a is LP_ONE:
+                return other
+            if other.den is LP_ONE:
+                if b is LP_ONE:
+                    return self
+                res = RatFunc.__new__(RatFunc)
+                res.num = a * b
+                res.den = LP_ONE
+                return res
+        elif b is LP_ONE and other.den is LP_ONE:
+            return self
+        return _normal(a * b, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.num.is_zero():
@@ -308,6 +354,16 @@ class RatFunc:
 
 ZERO = RatFunc(LP_ZERO)
 ONE = RatFunc(LP_ONE)
+
+
+def _normal(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
+    """num/den for a normal den, which the constructor would leave as it is."""
+    if not num.terms:
+        return ZERO
+    res = RatFunc.__new__(RatFunc)
+    res.num = num
+    res.den = den
+    return res
 
 
 def mono(coeff=1, v_exp=0, t_exp=0) -> RatFunc:

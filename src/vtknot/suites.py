@@ -54,9 +54,7 @@ def _rbar_is_flip(spec, x):
     flipped = {}
     for (a, b), c in fa.coproduct_r(spec, x).items():
         da, db = fa.deg(spec, a), fa.deg(spec, b)
-        tw = rf.mono(
-            1, -ca.dot(spec, da, db), ca.angle(spec, db, da) - ca.angle(spec, da, db)
-        )
+        tw = ca.twist(spec, da, db, -1)
         flipped = fa.t_add(flipped, {(b, a): c * tw})
     return fa.t_eq(flipped, fa.coproduct_r(spec, x, -1))
 
@@ -83,7 +81,7 @@ def _sigma_conjugates(spec, x):
     rhs = {}
     for (a, b), c in fa.coproduct_r(spec, x).items():
         da, db = fa.deg(spec, a), fa.deg(spec, b)
-        tw = rf.mono(1, 0, ca.angle(spec, db, da) - ca.angle(spec, da, db))
+        tw = ca.twist(spec, da, db, 0)
         sa, sb = fa.sigma(spec, fa.felem(a)), fa.sigma(spec, fa.felem(b))
         for wa, cca in sb.items():
             for wb, ccb in sa.items():
@@ -384,32 +382,32 @@ def suite_quasiR(cfg, depth):
 
 # -------------------------------------------------------------- rmatrix
 
-def _cap_slide_holds(m, order):
+# rr and rinv are rmat(m, m) and rmat_inv(m, m), built once by suite_rmatrix
+
+def _cap_slide_holds(m, dual, rr, order):
     d = m.dim
-    dual = mo.dual(m)
     qtr = mo.qtr_map(m)
     outer = la.mat_mul(qtr, la.kron(la.kron(la.identity(d), qtr), la.identity(d)))
     lhs = la.mat_mul(outer, la.kron(la.identity(d * d), mo.rmat(dual, dual, order)))
-    rhs = la.mat_mul(outer, la.kron(mo.rmat(m, m, order), la.identity(d * d)))
+    rhs = la.mat_mul(outer, la.kron(rr, la.identity(d * d)))
     return la.mat_eq(lhs, rhs)
 
 
-def _mixed_crossings(m, order):
+def _mixed_crossings(m, dual, rr, rinv):
     d = m.dim
-    dual = mo.dual(m)
     id_m = la.identity(d)
     id_d = la.identity(dual.dim)
     rpm = la.mat_mul(
         la.kron(la.identity(d * d), mo.qtr_map(m)),
         la.mat_mul(
-            la.kron(id_d, la.kron(mo.rmat_inv(m, m, order), id_d)),
+            la.kron(id_d, la.kron(rinv, id_d)),
             la.kron(la.kron(mo.coev_map(m), id_m), id_d),
         ),
     )
     rmp = la.mat_mul(
         la.kron(la.kron(mo.ev_map(m), id_m), id_d),
         la.mat_mul(
-            la.kron(id_d, la.kron(mo.rmat(m, m, order), id_d)),
+            la.kron(id_d, la.kron(rr, id_d)),
             la.kron(la.identity(d * d), mo.coqtr_map(m)),
         ),
     )
@@ -462,7 +460,7 @@ def _weight_factor_commutes(m, order):
     return la.mat_eq(la.mat_mul(ff, th12), la.mat_mul(th12, ff))
 
 
-def _classical_matches(m, order):
+def _classical_matches(m, rr):
     """Rank-one crossing at t = 1 against the one-parameter closed form."""
     spec = m.spec
     d = m.dim
@@ -491,7 +489,7 @@ def _classical_matches(m, order):
         for wb in m.weights
     )
     want = la.mat_mul(theta_cl, la.mat_mul(diag, mo.perm(m, m)))
-    return la.mat_eq(la.mat_map(mo.rmat(m, m, order), at1), want)
+    return la.mat_eq(la.mat_map(rr, at1), want)
 
 
 def annihilator(mat, maxdeg):
@@ -535,8 +533,10 @@ def suite_rmatrix(cfg, depth):
     cancel = la.mat_eq(la.mat_mul(rr, rinv), ident) and la.mat_eq(
         la.mat_mul(rinv, rr), ident
     )
-    rpm, rmp = _mixed_crossings(m, order)
-    gens = {}
+    rpm, rmp = _mixed_crossings(m, dual, rr, rinv)
+    # the tangle checks take their crossings from here instead of building them
+    unit = tg.crossing_unit(m)
+    gens = {"xp": la.mat_scale(rr, rf.inv(unit)), "xm": la.mat_scale(rinv, unit)}
     md = mo.tensor(m, dual)
     dm = mo.tensor(dual, m)
     mixed_match = la.mat_eq(rpm, mo.rmat(m, dual, order))
@@ -547,7 +547,7 @@ def suite_rmatrix(cfg, depth):
         ("crossing is a module map", mo.is_module_map(mm, mm, rr)),
         ("crossing and its inverse cancel", cancel),
         ("zigzag identities hold", _all_hold(_CURLS, m, order, gens)),
-        ("crossing slides across a cap", _cap_slide_holds(m, order)),
+        ("crossing slides across a cap", _cap_slide_holds(m, dual, rr, order)),
         ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m, order, gens)),
         ("mixed crossing matches its cup and cap form", mixed_match),
         ("mixed crossings compose to the identity", mixed_cancel),
@@ -555,25 +555,34 @@ def suite_rmatrix(cfg, depth):
         ("weight factors commute with the twist", _weight_factor_commutes(m, order)),
     ]
     # the summands of M (x) M are indexed by weights of M, at most dim M of them
-    ann = annihilator(la.mat_scale(rr, rf.inv(tg.crossing_unit(m))), m.dim)
+    ann = annihilator(gens["xp"], m.dim)
     out.append(
         ("normalized crossing satisfies a short polynomial relation",
          ann is not None and len(ann) <= m.dim)
     )
     if cfg.spec.rank == 1:
         out.append(
-            ("crossing at t = 1 matches the one-parameter form", _classical_matches(m, order))
+            ("crossing at t = 1 matches the one-parameter form", _classical_matches(m, rr))
         )
     return out
 
 
 # ------------------------------------------------------------------ ybe
 
-def ybe_holds(m1, m2, m3, order="lex"):
+def ybe_holds(m1, m2, m3, order="lex", built=None):
+    """R12 R13 R23 = R23 R13 R12 on m1 (x) m2 (x) m3.
+
+    built maps module pairs (a, b) to rmat(a, b, order) and gains the
+    crossings this check adds, so checks that share it build each once.
+    """
+    built = {} if built is None else built
+    for pair in ((m1, m2), (m1, m3), (m2, m3)):
+        if pair not in built:
+            built[pair] = mo.rmat(*pair, order)
+    r12, r13, r23 = built[m1, m2], built[m1, m3], built[m2, m3]
     id1 = la.identity(m1.dim)
     id2 = la.identity(m2.dim)
     id3 = la.identity(m3.dim)
-    r12, r13, r23 = (mo.rmat(a, b, order) for a, b in ((m1, m2), (m1, m3), (m2, m3)))
     lhs = la.mat_mul(
         la.kron(r23, id1), la.mat_mul(la.kron(id2, r13), la.kron(r12, id3))
     )
@@ -587,11 +596,12 @@ def suite_ybe(cfg, depth):
     m = cfg.module
     order = cfg.basis_order
     dual = mo.dual(m)
-    plain = ybe_holds(m, m, m, order)
+    built = {}
+    plain = ybe_holds(m, m, m, order, built)
     mixed = (
-        ybe_holds(dual, m, m, order)
-        and ybe_holds(m, dual, m, order)
-        and ybe_holds(m, m, dual, order)
+        ybe_holds(dual, m, m, order, built)
+        and ybe_holds(m, dual, m, order, built)
+        and ybe_holds(m, m, dual, order, built)
     )
     return [
         ("braid relation on three module strands", plain),

@@ -150,6 +150,18 @@ def test_forms_match_the_fraction_reference_on_weights(spec, lam, mu):
         assert got == want
         # an int whenever the value is integral, a Fraction only when it is not
         assert type(got) is (int if want.denominator == 1 else Fraction)
+    # the one twist monomial, and brace and f through it, on the same reference
+    ref_v = _ref_form(spec.dot, lam, mu)
+    ref_t = _ref_form(spec.omega, mu, lam) - _ref_form(spec.omega, lam, mu)
+    for vsign, named in ((1, ca.brace(spec, lam, mu)), (-1, ca.f(spec, mu, lam))):
+        want = rf.LaurentPoly({(vsign * ref_v, ref_t): 1})
+        got = ca.twist(spec, lam, mu, vsign)
+        assert got.num == want and got.den is rf.LP_ONE
+        assert named.num == want and named.den is rf.LP_ONE
+        # the formula the K' eigenvalue and the coproduct twist wrote inline
+        inline = rf.mono(1, vsign * ca.dot(spec, lam, mu),
+                         ca.angle(spec, mu, lam) - ca.angle(spec, lam, mu))
+        assert inline.num == want
     assert ca.weight_add(lam, mu) == tuple(Fraction(a) + b for a, b in zip(lam, mu))
     assert ca.weight_sub(lam, mu) == tuple(Fraction(a) - b for a, b in zip(lam, mu))
     assert ca.weight_neg(mu) == tuple(-b for b in mu)

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtknot import ratfield as rf
@@ -422,3 +422,55 @@ def test_zero_operand_returns_the_other_operand(x):
     assert x + rf.ZERO is x
     assert x - rf.ZERO is x
     assert zero + x is x and x + zero is x
+
+
+# ------------------------------------------------- unit, monomial, normal den
+
+_ref_monos = st.tuples(_lattice_coeffs.filter(bool), _int_or_lattice_exps, _int_or_lattice_exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_polys, _ref_monos)
+def test_unit_and_monomial_products_match_the_pair_loop(a, mono):
+    c, ve, te = mono
+    p = rf.LaurentPoly(a)
+    one_again = rf.lp_mono(1, Fraction(1, 2)) * rf.lp_mono(1, Fraction(-1, 2))
+    for m, want in ((rf.lp_mono(c, ve, te), _ref_mul(a, {(ve, te): c})),
+                    (rf.LP_ONE, a), (one_again, a)):
+        loop = _structure(rf._pair_mul(p, m))
+        for got in (p * m, m * p):
+            assert _structure(got) == loop
+            assert _ref(got) == want
+    if p != rf.LP_ONE:  # else either operand is the right answer
+        assert p * rf.LP_ONE is p and rf.LP_ONE * p is p
+    assert rf.lp_mono(1) is rf.LP_ONE
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs())
+def test_product_with_one_returns_the_other_operand(x):
+    assert rf.ONE * x is x
+    assert x * rf.ONE is x
+    assert rf.mono(1) * x is x and x * rf.mono(1) is x
+
+
+def _assert_normal(res):
+    """res is what the constructor makes of its own num and den."""
+    ref = rf.RatFunc(res.num, res.den)
+    assert _structure(res.num) == _structure(ref.num)
+    assert _structure(res.den) == _structure(ref.den)
+    # Laurent values carry the shared LP_ONE object, zero included
+    assert (res.den is rf.LP_ONE) == (ref.den is rf.LP_ONE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ratfuncs(), ratfuncs())
+@example(rf.parse("1/(v+1)"), rf.parse("t/(v+1)"))
+@example(rf.parse("1/(v+1)"), rf.parse("v^(1/2)/(t-1)"))
+def test_sums_differences_and_products_have_normal_dens(a, b):
+    for x, y in ((a, b), (b, a), (a, a), (a, rf.ONE), (a, rf.ZERO), (rf.V, b)):
+        for res in (x + y, x - y, x * y, x - x, x * rf.ZERO, rf.ZERO * x):
+            _assert_normal(res)
+    # a zero numerator over a non-unit den is still the zero with den LP_ONE
+    for res in (a - a, a * rf.ZERO, (a + b) - (b + a)):
+        assert res.is_zero() and res.den is rf.LP_ONE
