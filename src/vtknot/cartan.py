@@ -36,6 +36,14 @@ class CartanSpec:
     dot: tuple
     omega: tuple
 
+    # every lru_cache lookup keyed on a spec hashes it, so hash the fields
+    # once; == stays the dataclass's field-wise comparison
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.rank, self.dot, self.omega)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 def make_spec(rank: int, dot_rows, omega_rows) -> CartanSpec:
     return CartanSpec(

@@ -6,9 +6,10 @@ entries therefore visits them in the order of a dense row-by-row scan, so
 each entry of a product or sum adds its terms in that order and unreduced
 values keep one exact form.  `m[r, c]` reads an entry, ZERO when absent.
 
-The Bareiss routines `rank`, `inverse` and `solve` work on plain lists of
-rows instead: their inputs are coefficient tables, such as Gram blocks,
-which elimination fills in anyway.
+The Bareiss routines `rank`, `inverse`, `solve` and `principal_pivots`
+work on plain lists of rows instead: their inputs are coefficient tables,
+such as Gram blocks, which elimination fills in anyway.  They share one
+exact-division row update, `_eliminate`.
 """
 
 from __future__ import annotations
@@ -154,6 +155,26 @@ def _poly_rows(a: list) -> list:
     return out
 
 
+def _eliminate(rows: list, r: int, c: int, prev, targets, cols) -> None:
+    """Fraction-free elimination of column c from rows `targets` by row r.
+
+    Each target row becomes (pivot * row - row[c] * pivot row) / prev on
+    `cols`, where prev is the pivot taken before rows[r][c] (LP_ONE for the
+    first).  Sylvester's identity makes every division exact.
+    """
+    piv, prow = rows[r][c], rows[r]
+    for i in targets:
+        row = rows[i]
+        fi = row[c]
+        if fi.is_zero():
+            for j in cols:
+                row[j] = ratfield.poly_div_exact(row[j] * piv, prev)
+        else:
+            for j in cols:
+                row[j] = ratfield.poly_div_exact(row[j] * piv - prow[j] * fi, prev)
+        row[c] = ratfield.LP_ZERO
+
+
 def _bareiss(rows: list, pivot_cols: int) -> list:
     """Fraction-free forward elimination in place; returns pivot columns.
 
@@ -172,24 +193,41 @@ def _bareiss(rows: list, pivot_cols: int) -> list:
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            if fi.is_zero():
-                for j in range(c + 1, width):
-                    rows[i][j] = ratfield.poly_div_exact(rows[i][j] * piv, prev)
-            else:
-                for j in range(c + 1, width):
-                    rows[i][j] = ratfield.poly_div_exact(
-                        rows[i][j] * piv - rows[r][j] * fi, prev
-                    )
-            rows[i][c] = ratfield.LP_ZERO
-        prev = piv
+        _eliminate(rows, r, c, prev, range(r + 1, nrows), range(c + 1, width))
+        prev = rows[r][c]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
+
+
+def principal_pivots(a: list) -> tuple:
+    """Greedy nonsingular principal block of a square matrix, in one elimination.
+
+    Index k is taken when the principal block on the indices taken before
+    it plus k is nonsingular.  Pivoting on the diagonal only, in index
+    order, the entry at (k, k) after elimination by the pivots taken so far
+    is that block's determinant up to nonzero row factors (Sylvester's
+    identity), so each test costs one look at the diagonal.  Rows and
+    columns of rejected indices are eliminated too.
+
+    Returns (taken, rest): the taken indices, ascending, and the eliminated
+    block on the other indices (as RatFuncs).  rest is the Schur complement
+    of the taken block up to nonzero row factors, so
+    rank(a) == len(taken) + rank(rest).
+    """
+    rows = _poly_rows(a)
+    taken, open_ = [], list(range(len(a)))
+    prev = ratfield.LP_ONE
+    for k in range(len(a)):
+        if rows[k][k].is_zero():
+            continue
+        open_.remove(k)
+        _eliminate(rows, k, k, prev, open_, open_)
+        prev = rows[k][k]
+        taken.append(k)
+    return taken, [[RatFunc(rows[i][j]) for j in open_] for i in open_]
 
 
 def rank(a: list) -> int:

@@ -20,6 +20,7 @@ from . import cartan, freealg
 from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, bar_t, inv, mono
 
 
+@lru_cache(maxsize=None)
 def _peel_scale(spec: cartan.CartanSpec, i: int) -> RatFunc:
     d = spec.omega[i][i]
     return inv(mono(1, -d, 0) - mono(1, d, 0))

@@ -2,8 +2,15 @@
 
 For each degree mu a monomial basis is chosen greedily (in lex or revlex word
 order) so that its Gram block under phi is invertible and carries the full
-rank of the degree.  With G[a][c] = phi(E_{w_a}, F_{w_c}) and C = G^-1, the
-dual elements b*_a = sum_c C[a][c] E_{w_c} satisfy (b*_a, F_{w_b}) = delta.
+rank of the degree.  Word k joins the basis when the block on the words
+chosen before it plus word k is nonsingular.  One fraction-free elimination
+of the degree's Gram block, pivoting on the diagonal in word order
+(`linalg.principal_pivots`), makes each such test one diagonal entry.  What
+the elimination leaves on the other words is their Schur complement up to
+nonzero row factors, so its rank is what the chosen words miss: when it is
+not zero the degree has no complete greedy basis and `BasisError` is raised.
+With G[a][c] = phi(E_{w_a}, F_{w_c}) and C = G^-1, the dual elements
+b*_a = sum_c C[a][c] E_{w_c} satisfy (b*_a, F_{w_b}) = delta.
 
     theta(mu)     = sum_a  w_a (x) b*_a          as {(fword, eword): coeff}
     theta_bar(mu) = (-1)^tr(mu) v^(mu.mu/2) v_(-mu) sum_a w_a (x) sigma(b*_a)
@@ -31,23 +38,19 @@ def _basis_data(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown basis order {order!r}")
     words = list(freealg.words_of_degree(mu))
+    gram = pairing.gram(spec, mu)
     if order == "revlex":
         words.reverse()
-    chosen = []
-    for w in words:
-        trial = chosen + [w]
-        g = [[pairing._phi_words(spec, ew, fw) for fw in trial] for ew in trial]
-        if linalg.rank(g) == len(trial):
-            chosen.append(w)
-    full_rank = linalg.rank(pairing.gram(spec, mu))
+        gram = [row[::-1] for row in reversed(gram)]
+    taken, rest = linalg.principal_pivots(gram)
+    chosen = [words[k] for k in taken]
+    full_rank = len(chosen) + linalg.rank(rest)
     if full_rank != len(chosen):
         raise BasisError(
             f"greedy principal blocks reached rank {len(chosen)}"
             f" but the degree has rank {full_rank}"
         )
-    g = [[pairing._phi_words(spec, ew, fw) for fw in chosen] for ew in chosen]
-    ginv = linalg.inverse(g) if chosen else []
-    return tuple(chosen), g, ginv
+    return tuple(chosen), linalg.inverse([[gram[a][c] for c in taken] for a in taken])
 
 
 def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> tuple:
@@ -57,7 +60,7 @@ def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex")
 @lru_cache(maxsize=None)
 def theta(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dict:
     """Component of the quasi-R-matrix in degree mu: F-side slot first."""
-    words, _, ginv = _basis_data(spec, mu, order)
+    words, ginv = _basis_data(spec, mu, order)
     out = {}
     for a, wa in enumerate(words):
         for c, wc in enumerate(words):
@@ -102,7 +105,7 @@ def expand(spec: cartan.CartanSpec, x: freealg.FElem, side: str, order: str = "l
     if not x:
         return {}
     mu = _homogeneous_degree(spec, x)
-    words, _, ginv = _basis_data(spec, mu, order)
+    words, ginv = _basis_data(spec, mu, order)
     out = {}
     if side == "+":
         for a, wa in enumerate(words):
@@ -122,7 +125,7 @@ def expand(spec: cartan.CartanSpec, x: freealg.FElem, side: str, order: str = "l
 
 def dual_element(spec: cartan.CartanSpec, mu: cartan.Degree, a: int, order: str = "lex") -> freealg.FElem:
     """The a-th dual basis element b*_a as a plus-side combination of words."""
-    words, _, ginv = _basis_data(spec, mu, order)
+    words, ginv = _basis_data(spec, mu, order)
     out = {}
     for c, wc in enumerate(words):
         if not ginv[a][c].is_zero():

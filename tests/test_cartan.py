@@ -13,6 +13,20 @@ SL3 = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
 B2 = ca.make_spec(2, [[4, -2], [-2, 2]], [[2, -2], [0, 1]])
 
 
+def test_equal_specs_share_hash_and_cache_entries():
+    a = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
+    b = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [-1, 1]])
+    ca.twist.cache_clear()
+    first = ca.twist(a, (1, 0), (0, 1), 1)
+    second = ca.twist(b, (1, 0), (0, 1), 1)
+    info = ca.twist.cache_info()
+    assert second is first
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_validate_accepts_known_data():
     assert ca.validate(SL2) == []
     assert ca.validate(SL3) == []

@@ -4,6 +4,9 @@ The reference keeps every entry, zeros too, and sums each entry's terms in
 index order, as a dense row-by-row loop does.  Entries are compared by value
 and by printed form: the sparse type must add the same terms in the same
 order, so unreduced values come out in the same form.
+
+The one-pass basis elimination is checked against the greedy choice with
+one rank per trial prefix.
 """
 
 import pytest
@@ -14,7 +17,7 @@ from vtknot import linalg as la
 from vtknot import ratfield as rf
 
 VALUES = [rf.parse(x) for x in ("0", "1", "-1", "v", "v^(1/2)", "(v + 1)/(v - 1)")]
-ONE, X = VALUES[1], VALUES[-1]
+Z, ONE, X = VALUES[0], VALUES[1], VALUES[-1]
 
 
 @st.composite
@@ -127,3 +130,33 @@ def test_mismatched_shapes_raise(a, b):
             with pytest.raises(la.ShapeError):
                 build(x, y)
         assert not la.mat_eq(x, y)
+
+
+def greedy_pivots(a):
+    """The index-order greedy choice, one rank per trial prefix."""
+    taken = []
+    for k in range(len(a)):
+        trial = taken + [k]
+        if la.rank([[a[i][j] for j in trial] for i in trial]) == len(trial):
+            taken.append(k)
+    return taken
+
+
+@st.composite
+def square(draw):
+    n = draw(st.integers(0, 4))
+    return draw(dense(n, n))[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square())
+# no nonsingular principal block, yet rank 2
+@example([[Z, ONE], [ONE, Z]])
+# index 1 is the only pivot; the rejected index 0 gains a nonzero Schur entry
+@example([[Z, ONE, Z], [ONE, ONE, Z], [Z, Z, Z]])
+def test_principal_pivots_take_the_greedy_indices(a):
+    taken, rest = la.principal_pivots(a)
+    assert taken == greedy_pivots(a)
+    n = len(a) - len(taken)
+    assert len(rest) == n and all(len(row) == n for row in rest)
+    assert len(taken) + la.rank(rest) == la.rank(a)
