@@ -4,15 +4,18 @@ The three integer forms on basis indices:
     angle(i,j)   = Omega[i][j]
     bracket(i,j) = 2*delta_ij*Omega[i][i] - Omega[i][j]
     dot(i,j)     = angle(i,j) + angle(j,i)
-all extend bilinearly to rational coordinate vectors.  They accumulate in
-plain int arithmetic and return an int whenever the value is integral, which
-it always is on degrees; a Fraction appears only when fractional weight
-coordinates give a fractional value.
+all extend bilinearly to rational coordinate vectors.  Each form reads the
+numerator and denominator of every coordinate and accumulates int numerators
+over one common den, so no Fraction arithmetic runs; it returns an int
+whenever the value is integral, which it always is on degrees, and a
+Fraction only when fractional weight coordinates give a fractional value.
 
 Degrees are tuples of nonnegative ints (elements of N[I]); weights are tuples
 of rationals (Q[I]), Fractions as `weight` builds them.  Both feed the
 multiplicative forms brace, f, c that produce the v/t twist monomials used
-everywhere downstream.
+everywhere downstream.  `twist` (behind brace, f, c) and `v_deg` write their
+monomial straight onto the LaurentPoly lattice from those int numerators:
+one gcd with the common den gives the minimal scale.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .ratfield import RatFunc, _coeff, mono
+from .ratfield import ONE, RatFunc, _div, _raw
 
 
 Degree = tuple
@@ -108,7 +111,13 @@ def weight(coords) -> Weight:
     return tuple(Fraction(x) for x in coords)
 
 
-def _bilinear(matrix, lam, mu):
+def _over_lcm(coords) -> tuple:
+    """(numerators, den): int numerators of coords over their least common den."""
+    den = math.lcm(*(x.denominator for x in coords))
+    return [x.numerator * (den // x.denominator) for x in coords], den
+
+
+def _int_bilinear(matrix, lam, mu) -> int:
     total = 0
     for i, a in enumerate(lam):
         if a:
@@ -116,7 +125,20 @@ def _bilinear(matrix, lam, mu):
             for j, b in enumerate(mu):
                 if b:
                     total += a * b * row[j]
-    return _coeff(total)
+    return total
+
+
+def _bilinear(matrix, lam, mu):
+    (ln, ld), (mn, md) = _over_lcm(lam), _over_lcm(mu)
+    return _div(_int_bilinear(matrix, ln, mn), ld * md)
+
+
+def _mono(v_num: int, t_num: int, den: int) -> RatFunc:
+    """v^(v_num/den) t^(t_num/den), written onto the LaurentPoly lattice."""
+    if not (v_num or t_num):
+        return ONE
+    g = math.gcd(den, v_num, t_num)
+    return RatFunc(_raw({(v_num // g, t_num // g): 1}, den // g))
 
 
 def angle(spec: CartanSpec, lam, mu):
@@ -125,8 +147,9 @@ def angle(spec: CartanSpec, lam, mu):
 
 def bracket(spec: CartanSpec, lam, mu):
     """2 * sum_i lam_i mu_i Omega[i][i] - angle(lam, mu)."""
-    diag = sum(a * b * spec.omega[i][i] for i, (a, b) in enumerate(zip(lam, mu)))
-    return _coeff(2 * diag - angle(spec, lam, mu))
+    (ln, ld), (mn, md) = _over_lcm(lam), _over_lcm(mu)
+    diag = sum(a * b * spec.omega[i][i] for i, (a, b) in enumerate(zip(ln, mn)))
+    return _div(2 * diag - _int_bilinear(spec.omega, ln, mn), ld * md)
 
 
 def dot(spec: CartanSpec, lam, mu):
@@ -139,8 +162,11 @@ def twist(spec: CartanSpec, lam: tuple, mu: tuple, vsign: int) -> RatFunc:
 
     vsign = 1 is brace(lam, mu), vsign = -1 is f(mu, lam) = brace(mu, lam)^-1
     and vsign = 0 keeps only the t-power.  Cached: the values are immutable.
+    Both exponents are int numerators over one common den.
     """
-    return mono(1, vsign * dot(spec, lam, mu), angle(spec, mu, lam) - angle(spec, lam, mu))
+    (ln, ld), (mn, md) = _over_lcm(lam), _over_lcm(mu)
+    t_num = _int_bilinear(spec.omega, mn, ln) - _int_bilinear(spec.omega, ln, mn)
+    return _mono(vsign * _int_bilinear(spec.dot, ln, mn), t_num, ld * md)
 
 
 def brace(spec: CartanSpec, lam, mu) -> RatFunc:
@@ -165,7 +191,8 @@ def d_i(spec: CartanSpec, i: int) -> int:
 
 def v_deg(spec: CartanSpec, nu) -> RatFunc:
     """v_nu = prod v_i^(nu_i); accepts rational coordinates."""
-    return mono(1, sum(x * spec.omega[i][i] for i, x in enumerate(nu)), 0)
+    nums, den = _over_lcm(nu)
+    return _mono(sum(x * spec.omega[i][i] for i, x in enumerate(nums)), 0, den)
 
 
 def tr(nu) -> int:

@@ -9,7 +9,8 @@ values keep one exact form.  `m[r, c]` reads an entry, ZERO when absent.
 The Bareiss routines `rank`, `inverse`, `solve` and `principal_pivots`
 work on plain lists of rows instead: their inputs are coefficient tables,
 such as Gram blocks, which elimination fills in anyway.  They share one
-exact-division row update, `_eliminate`.
+row update, `_eliminate`, which makes each new entry with the fused exact
+kernel `ratfield.cross_div`: (a*b - c*d)/e with no polynomial temporaries.
 """
 
 from __future__ import annotations
@@ -158,20 +159,19 @@ def _poly_rows(a: list) -> list:
 def _eliminate(rows: list, r: int, c: int, prev, targets, cols) -> None:
     """Fraction-free elimination of column c from rows `targets` by row r.
 
-    Each target row becomes (pivot * row - row[c] * pivot row) / prev on
-    `cols`, where prev is the pivot taken before rows[r][c] (LP_ONE for the
-    first).  Sylvester's identity makes every division exact.
+    Each target row becomes (row * pivot - pivot row * row[c]) / prev on
+    `cols`, one `ratfield.cross_div` per entry, where prev is the pivot
+    taken before rows[r][c] (LP_ONE for the first, which divides nothing).
+    Sylvester's identity makes every division exact, and every entry is a
+    LaurentPoly in minimal form, so the update's evaluation order cannot
+    change a term.
     """
     piv, prow = rows[r][c], rows[r]
     for i in targets:
         row = rows[i]
         fi = row[c]
-        if fi.is_zero():
-            for j in cols:
-                row[j] = ratfield.poly_div_exact(row[j] * piv, prev)
-        else:
-            for j in cols:
-                row[j] = ratfield.poly_div_exact(row[j] * piv - prow[j] * fi, prev)
+        for j in cols:
+            row[j] = ratfield.cross_div(row[j], piv, prow[j], fi, prev)
         row[c] = ratfield.LP_ZERO
 
 

@@ -10,6 +10,12 @@ with (1,1) = 1 and degree mismatch pairing to zero, where ir is
 freealg.deriv(spec, i, x, "l").  The same derivation peels the other end
 (end "r") or acts on F-words (side "F"), which gives three alternative
 peeling orders; the tests check all four agree.
+
+The derivation coefficients are Laurent, so phi(E_w, F_fw) has one den for
+every E-word w: the product of the peel dens (v_i^2 - 1 up to a monomial) of
+the letters of fw.  The recursion runs on LaurentPoly numerators over that
+den (`_phi_num`, `_phi_den`) and never multiplies a den out again;
+`_phi_words` pairs them into the RatFunc the constructor would give.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cartan, freealg
-from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, bar_t, inv, mono
+from .ratfield import (
+    LP_ONE, LP_ZERO, ZERO, LaurentPoly, RatFunc, _normal, bar as rf_bar, bar_t, inv, mono,
+)
 
 
 @lru_cache(maxsize=None)
@@ -27,18 +35,32 @@ def _peel_scale(spec: cartan.CartanSpec, i: int) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _phi_words(spec: cartan.CartanSpec, ew, fw) -> RatFunc:
-    if freealg.deg(spec, ew) != freealg.deg(spec, fw):
-        return ZERO
+def _phi_den(spec: cartan.CartanSpec, fw) -> LaurentPoly:
+    """The one den of phi(E_w, F_fw) for every E-word w: the peel dens' product."""
     if not fw:
-        return ONE
+        return LP_ONE
+    return _peel_scale(spec, fw[0]).den * _phi_den(spec, fw[1:])
+
+
+@lru_cache(maxsize=None)
+def _phi_num(spec: cartan.CartanSpec, ew, fw) -> LaurentPoly:
+    """Numerator of phi(E_ew, F_fw) over _phi_den(spec, fw)."""
+    if freealg.deg(spec, ew) != freealg.deg(spec, fw):
+        return LP_ZERO
+    if not fw:
+        return LP_ONE
     i, rest = fw[0], fw[1:]
-    acc = ZERO
+    acc = LP_ZERO
     for w, c in freealg._deriv_word(spec, i, ew, "l", "E").items():
-        val = _phi_words(spec, w, rest)
-        if not val.is_zero():
-            acc = acc + c * val
-    return _peel_scale(spec, i) * acc
+        val = _phi_num(spec, w, rest)
+        if val.terms:
+            acc = acc + c.num * val
+    return _peel_scale(spec, i).num * acc
+
+
+@lru_cache(maxsize=None)
+def _phi_words(spec: cartan.CartanSpec, ew, fw) -> RatFunc:
+    return _normal(_phi_num(spec, ew, fw), _phi_den(spec, fw))
 
 
 def phi(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:

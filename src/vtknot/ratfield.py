@@ -32,7 +32,10 @@ arithmetic only for non-integral coefficients; operands of different scales
 are rescaled once to their lcm.  A LaurentPoly product with a monomial factor
 is one shift of the other factor (that factor itself when the monomial is
 LP_ONE, which lp_mono(1) returns); only two polynomials of two or more terms
-go through the loop over term pairs.  No floats anywhere.
+go through the loop over term pairs.  cross_div(a, b, c, d, e) is the fused
+fraction-free update (a*b - c*d)/e: both products accumulate in one term dict
+and the result is divided once, with no intermediate polynomial.  No floats
+anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
@@ -122,17 +125,12 @@ def _mono_mul(p: "LaurentPoly", m: "LaurentPoly") -> "LaurentPoly":
     return _shift_mul(p, dv, dt, m.scale, c)
 
 
-def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
-    """p * q summed over every pair of terms."""
-    s = p.scale
-    if s == q.scale:
-        left, right = p.terms, q.terms
-    else:
-        s = lcm(s, q.scale)
-        left, right = _terms_at(p, s), _terms_at(q, s)
-    out = {}
+def _add_products(out: dict, p: "LaurentPoly", q: "LaurentPoly", s: int, sign: int) -> None:
+    """Add sign * p * q into the term dict out, all exponents over scale s."""
+    right = _terms_at(q, s)
     get = out.get
-    for (av, at), ac in left.items():
+    for (av, at), ac in _terms_at(p, s).items():
+        ac *= sign
         for (bv, bt), bc in right.items():
             key = (av + bv, at + bt)
             acc = get(key)
@@ -144,6 +142,13 @@ def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
                     out[key] = acc
                 else:
                     del out[key]
+
+
+def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
+    """p * q summed over every pair of terms."""
+    s = lcm(p.scale, q.scale)
+    out = {}
+    _add_products(out, p, q, s, 1)
     return _make(out, s)
 
 
@@ -456,6 +461,23 @@ def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             else:
                 rem.pop(key, None)
     return _make(quot, s)
+
+
+def cross_div(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly,
+              e: LaurentPoly) -> LaurentPoly:
+    """(a*b - c*d) / e, exact; raises ValueError when e does not divide.
+
+    The fraction-free (Bareiss) update.  Both products go into one term
+    dict over the lcm of the four scales, with no product, negation or sum
+    polynomial in between, and the result is divided once, not at all when
+    e is LP_ONE.
+    """
+    s = lcm(a.scale, b.scale, c.scale, d.scale)
+    out = {}
+    _add_products(out, a, b, s, 1)
+    _add_products(out, c, d, s, -1)
+    num = _make(out, s)
+    return num if e is LP_ONE else poly_div_exact(num, e)
 
 
 def reduce_poly(a: RatFunc) -> RatFunc:

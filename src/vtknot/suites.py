@@ -9,6 +9,7 @@ report byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cartan as ca
 from . import freealg as fa
@@ -132,6 +133,7 @@ def suite_forms(cfg, depth):
 
 # -------------------------------------------------------------- pairing
 
+@lru_cache(maxsize=None)
 def _phi_peel(spec, ew, fw, end, side):
     """phi by peeling the `end` letter of the `side` word and deriving the other."""
     if side == "F":
@@ -190,13 +192,14 @@ def suite_pairing(cfg, depth):
                 )
         # (x, y z) = sum over r(x) of (x1, y)(x2, z)
         for ew in words:
+            rx = fa.coproduct_r(spec, fa.felem(ew))
             for nu in ca.degrees_below(mu):
                 rest = ca.deg_sub(mu, nu)
                 for y in fa.words_of_degree(nu):
                     for z in fa.words_of_degree(rest):
                         lhs = pr.phi(spec, fa.felem(ew), fa.felem(y + z))
                         rhs = ZERO
-                        for (x1, x2), c in fa.coproduct_r(spec, fa.felem(ew)).items():
+                        for (x1, x2), c in rx.items():
                             a = pr.phi(spec, fa.felem(x1), fa.felem(y))
                             if a.is_zero():
                                 continue

@@ -179,3 +179,23 @@ def test_forms_match_the_fraction_reference_on_weights(spec, lam, mu):
     assert ca.weight_add(lam, mu) == tuple(Fraction(a) + b for a, b in zip(lam, mu))
     assert ca.weight_sub(lam, mu) == tuple(Fraction(a) - b for a, b in zip(lam, mu))
     assert ca.weight_neg(mu) == tuple(-b for b in mu)
+
+
+def _structure(p):
+    """scale, terms and the exact types of exponents and coefficients."""
+    return p.scale, {(a, b, type(a), type(b)): (c, type(c)) for (a, b), c in p.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([SL3, B2]), st.one_of(_degrees, _weights), _weights,
+       st.sampled_from([1, 0, -1]))
+def test_twist_and_v_deg_are_mono_written_onto_the_lattice(spec, lam, mu, vsign):
+    ref_t = _ref_form(spec.omega, mu, lam) - _ref_form(spec.omega, lam, mu)
+    for got, want in (
+        (ca.twist(spec, lam, mu, vsign), rf.mono(1, vsign * _ref_form(spec.dot, lam, mu), ref_t)),
+        (ca.v_deg(spec, mu), rf.mono(1, sum(x * spec.omega[i][i] for i, x in enumerate(mu)), 0)),
+        (ca.v_deg(spec, lam), rf.mono(1, sum(Fraction(x) * spec.omega[i][i]
+                                             for i, x in enumerate(lam)), 0)),
+    ):
+        assert _structure(got.num) == _structure(want.num)
+        assert got.den is rf.LP_ONE

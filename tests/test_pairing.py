@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,3 +170,36 @@ def test_pairing_splits_products_through_coproduct(triple):
         b = pr.phi(SL3, fa.felem(x2), fa.felem(z))
         rhs = rhs + c * a * b
     assert rf.eq(lhs, rhs)
+
+
+# ------------------------------------------------- numerators over one den
+
+
+def _phi_reference(spec, ew, fw, memo):
+    """The RatFunc peeling recursion, multiplying out the den at every step."""
+    if (ew, fw) not in memo:
+        if fa.deg(spec, ew) != fa.deg(spec, fw):
+            val = rf.ZERO
+        elif not fw:
+            val = rf.ONE
+        else:
+            i, d = fw[0], spec.omega[fw[0]][fw[0]]
+            acc = rf.ZERO
+            for w, c in fa.deriv(spec, i, fa.felem(ew), "l").items():
+                acc = acc + c * _phi_reference(spec, w, fw[1:], memo)
+            val = rf.inv(rf.mono(1, -d, 0) - rf.mono(1, d, 0)) * acc
+        memo[ew, fw] = val
+    return memo[ew, fw]
+
+
+@pytest.mark.parametrize("spec, depth", [(SL3, 4), (SL2, 8)], ids=["sl3", "rank1"])
+def test_phi_words_keep_the_reference_num_and_den(spec, depth):
+    memo = {}
+    for n in range(depth + 1):
+        # every pair of words of one length, so mismatched degrees too
+        words = [w for mu in ca.degrees_of_tr(spec.rank, n) for w in fa.words_of_degree(mu)]
+        for ew in words:
+            for fw in words:
+                got, want = pr._phi_words(spec, ew, fw), _phi_reference(spec, ew, fw, memo)
+                assert (got.num, got.den) == (want.num, want.den)
+                assert (got.den is rf.LP_ONE) == (want.den is rf.LP_ONE)

@@ -474,3 +474,53 @@ def test_sums_differences_and_products_have_normal_dens(a, b):
     # a zero numerator over a non-unit den is still the zero with den LP_ONE
     for res in (a - a, a * rf.ZERO, (a + b) - (b + a)):
         assert res.is_zero() and res.den is rf.LP_ONE
+
+
+# ------------------------------------------------- the fused Bareiss kernel
+
+_divisors_or_one = st.one_of(st.just({(Fraction(0), Fraction(0)): Fraction(1)}),
+                             _ref_polys.filter(bool))
+
+
+def _ref_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def _kernel_args(a, b, c, d, e):
+    args = [rf.LaurentPoly(m) for m in (a, b, c, d, e)]
+    if args[4] == rf.LP_ONE:
+        args[4] = rf.LP_ONE  # the shared object, which the kernel divides by not at all
+    return args
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_polys, _ref_polys, _ref_polys, _ref_polys, _ref_polys, _divisors_or_one,
+       st.booleans())
+@example({}, {}, {}, {}, {}, {(Fraction(0), Fraction(0)): Fraction(1)}, True)
+def test_cross_div_is_the_exact_quotient_of_the_reference(x, y, z, b, c, e, exact):
+    # exact: a = e x + c y and d = y b + e z give a b - c d = e (x b - c z)
+    if exact:
+        a = _ref_sum(_ref_mul(e, x), _ref_mul(c, y))
+        d = _ref_sum(_ref_mul(y, b), _ref_mul(e, z))
+    else:
+        a, d = x, z
+    num = rf.LaurentPoly(_ref_sum(_ref_mul(a, b), _ref_neg(_ref_mul(c, d))))
+    try:
+        want = rf.poly_div_exact(num, rf.LaurentPoly(e))
+    except ValueError:
+        assert not exact
+        with pytest.raises(ValueError):
+            rf.cross_div(*_kernel_args(a, b, c, d, e))
+        return
+    got = rf.cross_div(*_kernel_args(a, b, c, d, e))
+    assert _structure(got) == _structure(want) and _canonical(got)
+    if exact:
+        assert _ref(got) == _ref_sum(_ref_mul(x, b), _ref_neg(_ref_mul(c, z)))
+
+
+def test_cross_div_raises_on_an_inexact_divisor():
+    one, zero, e = rf.LP_ONE, rf.LP_ZERO, rf.parse("v + 1").num
+    with pytest.raises(ValueError):
+        rf.cross_div(one, one, zero, zero, e)
+    # ((v + 1)^2 - (v + 1)) / (v + 1) = v
+    assert rf.cross_div(e, e, one, e, e) == rf.V.num
