@@ -2,7 +2,12 @@
 
 Elements are plain dicts word -> coefficient, where a word is a tuple of
 0-based generator indices; tensors are dicts (word, word) -> coefficient.
-Zero coefficients are never stored.
+Zero coefficients are never stored.  Both kinds are word-keyed sparse
+combinations and share one set of helpers: `accumulate` adds one term in
+place, `f_eq` compares two combinations, and `bilinear` extends a
+word-pair table to a bilinear map (`form` here, `pairing.phi` there).
+Callers hand `accumulate` only dicts they built themselves, never one an
+`lru_cache` returned.
 
 The coproduct r is the algebra map F -> F (x) F for the twisted product
 
@@ -14,7 +19,8 @@ with vsign = -1, the same recipe with the v-twist inverted.  deriv gives the
 letter derivations: on E-words it extracts the single-letter components of r
 from the right ("r") or left ("l") tensor slot, and on F-words (side "F") it
 gives their mirror images with the t-twist inverted.  All four follow one
-letter recursion; the tests check the E-side ones against r directly.
+letter recursion; the tests check the E-side ones against r directly.  The
+same `side` argument picks the mirror of `sigma` and `serre_element`.
 """
 
 from __future__ import annotations
@@ -34,27 +40,19 @@ def felem(word, coeff: RatFunc = ONE) -> FElem:
     return {} if coeff.is_zero() else {tuple(word): coeff}
 
 
-def f_add(a: FElem, b: FElem) -> FElem:
-    out = dict(a)
-    for w, c in b.items():
-        acc = out.get(w)
-        acc = c if acc is None else acc + c
-        if acc.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = acc
-    return out
+def accumulate(out: dict, key, c: RatFunc) -> None:
+    """Add c to out[key] in place, dropping the key when the sum is zero."""
+    acc = out.get(key)
+    acc = c if acc is None else acc + c
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
 
 
-def f_scale(a: FElem, c: RatFunc) -> FElem:
-    if c.is_zero():
-        return {}
-    return {w: x * c for w, x in a.items()}
-
-
-def f_eq(a: FElem, b: FElem) -> bool:
-    for w in set(a) | set(b):
-        if not rf_eq(a.get(w, ZERO), b.get(w, ZERO)):
+def f_eq(a: dict, b: dict) -> bool:
+    for key in set(a) | set(b):
+        if not rf_eq(a.get(key, ZERO), b.get(key, ZERO)):
             return False
     return True
 
@@ -71,38 +69,8 @@ def mul(a: FElem, b: FElem) -> FElem:
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            w = wa + wb
-            c = ca * cb
-            acc = out.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            accumulate(out, wa + wb, ca * cb)
     return out
-
-
-def _tensor_accumulate(out: FTensor, key, c: RatFunc):
-    acc = out.get(key)
-    acc = c if acc is None else acc + c
-    if acc.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = acc
-
-
-def t_add(a: FTensor, b: FTensor) -> FTensor:
-    out = dict(a)
-    for key, c in b.items():
-        _tensor_accumulate(out, key, c)
-    return out
-
-
-def t_eq(a: FTensor, b: FTensor) -> bool:
-    for key in set(a) | set(b):
-        if not rf_eq(a.get(key, ZERO), b.get(key, ZERO)):
-            return False
-    return True
 
 
 def _tensor_mul(spec: cartan.CartanSpec, a: FTensor, b: FTensor, vsign: int) -> FTensor:
@@ -112,7 +80,7 @@ def _tensor_mul(spec: cartan.CartanSpec, a: FTensor, b: FTensor, vsign: int) -> 
         for (y1, y2), cb in b.items():
             dy1 = deg(spec, y1)
             tw = cartan.twist(spec, dx2, dy1, vsign)
-            _tensor_accumulate(out, (x1 + y1, x2 + y2), ca * cb * tw)
+            accumulate(out, (x1 + y1, x2 + y2), ca * cb * tw)
     return out
 
 
@@ -131,7 +99,7 @@ def coproduct_r(spec: cartan.CartanSpec, x: FElem, vsign: int = 1) -> FTensor:
     out = {}
     for w, c in x.items():
         for key, tc in _word_coproduct(spec, w, vsign).items():
-            _tensor_accumulate(out, key, tc * c)
+            accumulate(out, key, tc * c)
     return out
 
 
@@ -149,7 +117,7 @@ def _deriv_word(spec: cartan.CartanSpec, i: int, word: Word, end: str, side: str
     sub = _deriv_word(spec, i, rest, end, side)
     out = {(w + (j,) if right else (j,) + w): c * tw for w, c in sub.items()}
     if j == i:
-        out = f_add(out, {rest: ONE})
+        accumulate(out, rest, ONE)
     return out
 
 
@@ -157,25 +125,29 @@ def deriv(spec: cartan.CartanSpec, i: int, x: FElem, end: str, side: str = "E") 
     """Letter derivation r_i (end "r") or ir (end "l"); side "F" for F-words."""
     out = {}
     for w, c in x.items():
-        out = f_add(out, f_scale(_deriv_word(spec, i, w, end, side), c))
+        for dw, dc in _deriv_word(spec, i, w, end, side).items():
+            accumulate(out, dw, dc * c)
     return out
 
 
 @lru_cache(maxsize=None)
-def _sigma_word(spec: cartan.CartanSpec, word: Word):
+def _sigma_word(spec: cartan.CartanSpec, word: Word, side: str = "E"):
     e = 0
     for a in range(len(word)):
         for b in range(a + 1, len(word)):
             e += spec.omega[word[b]][word[a]] - spec.omega[word[a]][word[b]]
-    return word[::-1], mono(1, 0, e)
+    return word[::-1], mono(1, 0, e if side == "E" else -e)
 
 
-def sigma(spec: cartan.CartanSpec, x: FElem) -> FElem:
-    """Anti-automorphism fixing generators: reverses words up to a t-power."""
+def sigma(spec: cartan.CartanSpec, x: FElem, side: str = "E") -> FElem:
+    """Anti-automorphism fixing generators: reverses words up to a t-power.
+
+    On F-words (side "F") the t-power is inverted.
+    """
     out = {}
     for w, c in x.items():
-        rev, tw = _sigma_word(spec, w)
-        out = f_add(out, {rev: c * tw})
+        rev, tw = _sigma_word(spec, w, side)
+        accumulate(out, rev, c * tw)
     return out
 
 
@@ -201,15 +173,20 @@ def _form_words(spec: cartan.CartanSpec, xw: Word, yw: Word) -> RatFunc:
     return scale * tfac * acc
 
 
-def form(spec: cartan.CartanSpec, x: FElem, y: FElem) -> RatFunc:
-    """Bilinear form with (1,1)=1, (theta_i,theta_j)=delta_ij/(1-v_i^-2)."""
+def bilinear(table, spec: cartan.CartanSpec, x: dict, y: dict) -> RatFunc:
+    """Sum of cx * cy * table(spec, xw, yw) over the words of x and y."""
     out = ZERO
     for xw, cx in x.items():
         for yw, cy in y.items():
-            val = _form_words(spec, xw, yw)
+            val = table(spec, xw, yw)
             if not val.is_zero():
                 out = out + cx * cy * val
     return out
+
+
+def form(spec: cartan.CartanSpec, x: FElem, y: FElem) -> RatFunc:
+    """Bilinear form with (1,1)=1, (theta_i,theta_j)=delta_ij/(1-v_i^-2)."""
+    return bilinear(_form_words, spec, x, y)
 
 
 def serre_element(spec: cartan.CartanSpec, i: int, j: int, side: str = "E") -> FElem:
@@ -232,7 +209,7 @@ def serre_element(spec: cartan.CartanSpec, i: int, j: int, side: str = "E") -> F
         texp = -p * (pp * o[i][i] - o[i][j] + o[j][i])
         coeff = mono((-1) ** p, 0, texp) / (qfact(p, d) * qfact(pp, d))
         left, right = (p, pp) if side == "E" else (pp, p)
-        out = f_add(out, {(i,) * left + (j,) + (i,) * right: coeff})
+        accumulate(out, (i,) * left + (j,) + (i,) * right, coeff)
     return out
 
 

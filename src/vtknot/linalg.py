@@ -6,8 +6,8 @@ entries therefore visits them in the order of a dense row-by-row scan, so
 each entry of a product or sum adds its terms in that order and unreduced
 values keep one exact form.  `m[r, c]` reads an entry, ZERO when absent.
 
-The Bareiss routines `rank`, `inverse`, `solve` and `principal_pivots`
-work on plain lists of rows instead: their inputs are coefficient tables,
+The Bareiss routines `rank`, `inverse` and `principal_pivots` work on
+plain lists of rows instead: their inputs are coefficient tables,
 such as Gram blocks, which elimination fills in anyway.  They share one
 row update, `_eliminate`, which makes each new entry with the fused exact
 kernel `ratfield.cross_div`: (a*b - c*d)/e with no polynomial temporaries.
@@ -265,12 +265,3 @@ def inverse(a: list) -> list:
             nums[i][k] = acc
             out[i][k] = RatFunc(acc, suffix[i])
     return out
-
-
-def solve(a: list, b: list) -> list:
-    """Solve a @ x = b for a square invertible a."""
-    ainv = inverse(a)
-    return [
-        sum((ainv[r][c] * b[c] for c in range(len(b))), ZERO)
-        for r in range(len(ainv))
-    ]

@@ -155,7 +155,7 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
         acoef.append(acoef[k - 1] + kappa(spec, 0, ca.weight_sub(lam, (k - 1,))))
     if not acoef[n + 1].is_zero():
         raise la.ShapeError("the E coefficients do not close the string at n = %d" % n)
-    aE = la.Matrix(n + 1, n + 1, {k: {k + 1: acoef[k + 1]} for k in range(n)})
+    aE = la.Matrix(n + 1, n + 1, {k: {k + 1: rf.reduce_poly(acoef[k + 1])} for k in range(n)})
     aF = la.Matrix(n + 1, n + 1, {k + 1: {k: ONE} for k in range(n)})
     return make_module(spec, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,))
 

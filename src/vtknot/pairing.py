@@ -15,7 +15,9 @@ The derivation coefficients are Laurent, so phi(E_w, F_fw) has one den for
 every E-word w: the product of the peel dens (v_i^2 - 1 up to a monomial) of
 the letters of fw.  The recursion runs on LaurentPoly numerators over that
 den (`_phi_num`, `_phi_den`) and never multiplies a den out again;
-`_phi_words` pairs them into the RatFunc the constructor would give.
+`_phi_words` pairs them into the RatFunc the constructor would give, and
+`phi` extends that table bilinearly through `freealg.bilinear`.  The
+anti-automorphism on F-words is `freealg.sigma(spec, y, side="F")`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cartan, freealg
-from .ratfield import (
-    LP_ONE, LP_ZERO, ZERO, LaurentPoly, RatFunc, _normal, bar as rf_bar, bar_t, inv, mono,
-)
+from .ratfield import LP_ONE, LP_ZERO, LaurentPoly, RatFunc, _normal, bar as rf_bar, inv, mono
 
 
 @lru_cache(maxsize=None)
@@ -65,27 +65,12 @@ def _phi_words(spec: cartan.CartanSpec, ew, fw) -> RatFunc:
 
 def phi(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:
     """Pairing of an E-side element with an F-side element."""
-    out = ZERO
-    for ew, cx in x.items():
-        for fw, cy in y.items():
-            val = _phi_words(spec, ew, fw)
-            if not val.is_zero():
-                out = out + cx * cy * val
-    return out
+    return freealg.bilinear(_phi_words, spec, x, y)
 
 
 def phibar(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:
     """Conjugated pairing: bar of phi on the barred arguments."""
     return rf_bar(phi(spec, freealg.bar_f(x), freealg.bar_f(y)))
-
-
-def sigma_minus(spec: cartan.CartanSpec, y: freealg.FElem) -> freealg.FElem:
-    """F-side word reversal; t-power opposite to the E-side sigma."""
-    out = {}
-    for w, c in y.items():
-        rev, tw = freealg._sigma_word(spec, w)
-        out = freealg.f_add(out, {rev: c * bar_t(tw)})
-    return out
 
 
 def gram(spec: cartan.CartanSpec, mu: cartan.Degree) -> list:

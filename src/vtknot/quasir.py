@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cartan, freealg, linalg, pairing
-from .ratfield import ZERO, mono
+from .ratfield import RatFunc, mono
 
 
 class BasisError(RuntimeError):
@@ -70,15 +70,20 @@ def theta(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dic
     return out
 
 
-@lru_cache(maxsize=None)
-def theta_bar(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dict:
-    """Closed form of the conjugated component, via the sigma-twisted duals."""
-    scale = mono(
+def conj_scale(spec: cartan.CartanSpec, mu: cartan.Degree) -> RatFunc:
+    """The scale (-1)^tr(mu) v^(mu.mu/2 - sum n_i d_i) of theta_bar(mu)."""
+    return mono(
         (-1) ** cartan.tr(mu),
         Fraction(cartan.dot(spec, mu, mu), 2)
         - sum(n * spec.omega[i][i] for i, n in enumerate(mu)),
         0,
     )
+
+
+@lru_cache(maxsize=None)
+def theta_bar(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dict:
+    """Closed form of the conjugated component, via the sigma-twisted duals."""
+    scale = conj_scale(spec, mu)
     out = {}
     # sigma reverses words, a bijection, so no two entries share a key
     for (wa, wc), coeff in theta(spec, mu, order).items():
@@ -87,47 +92,10 @@ def theta_bar(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") ->
     return out
 
 
-def _homogeneous_degree(spec: cartan.CartanSpec, x: freealg.FElem) -> cartan.Degree:
-    degrees = {freealg.deg(spec, w) for w in x}
-    if len(degrees) != 1:
-        raise ValueError("element is not homogeneous")
-    return degrees.pop()
-
-
-def expand(spec: cartan.CartanSpec, x: freealg.FElem, side: str, order: str = "lex") -> dict:
-    """Coefficients of a homogeneous element over the selected degree basis.
-
-    side "+": x in the plus part, coefficients against the dual basis,
-        so x = sum coeff_a b*_a modulo the radical.
-    side "-": x in the minus part, coefficients against the basis words,
-        so x = sum coeff_a b_a modulo the radical.
-    """
-    if not x:
-        return {}
-    mu = _homogeneous_degree(spec, x)
-    words, ginv = _basis_data(spec, mu, order)
-    out = {}
-    if side == "+":
-        for a, wa in enumerate(words):
-            out[wa] = pairing.phi(spec, x, freealg.felem(wa))
-    elif side == "-":
-        for a, wa in enumerate(words):
-            acc = ZERO
-            for c, wc in enumerate(words):
-                val = pairing.phi(spec, freealg.felem(wc), x)
-                if not val.is_zero():
-                    acc = acc + ginv[a][c] * val
-            out[wa] = acc
-    else:
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
-    return out
-
-
 def dual_element(spec: cartan.CartanSpec, mu: cartan.Degree, a: int, order: str = "lex") -> freealg.FElem:
     """The a-th dual basis element b*_a as a plus-side combination of words."""
     words, ginv = _basis_data(spec, mu, order)
     out = {}
-    for c, wc in enumerate(words):
-        if not ginv[a][c].is_zero():
-            out = freealg.f_add(out, {wc: ginv[a][c]})
+    for wc, coeff in zip(words, ginv[a]):
+        freealg.accumulate(out, wc, coeff)
     return out

@@ -490,11 +490,6 @@ def reduce_poly(a: RatFunc) -> RatFunc:
         return a
 
 
-def is_laurent(a: RatFunc) -> bool:
-    """Whether a equals a Laurent polynomial in v and t."""
-    return len(reduce_poly(a).den.terms) == 1
-
-
 def bar_t(a: RatFunc) -> RatFunc:
     """The involution t -> t^-1, v fixed."""
     return _flip(a, 1, -1)

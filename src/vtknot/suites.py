@@ -38,17 +38,8 @@ def _split_once(spec, x, left):
     for (a, b), c in x.items():
         inner = fa.coproduct_r(spec, fa.felem(a if left else b))
         for (p, q), ic in inner.items():
-            key = (p, q, b) if left else (a, p, q)
-            acc = out.get(key)
-            out[key] = c * ic if acc is None else acc + c * ic
+            fa.accumulate(out, (p, q, b) if left else (a, p, q), c * ic)
     return out
-
-
-def _tensor3_eq(lhs, rhs):
-    for key in set(lhs) | set(rhs):
-        if not rf.eq(lhs.get(key, ZERO), rhs.get(key, ZERO)):
-            return False
-    return True
 
 
 def _rbar_is_flip(spec, x):
@@ -56,8 +47,8 @@ def _rbar_is_flip(spec, x):
     for (a, b), c in fa.coproduct_r(spec, x).items():
         da, db = fa.deg(spec, a), fa.deg(spec, b)
         tw = ca.twist(spec, da, db, -1)
-        flipped = fa.t_add(flipped, {(b, a): c * tw})
-    return fa.t_eq(flipped, fa.coproduct_r(spec, x, -1))
+        fa.accumulate(flipped, (b, a), c * tw)
+    return fa.f_eq(flipped, fa.coproduct_r(spec, x, -1))
 
 
 def _derivs_are_slices(spec, x):
@@ -67,9 +58,9 @@ def _derivs_are_slices(spec, x):
         left = {}
         for (a, b), c in rx.items():
             if b == (i,):
-                right = fa.f_add(right, {a: c})
+                fa.accumulate(right, a, c)
             if a == (i,):
-                left = fa.f_add(left, {b: c})
+                fa.accumulate(left, b, c)
         if not fa.f_eq(fa.deriv(spec, i, x, "r"), right):
             return False
         if not fa.f_eq(fa.deriv(spec, i, x, "l"), left):
@@ -86,8 +77,8 @@ def _sigma_conjugates(spec, x):
         sa, sb = fa.sigma(spec, fa.felem(a)), fa.sigma(spec, fa.felem(b))
         for wa, cca in sb.items():
             for wb, ccb in sa.items():
-                rhs = fa.t_add(rhs, {(wa, wb): c * tw * cca * ccb})
-    return fa.t_eq(lhs, rhs)
+                fa.accumulate(rhs, (wa, wb), c * tw * cca * ccb)
+    return fa.f_eq(lhs, rhs)
 
 
 def suite_forms(cfg, depth):
@@ -96,7 +87,7 @@ def suite_forms(cfg, depth):
     for _, w in _all_words(spec, depth):
         x = fa.felem(w)
         rx = fa.coproduct_r(spec, x)
-        coassoc = coassoc and _tensor3_eq(
+        coassoc = coassoc and fa.f_eq(
             _split_once(spec, rx, True), _split_once(spec, rx, False)
         )
         flip = flip and _rbar_is_flip(spec, x)
@@ -152,15 +143,6 @@ def _phi_peel(spec, ew, fw, end, side):
     return pr._peel_scale(spec, i) * acc
 
 
-def _conj_scale(spec, nu):
-    return rf.mono(
-        (-1) ** ca.tr(nu),
-        -Fraction(ca.dot(spec, nu, nu), 2)
-        + sum(n * spec.omega[i][i] for i, n in enumerate(nu)),
-        0,
-    )
-
-
 def suite_pairing(cfg, depth):
     spec = cfg.spec
     peel = invariance = conj = split = gram_sym = True
@@ -182,13 +164,13 @@ def suite_pairing(cfg, depth):
                     pr.phi(
                         spec,
                         fa.sigma(spec, fa.felem(ew)),
-                        pr.sigma_minus(spec, fa.felem(fw)),
+                        fa.sigma(spec, fa.felem(fw), "F"),
                     ),
                 )
                 conj = conj and rf.eq(
                     pr.phibar(spec, fa.felem(ew), fa.felem(fw)),
-                    _conj_scale(spec, mu)
-                    * pr.phi(spec, fa.felem(ew), pr.sigma_minus(spec, fa.felem(fw))),
+                    rf.inv(qr.conj_scale(spec, mu))
+                    * pr.phi(spec, fa.felem(ew), fa.sigma(spec, fa.felem(fw), "F")),
                 )
         # (x, y z) = sum over r(x) of (x1, y)(x2, z)
         for ew in words:
@@ -516,7 +498,8 @@ def annihilator(mat, maxdeg):
             continue
         a = [[powers[k][r, c] for k in range(d)] for r, c in picked]
         b = [powers[d][r, c] for r, c in picked]
-        coeffs = [rf.reduce_poly(x) for x in la.solve(a, b)]
+        coeffs = [rf.reduce_poly(sum((x * y for x, y in zip(row, b)), ZERO))
+                  for row in la.inverse(a)]
         residue = powers[d]
         for k in range(d):
             residue = la.mat_sub(residue, la.mat_scale(powers[k], coeffs[k]))

@@ -1,0 +1,40 @@
+"""Every op of the benchmark catalogue prints the bytes recorded for it.
+
+A seeded benchmark pass draws only part of each workload's catalogue, so
+this test runs every op of `bench/catalogue.json`, in-process and cold
+through the benchmark's own harness, and compares the sha256 of its stdout
+with the recorded one.  It reads `bench/` and writes nothing there.
+"""
+
+import importlib.util
+import json
+import pathlib
+import sys
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _harness():
+    spec = importlib.util.spec_from_file_location("bench_harness", BENCH / "harness.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+harness = _harness()
+CATALOGUE = json.loads((BENCH / "catalogue.json").read_text())["workloads"]
+
+
+@pytest.mark.parametrize("workload", sorted(CATALOGUE))
+def test_every_op_prints_its_recorded_bytes(workload):
+    cli = harness.import_cli()
+    wrong = []
+    for stratum in CATALOGUE[workload]:
+        for entry in stratum["pool"]:
+            res = harness.run_op(cli, entry["argv"], entry["limit_s"])
+            if res.status != "ok" or harness.sha256(res.stdout) != entry["stdout_sha256"]:
+                wrong.append("%s: %s" % (" ".join(entry["argv"]), res.status))
+    assert not wrong, wrong

@@ -46,6 +46,9 @@ def test_rank1_simple_structure():
     # string coefficients a_k = [k][n-k+1]
     assert rf.eq(M2.act_E[0][0, 1], rf.parse("v + v^-1"))
     assert rf.eq(M2.act_E[0][1, 2], rf.parse("v + v^-1"))
+    # the E entries are stored in lowest terms
+    assert rf.render(M1.act_E[0][0, 1]) == "1"
+    assert all(x.den == rf.LP_ONE for _, _, x in mo.rank1_simple(3).act_E[0].items())
     assert mo.validate_module(M1) == []
     assert mo.validate_module(M2) == []
 

@@ -126,7 +126,7 @@ def test_sigma_invariance(pair):
     ew, fw = pair
     lhs = pr.phi(SL3, fa.felem(ew), fa.felem(fw))
     rhs = pr.phi(
-        SL3, fa.sigma(SL3, fa.felem(ew)), pr.sigma_minus(SL3, fa.felem(fw))
+        SL3, fa.sigma(SL3, fa.felem(ew)), fa.sigma(SL3, fa.felem(fw), "F")
     )
     assert rf.eq(lhs, rhs)
 
@@ -142,7 +142,7 @@ def test_phibar_reduces_to_phi_with_sigma(pair):
         -Fraction(ca.dot(SL3, nu, nu), 2) + sum(n * SL3.omega[i][i] for i, n in enumerate(nu)),
         0,
     )
-    rhs = scale * pr.phi(SL3, fa.felem(ew), pr.sigma_minus(SL3, fa.felem(fw)))
+    rhs = scale * pr.phi(SL3, fa.felem(ew), fa.sigma(SL3, fa.felem(fw), "F"))
     assert rf.eq(lhs, rhs)
 
 

@@ -112,7 +112,7 @@ def test_figure8_is_amphichiral_on_rank1_3():
 def test_rank1_invariants_are_t_free_laurent():
     for name in tg.BUILTINS:
         val = tg.invariant(name, M1)
-        assert rf.is_laurent(val)
+        assert len(rf.reduce_poly(val).den.terms) == 1
         assert rf.eq(val, rf.bar_t(val))
 
 
