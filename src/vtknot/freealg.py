@@ -5,7 +5,7 @@ Elements are plain dicts word -> coefficient, where a word is a tuple of
 Zero coefficients are never stored.  Both kinds are word-keyed sparse
 combinations and share one set of helpers: `accumulate` adds one term in
 place, `f_eq` compares two combinations, and `bilinear` extends a
-word-pair table to a bilinear map (`form` here, `pairing.phi` there).
+word-pair table to a bilinear map (`pairing.phi` and `pairing.form`).
 Callers hand `accumulate` only dicts they built themselves, never one an
 `lru_cache` returned.
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import cartan
-from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, eq as rf_eq, inv, mono, qfact
+from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, eq as rf_eq, mono, qfact
 
 Word = tuple
 FElem = dict
@@ -156,23 +156,6 @@ def bar_f(x: FElem) -> FElem:
     return {w: rf_bar(c) for w, c in x.items()}
 
 
-@lru_cache(maxsize=None)
-def _form_words(spec: cartan.CartanSpec, xw: Word, yw: Word) -> RatFunc:
-    if deg(spec, xw) != deg(spec, yw):
-        return ZERO
-    if not yw:
-        return ONE
-    i, rest = yw[0], yw[1:]
-    d = spec.omega[i][i]
-    scale = inv(ONE - mono(1, -2 * d, 0))
-    nu_rest = deg(spec, rest)
-    tfac = mono(1, 0, 2 * cartan.bracket(spec, cartan.unit(spec, i), nu_rest))
-    acc = ZERO
-    for w, c in _deriv_word(spec, i, xw, "l", "E").items():
-        acc = acc + c * _form_words(spec, w, rest)
-    return scale * tfac * acc
-
-
 def bilinear(table, spec: cartan.CartanSpec, x: dict, y: dict) -> RatFunc:
     """Sum of cx * cy * table(spec, xw, yw) over the words of x and y."""
     out = ZERO
@@ -182,11 +165,6 @@ def bilinear(table, spec: cartan.CartanSpec, x: dict, y: dict) -> RatFunc:
             if not val.is_zero():
                 out = out + cx * cy * val
     return out
-
-
-def form(spec: cartan.CartanSpec, x: FElem, y: FElem) -> RatFunc:
-    """Bilinear form with (1,1)=1, (theta_i,theta_j)=delta_ij/(1-v_i^-2)."""
-    return bilinear(_form_words, spec, x, y)
 
 
 def serre_element(spec: cartan.CartanSpec, i: int, j: int, side: str = "E") -> FElem:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from . import cartan as ca
+from . import freealg
 from . import linalg as la
 from . import quasir
 from . import ratfield as rf
@@ -53,18 +55,10 @@ def _diag(values) -> la.Matrix:
     return la.Matrix(len(vals), len(vals), {k: {k: x} for k, x in enumerate(vals)})
 
 
-def _kdiag(m: WeightModule, mu, vsign: int) -> la.Matrix:
+def act_K(m: WeightModule, mu, vsign: int = 1) -> la.Matrix:
     """K_mu on m for vsign = 1, K'_mu for vsign = -1: the v-power flips sign,
     the t-power does not."""
     return _diag(ca.twist(m.spec, mu, w, vsign) for w in m.weights)
-
-
-def act_K(m: WeightModule, mu) -> la.Matrix:
-    return _kdiag(m, mu, 1)
-
-
-def act_Kp(m: WeightModule, mu) -> la.Matrix:
-    return _kdiag(m, mu, -1)
 
 
 def act_word(m: WeightModule, word, side: str) -> la.Matrix:
@@ -114,8 +108,6 @@ def validate_module(m: WeightModule) -> list:
                 rhs = la.Matrix(m.dim, m.dim)
             if not la.mat_eq(lhs, rhs):
                 failures.append("commutator of E_%d with F_%d is wrong" % (i + 1, j + 1))
-    from . import freealg
-
     for i in range(spec.rank):
         for j in range(spec.rank):
             if i == j:
@@ -162,7 +154,7 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
 
 def coprod_E(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
     spec = a.spec
-    kdiag = _kdiag(a, ca.unit(spec, i), -1 if bar else 1)
+    kdiag = act_K(a, ca.unit(spec, i), -1 if bar else 1)
     return la.mat_add(
         la.kron(a.act_E[i], la.identity(b.dim)), la.kron(kdiag, b.act_E[i])
     )
@@ -170,7 +162,7 @@ def coprod_E(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.
 
 def coprod_F(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
     spec = a.spec
-    kdiag = _kdiag(b, ca.unit(spec, i), 1 if bar else -1)
+    kdiag = act_K(b, ca.unit(spec, i), 1 if bar else -1)
     return la.mat_add(
         la.kron(la.identity(a.dim), b.act_F[i]), la.kron(a.act_F[i], kdiag)
     )
@@ -306,6 +298,8 @@ def theta_bar_mat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Ma
     return _theta_op([a, b], 0, 1, quasir.theta_bar, order)
 
 
+# cached per module object, as WeightModule is eq=False and hashes by identity
+@lru_cache(maxsize=None)
 def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
     """Braiding a (x) b -> b (x) a: flip, then the weight factor, then theta.
 
@@ -326,6 +320,7 @@ def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
     return la.Matrix(th.rows, th.cols, out)
 
 
+@lru_cache(maxsize=None)
 def rmat_inv(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
     """Inverse braiding b (x) a -> a (x) b, via the conjugated theta.
 

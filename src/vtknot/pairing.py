@@ -18,6 +18,10 @@ den (`_phi_num`, `_phi_den`) and never multiplies a den out again;
 `_phi_words` pairs them into the RatFunc the constructor would give, and
 `phi` extends that table bilinearly through `freealg.bilinear`.  The
 anti-automorphism on F-words is `freealg.sigma(spec, y, side="F")`.
+
+The bilinear form on words is phi times a monomial: peeling F_i scales it by
+(1-v_i^-2)^-1 t^(2<i,|rest|>) where phi takes (v_i^-1 - v_i)^-1, so `form`
+gives form(x, y) = phi(x, y) prod_k (-v_(y_k)) t^(2<y_k, |y_(k+1)...|>).
 """
 
 from __future__ import annotations
@@ -66,6 +70,19 @@ def _phi_words(spec: cartan.CartanSpec, ew, fw) -> RatFunc:
 def phi(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:
     """Pairing of an E-side element with an F-side element."""
     return freealg.bilinear(_phi_words, spec, x, y)
+
+
+@lru_cache(maxsize=None)
+def _form_words(spec: cartan.CartanSpec, xw, yw) -> RatFunc:
+    t = sum(cartan.bracket(spec, cartan.unit(spec, i), freealg.deg(spec, yw[k + 1:]))
+            for k, i in enumerate(yw))
+    v = sum(spec.omega[i][i] for i in yw)
+    return _phi_words(spec, xw, yw) * mono((-1) ** len(yw), v, 2 * t)
+
+
+def form(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:
+    """Bilinear form with (1,1)=1, (theta_i,theta_j)=delta_ij/(1-v_i^-2)."""
+    return freealg.bilinear(_form_words, spec, x, y)
 
 
 def phibar(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:

@@ -226,12 +226,6 @@ class LaurentPoly:
             return _mono_mul(other, self)
         return _pair_mul(self, other)
 
-    def shift(self, dv, dt) -> "LaurentPoly":
-        """self * v^dv * t^dt for rational dv, dt."""
-        dv, dt = _frac(dv), _frac(dt)
-        s = lcm(dv.denominator, dt.denominator)
-        return _shift_mul(self, int(dv * s), int(dt * s), s)
-
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)})"
 
@@ -736,6 +730,9 @@ class _Parser:
 def parse(text: str) -> RatFunc:
     """Parse the rendering grammar (and general +,-,*,/,^ expressions over v,t)."""
     parser = _Parser(text)
-    out = parser.expression()
+    try:
+        out = parser.expression()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     parser.take("end")
     return out

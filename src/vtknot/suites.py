@@ -98,8 +98,8 @@ def suite_forms(cfg, depth):
         for wx in fa.words_of_degree(mu):
             for wy in fa.words_of_degree(mu):
                 sym = sym and rf.eq(
-                    fa.form(spec, fa.felem(wx), fa.felem(wy)),
-                    fa.form(spec, fa.felem(wy), fa.felem(wx)),
+                    pr.form(spec, fa.felem(wx), fa.felem(wy)),
+                    pr.form(spec, fa.felem(wy), fa.felem(wx)),
                 )
     out = [
         ("coproduct is coassociative", coassoc),
@@ -117,7 +117,7 @@ def suite_forms(cfg, depth):
                 se = fa.serre_element(spec, i, j)
                 mu = fa.deg(spec, next(iter(se)))
                 for w in fa.words_of_degree(mu):
-                    rad = rad and rf.eq(fa.form(spec, se, fa.felem(w)), ZERO)
+                    rad = rad and rf.eq(pr.form(spec, se, fa.felem(w)), ZERO)
         out.append(("braid relators sit in the form radical", rad))
     return out
 
@@ -227,7 +227,7 @@ def _ladder_holds(m, mu, i, order):
     ei = m.act_E[i]
     fi = m.act_F[i]
     ki = mo.act_K(m, ca.unit(spec, i))
-    kpi = mo.act_Kp(m, ca.unit(spec, i))
+    kpi = mo.act_K(m, ca.unit(spec, i), -1)
     ident = la.identity(dim)
     checks = []
     for u in (ki, kpi):
@@ -304,7 +304,7 @@ def _delta_minus_holds(m, mm, w, order):
                     continue
                 slot1 = mo.act_elem(m, fa.felem(b), "F")
                 slot2 = la.mat_mul(
-                    mo.act_elem(m, fa.felem(bp), "F"), mo.act_Kp(m, mu)
+                    mo.act_elem(m, fa.felem(bp), "F"), mo.act_K(m, mu, -1)
                 )
                 rhs = la.mat_add(rhs, la.mat_scale(la.kron(slot1, slot2), coeff))
     return la.mat_eq(lhs, rhs)
@@ -366,8 +366,6 @@ def suite_quasiR(cfg, depth):
 
 
 # -------------------------------------------------------------- rmatrix
-
-# rr and rinv are rmat(m, m) and rmat_inv(m, m), built once by suite_rmatrix
 
 def _cap_slide_holds(m, dual, rr, order):
     d = m.dim
@@ -520,9 +518,6 @@ def suite_rmatrix(cfg, depth):
         la.mat_mul(rinv, rr), ident
     )
     rpm, rmp = _mixed_crossings(m, dual, rr, rinv)
-    # the tangle checks take their crossings from here instead of building them
-    unit = tg.crossing_unit(m)
-    gens = {"xp": la.mat_scale(rr, rf.inv(unit)), "xm": la.mat_scale(rinv, unit)}
     md = mo.tensor(m, dual)
     dm = mo.tensor(dual, m)
     mixed_match = la.mat_eq(rpm, mo.rmat(m, dual, order))
@@ -532,16 +527,16 @@ def suite_rmatrix(cfg, depth):
     out = [
         ("crossing is a module map", mo.is_module_map(mm, mm, rr)),
         ("crossing and its inverse cancel", cancel),
-        ("zigzag identities hold", _all_hold(_CURLS, m, order, gens)),
+        ("zigzag identities hold", _all_hold(_CURLS, m, order)),
         ("crossing slides across a cap", _cap_slide_holds(m, dual, rr, order)),
-        ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m, order, gens)),
+        ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m, order)),
         ("mixed crossing matches its cup and cap form", mixed_match),
         ("mixed crossings compose to the identity", mixed_cancel),
         ("coproduct transport assembles iterated twists", _transport_holds(m, order)),
         ("weight factors commute with the twist", _weight_factor_commutes(m, order)),
     ]
     # the summands of M (x) M are indexed by weights of M, at most dim M of them
-    ann = annihilator(gens["xp"], m.dim)
+    ann = annihilator(tg.functor_T(tg.parse("xp"), m, order), m.dim)
     out.append(
         ("normalized crossing satisfies a short polynomial relation",
          ann is not None and len(ann) <= m.dim)
@@ -555,17 +550,9 @@ def suite_rmatrix(cfg, depth):
 
 # ------------------------------------------------------------------ ybe
 
-def ybe_holds(m1, m2, m3, order="lex", built=None):
-    """R12 R13 R23 = R23 R13 R12 on m1 (x) m2 (x) m3.
-
-    built maps module pairs (a, b) to rmat(a, b, order) and gains the
-    crossings this check adds, so checks that share it build each once.
-    """
-    built = {} if built is None else built
-    for pair in ((m1, m2), (m1, m3), (m2, m3)):
-        if pair not in built:
-            built[pair] = mo.rmat(*pair, order)
-    r12, r13, r23 = built[m1, m2], built[m1, m3], built[m2, m3]
+def ybe_holds(m1, m2, m3, order="lex"):
+    """R12 R13 R23 = R23 R13 R12 on m1 (x) m2 (x) m3."""
+    r12, r13, r23 = (mo.rmat(a, b, order) for a, b in ((m1, m2), (m1, m3), (m2, m3)))
     id1 = la.identity(m1.dim)
     id2 = la.identity(m2.dim)
     id3 = la.identity(m3.dim)
@@ -582,12 +569,11 @@ def suite_ybe(cfg, depth):
     m = cfg.module
     order = cfg.basis_order
     dual = mo.dual(m)
-    built = {}
-    plain = ybe_holds(m, m, m, order, built)
+    plain = ybe_holds(m, m, m, order)
     mixed = (
-        ybe_holds(dual, m, m, order, built)
-        and ybe_holds(m, dual, m, order, built)
-        and ybe_holds(m, m, dual, order, built)
+        ybe_holds(dual, m, m, order)
+        and ybe_holds(m, dual, m, order)
+        and ybe_holds(m, m, dual, order)
     )
     return [
         ("braid relation on three module strands", plain),
@@ -632,22 +618,20 @@ _ROTATIONS = (
 )
 
 
-def tangles_equal(a, b, m, order="lex", gens=None):
-    """Whether a and b share their boundary and their value on m; gens as in functor_T."""
+def tangles_equal(a, b, m, order="lex"):
+    """Whether a and b share their boundary and their value on m."""
     if a.source != b.source or a.target != b.target:
         return False
-    gens = {} if gens is None else gens
-    return la.mat_eq(tg.functor_T(a, m, order, gens), tg.functor_T(b, m, order, gens))
+    return la.mat_eq(tg.functor_T(a, m, order), tg.functor_T(b, m, order))
 
 
-def _all_hold(table, m, order, gens):
-    return all(tangles_equal(tg.parse(a), tg.parse(b), m, order, gens) for _, a, b in table)
+def _all_hold(table, m, order):
+    return all(tangles_equal(tg.parse(a), tg.parse(b), m, order) for _, a, b in table)
 
 
 def suite_tangle_relations(cfg, depth):
-    gens = {}
     return [
-        (name, tangles_equal(tg.parse(a), tg.parse(b), cfg.module, cfg.basis_order, gens))
+        (name, tangles_equal(tg.parse(a), tg.parse(b), cfg.module, cfg.basis_order))
         for name, a, b in _CURLS + _MOVES + _KINKS + _ROTATIONS
     ]
 

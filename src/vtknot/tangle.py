@@ -10,6 +10,7 @@ built so far, so no row-wide Kronecker product is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import cartan as ca
 from . import linalg as la
@@ -136,6 +137,7 @@ def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
     return ca.f(m.spec, lam, lam) * vd * vd
 
 
+@lru_cache(maxsize=None)
 def _generator(g: str, m: mo.WeightModule, order: str) -> la.Matrix:
     """Matrix of one cup, cap or crossing on the strands it occupies."""
     if g == "xp":
@@ -167,18 +169,15 @@ def _apply(gen, acc, ds, dt, dlo):
     return {r: orow for r, orow in out.items() if orow}
 
 
-def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex", gens=None) -> la.Matrix:
+def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex") -> la.Matrix:
     """Evaluate the word on the module: + strands carry m, - strands dual(m).
 
     The functor is strict monoidal, so each generator of a row acts on its
-    own strands only and up/dn do nothing.  The operator from the source
-    boundary is kept as a sparse {row: {col: value}} map.  gens holds the
-    generator matrices already built for (m, order) and gains those the
-    word adds, so evaluations that share it build each generator once.
+    own strands only, up/dn do nothing, and each generator has one matrix,
+    built once per (m, order) by the cached `_generator`.  The operator from
+    the source boundary is kept as a sparse {row: {col: value}} map.
     """
     d = m.dim
-    if gens is None:
-        gens = {}
     acc = {c: {c: ONE} for c in range(d ** len(w.source))}
     for row in w.rows:
         lo = len(_row_boundary(row)[0])
@@ -187,9 +186,7 @@ def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex", gens=None) 
             lo -= s
             if g in ("up", "dn"):
                 continue
-            if g not in gens:
-                gens[g] = _generator(g, m, order)
-            acc = _apply(gens[g], acc, d ** s, d ** t, d ** lo)
+            acc = _apply(_generator(g, m, order), acc, d ** s, d ** t, d ** lo)
     return la.Matrix(d ** len(w.target), d ** len(w.source), acc)
 
 
@@ -214,16 +211,15 @@ def invariant(w, m: mo.WeightModule, order: str = "lex") -> rf.RatFunc:
     """Framing-normalized invariant of the closure of w on m.
 
     Raises FramingError when the twist is not one scalar on m.  The check
-    evaluates a kink with the crossing the word uses, built once for both.
+    evaluates a kink with the crossing the word uses, cached for the closure.
     """
     if isinstance(w, str):
         w = parse(BUILTINS.get(w.strip(), w))
     used = {g for row in w.rows for g in row}
     x = "xm" if "xm" in used and "xp" not in used else "xp"
-    gens = {}
-    if not la.mat_eq(functor_T(parse(KINK % x), m, order, gens), la.identity(m.dim)):
+    if not la.mat_eq(functor_T(parse(KINK % x), m, order), la.identity(m.dim)):
         raise FramingError(
             "the twist does not act on the module by one scalar (is it reducible?), "
             "so its values would depend on the framing"
         )
-    return functor_T(closure(w), m, order, gens)[0, 0]
+    return functor_T(closure(w), m, order)[0, 0]

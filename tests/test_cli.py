@@ -241,8 +241,8 @@ def test_reducible_module_is_refused(tmp_path, tangle):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("entry", ["1/0", "v^(1/0)", "(v - v)^-1", "1/(v-v)"])
-def test_module_entry_dividing_by_zero_exits_2(tmp_path, entry):
+def _qdim_with_entry(tmp_path, entry):
+    """`vtknot qdim` on the sl2 module whose E entry (line 4) is `entry`."""
     (tmp_path / "m.mod").write_text(
         "dim = 2\nweight.1 = 1/2\nweight.2 = -1/2\nE.1.1.2 = %s\nF.1.2.1 = 1\n" % entry
     )
@@ -257,3 +257,18 @@ def test_module_entry_dividing_by_zero_exits_2(tmp_path, entry):
     assert proc.stderr.startswith("error: %s:4: " % (tmp_path / "m.mod"))
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    return proc
+
+
+@pytest.mark.parametrize("entry", ["1/0", "v^(1/0)", "(v - v)^-1", "1/(v-v)"])
+def test_module_entry_dividing_by_zero_exits_2(tmp_path, entry):
+    _qdim_with_entry(tmp_path, entry)
+
+
+@pytest.mark.parametrize(
+    "entry", ["(" * 3000 + "1" + ")" * 3000, "-" * 4000 + "1"], ids=["parens", "minus-signs"]
+)
+def test_deeply_nested_module_entry_exits_2(tmp_path, entry):
+    proc = _qdim_with_entry(tmp_path, entry)
+    assert proc.stderr.count("\n") == 1
+    assert "nested too deeply" in proc.stderr

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from vtknot import cartan as ca
 from vtknot import freealg as fa
+from vtknot import pairing as pr
 from vtknot import ratfield as rf
 
 SL2 = ca.make_spec(1, [[2]], [[1]])
@@ -46,12 +47,12 @@ def test_deriv_on_repeated_letter():
 def test_form_oracles():
     th = fa.felem((0,))
     gen = rf.parse("1 / (1 - v^-2)")
-    assert rf.eq(fa.form(SL2, th, th), gen)
-    assert rf.eq(fa.form(SL2, fa.felem(()), fa.felem(())), rf.ONE)
-    assert rf.eq(fa.form(SL3, fa.felem((0,)), fa.felem((1,))), rf.ZERO)
+    assert rf.eq(pr.form(SL2, th, th), gen)
+    assert rf.eq(pr.form(SL2, fa.felem(()), fa.felem(())), rf.ONE)
+    assert rf.eq(pr.form(SL3, fa.felem((0,)), fa.felem((1,))), rf.ZERO)
     # (theta theta, theta theta) = (1+v^2) t^2 (1-v^-2)^-2
     want = rf.parse("(1 + v^2) * t^2") * gen * gen
-    assert rf.eq(fa.form(SL2, fa.felem((0, 0)), fa.felem((0, 0))), want)
+    assert rf.eq(pr.form(SL2, fa.felem((0, 0)), fa.felem((0, 0))), want)
 
 
 def test_serre_element_rank_two():
@@ -70,8 +71,8 @@ def test_serre_elements_span_form_radical_slice():
         s = fa.serre_element(SL3, i, j)
         mu = (2, 1) if i == 0 else (1, 2)
         for w in fa.words_of_degree(mu):
-            assert rf.eq(fa.form(SL3, s, fa.felem(w)), rf.ZERO)
-            assert rf.eq(fa.form(SL3, fa.felem(w), s), rf.ZERO)
+            assert rf.eq(pr.form(SL3, s, fa.felem(w)), rf.ZERO)
+            assert rf.eq(pr.form(SL3, fa.felem(w), s), rf.ZERO)
 
 
 def test_sigma():
@@ -176,7 +177,7 @@ def test_sigma_conjugates_coproduct(x):
 @settings(max_examples=20, deadline=None)
 @given(felems(), felems())
 def test_form_is_symmetric(x, y):
-    assert rf.eq(fa.form(SL3, x, y), fa.form(SL3, y, x))
+    assert rf.eq(pr.form(SL3, x, y), pr.form(SL3, y, x))
 
 
 @settings(max_examples=25, deadline=None)

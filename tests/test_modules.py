@@ -71,7 +71,7 @@ def test_k_actions_are_brace_eigenvalues():
     for k in range(nat.dim):
         assert rf.eq(mo.act_K(nat, a1)[k, k], ca.brace(SL3, a1, nat.weights[k]))
         assert rf.eq(
-            mo.act_Kp(nat, a1)[k, k], rf.bar(ca.brace(SL3, a1, nat.weights[k]))
+            mo.act_K(nat, a1, -1)[k, k], rf.bar(ca.brace(SL3, a1, nat.weights[k]))
         )
 
 

@@ -1,5 +1,6 @@
 """Skew pairing of the two halves: base cases, peeling orders, radicals."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtknot import cartan as ca
+from vtknot import configio
 from vtknot import freealg as fa
 from vtknot import linalg as la
 from vtknot import pairing as pr
@@ -15,6 +17,8 @@ from vtknot import ratfield as rf
 SL2 = ca.make_spec(1, [[2]], [[1]])
 SL3 = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
 B2 = ca.make_spec(2, [[4, -2], [-2, 2]], [[2, -2], [0, 1]])
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
 
 
 def test_generator_pairing():
@@ -203,3 +207,41 @@ def test_phi_words_keep_the_reference_num_and_den(spec, depth):
                 got, want = pr._phi_words(spec, ew, fw), _phi_reference(spec, ew, fw, memo)
                 assert (got.num, got.den) == (want.num, want.den)
                 assert (got.den is rf.LP_ONE) == (want.den is rf.LP_ONE)
+
+
+# ------------------------------------------------ the form off the pairing
+
+
+def _form_reference(spec, xw, yw, memo):
+    """The form's own recursion: peel the first letter of yw, derive xw."""
+    if (xw, yw) not in memo:
+        if fa.deg(spec, xw) != fa.deg(spec, yw):
+            val = rf.ZERO
+        elif not yw:
+            val = rf.ONE
+        else:
+            i, rest = yw[0], yw[1:]
+            d = spec.omega[i][i]
+            scale = rf.inv(rf.ONE - rf.mono(1, -2 * d, 0))
+            tfac = rf.mono(1, 0, 2 * ca.bracket(spec, ca.unit(spec, i), fa.deg(spec, rest)))
+            acc = rf.ZERO
+            for w, c in fa.deriv(spec, i, fa.felem(xw), "l").items():
+                acc = acc + c * _form_reference(spec, w, rest, memo)
+            val = scale * tfac * acc
+        memo[xw, yw] = val
+    return memo[xw, yw]
+
+
+@pytest.mark.parametrize(
+    "path, depth",
+    [(CONFIGS / "sl2.cfg", 8), (BENCH_CONFIGS / "rank1_2.cfg", 8), (CONFIGS / "sl3.cfg", 4)],
+    ids=["sl2", "rank1_2", "sl3"],
+)
+def test_form_is_the_pairing_times_a_monomial(path, depth):
+    spec = configio.load_config(str(path)).spec
+    words = [w for mu in ca.degrees_tr_upto(spec.rank, depth) for w in fa.words_of_degree(mu)]
+    memo = {}
+    for xw in words:
+        for yw in words:
+            got = pr.form(spec, fa.felem(xw), fa.felem(yw))
+            assert rf.eq(got, _form_reference(spec, xw, yw, memo)), (xw, yw)
