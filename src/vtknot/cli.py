@@ -112,7 +112,7 @@ def _cmd_invariant(args) -> int:
                 text = fh.read()
         except OSError as e:
             raise configio.ConfigError("cannot read %s: %s" % (args.tangle_file, e))
-    val = rf.reduce_poly(tg.invariant(text, cfg.module, cfg.basis_order))
+    val = rf.reduce_poly(tg.invariant(text, cfg.module))
     trivial = len(val.den.terms) == 1
     if args.spec:
         val = rf.specialize(val, _parse_assignments(args.spec))
@@ -152,7 +152,7 @@ def _cmd_rmatrix(args) -> int:
     cfg = configio.load_config(args.config)
     m = cfg.module
     mm = mo.tensor(m, m)
-    mat = mo.rmat(m, m, cfg.basis_order)
+    mat = mo.rmat(m, m)
     for r, c, x in mat.items():
         print("%s | %s | %s" % (mm.labels[r], mm.labels[c], rf.render(x)))
     return 0

@@ -1,6 +1,8 @@
 """Run configuration: line-oriented key=value files with dotted keys.
 
 Config keys: rank, dot.row.<k>, omega.row.<k>, module, basis_order.
+basis_order (lex or revlex) picks the dual bases that `theta` prints and the
+quasiR suite checks; crossings, invariants and `rmatrix` do not depend on it.
 Module files: dim, optional label.<k>, weight.<k>, E.<i>.<r>.<c>, F.<i>.<r>.<c>.
 All indices are 1-based; entry values go through the scalar parser.
 """

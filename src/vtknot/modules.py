@@ -179,8 +179,9 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     return make_module(spec, labels, weights, act_E, act_F)
 
 
+@lru_cache(maxsize=None)
 def dual(m: WeightModule) -> WeightModule:
-    """Left dual: u acts through the antipode, transposed."""
+    """Left dual: u acts through the antipode, transposed; one object per m."""
     spec = m.spec
     dE, dF = [], []
     for i in range(spec.rank):
@@ -257,7 +258,7 @@ def theta_degrees(a: WeightModule, b: WeightModule) -> list:
     return sorted(_raising_degrees(a) & _raising_degrees(b))
 
 
-def _theta_op(mods, s: int, l: int, table, order: str, degrees=None) -> la.Matrix:
+def _theta_op(mods, s: int, l: int, table, order: str = "lex", degrees=None) -> la.Matrix:
     """Sum of coeff * F_fw on slot s (x) E_ew on slot l over a theta table.
 
     mods lists the tensor factors; the other slots carry the identity.  The
@@ -290,17 +291,19 @@ def _theta_op(mods, s: int, l: int, table, order: str, degrees=None) -> la.Matri
     return out
 
 
-def theta_mat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
-    return _theta_op([a, b], 0, 1, quasir.theta, order)
+# theta is the canonical element of the pairing, whatever dual bases write it,
+# so the operators and crossings below all use quasir's default basis order
+def theta_mat(a: WeightModule, b: WeightModule) -> la.Matrix:
+    return _theta_op([a, b], 0, 1, quasir.theta)
 
 
-def theta_bar_mat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
-    return _theta_op([a, b], 0, 1, quasir.theta_bar, order)
+def theta_bar_mat(a: WeightModule, b: WeightModule) -> la.Matrix:
+    return _theta_op([a, b], 0, 1, quasir.theta_bar)
 
 
 # cached per module object, as WeightModule is eq=False and hashes by identity
 @lru_cache(maxsize=None)
-def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
+def rmat(a: WeightModule, b: WeightModule) -> la.Matrix:
     """Braiding a (x) b -> b (x) a: flip, then the weight factor, then theta.
 
     The flip and the diagonal weight factor only move and scale columns of
@@ -308,7 +311,7 @@ def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
     the result is column c2*a.dim + c1 of theta times f(w_b[c2], w_a[c1]).
     Each nonzero entry goes through reduce_poly once, here.
     """
-    th = theta_mat(b, a, order)
+    th = theta_mat(b, a)
     move = {
         c2 * a.dim + c1: (c1 * b.dim + c2, ca.f(a.spec, wb, wa))
         for c1, wa in enumerate(a.weights) for c2, wb in enumerate(b.weights)
@@ -321,14 +324,14 @@ def rmat(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
 
 
 @lru_cache(maxsize=None)
-def rmat_inv(a: WeightModule, b: WeightModule, order: str = "lex") -> la.Matrix:
+def rmat_inv(a: WeightModule, b: WeightModule) -> la.Matrix:
     """Inverse braiding b (x) a -> a (x) b, via the conjugated theta.
 
     Row c1*b.dim + c2 of the result is row c2*a.dim + c1 of
     theta_bar_mat(b, a) times brace(w_b[c2], w_a[c1]); each nonzero entry
     goes through reduce_poly once, here.
     """
-    tb = theta_bar_mat(b, a, order)
+    tb = theta_bar_mat(b, a)
     out = {}
     for c1, wa in enumerate(a.weights):
         for c2, wb in enumerate(b.weights):

@@ -334,8 +334,8 @@ def suite_quasiR(cfg, depth):
             spec, mu, qr.theta(spec, mu, "lex"), qr.theta(spec, mu, "revlex")
         )
     mm = mo.tensor(m, m)
-    th = mo.theta_mat(m, m, order)
-    tb = mo.theta_bar_mat(m, m, order)
+    th = mo._theta_op([m, m], 0, 1, qr.theta, order)
+    tb = mo._theta_op([m, m], 0, 1, qr.theta_bar, order)
     intertwines = True
     for i in range(spec.rank):
         for straight, conjd in (
@@ -367,11 +367,11 @@ def suite_quasiR(cfg, depth):
 
 # -------------------------------------------------------------- rmatrix
 
-def _cap_slide_holds(m, dual, rr, order):
+def _cap_slide_holds(m, dual, rr):
     d = m.dim
     qtr = mo.qtr_map(m)
     outer = la.mat_mul(qtr, la.kron(la.kron(la.identity(d), qtr), la.identity(d)))
-    lhs = la.mat_mul(outer, la.kron(la.identity(d * d), mo.rmat(dual, dual, order)))
+    lhs = la.mat_mul(outer, la.kron(la.identity(d * d), mo.rmat(dual, dual)))
     rhs = la.mat_mul(outer, la.kron(rr, la.identity(d * d)))
     return la.mat_eq(lhs, rhs)
 
@@ -408,7 +408,7 @@ def _ftilde_slots(mods, s, l):
     return mo._diag(entries)
 
 
-def _transport_holds(m, order):
+def _transport_holds(m):
     """Coproduct across the first two slots assembles iterated twists."""
     spec = m.spec
     mods = [m, m, m]
@@ -417,28 +417,27 @@ def _transport_holds(m, order):
     size = m.dim ** 3
     lhs_head = la.identity(size)
     pair = mo.tensor(m, m)
-    degs = sorted(mo._raising_degrees(pair) & mo._raising_degrees(m))
-    for mu in degs:
-        words = qr.select_basis(spec, mu, order)
+    for mu in mo.theta_degrees(pair, m):
+        words = qr.select_basis(spec, mu)
         for ai, wa in enumerate(words):
-            mat12 = mo.act_elem(pair, qr.dual_element(spec, mu, ai, order), "E")
+            mat12 = mo.act_elem(pair, qr.dual_element(spec, mu, ai), "E")
             mat3 = mo.act_word(m, wa, "F")
             if not mat3.entries:
                 continue
             lhs_head = la.mat_add(lhs_head, la.kron(mat12, mat3))
     lhs = la.mat_mul(lhs_head, la.mat_mul(f31, f32))
     rhs = la.mat_mul(
-        la.mat_mul(mo._theta_op(mods, 2, 0, qr.theta, order), f31),
-        la.mat_mul(mo._theta_op(mods, 2, 1, qr.theta, order), f32),
+        la.mat_mul(mo._theta_op(mods, 2, 0, qr.theta), f31),
+        la.mat_mul(mo._theta_op(mods, 2, 1, qr.theta), f32),
     )
     return la.mat_eq(lhs, rhs)
 
 
-def _weight_factor_commutes(m, order):
+def _weight_factor_commutes(m):
     mods = [m, m, m]
     f31 = _ftilde_slots(mods, 2, 0)
     f32 = _ftilde_slots(mods, 2, 1)
-    th12 = mo._theta_op(mods, 0, 1, qr.theta, order)
+    th12 = mo._theta_op(mods, 0, 1, qr.theta)
     ff = la.mat_mul(f31, f32)
     return la.mat_eq(la.mat_mul(ff, th12), la.mat_mul(th12, ff))
 
@@ -508,11 +507,10 @@ def annihilator(mat, maxdeg):
 
 def suite_rmatrix(cfg, depth):
     m = cfg.module
-    order = cfg.basis_order
     dual = mo.dual(m)
     mm = mo.tensor(m, m)
-    rr = mo.rmat(m, m, order)
-    rinv = mo.rmat_inv(m, m, order)
+    rr = mo.rmat(m, m)
+    rinv = mo.rmat_inv(m, m)
     ident = la.identity(mm.dim)
     cancel = la.mat_eq(la.mat_mul(rr, rinv), ident) and la.mat_eq(
         la.mat_mul(rinv, rr), ident
@@ -520,23 +518,23 @@ def suite_rmatrix(cfg, depth):
     rpm, rmp = _mixed_crossings(m, dual, rr, rinv)
     md = mo.tensor(m, dual)
     dm = mo.tensor(dual, m)
-    mixed_match = la.mat_eq(rpm, mo.rmat(m, dual, order))
+    mixed_match = la.mat_eq(rpm, mo.rmat(m, dual))
     mixed_cancel = la.mat_eq(
         la.mat_mul(rmp, rpm), la.identity(md.dim)
     ) and la.mat_eq(la.mat_mul(rpm, rmp), la.identity(dm.dim))
     out = [
         ("crossing is a module map", mo.is_module_map(mm, mm, rr)),
         ("crossing and its inverse cancel", cancel),
-        ("zigzag identities hold", _all_hold(_CURLS, m, order)),
-        ("crossing slides across a cap", _cap_slide_holds(m, dual, rr, order)),
-        ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m, order)),
+        ("zigzag identities hold", _all_hold(_CURLS, m)),
+        ("crossing slides across a cap", _cap_slide_holds(m, dual, rr)),
+        ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m)),
         ("mixed crossing matches its cup and cap form", mixed_match),
         ("mixed crossings compose to the identity", mixed_cancel),
-        ("coproduct transport assembles iterated twists", _transport_holds(m, order)),
-        ("weight factors commute with the twist", _weight_factor_commutes(m, order)),
+        ("coproduct transport assembles iterated twists", _transport_holds(m)),
+        ("weight factors commute with the twist", _weight_factor_commutes(m)),
     ]
     # the summands of M (x) M are indexed by weights of M, at most dim M of them
-    ann = annihilator(tg.functor_T(tg.parse("xp"), m, order), m.dim)
+    ann = annihilator(tg.functor_T(tg.parse("xp"), m), m.dim)
     out.append(
         ("normalized crossing satisfies a short polynomial relation",
          ann is not None and len(ann) <= m.dim)
@@ -550,9 +548,9 @@ def suite_rmatrix(cfg, depth):
 
 # ------------------------------------------------------------------ ybe
 
-def ybe_holds(m1, m2, m3, order="lex"):
+def ybe_holds(m1, m2, m3):
     """R12 R13 R23 = R23 R13 R12 on m1 (x) m2 (x) m3."""
-    r12, r13, r23 = (mo.rmat(a, b, order) for a, b in ((m1, m2), (m1, m3), (m2, m3)))
+    r12, r13, r23 = (mo.rmat(a, b) for a, b in ((m1, m2), (m1, m3), (m2, m3)))
     id1 = la.identity(m1.dim)
     id2 = la.identity(m2.dim)
     id3 = la.identity(m3.dim)
@@ -567,14 +565,9 @@ def ybe_holds(m1, m2, m3, order="lex"):
 
 def suite_ybe(cfg, depth):
     m = cfg.module
-    order = cfg.basis_order
     dual = mo.dual(m)
-    plain = ybe_holds(m, m, m, order)
-    mixed = (
-        ybe_holds(dual, m, m, order)
-        and ybe_holds(m, dual, m, order)
-        and ybe_holds(m, m, dual, order)
-    )
+    plain = ybe_holds(m, m, m)
+    mixed = ybe_holds(dual, m, m) and ybe_holds(m, dual, m) and ybe_holds(m, m, dual)
     return [
         ("braid relation on three module strands", plain),
         ("braid relation with one dual strand", mixed),
@@ -618,20 +611,20 @@ _ROTATIONS = (
 )
 
 
-def tangles_equal(a, b, m, order="lex"):
+def tangles_equal(a, b, m):
     """Whether a and b share their boundary and their value on m."""
     if a.source != b.source or a.target != b.target:
         return False
-    return la.mat_eq(tg.functor_T(a, m, order), tg.functor_T(b, m, order))
+    return la.mat_eq(tg.functor_T(a, m), tg.functor_T(b, m))
 
 
-def _all_hold(table, m, order):
-    return all(tangles_equal(tg.parse(a), tg.parse(b), m, order) for _, a, b in table)
+def _all_hold(table, m):
+    return all(tangles_equal(tg.parse(a), tg.parse(b), m) for _, a, b in table)
 
 
 def suite_tangle_relations(cfg, depth):
     return [
-        (name, tangles_equal(tg.parse(a), tg.parse(b), cfg.module, cfg.basis_order))
+        (name, tangles_equal(tg.parse(a), tg.parse(b), cfg.module))
         for name, a, b in _CURLS + _MOVES + _KINKS + _ROTATIONS
     ]
 

@@ -138,12 +138,12 @@ def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _generator(g: str, m: mo.WeightModule, order: str) -> la.Matrix:
+def _generator(g: str, m: mo.WeightModule) -> la.Matrix:
     """Matrix of one cup, cap or crossing on the strands it occupies."""
     if g == "xp":
-        return la.mat_scale(mo.rmat(m, m, order), rf.inv(crossing_unit(m)))
+        return la.mat_scale(mo.rmat(m, m), rf.inv(crossing_unit(m)))
     if g == "xm":
-        return la.mat_scale(mo.rmat_inv(m, m, order), crossing_unit(m))
+        return la.mat_scale(mo.rmat_inv(m, m), crossing_unit(m))
     maps = {"ev": mo.ev_map, "qtr": mo.qtr_map, "coev": mo.coev_map, "coqtr": mo.coqtr_map}
     return maps[g](m)
 
@@ -169,13 +169,13 @@ def _apply(gen, acc, ds, dt, dlo):
     return {r: orow for r, orow in out.items() if orow}
 
 
-def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex") -> la.Matrix:
+def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
     """Evaluate the word on the module: + strands carry m, - strands dual(m).
 
     The functor is strict monoidal, so each generator of a row acts on its
     own strands only, up/dn do nothing, and each generator has one matrix,
-    built once per (m, order) by the cached `_generator`.  The operator from
-    the source boundary is kept as a sparse {row: {col: value}} map.
+    built once per module by the cached `_generator`.  The operator from the
+    source boundary is kept as a sparse {row: {col: value}} map.
     """
     d = m.dim
     acc = {c: {c: ONE} for c in range(d ** len(w.source))}
@@ -186,7 +186,7 @@ def functor_T(w: TangleWord, m: mo.WeightModule, order: str = "lex") -> la.Matri
             lo -= s
             if g in ("up", "dn"):
                 continue
-            acc = _apply(_generator(g, m, order), acc, d ** s, d ** t, d ** lo)
+            acc = _apply(_generator(g, m), acc, d ** s, d ** t, d ** lo)
     return la.Matrix(d ** len(w.target), d ** len(w.source), acc)
 
 
@@ -207,7 +207,7 @@ def closure(w: TangleWord) -> TangleWord:
     return compose(cap, compose(mid, cup))
 
 
-def invariant(w, m: mo.WeightModule, order: str = "lex") -> rf.RatFunc:
+def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
     """Framing-normalized invariant of the closure of w on m.
 
     Raises FramingError when the twist is not one scalar on m.  The check
@@ -217,9 +217,9 @@ def invariant(w, m: mo.WeightModule, order: str = "lex") -> rf.RatFunc:
         w = parse(BUILTINS.get(w.strip(), w))
     used = {g for row in w.rows for g in row}
     x = "xm" if "xm" in used and "xp" not in used else "xp"
-    if not la.mat_eq(functor_T(parse(KINK % x), m, order), la.identity(m.dim)):
+    if not la.mat_eq(functor_T(parse(KINK % x), m), la.identity(m.dim)):
         raise FramingError(
             "the twist does not act on the module by one scalar (is it reducible?), "
             "so its values would depend on the framing"
         )
-    return functor_T(closure(w), m, order)[0, 0]
+    return functor_T(closure(w), m)[0, 0]

@@ -198,7 +198,7 @@ def test_sl3_braid_closures_are_t_free(letters):
     # the sl3 crossing carries t^(+-1/3), but only as a diagonal twist of its
     # t = 1 value, so closures do not see t (Reshetikhin's twist theorem)
     rows = [("up",) * k + (g,) + ("up",) * (1 - k) for k, g in letters]
-    assert _t_free_laurent(tg.invariant(tg.word(rows), SL3.module, SL3.basis_order))
+    assert _t_free_laurent(tg.invariant(tg.word(rows), SL3.module))
 
 
 # ------------------------------------------------------- quadratic relation

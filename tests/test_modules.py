@@ -9,11 +9,13 @@ from fractions import Fraction
 import pytest
 
 from vtknot import cartan as ca
+from vtknot import cli
 from vtknot import configio as cio
 from vtknot import linalg as la
 from vtknot import modules as mo
+from vtknot import quasir as qr
 from vtknot import ratfield as rf
-from vtknot import tangle as tg
+from vtknot import suites as su
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -198,7 +200,16 @@ def test_sl3_natural_validates():
     assert rf.eq(comm[0, 0], rf.parse("t^(1/3)"))
 
 
-def test_revlex_basis_gives_the_same_crossings_and_invariants(tmp_path):
+def test_revlex_basis_gives_the_same_crossings_and_invariants(tmp_path, capsys):
+    # theta is the canonical element of the pairing, so its revlex tables act
+    # as the lex ones do; this is why the crossings ignore basis_order
+    m = sl3_natural()
+    for a in (m, mo.dual(m)):
+        for b in (m, mo.dual(m)):
+            assert la.mat_eq(mo._theta_op([a, b], 0, 1, qr.theta, "revlex"), mo.theta_mat(a, b))
+            assert la.mat_eq(
+                mo._theta_op([a, b], 0, 1, qr.theta_bar, "revlex"), mo.theta_bar_mat(a, b)
+            )
     lex_path = CONFIGS / "sl3.cfg"
     rev_path = tmp_path / "sl3_revlex.cfg"
     rev_path.write_text(
@@ -207,20 +218,24 @@ def test_revlex_basis_gives_the_same_crossings_and_invariants(tmp_path):
         )
         + "basis_order = revlex\n"
     )
-    lex = cio.load_config(str(lex_path))
-    rev = cio.load_config(str(rev_path))
-    assert (lex.basis_order, rev.basis_order) == ("lex", "revlex")
-    for build in (mo.rmat, mo.rmat_inv):
-        a = build(lex.module, lex.module, lex.basis_order)
-        b = build(rev.module, rev.module, rev.basis_order)
-        assert a.rows == b.rows == 9
-        for r in range(9):
-            assert all(rf.eq(a[r, c], b[r, c]) for c in range(9))
-    for name in ("trefoil", "figure8"):
-        assert rf.eq(
-            tg.invariant(name, lex.module, lex.basis_order),
-            tg.invariant(name, rev.module, rev.basis_order),
-        )
+    assert cio.load_config(str(rev_path)).basis_order == "revlex"
+    printed = []
+    for path in (lex_path, rev_path):
+        for argv in (["rmatrix"], ["invariant", "--tangle", "trefoil"],
+                     ["invariant", "--tangle", "figure8"]):
+            assert cli.main([argv[0], "--config", str(path)] + argv[1:]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
+def test_each_crossing_is_built_once_per_pair_of_modules():
+    cfg = cio.load_config(str(CONFIGS / "sl3.cfg"))
+    m = cfg.module
+    assert mo.dual(m) is mo.dual(m)
+    before = mo.rmat.cache_info().misses
+    assert all(ok for _, ok in su.run_suite("all", cfg, 2))
+    # (m, m), (m, m*), (m*, m) and (m*, m*), each built once
+    assert mo.rmat.cache_info().misses - before == 4
 
 
 def _dense_rmat(a, b):

@@ -98,8 +98,8 @@ def test_invariant_hopf_and_figure8():
 def test_torus_knot_mirror_is_bar_on_rank1_2():
     cfg = configio.load_config(str(BENCH_CONFIGS / "rank1_2.cfg"))
     t43 = " ; ".join(["xp*up*up ; up*xp*up ; up*up*xp"] * 3)
-    val = tg.invariant(t43, cfg.module, cfg.basis_order)
-    mirror = tg.invariant(t43.replace("xp", "xm"), cfg.module, cfg.basis_order)
+    val = tg.invariant(t43, cfg.module)
+    mirror = tg.invariant(t43.replace("xp", "xm"), cfg.module)
     assert rf.eq(mirror, rf.bar(val))
     assert not rf.eq(mirror, val)
 
@@ -177,7 +177,7 @@ def _dense_T(w, gens, d):
 @pytest.mark.parametrize("name", ["sl2.cfg", "sl3.cfg"])
 def test_functor_matches_dense_row_by_row_evaluation(name):
     cfg = configio.load_config(str(CONFIGS / name))
-    m, order = cfg.module, cfg.basis_order
+    m = cfg.module
     unit = tg.crossing_unit(m)
     gens = {
         "up": la.identity(m.dim),
@@ -186,12 +186,12 @@ def test_functor_matches_dense_row_by_row_evaluation(name):
         "qtr": mo.qtr_map(m),
         "coev": mo.coev_map(m),
         "coqtr": mo.coqtr_map(m),
-        "xp": la.mat_scale(mo.rmat(m, m, order), rf.inv(unit)),
-        "xm": la.mat_scale(mo.rmat_inv(m, m, order), unit),
+        "xp": la.mat_scale(mo.rmat(m, m), rf.inv(unit)),
+        "xm": la.mat_scale(mo.rmat_inv(m, m), unit),
     }
     for text in _POOL + _LOCAL:
         w = tg.parse(text)
-        assert la.mat_eq(tg.functor_T(w, m, order), _dense_T(w, gens, m.dim)), text
+        assert la.mat_eq(tg.functor_T(w, m), _dense_T(w, gens, m.dim)), text
 
 
 @settings(max_examples=25, deadline=None)
