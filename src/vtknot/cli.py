@@ -108,9 +108,9 @@ def _cmd_invariant(args) -> int:
         text = args.tangle
     else:
         try:
-            with open(args.tangle_file) as fh:
+            with open(args.tangle_file, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise configio.ConfigError("cannot read %s: %s" % (args.tangle_file, e))
     val = rf.reduce_poly(tg.invariant(text, cfg.module))
     trivial = len(val.den.terms) == 1

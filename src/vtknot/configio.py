@@ -33,9 +33,9 @@ class RunConfig:
 def _read_table(path):
     """Map each key to (value, line number); a repeated key is an error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read %s: %s" % (path, e))
     table = {}
     for ln, raw in enumerate(lines, 1):

@@ -137,23 +137,27 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
+def _clear_dens(values) -> tuple:
+    """(nums, dens): the values as numerators over the product of their
+    distinct dens, and those dens; each num is its value's numerator times
+    every one of them but its own."""
+    dens = []
+    for e in values:
+        if not any(d == e.den for d in dens):
+            dens.append(e.den)
+    nums = []
+    for e in values:
+        p = e.num
+        for d in dens:
+            if not (d == e.den):
+                p = p * d
+        nums.append(p)
+    return nums, dens
+
+
 def _poly_rows(a: list) -> list:
     """Clear denominators row by row; rank and row spans are preserved."""
-    out = []
-    for row in a:
-        dens = []
-        for e in row:
-            if not any(d == e.den for d in dens):
-                dens.append(e.den)
-        new = []
-        for e in row:
-            p = e.num
-            for d in dens:
-                if not (d == e.den):
-                    p = p * d
-            new.append(p)
-        out.append(new)
-    return out
+    return [_clear_dens(row)[0] for row in a]
 
 
 def _eliminate(rows: list, r: int, c: int, prev, targets, cols) -> None:

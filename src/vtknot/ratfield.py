@@ -34,8 +34,11 @@ is one shift of the other factor (that factor itself when the monomial is
 LP_ONE, which lp_mono(1) returns); only two polynomials of two or more terms
 go through the loop over term pairs.  cross_div(a, b, c, d, e) is the fused
 fraction-free update (a*b - c*d)/e: both products accumulate in one term dict
-and the result is divided once, with no intermediate polynomial.  No floats
-anywhere.
+and the result is divided once, with no intermediate polynomial.  That loop,
+`_add_products`, is the package's one product-accumulate loop: it takes term
+dicts already on one lattice, so the pair product, cross_div and the tangle
+functor (whose operator is term dicts over one den) rescale their operands
+first and share it.  No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
@@ -125,11 +128,14 @@ def _mono_mul(p: "LaurentPoly", m: "LaurentPoly") -> "LaurentPoly":
     return _shift_mul(p, dv, dt, m.scale, c)
 
 
-def _add_products(out: dict, p: "LaurentPoly", q: "LaurentPoly", s: int, sign: int) -> None:
-    """Add sign * p * q into the term dict out, all exponents over scale s."""
-    right = _terms_at(q, s)
+def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
+    """Add sign * left * right into out; all three are term dicts on one lattice.
+
+    The one product-accumulate loop of the package: `_pair_mul`, `cross_div`
+    and the tangle functor put their operands on the lattice first.
+    """
     get = out.get
-    for (av, at), ac in _terms_at(p, s).items():
+    for (av, at), ac in left.items():
         ac *= sign
         for (bv, bt), bc in right.items():
             key = (av + bv, at + bt)
@@ -148,7 +154,7 @@ def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
     """p * q summed over every pair of terms."""
     s = lcm(p.scale, q.scale)
     out = {}
-    _add_products(out, p, q, s, 1)
+    _add_products(out, _terms_at(p, s), _terms_at(q, s))
     return _make(out, s)
 
 
@@ -468,8 +474,8 @@ def cross_div(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly,
     """
     s = lcm(a.scale, b.scale, c.scale, d.scale)
     out = {}
-    _add_products(out, a, b, s, 1)
-    _add_products(out, c, d, s, -1)
+    _add_products(out, _terms_at(a, s), _terms_at(b, s))
+    _add_products(out, _terms_at(c, s), _terms_at(d, s), -1)
     num = _make(out, s)
     return num if e is LP_ONE else poly_div_exact(num, e)
 

@@ -4,19 +4,25 @@ Words are rows of generators listed bottom to top; a row is a horizontal
 tensor of generators.  Each generator has a fixed boundary type and adjacent
 rows must match.  Evaluation sends a word to a sparse `linalg.Matrix` over
 Q(v,t): each cup, cap or crossing acts on its own strands of the operator
-built so far, so no row-wide Kronecker product is ever formed.
+built so far, so no row-wide Kronecker product is ever formed.  The operator
+is kept as numerators over one den: every value is a term dict
+{(a, b): coeff} for the sum of coeff * v^(a/s) * t^(b/s), with one lattice
+scale s for the whole evaluation, the lcm of the used generators' scales.
+Each product goes straight into its output entry's dict through ratfield's
+one product loop; scalars are built only for the returned matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm, prod
 
 from . import cartan as ca
 from . import linalg as la
 from . import modules as mo
 from . import ratfield as rf
-from .ratfield import ONE
+from .ratfield import LP_ONE
 
 BOUNDARY = {
     "up": (("+",), ("+",)),
@@ -138,47 +144,76 @@ def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _generator(g: str, m: mo.WeightModule) -> la.Matrix:
-    """Matrix of one cup, cap or crossing on the strands it occupies."""
-    if g == "xp":
-        return la.mat_scale(mo.rmat(m, m), rf.inv(crossing_unit(m)))
-    if g == "xm":
-        return la.mat_scale(mo.rmat_inv(m, m), crossing_unit(m))
-    maps = {"ev": mo.ev_map, "qtr": mo.qtr_map, "coev": mo.coev_map, "coqtr": mo.coqtr_map}
-    return maps[g](m)
+def _generator(g: str, m: mo.WeightModule) -> tuple:
+    """One cup, cap or crossing on the strands it occupies, as a table.
 
-
-def _apply(gen, acc, ds, dt, dlo):
-    """Apply gen, a dt x ds matrix, to one generator's strands of acc's rows.
-
-    acc is a {row: {col: value}} map.  Row index (hi*ds + r)*dlo + lo becomes
-    (hi*dt + r')*dlo + lo for every nonzero gen[r', r], read from column r of
-    gen: the strands left (hi) and right (lo) of the generator are untouched.
+    Returns (cols, den), built once per module and shared by every caller,
+    so read-only: cols maps each column to its nonzero entries as
+    [(row, num)], and the entry is num/den.  den is the product of the
+    entries' distinct dens, LP_ONE when all are Laurent.
     """
-    cols = la.transpose(gen).entries
+    if g == "xp":
+        mat = la.mat_scale(mo.rmat(m, m), rf.inv(crossing_unit(m)))
+    elif g == "xm":
+        mat = la.mat_scale(mo.rmat_inv(m, m), crossing_unit(m))
+    else:
+        maps = {"ev": mo.ev_map, "qtr": mo.qtr_map, "coev": mo.coev_map, "coqtr": mo.coqtr_map}
+        mat = maps[g](m)
+    entries = list(mat.items())
+    nums, dens = la._clear_dens([x for _, _, x in entries])
+    cols = {}
+    for (r, c, _), p in zip(entries, nums):
+        cols.setdefault(c, []).append((r, p))
+    return cols, prod(dens, start=LP_ONE)
+
+
+def _apply(cols, acc, ds, dt, dlo):
+    """Apply a generator's table cols (dt x ds) to its strands of acc.
+
+    acc maps the index k = (hi*ds + r)*dlo + lo of each nonzero entry to its
+    term dict, on the table's lattice; k becomes (hi*dt + r')*dlo + lo for
+    every entry (r', x) of column r, and x * y is added into that entry.
+    The strands left (hi) and right (lo) of the generator are untouched.
+    """
+    add = rf._add_products
     out = {}
-    for r, arow in acc.items():
-        hi, rest = divmod(r, ds * dlo)
+    block = ds * dlo
+    for k, y in acc.items():
+        hi, rest = divmod(k, block)
         mid, lo = divmod(rest, dlo)
-        for r2, x in cols.get(mid, {}).items():
-            orow = out.setdefault((hi * dt + r2) * dlo + lo, {})
-            for c, y in arow.items():
-                prev = orow.get(c)
-                orow[c] = x * y if prev is None else prev + x * y
-    out = {r: {c: v for c, v in orow.items() if not v.is_zero()} for r, orow in out.items()}
-    return {r: orow for r, orow in out.items() if orow}
+        hi *= dt
+        for r, x in cols.get(mid, ()):
+            j = (hi + r) * dlo + lo
+            num = out.get(j)
+            if num is None:
+                num = out[j] = {}
+            add(num, x, y)
+    return {j: num for j, num in out.items() if num}
 
 
 def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
     """Evaluate the word on the module: + strands carry m, - strands dual(m).
 
     The functor is strict monoidal, so each generator of a row acts on its
-    own strands only, up/dn do nothing, and each generator has one matrix,
-    built once per module by the cached `_generator`.  The operator from the
-    source boundary is kept as a sparse {row: {col: value}} map.
+    own strands only and up/dn do nothing.  Each generator's table comes
+    from the cached `_generator`; once per call its numerators go onto one
+    lattice, the lcm of their scales.  The operator from the source
+    boundary is kept as the term dicts of its nonzero entries, keyed by
+    row * cols + col, so the source boundary is one more block of strands
+    to the right of every generator.  All share one den, the product of the
+    applied generators' dens, and become RatFuncs only in the returned
+    matrix.
     """
     d = m.dim
-    acc = {c: {c: ONE} for c in range(d ** len(w.source))}
+    gens = {g: _generator(g, m) for row in w.rows for g in row if g not in ("up", "dn")}
+    scale = lcm(*(p.scale for cols, _ in gens.values() for col in cols.values() for _, p in col))
+    tables = {
+        g: {c: [(r, rf._terms_at(p, scale)) for r, p in col] for c, col in cols.items()}
+        for g, (cols, _) in gens.items()
+    }
+    ncols = d ** len(w.source)
+    den = LP_ONE
+    acc = {c * ncols + c: {(0, 0): 1} for c in range(ncols)}
     for row in w.rows:
         lo = len(_row_boundary(row)[0])
         for g in row:
@@ -186,8 +221,13 @@ def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
             lo -= s
             if g in ("up", "dn"):
                 continue
-            acc = _apply(_generator(g, m), acc, d ** s, d ** t, d ** lo)
-    return la.Matrix(d ** len(w.target), d ** len(w.source), acc)
+            acc = _apply(tables[g], acc, d ** s, d ** t, d ** lo * ncols)
+            den = den * gens[g][1]
+    out = {}
+    for k, num in acc.items():
+        r, c = divmod(k, ncols)
+        out.setdefault(r, {})[c] = rf.RatFunc(rf._make(num, scale), den)
+    return la.Matrix(d ** len(w.target), ncols, out)
 
 
 def closure(w: TangleWord) -> TangleWord:

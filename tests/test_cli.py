@@ -56,6 +56,29 @@ def test_invariant_requires_exactly_one_source(capsys, tmp_path):
     assert out == "v^6 + v^4 + v^2 + 1\n"
 
 
+@pytest.mark.parametrize("bad", ["config", "module", "tangle"])
+def test_non_utf8_input_exits_2(capsys, tmp_path, bad):
+    # in a config or module file the bytes sit in a comment, so a reader
+    # that decoded them some other way would run on instead of refusing
+    junk = b"# \xff\xfe is not UTF-8\n"
+    files = {
+        "config": (tmp_path / "sl3.cfg", (CONFIGS / "sl3.cfg").read_bytes()),
+        "module": (tmp_path / "sl3_natural.mod", (CONFIGS / "sl3_natural.mod").read_bytes()),
+        "tangle": (tmp_path / "w.tangle", b"xp ; xp\n"),
+    }
+    for key, (path, data) in files.items():
+        path.write_bytes(data + junk if key == bad else data)
+    rc, out, err = run(
+        capsys,
+        "invariant", "--config", str(files["config"][0]),
+        "--tangle-file", str(files["tangle"][0]),
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot read %s: " % files[bad][0])
+    assert "utf-8" in err
+
+
 def test_bad_spec_assignment(capsys):
     rc, _, err = run(
         capsys,
