@@ -73,6 +73,12 @@ def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
     dim = _int(path, table["dim"][1], table["dim"][0])
     if dim < 1:
         raise ConfigError("%s: dim must be positive" % path)
+    # every basis vector needs a weight line, so a larger dim cannot load;
+    # refusing it here allocates nothing of its size
+    lines = sum(key.startswith("weight.") for key in table)
+    if dim > lines:
+        raise ConfigError("%s: missing weight lines: dim is %d, but %d are given"
+                          % (path, dim, lines))
     labels = ["m%d" % (k + 1) for k in range(dim)]
     weights = [None] * dim
     act_E = [{} for _ in range(spec.rank)]
@@ -127,6 +133,10 @@ def load_config(path) -> RunConfig:
     rank = _int(path, table["rank"][1], table["rank"][0])
     if rank < 1:
         raise ConfigError("%s: rank must be positive" % path)
+    lines = sum(key.startswith("dot.row.") for key in table)
+    if rank > lines:
+        raise ConfigError("%s: missing dot.row lines: rank is %d, but %d are given"
+                          % (path, rank, lines))
     dot_rows = [None] * rank
     omega_rows = [None] * rank
     basis_order = "lex"

@@ -11,6 +11,14 @@ plain lists of rows instead: their inputs are coefficient tables,
 such as Gram blocks, which elimination fills in anyway.  They share one
 row update, `_eliminate`, which makes each new entry with the fused exact
 kernel `ratfield.cross_div`: (a*b - c*d)/e with no polynomial temporaries.
+
+A Gram block of the skew pairing is t-Hermitian: the pairing is symmetric
+up to t -> t^-1, and a degree's entries share one den with no t.  Diagonal
+pivoting keeps that symmetry at every step, since pivots and previous
+pivots are then fixed by the flip, so `principal_pivots` computes only the
+upper triangle of each update and flips it into the lower one, about half
+the `cross_div` calls.  The test is one structural comparison per call;
+any other input takes the full update.
 """
 
 from __future__ import annotations
@@ -160,7 +168,7 @@ def _poly_rows(a: list) -> list:
     return [_clear_dens(row)[0] for row in a]
 
 
-def _eliminate(rows: list, r: int, c: int, prev, targets, cols) -> None:
+def _eliminate(rows: list, r: int, c: int, prev, targets, cols, mirror=False) -> None:
     """Fraction-free elimination of column c from rows `targets` by row r.
 
     Each target row becomes (row * pivot - pivot row * row[c]) / prev on
@@ -169,14 +177,24 @@ def _eliminate(rows: list, r: int, c: int, prev, targets, cols) -> None:
     Sylvester's identity makes every division exact, and every entry is a
     LaurentPoly in minimal form, so the update's evaluation order cannot
     change a term.
+
+    With `mirror`, targets and cols are one ascending index list and the
+    rows are t-Hermitian: rows[j][i] is rows[i][j] with t -> t^-1.  Then
+    piv and prev are fixed by the flip, so the flip of the update at (i, j)
+    is the update at (j, i): each row is computed from its diagonal on, and
+    every entry below the diagonal is written as the flip of its mirror.
     """
     piv, prow = rows[r][c], rows[r]
-    for i in targets:
+    for n, i in enumerate(targets):
         row = rows[i]
         fi = row[c]
-        for j in cols:
+        upper = cols[n:] if mirror else cols
+        for j in upper:
             row[j] = ratfield.cross_div(row[j], piv, prow[j], fi, prev)
         row[c] = ratfield.LP_ZERO
+        if mirror:
+            for j in upper[1:]:
+                rows[j][i] = ratfield._flip_poly(row[j], 1, -1)
 
 
 def _bareiss(rows: list, pivot_cols: int) -> list:
@@ -206,6 +224,13 @@ def _bareiss(rows: list, pivot_cols: int) -> list:
     return pivots
 
 
+def _t_hermitian(rows: list) -> bool:
+    """Whether rows[j][i] is rows[i][j] with t -> t^-1, structurally, for all i, j."""
+    n = len(rows)
+    return all(rows[j][i] == ratfield._flip_poly(rows[i][j], 1, -1)
+               for i in range(n) for j in range(i, n))
+
+
 def principal_pivots(a: list) -> tuple:
     """Greedy nonsingular principal block of a square matrix, in one elimination.
 
@@ -216,19 +241,27 @@ def principal_pivots(a: list) -> tuple:
     identity), so each test costs one look at the diagonal.  Rows and
     columns of rejected indices are eliminated too.
 
+    A Gram block is t-Hermitian, G[c][r] = bar_t(G[r][c]) over one den with
+    no t, and so are its polynomial rows.  When one structural comparison
+    finds that, each update computes only the upper triangle of the open
+    block and flips it into the lower one, about half the `cross_div` calls;
+    any other input takes the full update.
+
     Returns (taken, rest): the taken indices, ascending, and the eliminated
     block on the other indices (as RatFuncs).  rest is the Schur complement
     of the taken block up to nonzero row factors, so
     rank(a) == len(taken) + rank(rest).
     """
     rows = _poly_rows(a)
+    # with two rows or fewer each update makes one entry: nothing to mirror
+    mirror = len(rows) > 2 and _t_hermitian(rows)
     taken, open_ = [], list(range(len(a)))
     prev = ratfield.LP_ONE
     for k in range(len(a)):
         if rows[k][k].is_zero():
             continue
         open_.remove(k)
-        _eliminate(rows, k, k, prev, open_, open_)
+        _eliminate(rows, k, k, prev, open_, open_, mirror)
         prev = rows[k][k]
         taken.append(k)
     return taken, [[RatFunc(rows[i][j]) for j in open_] for i in open_]
@@ -242,6 +275,16 @@ def rank(a: list) -> int:
 
 
 def inverse(a: list) -> list:
+    """The inverse by one fraction-free elimination of [a | 1] and a
+    polynomial back substitution, x_i = N_i / (U_ii ... U_nn).
+
+    Each N_i sums U_ij * U_(i+1)(i+1) ... U_(j-1)(j-1) * N_j over j > i.
+    That first factor depends on (i, j) only, and 1 / (U_ii ... U_nn) on i
+    only, so both are built once per inverse, not once per column; each
+    N_i is accumulated in one term dict.  A Gram block is t-Hermitian (see
+    `principal_pivots`), but the augmented block is not, so the elimination
+    here is not mirrored.
+    """
     n = len(a)
     if n == 0:
         return []
@@ -250,22 +293,28 @@ def inverse(a: list) -> list:
     pivots = _bareiss(rows, n)
     if len(pivots) != n:
         raise SingularMatrixError("matrix is singular over Q(v,t)")
-    # triangular solve kept polynomial: x_i = N_i / (U_ii ... U_nn)
     suffix = [ratfield.LP_ONE] * (n + 1)
     for k in range(n - 1, -1, -1):
         suffix[k] = rows[k][k] * suffix[k + 1]
+    coef = [[] for _ in range(n)]
+    for i in range(n):
+        mid = ratfield.LP_ONE
+        for j in range(i + 1, n):
+            if j > i + 1:
+                mid = mid * rows[j - 1][j - 1]
+            if not rows[i][j].is_zero():
+                coef[i].append((j, rows[i][j] * mid))
+    units = [RatFunc(ratfield.LP_ONE, d) for d in suffix[:n]]
     out = [[None] * n for _ in range(n)]
     nums = [[None] * n for _ in range(n)]
     for k in range(n):
         for i in range(n - 1, -1, -1):
-            acc = rows[i][n + k] * suffix[i + 1]
-            mid = ratfield.LP_ONE
-            for j in range(i + 1, n):
-                uij = rows[i][j]
-                nj = nums[j][k]
-                if not (uij.is_zero() or nj.is_zero()):
-                    acc = acc - uij * nj * mid
-                mid = mid * rows[j][j]
+            head = rows[i][n + k]
+            terms = [(u, nums[j][k], -1) for j, u in coef[i] if nums[j][k].terms]
+            if terms:
+                acc = ratfield._sum_products([(head, suffix[i + 1], 1)] + terms)
+            else:
+                acc = head * suffix[i + 1]
             nums[i][k] = acc
-            out[i][k] = RatFunc(acc, suffix[i])
+            out[i][k] = ratfield._normal(acc * units[i].num, units[i].den)
     return out

@@ -18,6 +18,12 @@ b*_a = sum_c C[a][c] E_{w_c} satisfy (b*_a, F_{w_b}) = delta.
 Everything is represented at word level; degrees in the pairing radical act
 by zero on weight modules, which is where equality of the two descriptions
 is meaningful.
+
+The pairing is symmetric up to t -> t^-1, G[c][a] = bar_t(G[a][c]), and the
+entries of one degree share one den with no t (the product of the peel
+dens of its letters), so each Gram block is t-Hermitian, and so is its
+revlex reversal.  The elimination then computes only half of each update
+and mirrors the rest (see `linalg`).
 """
 
 from __future__ import annotations

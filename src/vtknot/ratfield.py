@@ -34,13 +34,15 @@ is one shift of the other factor (that factor itself when the monomial is
 LP_ONE, which lp_mono(1) returns); only two polynomials of two or more terms
 go through the loop over term pairs.  cross_div(a, b, c, d, e) is the fused
 fraction-free update (a*b - c*d)/e: both products accumulate in one term dict
-and the result is divided once, with no intermediate polynomial.  That loop,
-`_add_products`, is the package's one product-accumulate loop: it takes term
-dicts already on one lattice, so the pair product, cross_div and the tangle
-functor (whose operator is term dicts over one den) rescale their operands
-first and share it.  No floats anywhere.
+(`_sum_products`, which `linalg.inverse` also sums its back substitution
+with) and the result is divided once, with no intermediate polynomial.  That
+loop, `_add_products`, is the package's one product-accumulate loop: it
+takes term dicts already on one lattice, so the pair product, `_sum_products`
+and the tangle functor (whose operator is term dicts over one den) rescale
+their operands first and share it.  No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
-with different signs.
+with different signs (`_flip_poly`, which `linalg` also uses to mirror a
+t-Hermitian elimination).
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
 joined by ` + ` / ` - `, exponent 1 and coefficient 1 elided, integer
 exponents printed bare (`v^-2`), fractional ones in parens (`v^(1/2)`).
@@ -131,8 +133,9 @@ def _mono_mul(p: "LaurentPoly", m: "LaurentPoly") -> "LaurentPoly":
 def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
     """Add sign * left * right into out; all three are term dicts on one lattice.
 
-    The one product-accumulate loop of the package: `_pair_mul`, `cross_div`
-    and the tangle functor put their operands on the lattice first.
+    The one product-accumulate loop of the package: `_pair_mul`,
+    `_sum_products` and the tangle functor put their operands on the lattice
+    first.
     """
     get = out.get
     for (av, at), ac in left.items():
@@ -148,6 +151,19 @@ def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
                     out[key] = acc
                 else:
                     del out[key]
+
+
+def _sum_products(triples) -> "LaurentPoly":
+    """The sum of sign * x * y over (x, y, sign) triples.
+
+    Every product goes into one term dict over the lcm of the scales, and
+    the sum is put in minimal form once.
+    """
+    s = lcm(*(p.scale for x, y, _ in triples for p in (x, y)))
+    out = {}
+    for x, y, sign in triples:
+        _add_products(out, _terms_at(x, s), _terms_at(y, s), sign)
+    return _make(out, s)
 
 
 def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
@@ -404,13 +420,17 @@ def eq(a: RatFunc, b: RatFunc) -> bool:
     return a.num * b.den == b.num * a.den
 
 
+def _flip_poly(p: LaurentPoly, v_sign: int, t_sign: int) -> LaurentPoly:
+    """Multiply every v exponent by v_sign and every t exponent by t_sign.
+
+    A sign flip keeps the form minimal, so the result is one dict pass.
+    """
+    return _raw({(v_sign * x, t_sign * y): c for (x, y), c in p.terms.items()}, p.scale)
+
+
 def _flip(a: RatFunc, v_sign: int, t_sign: int) -> RatFunc:
-    """Multiply every v exponent by v_sign and every t exponent by t_sign."""
-    num, den = (
-        _raw({(v_sign * x, t_sign * y): c for (x, y), c in p.terms.items()}, p.scale)
-        for p in (a.num, a.den)
-    )
-    return RatFunc(num, den)
+    """`_flip_poly` on num and den."""
+    return RatFunc(_flip_poly(a.num, v_sign, t_sign), _flip_poly(a.den, v_sign, t_sign))
 
 
 def bar(a: RatFunc) -> RatFunc:
@@ -472,11 +492,7 @@ def cross_div(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly,
     polynomial in between, and the result is divided once, not at all when
     e is LP_ONE.
     """
-    s = lcm(a.scale, b.scale, c.scale, d.scale)
-    out = {}
-    _add_products(out, _terms_at(a, s), _terms_at(b, s))
-    _add_products(out, _terms_at(c, s), _terms_at(d, s), -1)
-    num = _make(out, s)
+    num = _sum_products(((a, b, 1), (c, d, -1)))
     return num if e is LP_ONE else poly_div_exact(num, e)
 
 

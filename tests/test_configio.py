@@ -142,3 +142,30 @@ def test_module_file_duplicate_key_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "%s:3: duplicate key 'weight.1'" % mod in captured.err
+
+
+def test_rank_above_the_dot_rows_exits_2_before_allocating(tmp_path, capsys):
+    path = _write(
+        tmp_path, "huge.cfg", "rank = 4611686018427387904\ndot.row.1 = 2\nmodule = rank1:1\n"
+    )
+    assert cli.main(["qdim", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: missing dot.row lines: rank is 4611686018427387904, but 1 are given\n" % path
+    )
+
+
+def test_dim_above_the_weight_lines_exits_2_before_allocating(tmp_path, capsys):
+    mod = _write(tmp_path, "huge.mod", "dim = 4611686018427387904\nweight.1 = 1/2\n")
+    path = _write(
+        tmp_path,
+        "huge.cfg",
+        "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = file:huge.mod\n",
+    )
+    assert cli.main(["qdim", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: missing weight lines: dim is 4611686018427387904, but 1 are given\n" % mod
+    )

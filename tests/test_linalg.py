@@ -6,14 +6,19 @@ and by printed form: the sparse type must add the same terms in the same
 order, so unreduced values come out in the same form.
 
 The one-pass basis elimination is checked against the greedy choice with
-one rank per trial prefix.
+one rank per trial prefix, and on t-Hermitian input (the mirror step)
+against the full update entry by entry.  The inverse is checked as an
+inverse and, form by form, against a copy of its first back substitution,
+which fixes the unreduced values `theta` prints.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vtknot import cartan as ca
 from vtknot import linalg as la
+from vtknot import pairing as pr
 from vtknot import ratfield as rf
 
 VALUES = [rf.parse(x) for x in ("0", "1", "-1", "v", "v^(1/2)", "(v + 1)/(v - 1)")]
@@ -160,3 +165,141 @@ def test_principal_pivots_take_the_greedy_indices(a):
     n = len(a) - len(taken)
     assert len(rest) == n and all(len(row) == n for row in rest)
     assert len(taken) + la.rank(rest) == la.rank(a)
+
+
+# ------------------------------------------------ the t-Hermitian elimination
+
+
+def full_pivots(a):
+    """principal_pivots with the full update on every entry, the reference
+    for the mirror step: (taken, the eliminated polynomial rows on the rest)."""
+    rows = la._poly_rows(a)
+    taken, open_ = [], list(range(len(a)))
+    prev = rf.LP_ONE
+    for k in range(len(a)):
+        if rows[k][k].is_zero():
+            continue
+        open_.remove(k)
+        piv, prow = rows[k][k], rows[k]
+        for i in open_:
+            fi = rows[i][k]
+            for j in open_:
+                rows[i][j] = rf.cross_div(rows[i][j], piv, prow[j], fi, prev)
+            rows[i][k] = rf.LP_ZERO
+        prev = piv
+        taken.append(k)
+    return taken, [[rows[i][j] for j in open_] for i in open_]
+
+
+# values fixed by t -> t^-1, for the diagonal, and pairs (x, bar_t(x)) above it
+T_FIXED = [rf.parse(x) for x in ("0", "1", "v", "t + t^-1", "v^(1/2) * (t - 2 + t^-1)")]
+T_ANY = [rf.parse(x) for x in ("0", "1", "t", "v * t^(1/2)", "v - t^-1", "2 * v * t^2 - t")]
+T_FREE_DENS = [rf.parse(x) for x in ("1", "v - 1", "v^2 + v + 1")]
+
+
+@st.composite
+def t_hermitian(draw):
+    """A square matrix with a[j][i] = bar_t(a[i][j]) over one t-free den."""
+    n = draw(st.integers(0, 4))
+    den = draw(st.sampled_from(T_FREE_DENS))
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(st.sampled_from(T_FIXED)) / den
+        for j in range(i + 1, n):
+            x = draw(st.sampled_from(T_ANY)) / den
+            a[i][j], a[j][i] = x, rf.bar_t(x)
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(t_hermitian())
+@example([[Z, rf.T], [rf.inv(rf.T), Z]])
+@example([[ONE, rf.T, Z], [rf.inv(rf.T), ONE, Z], [Z, Z, rf.V]])
+def test_t_hermitian_elimination_matches_the_full_update(a):
+    assert la._t_hermitian(la._poly_rows(a))
+    taken, rest = la.principal_pivots(a)
+    assert taken == greedy_pivots(a)
+    want_taken, want_rest = full_pivots(a)
+    assert taken == want_taken
+    assert [[x.num for x in row] for row in rest] == want_rest
+    assert all(x.den is rf.LP_ONE for row in rest for x in row)
+
+
+@pytest.mark.parametrize("a", [
+    # t-Hermitian off the diagonal only: the pivot t is not fixed by the flip
+    [[rf.T, ONE, rf.V], [ONE, ONE, ONE], [rf.V, ONE, ONE + ONE]],
+    # one entry off its flip
+    [[ONE, rf.T, ONE], [rf.T, ONE, ONE], [ONE, ONE, rf.V]],
+])
+def test_input_that_is_not_t_hermitian_takes_the_full_update(a):
+    assert not la._t_hermitian(la._poly_rows(a))
+    taken, rest = la.principal_pivots(a)
+    assert (taken, [[x.num for x in row] for row in rest]) == full_pivots(a)
+
+
+def test_mirror_step_halves_the_gram_updates(monkeypatch):
+    spec = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
+    gram = pr.gram(spec, (2, 3))
+    calls = []
+    real = rf.cross_div
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rf, "cross_div", counting)
+    # lex, then revlex as quasir orders it; 194 calls each with the full update
+    for block in (gram, [row[::-1] for row in reversed(gram)]):
+        calls.clear()
+        la.principal_pivots(block)
+        assert len(calls) == 109
+
+
+# ------------------------------------------------------------ inverse
+
+
+def reference_inverse(a):
+    """The reference back substitution: each column on its own,
+    x_i = N_i / (U_ii ... U_nn), products in order with one running mid."""
+    n = len(a)
+    aug = [list(row) + [rf.ONE if c == r else rf.ZERO for c in range(n)]
+           for r, row in enumerate(a)]
+    rows = la._poly_rows(aug)
+    la._bareiss(rows, n)
+    suffix = [rf.LP_ONE] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = rows[k][k] * suffix[k + 1]
+    out = [[None] * n for _ in range(n)]
+    nums = [[None] * n for _ in range(n)]
+    for k in range(n):
+        for i in range(n - 1, -1, -1):
+            acc = rows[i][n + k] * suffix[i + 1]
+            mid = rf.LP_ONE
+            for j in range(i + 1, n):
+                uij, nj = rows[i][j], nums[j][k]
+                if not (uij.is_zero() or nj.is_zero()):
+                    acc = acc - uij * nj * mid
+                mid = mid * rows[j][j]
+            nums[i][k] = acc
+            out[i][k] = rf.RatFunc(acc, suffix[i])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(square())
+@example([[Z, ONE], [ONE, Z]])
+@example([[X, ONE, Z], [ONE, Z, X], [Z, X, ONE]])
+def test_inverse_inverts_and_keeps_the_reference_forms(a):
+    n = len(a)
+    if la.rank(a) < n:
+        with pytest.raises(la.SingularMatrixError):
+            la.inverse(a)
+        return
+    got = la.inverse(a)
+    m, g = sparse((n, n, a)), sparse((n, n, got))
+    assert la.mat_eq(la.mat_mul(g, m), la.identity(n))
+    assert la.mat_eq(la.mat_mul(m, g), la.identity(n))
+    want = reference_inverse(a)
+    for grow, wrow in zip(got, want):
+        for x, y in zip(grow, wrow):
+            assert (x.num, x.den) == (y.num, y.den)

@@ -1,5 +1,6 @@
 """Skew pairing of the two halves: base cases, peeling orders, radicals."""
 
+import math
 import pathlib
 from fractions import Fraction
 
@@ -245,3 +246,42 @@ def test_form_is_the_pairing_times_a_monomial(path, depth):
         for yw in words:
             got = pr.form(spec, fa.felem(xw), fa.felem(yw))
             assert rf.eq(got, _form_reference(spec, xw, yw, memo)), (xw, yw)
+
+
+# ------------------------------------------- Gram blocks are t-Hermitian
+
+
+@st.composite
+def admissible_specs(draw):
+    """Random admissible Cartan data of ranks 1 to 3.
+
+    Each (omega[i][j] + omega[j][i]) is a nonpositive multiple of
+    lcm(omega[i][i], omega[j][j]), split at random between the two entries.
+    """
+    n = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n).filter(
+        lambda d: math.gcd(*d) == 1))
+    omega = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = draw(st.integers(0, 2)) * math.lcm(diag[i], diag[j])
+            a = draw(st.integers(0, s))
+            omega[i][j], omega[j][i] = -a, a - s
+    dot = [[omega[i][j] + omega[j][i] for j in range(n)] for i in range(n)]
+    spec = ca.make_spec(n, dot, omega)
+    assert ca.validate(spec) == []
+    return spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_specs())
+def test_gram_blocks_are_structurally_t_hermitian(spec):
+    # the premise of linalg.principal_pivots' mirror step
+    for mu in ca.degrees_tr_upto(spec.rank, 3):
+        g = pr.gram(spec, mu)
+        n = len(g)
+        for r in range(n):
+            for c in range(n):
+                flipped = rf.bar_t(g[r][c])
+                assert (g[c][r].num, g[c][r].den) == (flipped.num, flipped.den)
+        assert la._t_hermitian(la._poly_rows(g))
