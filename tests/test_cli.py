@@ -8,6 +8,9 @@ import sys
 import pytest
 
 from vtknot import cli
+from vtknot import pairing as pr
+from vtknot import quasir as qr
+from vtknot import ratfield as rf
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -155,6 +158,32 @@ def test_verify_rejects_bogus_suite(capsys):
         cli.main(["verify", "--config", SL2, "--suite", "bogus"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def _clear_quasir_caches():
+    for cached in (qr._basis_data, qr.theta, qr.theta_bar):
+        cached.cache_clear()
+
+
+def test_basis_error_in_the_quasir_suite_exits_2(capsys, monkeypatch):
+    # the antidiagonal Gram block of degree (1, 1) has full rank but no
+    # nonsingular principal block (as in test_quasir)
+    def antidiagonal(spec, ew, fw):
+        return rf.ZERO if ew == fw else rf.ONE
+
+    _clear_quasir_caches()
+    monkeypatch.setattr(pr, "_phi_words", antidiagonal)
+    try:
+        rc, out, err = run(
+            capsys, "verify", "--config", SL3, "--suite", "quasiR", "--depth", "2"
+        )
+    finally:
+        _clear_quasir_caches()
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: greedy principal blocks reached rank 0 but the degree has rank 2\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["verify", "theta"])
