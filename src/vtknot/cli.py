@@ -4,6 +4,12 @@ Exit codes: 0 success (and all checks passing for verify), 1 tangle
 parse/type failures, a failing suite or stdout closed early, 2 configuration
 problems, including a module with no unique maximal weight and, for
 `invariant`, a module on which the twist is not one scalar (a reducible one).
+
+When the first argument names a subcommand, only that subcommand's parser is
+built.  Every process pays for its parser, and building all five took about
+30 % of a short `vtknot invariant` call, more than loading its config.  Any
+other argument list (none, `-h`, an unknown command) builds all five; the
+one-subcommand parser prints the same usage and error bytes.
 """
 
 from __future__ import annotations
@@ -32,24 +38,7 @@ def _depth(text: str) -> int:
     return depth
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="vtknot",
-        description="two-parameter quantum invariants of tangle closures",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument(
-            "--format",
-            choices=("plain", "lines"),
-            default="plain",
-            help="plain values or key | value records",
-        )
-
-    p = sub.add_parser("invariant", help="invariant of the closure of a tangle word")
-    common(p)
+def _invariant_options(p):
     p.add_argument("--tangle", help="tangle word text or a built-in name")
     p.add_argument("--tangle-file", help="file holding a tangle word")
     p.add_argument(
@@ -60,20 +49,42 @@ def _build_parser() -> argparse.ArgumentParser:
         help="specialize a variable, e.g. t=1 (repeatable)",
     )
 
-    p = sub.add_parser("verify", help="run an identity suite and report each check")
-    common(p)
+
+def _verify_options(p):
     p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES)
     p.add_argument("--depth", type=_depth, default=4, help="word/degree truncation")
 
-    p = sub.add_parser("qdim", help="quantum dimension of the configured module")
-    common(p)
 
-    p = sub.add_parser("rmatrix", help="dump the crossing matrix on M (x) M")
-    common(p)
-
-    p = sub.add_parser("theta", help="dump quasi-R components degree by degree")
-    common(p)
+def _theta_options(p):
     p.add_argument("--depth", type=_depth, default=4, help="largest degree sum dumped")
+
+
+def _no_options(p):
+    pass
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The `vtknot` parser with every subcommand, or with `command`'s alone."""
+    ap = argparse.ArgumentParser(
+        prog="vtknot",
+        description="two-parameter quantum invariants of tangle closures",
+    )
+    # A metavar would replace `command` in the full parser's "required" and
+    # "invalid choice" errors.  The one-subcommand parser reaches neither, and
+    # with the metavar its usage line still lists every command.
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_options, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="run configuration file")
+        p.add_argument(
+            "--format",
+            choices=("plain", "lines"),
+            default="plain",
+            help="plain values or key | value records",
+        )
+        add_options(p)
     return ap
 
 
@@ -179,19 +190,28 @@ def _cmd_theta(args) -> int:
     return 0
 
 
+# name: (help, options beyond --config and --format, handler)
 _COMMANDS = {
-    "invariant": _cmd_invariant,
-    "verify": _cmd_verify,
-    "qdim": _cmd_qdim,
-    "rmatrix": _cmd_rmatrix,
-    "theta": _cmd_theta,
+    "invariant": (
+        "invariant of the closure of a tangle word", _invariant_options, _cmd_invariant
+    ),
+    "verify": (
+        "run an identity suite and report each check", _verify_options, _cmd_verify
+    ),
+    "qdim": ("quantum dimension of the configured module", _no_options, _cmd_qdim),
+    "rmatrix": ("dump the crossing matrix on M (x) M", _no_options, _cmd_rmatrix),
+    "theta": (
+        "dump quasi-R components degree by degree", _theta_options, _cmd_theta
+    ),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,5 +1,6 @@
 """Command line contract: outputs, exit codes, and determinism."""
 
+import argparse
 import os
 import pathlib
 import subprocess
@@ -198,6 +199,99 @@ def test_negative_depth_is_rejected(capsys, command):
     assert "passed" not in captured.out
     assert captured.out == ""
     assert "depth must be nonnegative" in captured.err
+
+
+# help and error argument lists; <cmd> -h for every command is added below
+FRONT_END_ARGVS = {
+    "none": [],
+    "-h": ["-h"],
+    "--help": ["--help"],
+    "bogus": ["bogus"],
+    "invariant-without-config": ["invariant"],
+    "verify-suite-nope": ["verify", "--suite", "nope"],
+    "theta-depth-minus-1": ["theta", "--depth", "-1"],
+    "qdim-extra": ["qdim", "--config", SL2, "extra"],
+    "invariant-bogus-option": [
+        "invariant", "--config", SL2, "--tangle", "hopf", "--bogus"
+    ],
+}
+FRONT_END_ARGVS.update({"%s-h" % c: [c, "-h"] for c in cli._COMMANDS})
+
+
+def _exit_of(capsys, call, argv):
+    with pytest.raises(SystemExit) as info:
+        call(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", FRONT_END_ARGVS.values(), ids=FRONT_END_ARGVS.keys())
+def test_front_end_prints_the_full_parsers_bytes(capsys, monkeypatch, argv):
+    # main builds one subcommand's parser when argv[0] names one; its usage
+    # line and errors must still read as the five-subcommand parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _exit_of(capsys, cli.main, argv)
+    want = _exit_of(capsys, cli._build_parser().parse_args, argv)
+    assert got == want
+    assert want[0] in (0, 2)
+
+
+def test_full_parser_errors_name_the_command_argument(capsys):
+    code, out, err = _exit_of(capsys, cli.main, ["bogus"])
+    assert (code, out) == (2, "")
+    assert "error: argument command: invalid choice: " in err
+    code, out, err = _exit_of(capsys, cli.main, [])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: command\n")
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A list that grows by one for every ArgumentParser constructed."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+CHEAP_OPTIONS = {
+    "invariant": ["--tangle", "unknot"],
+    "verify": ["--suite", "forms", "--depth", "1"],
+    "qdim": [],
+    "rmatrix": [],
+    "theta": ["--depth", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_call_builds_only_its_subcommands_parser(capsys, parsers_built, command):
+    rc, out, _ = run(capsys, command, "--config", SL2, *CHEAP_OPTIONS[command])
+    assert rc == 0
+    assert out
+    assert len(parsers_built) == 2  # vtknot and the command; 6 with every command
+
+
+def test_help_builds_every_subcommands_parser(capsys, monkeypatch, parsers_built):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = _exit_of(capsys, cli.main, ["-h"])
+    assert code == 0
+    assert len(parsers_built) == 6
+    for command in cli._COMMANDS:
+        assert "\n    %s " % command in out
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch, parsers_built):
+    monkeypatch.setattr(sys, "argv", ["vtknot", "qdim", "--config", SL2])
+    rc = cli.main()
+    got = (rc, *capsys.readouterr())
+    assert len(parsers_built) == 2
+    assert got == run(capsys, "qdim", "--config", SL2)
+    assert got[1] == "v + v^-1\n"
 
 
 def test_output_is_deterministic(capsys):
