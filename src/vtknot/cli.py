@@ -97,6 +97,8 @@ def _parse_assignments(pairs):
             raise configio.ConfigError(
                 "bad --spec %r: expected v=<rational> or t=<rational>" % item
             )
+        if name in out:
+            raise configio.ConfigError("--spec gives %s twice" % name)
         try:
             out[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
@@ -113,6 +115,8 @@ def _emit(fmt, key, value):
 
 def _cmd_invariant(args) -> int:
     cfg = configio.load_config(args.config)
+    # refuse a bad --spec before the evaluation, which can take seconds
+    assign = _parse_assignments(args.spec or ())
     if (args.tangle is None) == (args.tangle_file is None):
         raise configio.ConfigError("need exactly one of --tangle or --tangle-file")
     if args.tangle is not None:
@@ -125,8 +129,8 @@ def _cmd_invariant(args) -> int:
             raise configio.ConfigError("cannot read %s: %s" % (args.tangle_file, e))
     val = rf.reduce_poly(tg.invariant(text, cfg.module))
     trivial = len(val.den.terms) == 1
-    if args.spec:
-        val = rf.specialize(val, _parse_assignments(args.spec))
+    if assign:
+        val = rf.specialize(val, assign)
     _emit(args.format, "invariant", rf.render(val))
     print(
         "note: denominator is %s" % ("trivial" if trivial else "not trivial"),

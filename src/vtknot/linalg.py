@@ -7,13 +7,14 @@ each entry of a product or sum adds its terms in that order and unreduced
 values keep one exact form.  `m[r, c]` reads an entry, ZERO when absent.
 
 The Bareiss routines `rank`, `inverse` and `principal_pivots` work on
-plain lists of rows instead: their inputs are coefficient tables,
-such as Gram blocks, which elimination fills in anyway.  They share one
-row update, `_eliminate`, which makes each new entry with the fused exact
-kernel `ratfield.cross_div`: (a*b - c*d)/e with no polynomial temporaries.
+plain lists of LaurentPoly rows instead, such as a Gram block's numerators
+over its one den (RatFunc rows go through `ratfield._clear_dens` first).
+They share one row update, `_eliminate`, which makes each new entry with
+the fused exact kernel `ratfield.cross_div`: (a*b - c*d)/e with no
+polynomial temporaries.
 
-A Gram block of the skew pairing is t-Hermitian: the pairing is symmetric
-up to t -> t^-1, and a degree's entries share one den with no t.  Diagonal
+A Gram block's numerators are t-Hermitian: the pairing is symmetric up to
+t -> t^-1, and a degree's entries share one den with no t.  Diagonal
 pivoting keeps that symmetry at every step, since pivots and previous
 pivots are then fixed by the flip, so `principal_pivots` computes only the
 upper triangle of each update and flips it into the lower one, about half
@@ -145,29 +146,6 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-def _clear_dens(values) -> tuple:
-    """(nums, dens): the values as numerators over the product of their
-    distinct dens, and those dens; each num is its value's numerator times
-    every one of them but its own."""
-    dens = []
-    for e in values:
-        if not any(d == e.den for d in dens):
-            dens.append(e.den)
-    nums = []
-    for e in values:
-        p = e.num
-        for d in dens:
-            if not (d == e.den):
-                p = p * d
-        nums.append(p)
-    return nums, dens
-
-
-def _poly_rows(a: list) -> list:
-    """Clear denominators row by row; rank and row spans are preserved."""
-    return [_clear_dens(row)[0] for row in a]
-
-
 def _eliminate(rows: list, r: int, c: int, prev, targets, cols, mirror=False) -> None:
     """Fraction-free elimination of column c from rows `targets` by row r.
 
@@ -241,18 +219,16 @@ def principal_pivots(a: list) -> tuple:
     identity), so each test costs one look at the diagonal.  Rows and
     columns of rejected indices are eliminated too.
 
-    A Gram block is t-Hermitian, G[c][r] = bar_t(G[r][c]) over one den with
-    no t, and so are its polynomial rows.  When one structural comparison
-    finds that, each update computes only the upper triangle of the open
-    block and flips it into the lower one, about half the `cross_div` calls;
-    any other input takes the full update.
+    On t-Hermitian rows, G[c][r] = bar_t(G[r][c]) as a Gram block's
+    numerators are, each update computes only the upper triangle of the
+    open block and flips it into the lower one (see the module docstring).
 
-    Returns (taken, rest): the taken indices, ascending, and the eliminated
-    block on the other indices (as RatFuncs).  rest is the Schur complement
-    of the taken block up to nonzero row factors, so
+    The LaurentPoly rows a are left as they are.  Returns (taken, rest):
+    the taken indices, ascending, and the eliminated LaurentPoly rows on
+    the other indices, their Schur complement up to nonzero row factors, so
     rank(a) == len(taken) + rank(rest).
     """
-    rows = _poly_rows(a)
+    rows = [list(row) for row in a]
     # with two rows or fewer each update makes one entry: nothing to mirror
     mirror = len(rows) > 2 and _t_hermitian(rows)
     taken, open_ = [], list(range(len(a)))
@@ -264,19 +240,19 @@ def principal_pivots(a: list) -> tuple:
         _eliminate(rows, k, k, prev, open_, open_, mirror)
         prev = rows[k][k]
         taken.append(k)
-    return taken, [[RatFunc(rows[i][j]) for j in open_] for i in open_]
+    return taken, [[rows[i][j] for j in open_] for i in open_]
 
 
 def rank(a: list) -> int:
     if not a or not a[0]:
         return 0
-    rows = _poly_rows(a)
-    return len(_bareiss(rows, len(a[0])))
+    return len(_bareiss([list(row) for row in a], len(a[0])))
 
 
-def inverse(a: list) -> list:
-    """The inverse by one fraction-free elimination of [a | 1] and a
-    polynomial back substitution, x_i = N_i / (U_ii ... U_nn).
+def inverse(a: list, dens: list) -> list:
+    """The inverse of the matrix with rows a[r] / dens[r], all LaurentPoly,
+    by one fraction-free elimination of [a | diag(dens)] and a polynomial
+    back substitution, x_i = N_i / (U_ii ... U_nn).
 
     Each N_i sums U_ij * U_(i+1)(i+1) ... U_(j-1)(j-1) * N_j over j > i.
     That first factor depends on (i, j) only, and 1 / (U_ii ... U_nn) on i
@@ -288,8 +264,8 @@ def inverse(a: list) -> list:
     n = len(a)
     if n == 0:
         return []
-    aug = [list(row) + [ONE if c == r else ZERO for c in range(n)] for r, row in enumerate(a)]
-    rows = _poly_rows(aug)
+    rows = [list(row) + [dens[r] if c == r else ratfield.LP_ZERO for c in range(n)]
+            for r, row in enumerate(a)]
     pivots = _bareiss(rows, n)
     if len(pivots) != n:
         raise SingularMatrixError("matrix is singular over Q(v,t)")

@@ -16,8 +16,10 @@ every E-word w: the product of the peel dens (v_i^2 - 1 up to a monomial) of
 the letters of fw.  The recursion runs on LaurentPoly numerators over that
 den (`_phi_num`, `_phi_den`) and never multiplies a den out again;
 `_phi_words` pairs them into the RatFunc the constructor would give, and
-`phi` extends that table bilinearly through `freealg.bilinear`.  The
-anti-automorphism on F-words is `freealg.sigma(spec, y, side="F")`.
+`phi` extends that table bilinearly through `freealg.bilinear`.  `gram`
+gives a degree's block as the numerators over the one den that all its
+words share.  The anti-automorphism on F-words is `freealg.sigma(spec, y,
+side="F")`.
 
 The bilinear form on words is phi times a monomial: peeling F_i scales it by
 (1-v_i^-2)^-1 t^(2<i,|rest|>) where phi takes (v_i^-1 - v_i)^-1, so `form`
@@ -90,10 +92,9 @@ def phibar(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFu
     return rf_bar(phi(spec, freealg.bar_f(x), freealg.bar_f(y)))
 
 
-def gram(spec: cartan.CartanSpec, mu: cartan.Degree) -> list:
-    """phi on all word pairs of one degree, rows and columns in word order."""
+def gram(spec: cartan.CartanSpec, mu: cartan.Degree) -> tuple:
+    """(rows, den): phi on all word pairs of one degree, rows and columns in
+    word order, as LaurentPoly numerators over the degree's one den."""
     words = freealg.words_of_degree(mu)
-    return [
-        [_phi_words(spec, ew, fw) for fw in words]
-        for ew in words
-    ]
+    rows = [[_phi_num(spec, ew, fw) for fw in words] for ew in words]
+    return rows, _phi_den(spec, words[0])

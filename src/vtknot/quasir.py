@@ -19,11 +19,11 @@ Everything is represented at word level; degrees in the pairing radical act
 by zero on weight modules, which is where equality of the two descriptions
 is meaningful.
 
-The pairing is symmetric up to t -> t^-1, G[c][a] = bar_t(G[a][c]), and the
-entries of one degree share one den with no t (the product of the peel
-dens of its letters), so each Gram block is t-Hermitian, and so is its
-revlex reversal.  The elimination then computes only half of each update
-and mirrors the rest (see `linalg`).
+`pairing.gram` gives each block as LaurentPoly numerators over the one
+den, with no t, that its entries share; the inverse takes the den back as
+its right-hand block diag(den).  The pairing is symmetric up to t -> t^-1,
+so the numerators are t-Hermitian, and so is their revlex reversal: the
+elimination computes only half of each update (see `linalg`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _basis_data(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown basis order {order!r}")
     words = list(freealg.words_of_degree(mu))
-    gram = pairing.gram(spec, mu)
+    gram, den = pairing.gram(spec, mu)
     if order == "revlex":
         words.reverse()
         gram = [row[::-1] for row in reversed(gram)]
@@ -56,7 +56,8 @@ def _basis_data(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
             f"greedy principal blocks reached rank {len(chosen)}"
             f" but the degree has rank {full_rank}"
         )
-    return tuple(chosen), linalg.inverse([[gram[a][c] for c in taken] for a in taken])
+    block = [[gram[a][c] for c in taken] for a in taken]
+    return tuple(chosen), linalg.inverse(block, [den] * len(taken))
 
 
 def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> tuple:

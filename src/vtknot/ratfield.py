@@ -52,7 +52,7 @@ Term order is descending by (v_exp, t_exp).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 
@@ -385,6 +385,17 @@ def _normal(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
     res.num = num
     res.den = den
     return res
+
+
+def _clear_dens(values) -> tuple:
+    """(nums, den): the values as numerators over den, the product of their
+    distinct dens; each num is its value's numerator times the other dens."""
+    dens = []
+    for e in values:
+        if not any(d == e.den for d in dens):
+            dens.append(e.den)
+    nums = [prod((d for d in dens if not (d == e.den)), start=e.num) for e in values]
+    return nums, prod(dens, start=LP_ONE)
 
 
 def mono(coeff=1, v_exp=0, t_exp=0) -> RatFunc:

@@ -148,7 +148,8 @@ def suite_pairing(cfg, depth):
     peel = invariance = conj = split = gram_sym = True
     for mu in ca.degrees_tr_upto(spec.rank, depth):
         words = fa.words_of_degree(mu)
-        g = pr.gram(spec, mu)
+        rows, den = pr.gram(spec, mu)
+        g = [[rf.RatFunc(x, den) for x in row] for row in rows]
         for r in range(len(words)):
             for c in range(len(words)):
                 gram_sym = gram_sym and rf.eq(g[r][c], rf.bar_t(g[c][r]))
@@ -454,17 +455,19 @@ def annihilator(mat, maxdeg):
     for d in range(1, maxdeg + 1):
         picked = []
         for rc in coords:
-            rows = [[powers[k][r, c] for k in range(d)] for r, c in picked + [rc]]
+            rows = [rf._clear_dens([powers[k][r, c] for k in range(d)])[0]
+                    for r, c in picked + [rc]]
             if la.rank(rows) == len(rows):
                 picked.append(rc)
                 if len(picked) == d:
                     break
         if len(picked) < d:
             continue
-        a = [[powers[k][r, c] for k in range(d)] for r, c in picked]
+        a, dens = zip(*(rf._clear_dens([powers[k][r, c] for k in range(d)])
+                        for r, c in picked))
         b = [powers[d][r, c] for r, c in picked]
         coeffs = [rf.reduce_poly(sum((x * y for x, y in zip(row, b)), ZERO))
-                  for row in la.inverse(a)]
+                  for row in la.inverse(a, dens)]
         residue = powers[d]
         for k in range(d):
             residue = la.mat_sub(residue, la.mat_scale(powers[k], coeffs[k]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 from . import cartan as ca
 from . import linalg as la
@@ -160,11 +160,11 @@ def _generator(g: str, m: mo.WeightModule) -> tuple:
         maps = {"ev": mo.ev_map, "qtr": mo.qtr_map, "coev": mo.coev_map, "coqtr": mo.coqtr_map}
         mat = maps[g](m)
     entries = list(mat.items())
-    nums, dens = la._clear_dens([x for _, _, x in entries])
+    nums, den = rf._clear_dens([x for _, _, x in entries])
     cols = {}
     for (r, c, _), p in zip(entries, nums):
         cols.setdefault(c, []).append((r, p))
-    return cols, prod(dens, start=LP_ONE)
+    return cols, den
 
 
 def _apply(cols, acc, ds, dt, dlo):

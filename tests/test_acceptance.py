@@ -9,6 +9,7 @@ import pathlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,7 @@ def test_pairing_identities_hold():
 
 def test_braid_relator_drops_gram_rank():
     # at 2a1 + a2 the three words span a plane, not all of the weight space
-    gram = pr.gram(SL3.spec, (2, 1))
+    gram, _ = pr.gram(SL3.spec, (2, 1))
     assert len(gram) == 3
     assert la.rank(gram) == 2
 
@@ -231,6 +232,23 @@ def test_normalized_crossing_has_quadratic_minimal_polynomial():
             ", ".join(rf.render(r) for r in roots) or "not monomial",
         )
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_crossing_annihilator_has_the_casimir_eigenvalues(n):
+    # on the (n+1)-dimensional simple the normalized crossing has one
+    # eigenvalue per summand of the tensor square, (-1)^k v^(n + k(2n+1-k))
+    # for k = 0..n (the sl2 Casimir values of Kirby-Melvin 1991, v = q^-1),
+    # so its least annihilator is the product of the (x - root)
+    m = mo.rank1_simple(n)
+    coeffs = su.annihilator(tg.functor_T(tg.parse("xp"), m), n + 1)
+    assert coeffs is not None and len(coeffs) == n + 1
+    poly = [rf.ONE]  # coefficients of prod (x - root), lowest degree first
+    for k in range(n + 1):
+        root = rf.mono((-1) ** k, n + k * (2 * n + 1 - k), 0)
+        poly = [a - root * b for a, b in zip([rf.ZERO] + poly, poly + [rf.ZERO])]
+    # x^(n+1) = sum_k coeffs[k] x^k
+    assert all(rf.eq(c, -p) for c, p in zip(coeffs, poly[:-1]))
 
 
 # ------------------------------------------------------------- determinism

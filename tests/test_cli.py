@@ -92,6 +92,20 @@ def test_bad_spec_assignment(capsys):
     assert "--spec" in err
 
 
+def test_spec_variable_given_twice_exits_2(capsys, monkeypatch):
+    # the later value must not silently replace the earlier one, and the
+    # refusal comes before the closure is evaluated
+    monkeypatch.setattr(cli.tg, "invariant", None)
+    rc, out, err = run(
+        capsys,
+        "invariant", "--config", SL2, "--tangle", "unknot",
+        "--spec", "t=1", "--spec", " t = 2",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --spec gives t twice\n"
+
+
 def test_bad_config_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rank = 1\n")
@@ -170,10 +184,10 @@ def test_basis_error_in_the_quasir_suite_exits_2(capsys, monkeypatch):
     # the antidiagonal Gram block of degree (1, 1) has full rank but no
     # nonsingular principal block (as in test_quasir)
     def antidiagonal(spec, ew, fw):
-        return rf.ZERO if ew == fw else rf.ONE
+        return rf.LP_ZERO if ew == fw else rf.LP_ONE
 
     _clear_quasir_caches()
-    monkeypatch.setattr(pr, "_phi_words", antidiagonal)
+    monkeypatch.setattr(pr, "_phi_num", antidiagonal)
     try:
         rc, out, err = run(
             capsys, "verify", "--config", SL3, "--suite", "quasiR", "--depth", "2"

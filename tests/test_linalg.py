@@ -5,11 +5,14 @@ index order, as a dense row-by-row loop does.  Entries are compared by value
 and by printed form: the sparse type must add the same terms in the same
 order, so unreduced values come out in the same form.
 
-The one-pass basis elimination is checked against the greedy choice with
-one rank per trial prefix, and on t-Hermitian input (the mirror step)
-against the full update entry by entry.  The inverse is checked as an
-inverse and, form by form, against a copy of its first back substitution,
-which fixes the unreduced values `theta` prints.
+The Bareiss routines take LaurentPoly rows; RatFunc matrices reach them
+through `ratfield._clear_dens`, row by row.  The one-pass basis elimination
+is checked against the greedy choice with one rank per trial prefix, and
+on t-Hermitian input (the mirror step) against the full update entry by
+entry; it and `rank` must leave their input rows as they are.  The inverse
+is checked as an inverse of the RatFunc matrix and, form by form, against
+a copy of its first back substitution on [a | 1] cleared row by row, which
+fixes the unreduced values `theta` prints.
 """
 
 import pytest
@@ -137,6 +140,12 @@ def test_mismatched_shapes_raise(a, b):
         assert not la.mat_eq(x, y)
 
 
+def poly_rows(a):
+    """RatFunc rows as numerators over each row's den: ranks, principal
+    minors up to nonzero factors, and row spans are kept."""
+    return [rf._clear_dens(row)[0] for row in a]
+
+
 def greedy_pivots(a):
     """The index-order greedy choice, one rank per trial prefix."""
     taken = []
@@ -160,11 +169,13 @@ def square(draw):
 # index 1 is the only pivot; the rejected index 0 gains a nonzero Schur entry
 @example([[Z, ONE, Z], [ONE, ONE, Z], [Z, Z, Z]])
 def test_principal_pivots_take_the_greedy_indices(a):
-    taken, rest = la.principal_pivots(a)
-    assert taken == greedy_pivots(a)
+    rows = poly_rows(a)
+    taken, rest = la.principal_pivots(rows)
+    assert taken == greedy_pivots(rows)
     n = len(a) - len(taken)
     assert len(rest) == n and all(len(row) == n for row in rest)
-    assert len(taken) + la.rank(rest) == la.rank(a)
+    assert all(isinstance(x, rf.LaurentPoly) for row in rest for x in row)
+    assert len(taken) + la.rank(rest) == la.rank(rows)
 
 
 # ------------------------------------------------ the t-Hermitian elimination
@@ -173,7 +184,7 @@ def test_principal_pivots_take_the_greedy_indices(a):
 def full_pivots(a):
     """principal_pivots with the full update on every entry, the reference
     for the mirror step: (taken, the eliminated polynomial rows on the rest)."""
-    rows = la._poly_rows(a)
+    rows = [list(row) for row in a]
     taken, open_ = [], list(range(len(a)))
     prev = rf.LP_ONE
     for k in range(len(a)):
@@ -191,55 +202,65 @@ def full_pivots(a):
     return taken, [[rows[i][j] for j in open_] for i in open_]
 
 
-# values fixed by t -> t^-1, for the diagonal, and pairs (x, bar_t(x)) above it
-T_FIXED = [rf.parse(x) for x in ("0", "1", "v", "t + t^-1", "v^(1/2) * (t - 2 + t^-1)")]
-T_ANY = [rf.parse(x) for x in ("0", "1", "t", "v * t^(1/2)", "v - t^-1", "2 * v * t^2 - t")]
-T_FREE_DENS = [rf.parse(x) for x in ("1", "v - 1", "v^2 + v + 1")]
+def polys(*texts):
+    return [rf.parse(x).num for x in texts]
+
+
+# numerators fixed by t -> t^-1, for the diagonal, and pairs (x, bar_t(x)) above it
+T_FIXED = polys("0", "1", "v", "t + t^-1", "v^(1/2) * (t - 2 + t^-1)")
+T_ANY = polys("0", "1", "t", "v * t^(1/2)", "v - t^-1", "2 * v * t^2 - t")
+P0, P1, PV, PT, PTI = polys("0", "1", "v", "t", "t^-1")
 
 
 @st.composite
 def t_hermitian(draw):
-    """A square matrix with a[j][i] = bar_t(a[i][j]) over one t-free den."""
+    """Numerator rows with a[j][i] = bar_t(a[i][j]), as a Gram block's are."""
     n = draw(st.integers(0, 4))
-    den = draw(st.sampled_from(T_FREE_DENS))
     a = [[None] * n for _ in range(n)]
     for i in range(n):
-        a[i][i] = draw(st.sampled_from(T_FIXED)) / den
+        a[i][i] = draw(st.sampled_from(T_FIXED))
         for j in range(i + 1, n):
-            x = draw(st.sampled_from(T_ANY)) / den
-            a[i][j], a[j][i] = x, rf.bar_t(x)
+            x = draw(st.sampled_from(T_ANY))
+            a[i][j], a[j][i] = x, rf._flip_poly(x, 1, -1)
     return a
 
 
 @settings(max_examples=100, deadline=None)
 @given(t_hermitian())
-@example([[Z, rf.T], [rf.inv(rf.T), Z]])
-@example([[ONE, rf.T, Z], [rf.inv(rf.T), ONE, Z], [Z, Z, rf.V]])
+@example([[P0, PT], [PTI, P0]])
+@example([[P1, PT, P0], [PTI, P1, P0], [P0, P0, PV]])
 def test_t_hermitian_elimination_matches_the_full_update(a):
-    assert la._t_hermitian(la._poly_rows(a))
+    assert la._t_hermitian(a)
     taken, rest = la.principal_pivots(a)
     assert taken == greedy_pivots(a)
-    want_taken, want_rest = full_pivots(a)
-    assert taken == want_taken
-    assert [[x.num for x in row] for row in rest] == want_rest
-    assert all(x.den is rf.LP_ONE for row in rest for x in row)
+    assert (taken, rest) == full_pivots(a)
 
 
 @pytest.mark.parametrize("a", [
     # t-Hermitian off the diagonal only: the pivot t is not fixed by the flip
-    [[rf.T, ONE, rf.V], [ONE, ONE, ONE], [rf.V, ONE, ONE + ONE]],
+    [[PT, P1, PV], [P1, P1, P1], [PV, P1, P1 + P1]],
     # one entry off its flip
-    [[ONE, rf.T, ONE], [rf.T, ONE, ONE], [ONE, ONE, rf.V]],
+    [[P1, PT, P1], [PT, P1, P1], [P1, P1, PV]],
 ])
 def test_input_that_is_not_t_hermitian_takes_the_full_update(a):
-    assert not la._t_hermitian(la._poly_rows(a))
-    taken, rest = la.principal_pivots(a)
-    assert (taken, [[x.num for x in row] for row in rest]) == full_pivots(a)
+    assert not la._t_hermitian(a)
+    assert la.principal_pivots(a) == full_pivots(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(square().map(poly_rows), t_hermitian()))
+def test_pivots_and_rank_leave_their_input_rows_unchanged(rows):
+    # quasir reads the inverse's block from the rows it eliminated
+    before = [list(row) for row in rows]
+    la.principal_pivots(rows)
+    assert rows == before
+    la.rank(rows)
+    assert rows == before
 
 
 def test_mirror_step_halves_the_gram_updates(monkeypatch):
     spec = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
-    gram = pr.gram(spec, (2, 3))
+    gram, _ = pr.gram(spec, (2, 3))
     calls = []
     real = rf.cross_div
 
@@ -259,12 +280,12 @@ def test_mirror_step_halves_the_gram_updates(monkeypatch):
 
 
 def reference_inverse(a):
-    """The reference back substitution: each column on its own,
+    """The reference back substitution of the RatFunc matrix a: [a | 1]
+    cleared row by row, each column on its own,
     x_i = N_i / (U_ii ... U_nn), products in order with one running mid."""
     n = len(a)
-    aug = [list(row) + [rf.ONE if c == r else rf.ZERO for c in range(n)]
-           for r, row in enumerate(a)]
-    rows = la._poly_rows(aug)
+    rows = poly_rows([list(row) + [rf.ONE if c == r else rf.ZERO for c in range(n)]
+                      for r, row in enumerate(a)])
     la._bareiss(rows, n)
     suffix = [rf.LP_ONE] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -291,11 +312,13 @@ def reference_inverse(a):
 @example([[X, ONE, Z], [ONE, Z, X], [Z, X, ONE]])
 def test_inverse_inverts_and_keeps_the_reference_forms(a):
     n = len(a)
-    if la.rank(a) < n:
+    cleared = [rf._clear_dens(row) for row in a]
+    rows, dens = [p for p, _ in cleared], [d for _, d in cleared]
+    if la.rank(rows) < n:
         with pytest.raises(la.SingularMatrixError):
-            la.inverse(a)
+            la.inverse(rows, dens)
         return
-    got = la.inverse(a)
+    got = la.inverse(rows, dens)
     m, g = sparse((n, n, a)), sparse((n, n, got))
     assert la.mat_eq(la.mat_mul(g, m), la.identity(n))
     assert la.mat_eq(la.mat_mul(m, g), la.identity(n))

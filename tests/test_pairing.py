@@ -51,9 +51,9 @@ def test_rank_one_gram_product_formula():
 
 
 def test_gram_ranks_rank_two():
-    g11 = pr.gram(SL3, (1, 1))
+    g11, _ = pr.gram(SL3, (1, 1))
     assert len(g11) == 2 and la.rank(g11) == 2
-    g21 = pr.gram(SL3, (2, 1))
+    g21, _ = pr.gram(SL3, (2, 1))
     assert len(g21) == 3 and la.rank(g21) == 2
 
 
@@ -278,10 +278,15 @@ def admissible_specs(draw):
 def test_gram_blocks_are_structurally_t_hermitian(spec):
     # the premise of linalg.principal_pivots' mirror step
     for mu in ca.degrees_tr_upto(spec.rank, 3):
-        g = pr.gram(spec, mu)
-        n = len(g)
+        rows, den = pr.gram(spec, mu)
+        words = fa.words_of_degree(mu)
+        n = len(rows)
         for r in range(n):
             for c in range(n):
-                flipped = rf.bar_t(g[r][c])
-                assert (g[c][r].num, g[c][r].den) == (flipped.num, flipped.den)
-        assert la._t_hermitian(la._poly_rows(g))
+                # every entry of the degree is its numerator over the one den
+                got = rf.RatFunc(rows[r][c], den)
+                want = pr._phi_words(spec, words[r], words[c])
+                assert (got.num, got.den) == (want.num, want.den)
+                flipped, mirror = rf.bar_t(got), rf.RatFunc(rows[c][r], den)
+                assert (mirror.num, mirror.den) == (flipped.num, flipped.den)
+        assert la._t_hermitian(rows)

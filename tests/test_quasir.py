@@ -54,10 +54,10 @@ def test_basis_error_without_a_nonsingular_principal_block(monkeypatch):
     # on the two words of degree (1, 1) the Gram block becomes [[0, 1], [1, 0]]:
     # full rank, but neither word pairs with itself
     def antidiagonal(spec, ew, fw):
-        return rf.ZERO if ew == fw else rf.ONE
+        return rf.LP_ZERO if ew == fw else rf.LP_ONE
 
     qr._basis_data.cache_clear()
-    monkeypatch.setattr(pr, "_phi_words", antidiagonal)
+    monkeypatch.setattr(pr, "_phi_num", antidiagonal)
     try:
         with pytest.raises(qr.BasisError, match="reached rank 0 but the degree has rank 2"):
             qr.select_basis(SL3, (1, 1))
