@@ -2,19 +2,23 @@
 
 E-words and F-words are both plain index tuples; which side a dict lives on
 is determined by the function applied to it.  The pairing phi is computed by
-peeling the first F-letter:
+peeling one letter off either end of either word, e.g. the first F-letter:
 
     (x, F_i y) = (v_i^-1 - v_i)^-1 (ir(x), y)
 
 with (1,1) = 1 and degree mismatch pairing to zero, where ir is
 freealg.deriv(spec, i, x, "l").  The same derivation peels the other end
-(end "r") or acts on F-words (side "F"), which gives three alternative
-peeling orders; the tests check all four agree.
+(end "r") or acts on F-words (side "F"): `_phi_num(spec, ew, fw, end,
+side)` is one recursion for all four orders, which the pairing suite
+checks agree.
 
 The derivation coefficients are Laurent, so phi(E_w, F_fw) has one den for
 every E-word w: the product of the peel dens (v_i^2 - 1 up to a monomial) of
-the letters of fw.  The recursion runs on LaurentPoly numerators over that
-den (`_phi_num`, `_phi_den`) and never multiplies a den out again;
+the letters of fw, in every order, as the peeled and the derived word have
+the same letters.  The recursion runs on LaurentPoly numerators over that
+den (`_phi_num`, `_phi_den`) and never multiplies a den out again.  Every
+caller passes all five arguments (`gram` and `_phi_words` "l", "F"), since
+`lru_cache` would key a defaulted call apart from a full one.
 `_phi_words` pairs them into the RatFunc the constructor would give, and
 `phi` extends that table bilinearly through `freealg.bilinear`.  `gram`
 gives a degree's block as the numerators over the one den that all its
@@ -49,16 +53,19 @@ def _phi_den(spec: cartan.CartanSpec, fw) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _phi_num(spec: cartan.CartanSpec, ew, fw) -> LaurentPoly:
-    """Numerator of phi(E_ew, F_fw) over _phi_den(spec, fw)."""
+def _phi_num(spec: cartan.CartanSpec, ew, fw, end: str, side: str) -> LaurentPoly:
+    """Numerator of phi(E_ew, F_fw) over _phi_den(spec, fw), by peeling the
+    `end` letter ("l" or "r") of the `side` word ("E" or "F") and deriving
+    the other word."""
     if freealg.deg(spec, ew) != freealg.deg(spec, fw):
         return LP_ZERO
     if not fw:
         return LP_ONE
-    i, rest = fw[0], fw[1:]
+    peeled, other, other_side = (fw, ew, "E") if side == "F" else (ew, fw, "F")
+    i, rest = (peeled[-1], peeled[:-1]) if end == "r" else (peeled[0], peeled[1:])
     acc = LP_ZERO
-    for w, c in freealg._deriv_word(spec, i, ew, "l", "E").items():
-        val = _phi_num(spec, w, rest)
+    for w, c in freealg._deriv_word(spec, i, other, end, other_side).items():
+        val = _phi_num(spec, *((w, rest) if side == "F" else (rest, w)), end, side)
         if val.terms:
             acc = acc + c.num * val
     return _peel_scale(spec, i).num * acc
@@ -66,7 +73,7 @@ def _phi_num(spec: cartan.CartanSpec, ew, fw) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _phi_words(spec: cartan.CartanSpec, ew, fw) -> RatFunc:
-    return _normal(_phi_num(spec, ew, fw), _phi_den(spec, fw))
+    return _normal(_phi_num(spec, ew, fw, "l", "F"), _phi_den(spec, fw))
 
 
 def phi(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:
@@ -96,5 +103,5 @@ def gram(spec: cartan.CartanSpec, mu: cartan.Degree) -> tuple:
     """(rows, den): phi on all word pairs of one degree, rows and columns in
     word order, as LaurentPoly numerators over the degree's one den."""
     words = freealg.words_of_degree(mu)
-    rows = [[_phi_num(spec, ew, fw) for fw in words] for ew in words]
+    rows = [[_phi_num(spec, ew, fw, "l", "F") for fw in words] for ew in words]
     return rows, _phi_den(spec, words[0])

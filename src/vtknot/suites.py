@@ -9,7 +9,6 @@ report byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from . import cartan as ca
 from . import freealg as fa
@@ -124,25 +123,6 @@ def suite_forms(cfg, depth):
 
 # -------------------------------------------------------------- pairing
 
-@lru_cache(maxsize=None)
-def _phi_peel(spec, ew, fw, end, side):
-    """phi by peeling the `end` letter of the `side` word and deriving the other."""
-    if side == "F":
-        peeled, other, other_side = fw, ew, "E"
-    else:
-        peeled, other, other_side = ew, fw, "F"
-    if not peeled:
-        return ONE if not other else ZERO
-    i, rest = (peeled[-1], peeled[:-1]) if end == "r" else (peeled[0], peeled[1:])
-    acc = ZERO
-    for w, c in fa.deriv(spec, i, fa.felem(other), end, other_side).items():
-        if side == "F":
-            acc = acc + c * _phi_peel(spec, w, rest, end, side)
-        else:
-            acc = acc + c * _phi_peel(spec, rest, w, end, side)
-    return pr._peel_scale(spec, i) * acc
-
-
 def suite_pairing(cfg, depth):
     spec = cfg.spec
     peel = invariance = conj = split = gram_sym = True
@@ -150,14 +130,13 @@ def suite_pairing(cfg, depth):
         words = fa.words_of_degree(mu)
         rows, den = pr.gram(spec, mu)
         g = [[rf.RatFunc(x, den) for x in row] for row in rows]
-        for r in range(len(words)):
-            for c in range(len(words)):
+        for r, ew in enumerate(words):
+            for c, fw in enumerate(words):
                 gram_sym = gram_sym and rf.eq(g[r][c], rf.bar_t(g[c][r]))
-        for ew in words:
-            for fw in words:
                 want = pr.phi(spec, fa.felem(ew), fa.felem(fw))
+                # every order is a numerator over the one den of rows[r][c]
                 peel = peel and all(
-                    rf.eq(_phi_peel(spec, ew, fw, end, side), want)
+                    pr._phi_num(spec, ew, fw, end, side) == rows[r][c]
                     for end, side in (("r", "F"), ("l", "E"), ("r", "E"))
                 )
                 invariance = invariance and rf.eq(
@@ -345,27 +324,6 @@ def _cap_slide_holds(m, dual, rr):
     return la.mat_eq(lhs, rhs)
 
 
-def _mixed_crossings(m, dual, rr, rinv):
-    d = m.dim
-    id_m = la.identity(d)
-    id_d = la.identity(dual.dim)
-    rpm = la.mat_mul(
-        la.kron(la.identity(d * d), mo.qtr_map(m)),
-        la.mat_mul(
-            la.kron(id_d, la.kron(rinv, id_d)),
-            la.kron(la.kron(mo.coev_map(m), id_m), id_d),
-        ),
-    )
-    rmp = la.mat_mul(
-        la.kron(la.kron(mo.ev_map(m), id_m), id_d),
-        la.mat_mul(
-            la.kron(id_d, la.kron(rr, id_d)),
-            la.kron(la.identity(d * d), mo.coqtr_map(m)),
-        ),
-    )
-    return rpm, rmp
-
-
 def _ftilde_slots(mods, s, l):
     spec = mods[0].spec
     entries = []
@@ -379,21 +337,11 @@ def _ftilde_slots(mods, s, l):
 
 def _transport_holds(m):
     """Coproduct across the first two slots assembles iterated twists."""
-    spec = m.spec
     mods = [m, m, m]
     f31 = _ftilde_slots(mods, 2, 0)
     f32 = _ftilde_slots(mods, 2, 1)
-    size = m.dim ** 3
-    lhs_head = la.identity(size)
-    pair = mo.tensor(m, m)
-    for mu in mo.theta_degrees(pair, m):
-        words = qr.select_basis(spec, mu)
-        for ai, wa in enumerate(words):
-            mat12 = mo.act_elem(pair, qr.dual_element(spec, mu, ai), "E")
-            mat3 = mo.act_word(m, wa, "F")
-            if not mat3.entries:
-                continue
-            lhs_head = la.mat_add(lhs_head, la.kron(mat12, mat3))
+    # theta with F on the third strand and E on the tensor square of the first two
+    lhs_head = mo._theta_op([mo.tensor(m, m), m], 1, 0, qr.theta)
     lhs = la.mat_mul(lhs_head, la.mat_mul(f31, f32))
     rhs = la.mat_mul(
         la.mat_mul(mo._theta_op(mods, 2, 0, qr.theta), f31),
@@ -486,13 +434,11 @@ def suite_rmatrix(cfg, depth):
     cancel = la.mat_eq(la.mat_mul(rr, rinv), ident) and la.mat_eq(
         la.mat_mul(rinv, rr), ident
     )
-    rpm, rmp = _mixed_crossings(m, dual, rr, rinv)
-    md = mo.tensor(m, dual)
-    dm = mo.tensor(dual, m)
-    mixed_match = la.mat_eq(rpm, mo.rmat(m, dual))
-    mixed_cancel = la.mat_eq(
-        la.mat_mul(rmp, rpm), la.identity(md.dim)
-    ) and la.mat_eq(la.mat_mul(rpm, rmp), la.identity(dm.dim))
+    # the functor scales xm by the crossing unit
+    mixed_match = la.mat_eq(
+        tg.functor_T(tg.parse(_ROT_Y % "xm"), m),
+        la.mat_scale(mo.rmat(m, dual), tg.crossing_unit(m)),
+    )
     out = [
         ("crossing is a module map", mo.is_module_map(mm, mm, rr)),
         ("crossing and its inverse cancel", cancel),
@@ -500,7 +446,7 @@ def suite_rmatrix(cfg, depth):
         ("crossing slides across a cap", _cap_slide_holds(m, dual, rr)),
         ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m)),
         ("mixed crossing matches its cup and cap form", mixed_match),
-        ("mixed crossings compose to the identity", mixed_cancel),
+        ("mixed crossings compose to the identity", _all_hold(_MIXED, m)),
         ("coproduct transport assembles iterated twists", _transport_holds(m)),
         ("weight factors commute with the twist", _weight_factor_commutes(m)),
     ]
@@ -555,10 +501,12 @@ _SLIDE_RHS = (
     "dn * dn * coqtr ; dn * dn * up * coqtr * dn ; dn * dn * %s * dn * dn ; "
     "dn * ev * up * dn * dn ; ev * dn * dn"
 )
-_ROT_Y = "coev * up * dn ; dn * xp * dn ; dn * up * qtr"
-_ROT_T = "dn * up * coqtr ; dn * xm * dn ; ev * up * dn"
+# a crossing rotated by cups and caps: _ROT_Y is up dn -> dn up, _ROT_T dn up -> up dn
+_ROT_Y = "coev * up * dn ; dn * %s * dn ; dn * up * qtr"
+_ROT_T = "dn * up * coqtr ; dn * %s * dn ; ev * up * dn"
 
 # (name, lhs, rhs) word pairs; the rmatrix suite reuses the curls and kinks
+# and checks _MIXED, the rotations with the crossings swapped
 _CURLS = (
     ("left curl straightens on an upward strand", "up * coev ; qtr * up", "up"),
     ("right curl straightens on an upward strand", "coqtr * up ; up * ev", "up"),
@@ -577,8 +525,14 @@ _KINKS = (
     ("negative kink vanishes", tg.KINK % "xm", "up"),
 )
 _ROTATIONS = (
-    ("rotation round trip is the identity, one way", _ROT_Y + " ; " + _ROT_T, "up * dn"),
-    ("rotation round trip is the identity, other way", _ROT_T + " ; " + _ROT_Y, "dn * up"),
+    ("rotation round trip is the identity, one way",
+     _ROT_Y % "xp" + " ; " + _ROT_T % "xm", "up * dn"),
+    ("rotation round trip is the identity, other way",
+     _ROT_T % "xm" + " ; " + _ROT_Y % "xp", "dn * up"),
+)
+_MIXED = (
+    ("mixed crossings cancel, one way", _ROT_Y % "xm" + " ; " + _ROT_T % "xp", "up * dn"),
+    ("mixed crossings cancel, other way", _ROT_T % "xp" + " ; " + _ROT_Y % "xm", "dn * up"),
 )
 
 

@@ -236,15 +236,11 @@ def closure(w: TangleWord) -> TangleWord:
     if n == 0 or w.source != w.target or any(s != "+" for s in w.source):
         raise TangleError("closure needs a square all-plus boundary, got %s -> %s"
                           % (_sig(w.source), _sig(w.target)))
-    cup = word([("coqtr",)])
-    cap = word([("qtr",)])
-    for k in range(2, n + 1):
-        ring = ("up",) * (k - 1) + ("coqtr",) + ("dn",) * (k - 1)
-        cup = compose(word([ring]), cup)
-        ring = ("up",) * (k - 1) + ("qtr",) + ("dn",) * (k - 1)
-        cap = compose(cap, word([ring]))
-    mid = tensorw(w, word([("dn",) * n]))
-    return compose(cap, compose(mid, cup))
+    # bottom to top: nested cups, the word beside n downward strands, nested caps
+    rows = [("up",) * k + ("coqtr",) + ("dn",) * k for k in range(n)]
+    rows += [row + ("dn",) * n for row in w.rows]
+    rows += [("up",) * k + ("qtr",) + ("dn",) * k for k in reversed(range(n))]
+    return word(rows)
 
 
 def invariant(w, m: mo.WeightModule) -> rf.RatFunc:

@@ -183,7 +183,7 @@ def _clear_quasir_caches():
 def test_basis_error_in_the_quasir_suite_exits_2(capsys, monkeypatch):
     # the antidiagonal Gram block of degree (1, 1) has full rank but no
     # nonsingular principal block (as in test_quasir)
-    def antidiagonal(spec, ew, fw):
+    def antidiagonal(spec, ew, fw, end, side):
         return rf.LP_ZERO if ew == fw else rf.LP_ONE
 
     _clear_quasir_caches()

@@ -12,7 +12,10 @@ on t-Hermitian input (the mirror step) against the full update entry by
 entry; it and `rank` must leave their input rows as they are.  The inverse
 is checked as an inverse of the RatFunc matrix and, form by form, against
 a copy of its first back substitution on [a | 1] cleared row by row, which
-fixes the unreduced values `theta` prints.
+fixes the unreduced values `theta` prints.  On t-dependent rows it is
+checked in the shape quasir passes, t-Hermitian numerator rows over one
+t-free den, by polynomial products only: summing RatFunc products over
+its per-row dens swells past usefulness on such input.
 """
 
 import pytest
@@ -326,3 +329,36 @@ def test_inverse_inverts_and_keeps_the_reference_forms(a):
     for grow, wrow in zip(got, want):
         for x, y in zip(grow, wrow):
             assert (x.num, x.den) == (y.num, y.den)
+
+
+# the 4x4 t-Hermitian block over v - 1 on which mat_mul(inverse(a), a) ran
+# for over 40 s
+FOUR = [
+    polys("t + t^-1", "0", "2 * v * t^2 - t", "v - t^-1"),
+    polys("0", "v^(1/2) * (t - 2 + t^-1)", "v - t^-1", "v - t^-1"),
+    polys("2 * v * t^-2 - t^-1", "v - t", "1", "1"),
+    polys("v - t", "v - t", "1", "t + t^-1"),
+]
+T_FREE_DENS = polys("1", "v - 1", "v^2 + 1")
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_hermitian(), st.sampled_from(T_FREE_DENS))
+@example(FOUR, T_FREE_DENS[1])
+def test_inverse_of_t_hermitian_rows_over_one_den(rows, den):
+    # X inverts the matrix rows / den, so sum_j num(X_ij) rows[j][k] is
+    # delta_ik d_i den for row i's one den d_i
+    n = len(rows)
+    if la.rank(rows) < n:
+        with pytest.raises(la.SingularMatrixError):
+            la.inverse(rows, [den] * n)
+        return
+    got = la.inverse(rows, [den] * n)
+    for i, row in enumerate(got):
+        dens = [x.den for x in row if not x.is_zero()]
+        assert dens and all(d == dens[0] for d in dens)
+        for k in range(n):
+            acc = rf.LP_ZERO
+            for x, prow in zip(row, rows):
+                acc = acc + x.num * prow[k]
+            assert acc == (dens[0] * den if i == k else rf.LP_ZERO)

@@ -115,14 +115,24 @@ def _phi_e_last(ew, fw):
     return pr._peel_scale(SL3, i) * acc
 
 
+# each of pairing._phi_num's other peeling orders against its RatFunc reference
+_REFERENCE_ORDERS = (
+    (("r", "F"), _phi_f_right),
+    (("l", "E"), _phi_e_first),
+    (("r", "E"), _phi_e_last),
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(word_pairs())
 def test_all_four_peeling_orders_agree(pair):
     ew, fw = pair
     want = pr.phi(SL3, fa.felem(ew), fa.felem(fw))
-    assert rf.eq(_phi_f_right(ew, fw), want)
-    assert rf.eq(_phi_e_first(ew, fw), want)
-    assert rf.eq(_phi_e_last(ew, fw), want)
+    for (end, side), reference in _REFERENCE_ORDERS:
+        ref = reference(ew, fw)
+        assert rf.eq(ref, want)
+        got = rf.RatFunc(pr._phi_num(SL3, ew, fw, end, side), pr._phi_den(SL3, fw))
+        assert rf.eq(got, ref), (end, side)
 
 
 @settings(max_examples=40, deadline=None)

@@ -53,7 +53,7 @@ def test_select_basis_rank_two():
 def test_basis_error_without_a_nonsingular_principal_block(monkeypatch):
     # on the two words of degree (1, 1) the Gram block becomes [[0, 1], [1, 0]]:
     # full rank, but neither word pairs with itself
-    def antidiagonal(spec, ew, fw):
+    def antidiagonal(spec, ew, fw, end, side):
         return rf.LP_ZERO if ew == fw else rf.LP_ONE
 
     qr._basis_data.cache_clear()

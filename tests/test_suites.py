@@ -1,4 +1,5 @@
-"""The quasiR suite's own checks reject altered theta tables and dual bases."""
+"""The suites' own checks reject altered theta tables, dual bases, mixed
+crossings and peeling orders."""
 
 import pathlib
 
@@ -7,11 +8,13 @@ import pytest
 from vtknot import cartan as ca
 from vtknot import configio as cio
 from vtknot import freealg as fa
+from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import pairing as pr
 from vtknot import quasir as qr
 from vtknot import ratfield as rf
 from vtknot import suites as su
+from vtknot import tangle as tg
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SL3 = cio.load_config(str(CONFIGS / "sl3.cfg"))
@@ -116,3 +119,50 @@ def test_expansion_rejects_swapped_k_and_k_prime(monkeypatch, side):
     real = mo.act_K
     monkeypatch.setattr(mo, "act_K", lambda m, mu, vsign=1: real(m, mu, -vsign))
     assert not su._expands_coproduct(m, mm, W, "lex", side)
+
+
+def _failed(report):
+    return [name for name, ok in report if not ok]
+
+
+# the cached functions themselves, as the tests patch their module attributes
+_CROSSING_CACHES = (mo.rmat, mo.rmat_inv, tg._generator)
+_PAIRING_CACHES = (pr._phi_num, pr._phi_words)
+
+
+def _clear(caches):
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_mixed_crossing_check_rejects_a_scaled_mixed_crossing(monkeypatch):
+    # a crossing between two different modules, here m and its dual, times v
+    real = mo.rmat
+
+    def scaled(a, b):
+        x = real(a, b)
+        return x if a is b else la.mat_scale(x, V)
+
+    _clear(_CROSSING_CACHES)
+    monkeypatch.setattr(mo, "rmat", scaled)
+    try:
+        failed = _failed(su.suite_rmatrix(SL3, 4))
+    finally:
+        _clear(_CROSSING_CACHES)
+    assert failed == ["mixed crossing matches its cup and cap form"]
+
+
+def test_peeling_check_rejects_one_wrong_order(monkeypatch):
+    real = pr._phi_num
+
+    def wrong(spec, ew, fw, end, side):
+        x = real(spec, ew, fw, end, side)
+        return x * V.num if (end, side) == ("r", "E") else x
+
+    _clear(_PAIRING_CACHES)
+    monkeypatch.setattr(pr, "_phi_num", wrong)
+    try:
+        failed = _failed(su.suite_pairing(SL3, 3))
+    finally:
+        _clear(_PAIRING_CACHES)
+    assert failed == ["all four peeling orders agree"]
