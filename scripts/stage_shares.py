@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Print where `vtknot.cli.main` spends its time, stage by stage.
+
+Runs one seeded pass of a benchmark workload's catalogue ops (the pass
+`bench/run.py --seed N` draws), each op cold through the benchmark
+harness, and sums the self time of each stage over `--passes` passes:
+
+    parser          building the parser and parsing argv
+    config load     `configio.load_config`, `validate_module` inside it
+    crossing build  `tangle._generator`: crossings, cups and caps
+    kink            the first `functor_T` call of `tangle.invariant`
+    closure         its second call, on the closure
+    rest            `cli.main`'s own time: rendering, reduction, printing
+
+Self time excludes the nested stages, so the kink and closure lines leave
+out the crossings built inside them.  The stages are timed with
+`time.perf_counter` wrappers.  Reads `bench/` and writes nothing there.
+
+    python3 scripts/stage_shares.py --workload invariants --seed 1 --passes 10
+"""
+
+import argparse
+import functools
+import importlib.util
+import json
+import pathlib
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+STAGES = ("parser", "config load", "crossing build", "kink", "closure", "rest")
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / (name + ".py"))
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class StageClock:
+    """Self time per stage; a stage entered inside another pauses it."""
+
+    def __init__(self):
+        self.self_s = dict.fromkeys(STAGES, 0.0)
+        self.stack = []
+        self.mark = 0.0
+
+    def _switch(self):
+        now = time.perf_counter()
+        if self.stack:
+            self.self_s[self.stack[-1]] += now - self.mark
+        self.mark = now
+
+    def wrap(self, fn, stage):
+        """fn timed as stage; stage may be a function of no arguments that
+        returns the name, or None to time nothing."""
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            name = stage() if callable(stage) else stage
+            if name is None:
+                return fn(*args, **kwargs)
+            self._switch()
+            self.stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._switch()
+                self.stack.pop()
+        return timed
+
+
+def instrument(clock, cli, configio, tangle):
+    """Wrap the stage functions where their callers look them up."""
+    calls = []  # functor_T calls so far of each tangle.invariant running
+
+    def parser_built(command=None):
+        ap = build(command)
+        ap.parse_args = clock.wrap(ap.parse_args, "parser")
+        return ap
+
+    def functor_stage():
+        if not calls:
+            return None
+        calls[-1] += 1
+        return "kink" if calls[-1] == 1 else "closure"
+
+    def invariant(*args, **kwargs):
+        calls.append(0)
+        try:
+            return inv(*args, **kwargs)
+        finally:
+            calls.pop()
+
+    build, inv = cli._build_parser, tangle.invariant
+    cli._build_parser = clock.wrap(parser_built, "parser")
+    cli.main = clock.wrap(cli.main, "rest")
+    configio.load_config = clock.wrap(configio.load_config, "config load")
+    tangle._generator = clock.wrap(tangle._generator, "crossing build")
+    tangle.functor_T = clock.wrap(tangle.functor_T, functor_stage)
+    tangle.invariant = functools.wraps(inv)(invariant)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", default="invariants")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--passes", type=int, default=1)
+    args = ap.parse_args()
+    sys.dont_write_bytecode = True  # nothing goes into bench/__pycache__
+    harness = load_bench("harness")
+    workloads = load_bench("workloads")
+    strata = json.loads((BENCH / "catalogue.json").read_text())["workloads"][args.workload]
+    entries = workloads.draw([(s["stratum"], s["count"], s["pool"]) for s in strata],
+                             "%s:%d" % (args.workload, args.seed))
+    cli = harness.import_cli()
+    clock = StageClock()
+    instrument(clock, cli, sys.modules["vtknot.configio"], sys.modules["vtknot.tangle"])
+    for _ in range(args.passes):
+        for entry in entries:
+            res = harness.run_op(cli, entry["argv"], entry["limit_s"])
+            why = harness.check_output(entry["argv"], res, entry)
+            if why is not None:
+                sys.exit("%s: %s" % (" ".join(entry["argv"]), why))
+    total = sum(clock.self_s.values())
+    print("%s, seed %d: %d ops per pass, %d passes, %.3f s per pass in cli.main"
+          % (args.workload, args.seed, len(entries), args.passes, total / args.passes))
+    print("| stage | share |")
+    print("| --- | --- |")
+    for stage in sorted(STAGES, key=clock.self_s.get, reverse=True):
+        print("| %s | %.0f %% |" % (stage, 100 * clock.self_s[stage] / total))
+
+
+if __name__ == "__main__":
+    main()

@@ -6,6 +6,14 @@ A module is stored as sparse matrix data: `act_E[i]` is a dim x dim
 products, duals, evaluation and trace maps, the braiding) is derived from
 that data as `linalg.Matrix` operators, so a module loaded from a file and a
 module built in code go through identical paths.
+
+Per-module quantities are cached per module object (`WeightModule` hashes
+by identity): a word's action is built once from its prefix's, one product
+per distinct word, and the theta operators, the Serre check and the suites
+share those matrices.  `_theta_op` and `act_elem` add every term's entries
+straight into one {row: {col: value}} table and build one `Matrix` at the
+end; each entry still sums its terms in table order.  `kappa` writes the
+quantum integer on the exponent lattice whenever it is one.
 """
 
 from __future__ import annotations
@@ -61,28 +69,48 @@ def act_K(m: WeightModule, mu, vsign: int = 1) -> la.Matrix:
     return _diag(ca.twist(m.spec, mu, w, vsign) for w in m.weights)
 
 
-def act_word(m: WeightModule, word, side: str) -> la.Matrix:
+@lru_cache(maxsize=None)
+def act_word(m: WeightModule, word: tuple, side: str) -> la.Matrix:
+    """The word's letters applied left to right: its prefix's action times
+    the last letter's, so each distinct word is one product per module."""
+    if not word:
+        return la.identity(m.dim)
     mats = m.act_E if side == "E" else m.act_F
-    out = la.identity(m.dim)
-    for i in word:
-        out = la.mat_mul(out, mats[i])
-    return out
+    return la.mat_mul(act_word(m, word[:-1], side), mats[word[-1]])
+
+
+def _add_terms(out: dict, coeff: RatFunc, cells) -> None:
+    """out[r][c] += coeff * x for each (r, c, x) of cells, in place."""
+    for r, c, x in cells:
+        row = out.get(r)
+        if row is None:
+            row = out[r] = {}
+        prev = row.get(c)
+        row[c] = coeff * x if prev is None else prev + coeff * x
 
 
 def act_elem(m: WeightModule, x, side: str) -> la.Matrix:
-    out = la.Matrix(m.dim, m.dim)
+    out = {}
     for word, coeff in x.items():
-        out = la.mat_add(out, la.mat_scale(act_word(m, word, side), coeff))
-    return out
+        _add_terms(out, coeff, act_word(m, word, side).items())
+    return la.Matrix(m.dim, m.dim, out)
 
 
 def kappa(spec: ca.CartanSpec, i: int, mu) -> RatFunc:
-    """(v^(i.mu) - v^(-i.mu)) c_{i,mu} / (v_i - v_i^-1)."""
-    e = ca.unit(spec, i)
-    a = ca.dot(spec, e, mu)
+    """(v^(i.mu) - v^(-i.mu)) c_{i,mu} / (v_i - v_i^-1).
+
+    When n = (i.mu)/d_i is an integer this is the quantum integer [n] in
+    v_i = v^d_i times c_{i,mu}, written on the lattice with no division.
+    """
+    a = ca.dot(spec, ca.unit(spec, i), mu)
     d = ca.d_i(spec, i)
-    num = (rf.mono(1, a, 0) - rf.mono(1, -a, 0)) * ca.c(spec, i, mu)
-    return num / (rf.mono(1, d, 0) - rf.mono(1, -d, 0))
+    n, frac = divmod(a, d)
+    if frac:
+        num = (rf.mono(1, a, 0) - rf.mono(1, -a, 0)) * ca.c(spec, i, mu)
+        return num / (rf.mono(1, d, 0) - rf.mono(1, -d, 0))
+    sign, n = (1, n) if n >= 0 else (-1, -n)
+    qint = {(d * (n - 1 - 2 * k), 0): sign for k in range(n)}
+    return RatFunc(rf._raw(qint, 1)) * ca.c(spec, i, mu)
 
 
 def validate_module(m: WeightModule) -> list:
@@ -243,14 +271,15 @@ def perm(a: WeightModule, b: WeightModule) -> la.Matrix:
     })
 
 
-def _raising_degrees(m: WeightModule) -> set:
+@lru_cache(maxsize=None)
+def _raising_degrees(m: WeightModule) -> frozenset:
     out = set()
     for wr in m.weights:
         for wc in m.weights:
             d = ca.weight_sub(wr, wc)
             if any(d) and all(x >= 0 and x.denominator == 1 for x in d):
                 out.add(tuple(int(x) for x in d))
-    return out
+    return frozenset(out)
 
 
 def theta_degrees(a: WeightModule, b: WeightModule) -> list:
@@ -269,26 +298,28 @@ def _theta_op(mods, s: int, l: int, table, order: str = "lex", degrees=None) -> 
     size = prod(m.dim for m in mods)
     if degrees is None:
         degrees = [(0,) * spec.rank] + theta_degrees(mods[s], mods[l])
-    out = la.Matrix(size, size)
+    out = {}
     for nu in degrees:
         if any(x < 0 for x in nu):
             continue
         if not any(nu):
-            out = la.mat_add(out, la.identity(size))
+            _add_terms(out, ONE, ((k, k, ONE) for k in range(size)))
             continue
         for (fw, ew), coeff in table(spec, nu, order).items():
-            mats = [
-                act_word(m, fw, "F") if k == s else act_word(m, ew, "E") if k == l
-                else la.identity(m.dim)
-                for k, m in enumerate(mods)
-            ]
-            if not (mats[s].entries and mats[l].entries):
+            fmat, emat = act_word(mods[s], fw, "F"), act_word(mods[l], ew, "E")
+            if not (fmat.entries and emat.entries):
                 continue
-            term = mats[0]
-            for x in mats[1:]:
-                term = la.kron(term, x)
-            out = la.mat_add(out, la.mat_scale(term, coeff))
-    return out
+            # the Kronecker product over the slots, row-major; None marks an
+            # identity factor, which takes no product
+            cells = [(0, 0, None)]
+            for k, m in enumerate(mods):
+                d = m.dim
+                mat = list(fmat.items() if k == s else emat.items() if k == l
+                           else ((j, j, None) for j in range(d)))
+                cells = [(r * d + i, c * d + j, y if x is None else x if y is None else x * y)
+                         for r, c, x in cells for i, j, y in mat]
+            _add_terms(out, coeff, cells)
+    return la.Matrix(size, size, out)
 
 
 # theta is the canonical element of the pairing, whatever dual bases write it,

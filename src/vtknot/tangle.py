@@ -136,6 +136,7 @@ def tensorw(a: TangleWord, b: TangleWord) -> TangleWord:
     return word([tuple(x) + tuple(y) for x, y in zip(ra, rb)])
 
 
+@lru_cache(maxsize=None)
 def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
     """f(lam,lam) v^2_{-lam} for the highest weight lam; the curl scalar."""
     lam = mo.highest_weight(m)

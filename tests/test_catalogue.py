@@ -4,6 +4,8 @@ A seeded benchmark pass draws only part of each workload's catalogue, so
 this test runs every op of `bench/catalogue.json`, in-process and cold
 through the benchmark's own harness, and compares the sha256 of its stdout
 with the recorded one.  It reads `bench/` and writes nothing there.
+It also checks that the per-module caches are ones the harness empties
+before each op, so that every benchmark op stays cold.
 """
 
 import importlib.util
@@ -38,3 +40,18 @@ def test_every_op_prints_its_recorded_bytes(workload):
             if res.status != "ok" or harness.sha256(res.stdout) != entry["stdout_sha256"]:
                 wrong.append("%s: %s" % (" ".join(entry["argv"]), res.status))
     assert not wrong, wrong
+
+
+def test_make_cold_empties_the_per_module_caches():
+    harness.import_cli()
+    mo = sys.modules["vtknot.modules"]
+    tg = sys.modules["vtknot.tangle"]
+    cio = sys.modules["vtknot.configio"]
+    per_module = [mo.act_word, mo._raising_degrees, tg.crossing_unit]
+    m = cio.load_config(str(BENCH / "configs" / "sl3.cfg")).module
+    tg.invariant("trefoil", m)
+    assert all(c.cache_info().currsize for c in per_module)
+    found = harness.package_caches()
+    assert all(any(c is f for f in found) for c in per_module)
+    harness.make_cold()
+    assert [c.cache_info().currsize for c in per_module] == [0, 0, 0]

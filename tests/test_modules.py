@@ -1,16 +1,20 @@
 """Weight modules: actions, duals, evaluation maps, and the crossing matrix."""
 
+import functools
+import itertools
 import os
 import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from vtknot import cartan as ca
 from vtknot import cli
 from vtknot import configio as cio
+from vtknot import freealg as fa
 from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import quasir as qr
@@ -308,3 +312,144 @@ def test_shape_errors_survive_optimized_mode():
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
     assert issubclass(la.ShapeError, ValueError)
+
+
+# The per-term sums the module operators were first written as: each word's
+# action a product from the identity, each theta or element term a Matrix
+# of its own (Kronecker product, scaled, added).  The operators must keep
+# these exact (num, den) forms, which every printed crossing entry rests on.
+def _left_to_right(m, word, side):
+    mats = m.act_E if side == "E" else m.act_F
+    out = la.identity(m.dim)
+    for i in word:
+        out = la.mat_mul(out, mats[i])
+    return out
+
+
+def _theta_op_by_terms(mods, s, l, table, order):
+    spec = mods[0].spec
+    size = prod(m.dim for m in mods)
+    out = la.Matrix(size, size)
+    for nu in [(0,) * spec.rank] + mo.theta_degrees(mods[s], mods[l]):
+        if not any(nu):
+            out = la.mat_add(out, la.identity(size))
+            continue
+        for (fw, ew), coeff in table(spec, nu, order).items():
+            mats = [
+                _left_to_right(m, fw, "F") if k == s else _left_to_right(m, ew, "E") if k == l
+                else la.identity(m.dim)
+                for k, m in enumerate(mods)
+            ]
+            if not (mats[s].entries and mats[l].entries):
+                continue
+            term = mats[0]
+            for x in mats[1:]:
+                term = la.kron(term, x)
+            out = la.mat_add(out, la.mat_scale(term, coeff))
+    return out
+
+
+def _act_elem_by_terms(m, x, side):
+    out = la.Matrix(m.dim, m.dim)
+    for word, coeff in x.items():
+        out = la.mat_add(out, la.mat_scale(_left_to_right(m, word, side), coeff))
+    return out
+
+
+def _assert_same_forms(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert [(r, c) for r, c, _ in got.items()] == [(r, c) for r, c, _ in want.items()]
+    for (r, c, x), (_, _, y) in zip(got.items(), want.items()):
+        assert x.num == y.num and x.den == y.den, (r, c, rf.render(x), rf.render(y))
+
+
+_FORM_MODULES = {
+    "sl2": lambda: (cio.load_config(str(CONFIGS / "sl2.cfg")).module, "lex"),
+    "rank1:3": lambda: (mo.rank1_simple(3), "lex"),
+    "sl3": lambda: (sl3_natural(), "lex"),
+    "sl3_revlex": lambda: (sl3_natural(), "revlex"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORM_MODULES))
+def test_operators_keep_the_per_term_forms(name):
+    m, order = _FORM_MODULES[name]()
+    spec = m.spec
+    d, mm = mo.dual(m), mo.tensor(m, m)
+    placements = [
+        ([m, m], 0, 1), ([m, d], 0, 1), ([d, m], 0, 1), ([mm, m], 1, 0),
+        ([m, m, m], 2, 0), ([m, m, m], 2, 1), ([m, m, m], 0, 1),
+    ]
+    for table in (qr.theta, qr.theta_bar):
+        for mods, s, l in placements:
+            _assert_same_forms(
+                mo._theta_op(mods, s, l, table, order), _theta_op_by_terms(mods, s, l, table, order)
+            )
+    elements = [
+        (fa.serre_element(spec, i, j, side), side)
+        for i in range(spec.rank) for j in range(spec.rank) if i != j for side in "EF"
+    ]
+    for mu in ca.degrees_tr_upto(spec.rank, 3):
+        for a in range(len(qr.select_basis(spec, mu, order))):
+            elements += [(qr.dual_element(spec, mu, a, order), side) for side in "EF"]
+    for target in (m, d, mm):
+        for x, side in elements:
+            _assert_same_forms(mo.act_elem(target, x, side), _act_elem_by_terms(target, x, side))
+
+
+def _kappa_by_division(spec, i, mu):
+    a = ca.dot(spec, ca.unit(spec, i), mu)
+    d = ca.d_i(spec, i)
+    num = (rf.mono(1, a, 0) - rf.mono(1, -a, 0)) * ca.c(spec, i, mu)
+    return num / (rf.mono(1, d, 0) - rf.mono(1, -d, 0))
+
+
+B2 = ca.make_spec(2, [[4, -2], [-2, 2]], [[2, -2], [0, 1]])
+
+
+def test_kappa_is_the_quantum_integer_on_the_lattice():
+    assert ca.validate(B2) == []
+    cases = [(SL3, (Fraction(a, 3), Fraction(b, 3)))
+             for a in range(-6, 7) for b in range(-6, 7)]
+    cases += [(mo.RANK1, (Fraction(n, 2),)) for n in range(-6, 7)]
+    # (alpha_1 . mu) / d_1 = -1/2 on B2: the one case with no quantum integer
+    cases += [(B2, (Fraction(0), Fraction(1, 2)))]
+    lattice = 0
+    for spec, mu in cases:
+        for i in range(spec.rank):
+            got = mo.kappa(spec, i, mu)
+            assert rf.eq(got, _kappa_by_division(spec, i, mu)), (spec, i, mu)
+            n = Fraction(ca.dot(spec, ca.unit(spec, i), mu), ca.d_i(spec, i))
+            # the lattice branch divides nothing; the other keeps a den
+            assert (got.den == rf.LP_ONE) == (n.denominator == 1), (spec, i, mu)
+            lattice += n.denominator == 1
+            if n == 0:
+                assert got.is_zero()
+    assert lattice
+
+
+@pytest.mark.parametrize("m", [sl3_natural(), mo.rank1_simple(3)], ids=["sl3", "rank1:3"])
+def test_word_actions_are_left_to_right_products(m):
+    for n in range(5):
+        for word in itertools.product(range(m.spec.rank), repeat=n):
+            for side in "EF":
+                _assert_same_forms(mo.act_word(m, word, side), _left_to_right(m, word, side))
+
+
+def test_inverse_crossing_builds_no_new_f_word(monkeypatch):
+    # record the misses of a fresh act_word cache; its recursion goes through
+    # the module attribute, so every prefix is recorded too
+    built = []
+    body = mo.act_word.__wrapped__
+
+    def recording(m, word, side):
+        built.append((word, side))
+        return body(m, word, side)
+
+    monkeypatch.setattr(mo, "act_word", functools.lru_cache(maxsize=None)(recording))
+    m = sl3_natural()
+    mo.rmat(m, m)
+    f_words = [w for w, side in built if side == "F"]
+    assert f_words and len(set(f_words)) == len(f_words)
+    mo.rmat_inv(m, m)
+    assert [w for w, side in built if side == "F"] == f_words

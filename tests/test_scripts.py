@@ -36,3 +36,14 @@ def test_crossing_spectrum_runs():
     assert proc.returncode == 0, proc.stderr
     labels = [line.split(": ")[0] for line in proc.stdout.splitlines() if not line.startswith(" ")]
     assert labels == ["rank1:1", "sl3 natural"]
+
+
+def test_stage_shares_runs():
+    proc = run_script("stage_shares.py", "--workload", "invariants", "--seed", "1", "--passes", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(" | ") for line in proc.stdout.splitlines()
+            if line.startswith("| ") and line.endswith(" % |")]
+    shares = {stage.lstrip("| "): int(share.rstrip(" %|")) for stage, share in rows}
+    assert set(shares) == {"parser", "config load", "crossing build", "kink", "closure", "rest"}
+    # each share is rounded to a whole percent
+    assert abs(sum(shares.values()) - 100) <= len(shares) / 2
