@@ -6,7 +6,8 @@ Runs one seeded pass of a benchmark workload's catalogue ops (the pass
 harness, and sums the self time of each stage over `--passes` passes:
 
     parser          building the parser and parsing argv
-    config load     `configio.load_config`, `validate_module` inside it
+    config load     `configio.load_config`: reading and parsing the files
+    module check    `modules.validate_module`, which the config load calls
     crossing build  `tangle._generator`: crossings, cups and caps
     kink            the first `functor_T` call of `tangle.invariant`
     closure         its second call, on the closure
@@ -29,7 +30,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
-STAGES = ("parser", "config load", "crossing build", "kink", "closure", "rest")
+STAGES = ("parser", "config load", "module check", "crossing build", "kink", "closure", "rest")
 
 
 def load_bench(name):
@@ -72,7 +73,7 @@ class StageClock:
         return timed
 
 
-def instrument(clock, cli, configio, tangle):
+def instrument(clock, cli, configio, modules, tangle):
     """Wrap the stage functions where their callers look them up."""
     calls = []  # functor_T calls so far of each tangle.invariant running
 
@@ -98,6 +99,8 @@ def instrument(clock, cli, configio, tangle):
     cli._build_parser = clock.wrap(parser_built, "parser")
     cli.main = clock.wrap(cli.main, "rest")
     configio.load_config = clock.wrap(configio.load_config, "config load")
+    # configio looks validate_module up on the modules module at each call
+    modules.validate_module = clock.wrap(modules.validate_module, "module check")
     tangle._generator = clock.wrap(tangle._generator, "crossing build")
     tangle.functor_T = clock.wrap(tangle.functor_T, functor_stage)
     tangle.invariant = functools.wraps(inv)(invariant)
@@ -117,7 +120,8 @@ def main():
                              "%s:%d" % (args.workload, args.seed))
     cli = harness.import_cli()
     clock = StageClock()
-    instrument(clock, cli, sys.modules["vtknot.configio"], sys.modules["vtknot.tangle"])
+    layers = [sys.modules["vtknot." + name] for name in ("configio", "modules", "tangle")]
+    instrument(clock, cli, *layers)
     for _ in range(args.passes):
         for entry in entries:
             res = harness.run_op(cli, entry["argv"], entry["limit_s"])

@@ -4,25 +4,25 @@ The three integer forms on basis indices:
     angle(i,j)   = Omega[i][j]
     bracket(i,j) = 2*delta_ij*Omega[i][i] - Omega[i][j]
     dot(i,j)     = angle(i,j) + angle(j,i)
-all extend bilinearly to rational coordinate vectors.  Each form reads the
-numerator and denominator of every coordinate and accumulates int numerators
-over one common den, so no Fraction arithmetic runs; it returns an int
-whenever the value is integral, which it always is on degrees, and a
-Fraction only when fractional weight coordinates give a fractional value.
+all extend bilinearly to rational coordinate vectors.
 
-Degrees are tuples of nonnegative ints (elements of N[I]); weights are tuples
-of rationals (Q[I]), Fractions as `weight` builds them.  Both feed the
-multiplicative forms brace, f, c that produce the v/t twist monomials used
-everywhere downstream.  `twist` (behind brace, f, c) and `v_deg` write their
-monomial straight onto the LaurentPoly lattice from those int numerators:
-one gcd with the common den gives the minimal scale.
+Degrees are tuples of nonnegative ints (elements of N[I]).  Weights (Q[I])
+live on an integer lattice: a weight is a tuple of int numerators over a
+den, one den per module (`modules.WeightModule.den`), so every weight
+computation adds, subtracts and compares ints.  Each form takes two int
+tuples and `den`, the product of their dens (1 on degrees), and sums int
+numerators; it returns an int whenever the value is integral, which it
+always is on degrees, and a Fraction only when it is not.  The forms feed
+the multiplicative forms brace, f, c that produce the v/t twist monomials
+used everywhere downstream.  `twist` (behind brace, f, c) and `v_deg` write
+their monomial straight onto the LaurentPoly lattice: one gcd with the den
+gives the minimal scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -107,16 +107,6 @@ def unit(spec: CartanSpec, i: int) -> tuple:
     return tuple(1 if k == i else 0 for k in range(spec.rank))
 
 
-def weight(coords) -> Weight:
-    return tuple(Fraction(x) for x in coords)
-
-
-def _over_lcm(coords) -> tuple:
-    """(numerators, den): int numerators of coords over their least common den."""
-    den = math.lcm(*(x.denominator for x in coords))
-    return [x.numerator * (den // x.denominator) for x in coords], den
-
-
 def _int_bilinear(matrix, lam, mu) -> int:
     total = 0
     for i, a in enumerate(lam):
@@ -128,11 +118,6 @@ def _int_bilinear(matrix, lam, mu) -> int:
     return total
 
 
-def _bilinear(matrix, lam, mu):
-    (ln, ld), (mn, md) = _over_lcm(lam), _over_lcm(mu)
-    return _div(_int_bilinear(matrix, ln, mn), ld * md)
-
-
 def _mono(v_num: int, t_num: int, den: int) -> RatFunc:
     """v^(v_num/den) t^(t_num/den), written onto the LaurentPoly lattice."""
     if not (v_num or t_num):
@@ -141,47 +126,45 @@ def _mono(v_num: int, t_num: int, den: int) -> RatFunc:
     return RatFunc(_raw({(v_num // g, t_num // g): 1}, den // g))
 
 
-def angle(spec: CartanSpec, lam, mu):
-    return _bilinear(spec.omega, lam, mu)
+def angle(spec: CartanSpec, lam, mu, den: int = 1):
+    return _div(_int_bilinear(spec.omega, lam, mu), den)
 
 
-def bracket(spec: CartanSpec, lam, mu):
+def bracket(spec: CartanSpec, lam, mu, den: int = 1):
     """2 * sum_i lam_i mu_i Omega[i][i] - angle(lam, mu)."""
-    (ln, ld), (mn, md) = _over_lcm(lam), _over_lcm(mu)
-    diag = sum(a * b * spec.omega[i][i] for i, (a, b) in enumerate(zip(ln, mn)))
-    return _div(2 * diag - _int_bilinear(spec.omega, ln, mn), ld * md)
+    diag = sum(a * b * spec.omega[i][i] for i, (a, b) in enumerate(zip(lam, mu)))
+    return _div(2 * diag - _int_bilinear(spec.omega, lam, mu), den)
 
 
-def dot(spec: CartanSpec, lam, mu):
-    return _bilinear(spec.dot, lam, mu)
+def dot(spec: CartanSpec, lam, mu, den: int = 1):
+    return _div(_int_bilinear(spec.dot, lam, mu), den)
 
 
 @lru_cache(maxsize=None)
-def twist(spec: CartanSpec, lam: tuple, mu: tuple, vsign: int) -> RatFunc:
+def twist(spec: CartanSpec, lam: tuple, mu: tuple, vsign: int, den: int = 1) -> RatFunc:
     """v^(vsign * lam.mu) t^(<mu,lam> - <lam,mu>), the one twist monomial.
 
     vsign = 1 is brace(lam, mu), vsign = -1 is f(mu, lam) = brace(mu, lam)^-1
     and vsign = 0 keeps only the t-power.  Cached: the values are immutable.
-    Both exponents are int numerators over one common den.
+    Both exponents are int numerators over den.
     """
-    (ln, ld), (mn, md) = _over_lcm(lam), _over_lcm(mu)
-    t_num = _int_bilinear(spec.omega, mn, ln) - _int_bilinear(spec.omega, ln, mn)
-    return _mono(vsign * _int_bilinear(spec.dot, ln, mn), t_num, ld * md)
+    t_num = _int_bilinear(spec.omega, mu, lam) - _int_bilinear(spec.omega, lam, mu)
+    return _mono(vsign * _int_bilinear(spec.dot, lam, mu), t_num, den)
 
 
-def brace(spec: CartanSpec, lam, mu) -> RatFunc:
+def brace(spec: CartanSpec, lam, mu, den: int = 1) -> RatFunc:
     """v^(lam.mu) t^(<mu,lam> - <lam,mu>), multiplicative in each slot."""
-    return twist(spec, lam, mu, 1)
+    return twist(spec, lam, mu, 1, den)
 
 
-def f(spec: CartanSpec, lam, mu) -> RatFunc:
+def f(spec: CartanSpec, lam, mu, den: int = 1) -> RatFunc:
     """Inverse of brace: v^(-lam.mu) t^(<lam,mu> - <mu,lam>)."""
-    return twist(spec, mu, lam, -1)
+    return twist(spec, mu, lam, -1, den)
 
 
-def c(spec: CartanSpec, i: int, lam) -> RatFunc:
+def c(spec: CartanSpec, i: int, lam, den: int = 1) -> RatFunc:
     """c_{i,lam} = t^(<lam,i> - <i,lam>) for a generator index i (0-based)."""
-    return twist(spec, unit(spec, i), lam, 0)
+    return twist(spec, unit(spec, i), lam, 0, den)
 
 
 def d_i(spec: CartanSpec, i: int) -> int:
@@ -189,10 +172,9 @@ def d_i(spec: CartanSpec, i: int) -> int:
     return spec.omega[i][i]
 
 
-def v_deg(spec: CartanSpec, nu) -> RatFunc:
-    """v_nu = prod v_i^(nu_i); accepts rational coordinates."""
-    nums, den = _over_lcm(nu)
-    return _mono(sum(x * spec.omega[i][i] for i, x in enumerate(nums)), 0, den)
+def v_deg(spec: CartanSpec, nu, den: int = 1) -> RatFunc:
+    """v_nu = prod v_i^(nu_i) for the weight nu over den."""
+    return _mono(sum(x * spec.omega[i][i] for i, x in enumerate(nu)), 0, den)
 
 
 def tr(nu) -> int:

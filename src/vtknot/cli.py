@@ -100,9 +100,9 @@ def _parse_assignments(pairs):
         if name in out:
             raise configio.ConfigError("--spec gives %s twice" % name)
         try:
-            out[name] = Fraction(val.strip())
-        except (ValueError, ZeroDivisionError):
-            raise configio.ConfigError("bad rational in --spec %r" % item)
+            out[name] = Fraction(*rf.parse_rational(val))
+        except rf.ParseError as e:
+            raise configio.ConfigError("bad rational in --spec %r: %s" % (item, e))
     return out
 
 

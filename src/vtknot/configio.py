@@ -4,14 +4,15 @@ Config keys: rank, dot.row.<k>, omega.row.<k>, module, basis_order.
 basis_order (lex or revlex) picks the dual bases that `theta` prints and the
 quasiR suite checks; crossings, invariants and `rmatrix` do not depend on it.
 Module files: dim, optional label.<k>, weight.<k>, E.<i>.<r>.<c>, F.<i>.<r>.<c>.
-All indices are 1-based; entry values go through the scalar parser.
+All indices are 1-based; entry values go through the scalar parser, weight
+coordinates through `ratfield.parse_rational` (`[-]p[/q]`) onto one den.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import cartan as ca
 from . import linalg as la
@@ -100,9 +101,9 @@ def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
             if len(coords) != spec.rank:
                 raise ConfigError("%s:%d: weight needs %d coordinates" % (path, ln, spec.rank))
             try:
-                weights[k - 1] = tuple(Fraction(x) for x in coords)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError("%s:%d: bad rational in weight" % (path, ln))
+                weights[k - 1] = [rf.parse_rational(x) for x in coords]
+            except rf.ParseError as e:
+                raise ConfigError("%s:%d: bad rational in weight: %s" % (path, ln, e))
         elif parts[0] in ("E", "F") and len(parts) == 4:
             i = _int(path, ln, parts[1])
             r = _int(path, ln, parts[2])
@@ -122,7 +123,9 @@ def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
     if missing:
         raise ConfigError("%s: missing weight for basis vectors %s" % (path, ", ".join(missing)))
     actions = [[la.Matrix(dim, dim, x) for x in act] for act in (act_E, act_F)]
-    return mo.make_module(spec, labels, weights, *actions)
+    den = lcm(*(q for w in weights for _, q in w))
+    weights = [[p * (den // q) for p, q in w] for w in weights]
+    return mo.make_module(spec, labels, weights, *actions, den)
 
 
 def load_config(path) -> RunConfig:

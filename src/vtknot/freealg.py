@@ -25,11 +25,10 @@ same `side` argument picks the mirror of `sigma` and `serre_element`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import cartan
-from .ratfield import ONE, ZERO, RatFunc, bar as rf_bar, eq as rf_eq, mono, qfact
+from .ratfield import ONE, ZERO, RatFunc, _raw, bar as rf_bar, eq as rf_eq, mono
 
 Word = tuple
 FElem = dict
@@ -170,25 +169,31 @@ def bilinear(table, spec: cartan.CartanSpec, x: dict, y: dict) -> RatFunc:
 def serre_element(spec: cartan.CartanSpec, i: int, j: int, side: str = "E") -> FElem:
     """Quantum Serre relator in degree (1-<a_ij>) alpha_i + alpha_j; i != j.
 
-    The negative side ("F") has the same coefficients with the divided
-    powers of theta_i on the two sides of theta_j swapped.
+    Written times [n]_{v_i}! (`ratfield.qfact`), so the coefficient of
+    theta_i^p theta_j theta_i^(n-p) is (-1)^p t^(p(<i,j> - <j,i>)) times the
+    Gaussian binomial [n choose p] in v_i, and nothing is divided; callers
+    only test for zero.  The negative side ("F") swaps the powers of theta_i
+    on the two sides of theta_j.
     """
     if i == j:
         raise ValueError("serre element needs distinct indices")
     o = spec.omega
-    n = 1 - Fraction(spec.dot[i][j], o[i][i])
-    if n.denominator != 1 or n < 1:
+    n, frac = divmod(-spec.dot[i][j], o[i][i])
+    if frac or n < 0:
         raise ValueError("inadmissible pair for a serre element")
-    n = int(n)
-    d = o[i][i]
+    n += 1
+    # prod_r (1 + v_i^(2r-n+1) z) = sum_p [n choose p] z^p, as {(p, v-exponent): coeff}
+    row = {(0, 0): 1}
+    for r in range(n):
+        for (p, e), c in list(row.items()):
+            key = (p + 1, e + o[i][i] * (2 * r - n + 1))
+            row[key] = row.get(key, 0) + c
     out = {}
-    for p in range(n + 1):
-        pp = n - p
-        texp = -p * (pp * o[i][i] - o[i][j] + o[j][i])
-        coeff = mono((-1) ** p, 0, texp) / (qfact(p, d) * qfact(pp, d))
-        left, right = (p, pp) if side == "E" else (pp, p)
-        accumulate(out, (i,) * left + (j,) + (i,) * right, coeff)
-    return out
+    for (p, e), c in row.items():
+        left, right = (p, n - p) if side == "E" else (n - p, p)
+        terms = out.setdefault((i,) * left + (j,) + (i,) * right, {})
+        terms[(e, p * (o[i][j] - o[j][i]))] = (-1) ** p * c
+    return {w: RatFunc(_raw(terms, 1)) for w, terms in out.items()}
 
 
 @lru_cache(maxsize=None)

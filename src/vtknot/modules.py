@@ -2,7 +2,10 @@
 
 A module is stored as sparse matrix data: `act_E[i]` is a dim x dim
 `linalg.Matrix` whose entry `[r, c]` is the coefficient of `basis[r]` in
-`E_i . basis[c]`, and likewise for `act_F`.  Everything else (tensor
+`E_i . basis[c]`, and likewise for `act_F`.  Weights sit on the integer
+lattice: `weights[k]` is a tuple of int numerators over the module's one
+`den`, so the grading check, raising degrees, highest weight and the twist
+monomials compute on ints (see `cartan`).  Everything else (tensor
 products, duals, evaluation and trace maps, the braiding) is derived from
 that data as `linalg.Matrix` operators, so a module loaded from a file and a
 module built in code go through identical paths.
@@ -19,9 +22,8 @@ quantum integer on the exponent lattice whenever it is one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 from . import cartan as ca
 from . import freealg
@@ -35,18 +37,19 @@ from .ratfield import ONE, RatFunc, ZERO
 class WeightModule:
     spec: ca.CartanSpec
     labels: tuple
-    weights: tuple
+    weights: tuple  # int numerators over den
     act_E: tuple
     act_F: tuple
+    den: int
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
 
-def make_module(spec, labels, weights, act_E, act_F) -> WeightModule:
+def make_module(spec, labels, weights, act_E, act_F, den: int = 1) -> WeightModule:
     labels = tuple(str(x) for x in labels)
-    weights = tuple(ca.weight(w) for w in weights)
+    weights = tuple(tuple(w) for w in weights)
     if len(weights) != len(labels):
         raise la.ShapeError("%d weights for %d basis vectors" % (len(weights), len(labels)))
     act_E, act_F = tuple(act_E), tuple(act_F)
@@ -55,7 +58,7 @@ def make_module(spec, labels, weights, act_E, act_F) -> WeightModule:
     n = len(labels)
     if any((x.rows, x.cols) != (n, n) for x in act_E + act_F):
         raise la.ShapeError("every action must be a %dx%d matrix" % (n, n))
-    return WeightModule(spec, labels, weights, act_E, act_F)
+    return WeightModule(spec, labels, weights, act_E, act_F, den)
 
 
 def _diag(values) -> la.Matrix:
@@ -66,7 +69,7 @@ def _diag(values) -> la.Matrix:
 def act_K(m: WeightModule, mu, vsign: int = 1) -> la.Matrix:
     """K_mu on m for vsign = 1, K'_mu for vsign = -1: the v-power flips sign,
     the t-power does not."""
-    return _diag(ca.twist(m.spec, mu, w, vsign) for w in m.weights)
+    return _diag(ca.twist(m.spec, mu, w, vsign, m.den) for w in m.weights)
 
 
 @lru_cache(maxsize=None)
@@ -96,21 +99,21 @@ def act_elem(m: WeightModule, x, side: str) -> la.Matrix:
     return la.Matrix(m.dim, m.dim, out)
 
 
-def kappa(spec: ca.CartanSpec, i: int, mu) -> RatFunc:
-    """(v^(i.mu) - v^(-i.mu)) c_{i,mu} / (v_i - v_i^-1).
+def kappa(spec: ca.CartanSpec, i: int, mu, den: int = 1) -> RatFunc:
+    """(v^(i.mu) - v^(-i.mu)) c_{i,mu} / (v_i - v_i^-1) for the weight mu over den.
 
     When n = (i.mu)/d_i is an integer this is the quantum integer [n] in
     v_i = v^d_i times c_{i,mu}, written on the lattice with no division.
     """
-    a = ca.dot(spec, ca.unit(spec, i), mu)
+    a = ca.dot(spec, ca.unit(spec, i), mu, den)
     d = ca.d_i(spec, i)
     n, frac = divmod(a, d)
     if frac:
-        num = (rf.mono(1, a, 0) - rf.mono(1, -a, 0)) * ca.c(spec, i, mu)
+        num = (rf.mono(1, a, 0) - rf.mono(1, -a, 0)) * ca.c(spec, i, mu, den)
         return num / (rf.mono(1, d, 0) - rf.mono(1, -d, 0))
     sign, n = (1, n) if n >= 0 else (-1, -n)
     qint = {(d * (n - 1 - 2 * k), 0): sign for k in range(n)}
-    return RatFunc(rf._raw(qint, 1)) * ca.c(spec, i, mu)
+    return RatFunc(rf._raw(qint, 1)) * ca.c(spec, i, mu, den)
 
 
 def validate_module(m: WeightModule) -> list:
@@ -118,7 +121,7 @@ def validate_module(m: WeightModule) -> list:
     spec = m.spec
     failures = []
     for i in range(spec.rank):
-        e = ca.unit(spec, i)
+        e = tuple(x * m.den for x in ca.unit(spec, i))
         for mats, shift, tag in ((m.act_E, e, "E"), (m.act_F, ca.weight_neg(e), "F")):
             for r, c, _ in mats[i].items():
                 if m.weights[r] != ca.weight_add(m.weights[c], shift):
@@ -131,7 +134,7 @@ def validate_module(m: WeightModule) -> list:
                 la.mat_mul(m.act_E[i], m.act_F[j]), la.mat_mul(m.act_F[j], m.act_E[i])
             )
             if i == j:
-                rhs = _diag(kappa(spec, i, w) for w in m.weights)
+                rhs = _diag(kappa(spec, i, w, m.den) for w in m.weights)
             else:
                 rhs = la.Matrix(m.dim, m.dim)
             if not la.mat_eq(lhs, rhs):
@@ -150,11 +153,8 @@ def validate_module(m: WeightModule) -> list:
 
 
 def trivial(spec: ca.CartanSpec) -> WeightModule:
-    z = la.Matrix(1, 1)
-    return make_module(
-        spec, ("1",), (tuple(0 for _ in range(spec.rank)),),
-        tuple(z for _ in range(spec.rank)), tuple(z for _ in range(spec.rank)),
-    )
+    zs = (la.Matrix(1, 1),) * spec.rank
+    return make_module(spec, ("1",), ((0,) * spec.rank,), zs, zs)
 
 
 RANK1 = ca.make_spec(1, [[2]], [[1]])
@@ -168,29 +168,27 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
     """
     if spec.rank != 1 or n < 0:
         raise la.ShapeError("rank1_simple needs a rank-one datum and n >= 0")
-    lam = ca.weight((Fraction(n, 2),))
-    weights = [ca.weight_sub(lam, (k,)) for k in range(n + 1)]
+    # the weights n/2 - k, over den 2
+    weights = [(n - 2 * k,) for k in range(n + 1)]
     acoef = [ZERO]
     for k in range(1, n + 2):
-        acoef.append(acoef[k - 1] + kappa(spec, 0, ca.weight_sub(lam, (k - 1,))))
+        acoef.append(acoef[k - 1] + kappa(spec, 0, weights[k - 1], 2))
     if not acoef[n + 1].is_zero():
         raise la.ShapeError("the E coefficients do not close the string at n = %d" % n)
     aE = la.Matrix(n + 1, n + 1, {k: {k + 1: rf.reduce_poly(acoef[k + 1])} for k in range(n)})
     aF = la.Matrix(n + 1, n + 1, {k + 1: {k: ONE} for k in range(n)})
-    return make_module(spec, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,))
+    return make_module(spec, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,), 2)
 
 
 def coprod_E(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
-    spec = a.spec
-    kdiag = act_K(a, ca.unit(spec, i), -1 if bar else 1)
+    kdiag = act_K(a, ca.unit(a.spec, i), -1 if bar else 1)
     return la.mat_add(
         la.kron(a.act_E[i], la.identity(b.dim)), la.kron(kdiag, b.act_E[i])
     )
 
 
 def coprod_F(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
-    spec = a.spec
-    kdiag = act_K(b, ca.unit(spec, i), 1 if bar else -1)
+    kdiag = act_K(b, ca.unit(a.spec, i), 1 if bar else -1)
     return la.mat_add(
         la.kron(la.identity(a.dim), b.act_F[i]), la.kron(a.act_F[i], kdiag)
     )
@@ -201,10 +199,13 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
         raise la.ShapeError("tensor factors over different Cartan data")
     spec = a.spec
     labels = tuple("(%s,%s)" % (x, y) for x in a.labels for y in b.labels)
-    weights = tuple(ca.weight_add(wa, wb) for wa in a.weights for wb in b.weights)
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    weights = tuple(ca.weight_add([x * sa for x in wa], [y * sb for y in wb])
+                    for wa in a.weights for wb in b.weights)
     act_E = tuple(coprod_E(a, b, i) for i in range(spec.rank))
     act_F = tuple(coprod_F(a, b, i) for i in range(spec.rank))
-    return make_module(spec, labels, weights, act_E, act_F)
+    return make_module(spec, labels, weights, act_E, act_F, den)
 
 
 @lru_cache(maxsize=None)
@@ -215,23 +216,19 @@ def dual(m: WeightModule) -> WeightModule:
     for i in range(spec.rank):
         e = ca.unit(spec, i)
         # the inverse of twist(e, w, s) is twist(w, e, -s)
-        kinv = _diag(ca.twist(spec, w, e, -1) for w in m.weights)
-        kpinv = _diag(ca.twist(spec, w, e, 1) for w in m.weights)
+        kinv = _diag(ca.twist(spec, w, e, -1, m.den) for w in m.weights)
+        kpinv = _diag(ca.twist(spec, w, e, 1, m.den) for w in m.weights)
         sE = la.mat_scale(la.mat_mul(kinv, m.act_E[i]), -ONE)
         sF = la.mat_scale(la.mat_mul(m.act_F[i], kpinv), -ONE)
         dE.append(la.transpose(sE))
         dF.append(la.transpose(sF))
-    return make_module(
-        spec,
-        tuple(x + "*" for x in m.labels),
-        tuple(ca.weight_neg(w) for w in m.weights),
-        tuple(dE),
-        tuple(dF),
-    )
+    labels = tuple(x + "*" for x in m.labels)
+    weights = tuple(ca.weight_neg(w) for w in m.weights)
+    return make_module(spec, labels, weights, tuple(dE), tuple(dF), m.den)
 
 
-def _v2(spec: ca.CartanSpec, w) -> RatFunc:
-    return ca.v_deg(spec, w) * ca.v_deg(spec, w)
+def _v2(m: WeightModule, w) -> RatFunc:
+    return ca.v_deg(m.spec, w, m.den) * ca.v_deg(m.spec, w, m.den)
 
 
 def ev_map(m: WeightModule) -> la.Matrix:
@@ -241,13 +238,13 @@ def ev_map(m: WeightModule) -> la.Matrix:
 
 def qtr_map(m: WeightModule) -> la.Matrix:
     """M (x) dual(M) -> trivial, with the v^2_{-|w|} twist."""
-    row = {k * m.dim + k: _v2(m.spec, ca.weight_neg(w)) for k, w in enumerate(m.weights)}
+    row = {k * m.dim + k: _v2(m, ca.weight_neg(w)) for k, w in enumerate(m.weights)}
     return la.Matrix(1, m.dim * m.dim, {0: row})
 
 
 def coev_map(m: WeightModule) -> la.Matrix:
     """trivial -> dual(M) (x) M, 1 -> sum v^2_{|w|} w* (x) w."""
-    col = {k * m.dim + k: {0: _v2(m.spec, w)} for k, w in enumerate(m.weights)}
+    col = {k * m.dim + k: {0: _v2(m, w)} for k, w in enumerate(m.weights)}
     return la.Matrix(m.dim * m.dim, 1, col)
 
 
@@ -259,7 +256,7 @@ def coqtr_map(m: WeightModule) -> la.Matrix:
 def qdim(m: WeightModule) -> RatFunc:
     out = ZERO
     for w in m.weights:
-        out = out + _v2(m.spec, ca.weight_neg(w))
+        out = out + _v2(m, ca.weight_neg(w))
     return out
 
 
@@ -277,8 +274,8 @@ def _raising_degrees(m: WeightModule) -> frozenset:
     for wr in m.weights:
         for wc in m.weights:
             d = ca.weight_sub(wr, wc)
-            if any(d) and all(x >= 0 and x.denominator == 1 for x in d):
-                out.add(tuple(int(x) for x in d))
+            if any(d) and all(x >= 0 and not x % m.den for x in d):
+                out.add(tuple(x // m.den for x in d))
     return frozenset(out)
 
 
@@ -344,7 +341,7 @@ def rmat(a: WeightModule, b: WeightModule) -> la.Matrix:
     """
     th = theta_mat(b, a)
     move = {
-        c2 * a.dim + c1: (c1 * b.dim + c2, ca.f(a.spec, wb, wa))
+        c2 * a.dim + c1: (c1 * b.dim + c2, ca.f(a.spec, wb, wa, a.den * b.den))
         for c1, wa in enumerate(a.weights) for c2, wb in enumerate(b.weights)
     }
     out = {}
@@ -366,7 +363,7 @@ def rmat_inv(a: WeightModule, b: WeightModule) -> la.Matrix:
     out = {}
     for c1, wa in enumerate(a.weights):
         for c2, wb in enumerate(b.weights):
-            s = ca.brace(a.spec, wb, wa)
+            s = ca.brace(a.spec, wb, wa, a.den * b.den)
             row = tb.entries.get(c2 * a.dim + c1, {})
             out[c1 * b.dim + c2] = {c: rf.reduce_poly(s * x) for c, x in row.items()}
     return la.Matrix(tb.rows, tb.cols, out)
@@ -377,6 +374,7 @@ class HighestWeightError(ValueError):
 
 
 def highest_weight(m: WeightModule):
+    """The unique maximal weight, as int numerators over m.den."""
     tops = []
     for lam in set(m.weights):
         if all(
@@ -389,7 +387,8 @@ def highest_weight(m: WeightModule):
 
 
 def is_module_map(dom: WeightModule, cod: WeightModule, mat: la.Matrix) -> bool:
-    if any(cod.weights[r] != dom.weights[c] for r, c, _ in mat.items()):
+    if any([x * dom.den for x in cod.weights[r]] != [y * cod.den for y in dom.weights[c]]
+           for r, c, _ in mat.items()):
         return False
     for i in range(dom.spec.rank):
         for side in ("act_E", "act_F"):

@@ -28,11 +28,10 @@ elimination computes only half of each update (see `linalg`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import cartan, freealg, linalg, pairing
-from .ratfield import RatFunc, mono
+from .ratfield import RatFunc
 
 
 class BasisError(RuntimeError):
@@ -79,12 +78,9 @@ def theta(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dic
 
 def conj_scale(spec: cartan.CartanSpec, mu: cartan.Degree) -> RatFunc:
     """The scale (-1)^tr(mu) v^(mu.mu/2 - sum n_i d_i) of theta_bar(mu)."""
-    return mono(
-        (-1) ** cartan.tr(mu),
-        Fraction(cartan.dot(spec, mu, mu), 2)
-        - sum(n * spec.omega[i][i] for i, n in enumerate(mu)),
-        0,
-    )
+    v2 = cartan.dot(spec, mu, mu) - 2 * sum(n * spec.omega[i][i] for i, n in enumerate(mu))
+    scale = cartan._mono(v2, 0, 2)
+    return -scale if cartan.tr(mu) % 2 else scale
 
 
 @lru_cache(maxsize=None)

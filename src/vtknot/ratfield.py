@@ -645,11 +645,14 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("num", text[i:j], i))
+            try:
+                tokens.append(("num", int(text[i:j]), i))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"number too long at position {i}") from None
             i = j
         elif ch in "vt":
             tokens.append(("var", ch, i))
@@ -706,7 +709,7 @@ class _Parser:
             return -self.factor()
         kind, value, pos = self.take()
         if kind == "num":
-            base = const(int(value))
+            base = const(value)
         elif kind == "var":
             base = V if value == "v" else T
         elif kind == "(":
@@ -739,25 +742,25 @@ class _Parser:
             sign = -1
         if self.peek() == "(":
             self.take()
-            e = self.signed_rational()
+            e = Fraction(*self.rational())
             self.take(")")
             return sign * e
-        return sign * Fraction(int(self.take("num")[1]))
+        return Fraction(sign * self.take("num")[1])
 
-    def signed_rational(self) -> Fraction:
+    def rational(self) -> tuple:
+        """(p, q), q > 0, for `[-]p[/q]` with p and q digit strings: the
+        grammar `render` writes fractional exponents in."""
         sign = 1
         if self.peek() == "-":
             self.take()
             sign = -1
-        numer = int(self.take("num")[1])
+        numer, denom = self.take("num")[1], 1
         if self.peek() == "/":
             self.take()
-            _, text, pos = self.take("num")
-            denom = int(text)
+            _, denom, pos = self.take("num")
             if not denom:
-                raise ParseError(f"zero denominator in exponent at position {pos}")
-            return sign * Fraction(numer, denom)
-        return sign * Fraction(numer)
+                raise ParseError(f"zero denominator at position {pos}")
+        return sign * numer, denom
 
 
 def parse(text: str) -> RatFunc:
@@ -767,5 +770,14 @@ def parse(text: str) -> RatFunc:
         out = parser.expression()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
+    parser.take("end")
+    return out
+
+
+def parse_rational(text: str) -> tuple:
+    """(p, q) for text in the `[-]p[/q]` grammar, q > 0, or a ParseError:
+    no sign `+`, decimal point, exponent or name (`1e5`, `0.5`, `nan`)."""
+    parser = _Parser(text)
+    out = parser.rational()
     parser.take("end")
     return out

@@ -204,30 +204,31 @@ def _theta_tables_agree(spec, mu, lhs, rhs):
     )
 
 
-def _ladder_holds(m, mu, i, order):
-    """Per-degree slices of the defining relations for theta on m (x) m."""
-    spec = m.spec
-    th = mo._theta_op([m, m], 0, 1, qr.theta, order, [mu])
-    down = tuple(x - y for x, y in zip(mu, ca.unit(spec, i)))
-    th_down = mo._theta_op([m, m], 0, 1, qr.theta, order, [down])
-    ei = m.act_E[i]
-    fi = m.act_F[i]
-    ki = mo.act_K(m, ca.unit(spec, i))
-    kpi = mo.act_K(m, ca.unit(spec, i), -1)
+def _ladder_holds(m, i, order, degrees):
+    """Per-degree slices of the defining relations for theta on m (x) m at
+    generator i; the Kronecker products do not depend on the degree."""
+    ei, fi = m.act_E[i], m.act_F[i]
+    ki = mo.act_K(m, ca.unit(m.spec, i))
+    kpi = mo.act_K(m, ca.unit(m.spec, i), -1)
     ident = la.identity(m.dim)
-    checks = []
-    for u in (ki, kpi):
-        kk = la.kron(u, u)
-        checks.append(la.mat_eq(la.mat_mul(kk, th), la.mat_mul(th, kk)))
+    kks = [la.kron(ki, ki), la.kron(kpi, kpi)]
     # the term the straight and conjugated coproducts share, then the rest of each
-    for same, straight, conjd in (
+    sides = [
         (la.kron(ei, ident), la.kron(ki, ei), la.kron(kpi, ei)),
         (la.kron(ident, fi), la.kron(fi, kpi), la.kron(fi, ki)),
-    ):
-        lhs = la.mat_add(la.mat_mul(same, th), la.mat_mul(straight, th_down))
-        rhs = la.mat_add(la.mat_mul(th, same), la.mat_mul(th_down, conjd))
-        checks.append(la.mat_eq(lhs, rhs))
-    return all(checks)
+    ]
+    for mu in degrees:
+        th = mo._theta_op([m, m], 0, 1, qr.theta, order, [mu])
+        down = tuple(x - y for x, y in zip(mu, ca.unit(m.spec, i)))
+        th_down = mo._theta_op([m, m], 0, 1, qr.theta, order, [down])
+        if not all(la.mat_eq(la.mat_mul(kk, th), la.mat_mul(th, kk)) for kk in kks):
+            return False
+        for same, straight, conjd in sides:
+            lhs = la.mat_add(la.mat_mul(same, th), la.mat_mul(straight, th_down))
+            rhs = la.mat_add(la.mat_mul(th, same), la.mat_mul(th_down, conjd))
+            if not la.mat_eq(lhs, rhs):
+                return False
+    return True
 
 
 def _expands_coproduct(m, mm, w, order, side):
@@ -246,34 +247,33 @@ def _expands_coproduct(m, mm, w, order, side):
         duals = [qr.dual_element(spec, mu, k, order) for k in range(len(words))]
         paired, acting = (words, duals)[::step]
         terms[mu] = [(x, mo.act_elem(m, y, side)) for x, y in zip(paired, acting)]
-    rhs = la.Matrix(mm.dim, mm.dim)
+    rhs = {}  # every term's Kronecker product added into one entry table
     for mu in terms:
         k = mo.act_K(m, mu, step)
         for b, bmat in terms[mu]:
             for bp, bpmat in terms[ca.deg_sub(lam, mu)]:
                 coeff = pr.phi(spec, *(fa.felem(w), fa.mul(bp, b))[::step])
                 if not coeff.is_zero():
-                    term = la.kron(*(la.mat_mul(bpmat, k), bmat)[::step])
-                    rhs = la.mat_add(rhs, la.mat_scale(term, coeff))
-    return la.mat_eq(mo.act_word(mm, w, side), rhs)
+                    x, y = (la.mat_mul(bpmat, k), bmat)[::step]
+                    mo._add_terms(rhs, coeff, (
+                        (r1 * y.rows + r2, c1 * y.cols + c2, xv * yv)
+                        for r1, c1, xv in x.items() for r2, c2, yv in y.items()))
+    return la.mat_eq(mo.act_word(mm, w, side), la.Matrix(mm.dim, mm.dim, rhs))
 
 
 def suite_quasiR(cfg, depth):
     spec = cfg.spec
     m = cfg.module
     order = cfg.basis_order
-    dual_pair = ladder = conj_matches = order_free = True
-    for mu in ca.degrees_tr_upto(spec.rank, depth):
-        if ca.tr(mu) == 0:
-            continue
+    dual_pair = conj_matches = order_free = True
+    degrees = [mu for mu in ca.degrees_tr_upto(spec.rank, depth) if ca.tr(mu)]
+    for mu in degrees:
         words = qr.select_basis(spec, mu, order)
         for ai, wa in enumerate(words):
             de = qr.dual_element(spec, mu, ai, order)
             for bi, wb in enumerate(words):
                 got = pr.phi(spec, de, fa.felem(wb))
                 dual_pair = dual_pair and rf.eq(got, ONE if ai == bi else ZERO)
-        for i in range(spec.rank):
-            ladder = ladder and _ladder_holds(m, mu, i, order)
         bar_table = {k: rf.bar(v) for k, v in qr.theta(spec, mu, order).items()}
         conj_matches = conj_matches and _theta_tables_agree(
             spec, mu, qr.theta_bar(spec, mu, order), bar_table
@@ -281,6 +281,7 @@ def suite_quasiR(cfg, depth):
         order_free = order_free and _theta_tables_agree(
             spec, mu, qr.theta(spec, mu, "lex"), qr.theta(spec, mu, "revlex")
         )
+    ladder = all(_ladder_holds(m, i, order, degrees) for i in range(spec.rank))
     mm = mo.tensor(m, m)
     th = mo._theta_op([m, m], 0, 1, qr.theta, order)
     tb = mo._theta_op([m, m], 0, 1, qr.theta_bar, order)
@@ -331,7 +332,7 @@ def _ftilde_slots(mods, s, l):
         for w1 in mods[1].weights:
             for w2 in mods[2].weights:
                 triple = (w0, w1, w2)
-                entries.append(ca.f(spec, triple[s], triple[l]))
+                entries.append(ca.f(spec, triple[s], triple[l], mods[s].den * mods[l].den))
     return mo._diag(entries)
 
 
@@ -383,7 +384,7 @@ def _classical_matches(m, rr):
         )
         theta_cl = la.mat_add(theta_cl, la.mat_scale(la.kron(fk, ek), ck))
     diag = mo._diag(
-        rf.mono(1, -ca.dot(spec, wa, wb), 0)
+        rf.mono(1, -ca.dot(spec, wa, wb, m.den * m.den), 0)
         for wa in m.weights
         for wb in m.weights
     )

@@ -140,8 +140,8 @@ def tensorw(a: TangleWord, b: TangleWord) -> TangleWord:
 def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
     """f(lam,lam) v^2_{-lam} for the highest weight lam; the curl scalar."""
     lam = mo.highest_weight(m)
-    vd = ca.v_deg(m.spec, ca.weight_neg(lam))
-    return ca.f(m.spec, lam, lam) * vd * vd
+    vd = ca.v_deg(m.spec, ca.weight_neg(lam), m.den)
+    return ca.f(m.spec, lam, lam, m.den * m.den) * vd * vd
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Cartan data validation and the bilinear/multiplicative forms built on them."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,8 +77,8 @@ def test_brace_f_c_oracles():
 def test_v_t_deg():
     assert rf.eq(ca.v_deg(SL2, (3,)), rf.parse("v^3"))
     assert rf.eq(ca.v_deg(B2, (0, 2)), rf.parse("v^2"))
-    lam = ca.weight(["2/3", "1/3"])
-    assert rf.eq(ca.v_deg(SL3, lam), rf.mono(1, 1, 0))
+    # the weight (2/3, 1/3) as numerators over den 3
+    assert rf.eq(ca.v_deg(SL3, (2, 1), 3), rf.mono(1, 1, 0))
     assert ca.d_i(B2, 0) == 2 and ca.d_i(B2, 1) == 1
 
 
@@ -94,27 +95,39 @@ _fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 _vecs = st.tuples(_fracs, _fracs)
 
 
+def _on_lattice(*vecs):
+    """Rational vectors as int numerator tuples over their least common den."""
+    den = lcm(*(Fraction(x).denominator for v in vecs for x in v))
+    return [tuple(int(Fraction(x) * den) for x in v) for v in vecs], den
+
+
 @settings(max_examples=50, deadline=None)
 @given(_vecs, _vecs, _vecs)
 def test_forms_are_biadditive(lam, mu, nu):
+    (lam, mu, nu), den = _on_lattice(lam, mu, nu)
+    dd = den * den
     for form in (ca.angle, ca.bracket, ca.dot):
-        assert form(SL3, ca.weight_add(lam, mu), nu) == form(SL3, lam, nu) + form(SL3, mu, nu)
-        assert form(SL3, nu, ca.weight_add(lam, mu)) == form(SL3, nu, lam) + form(SL3, nu, mu)
-    assert ca.dot(SL3, lam, mu) == ca.dot(SL3, mu, lam)
+        assert form(SL3, ca.weight_add(lam, mu), nu, dd) == (
+            form(SL3, lam, nu, dd) + form(SL3, mu, nu, dd))
+        assert form(SL3, nu, ca.weight_add(lam, mu), dd) == (
+            form(SL3, nu, lam, dd) + form(SL3, nu, mu, dd))
+    assert ca.dot(SL3, lam, mu, dd) == ca.dot(SL3, mu, lam, dd)
 
 
 @settings(max_examples=50, deadline=None)
 @given(_vecs, _vecs, _vecs)
 def test_brace_is_multiplicative_and_f_inverts_it(lam, mu, nu):
-    b = ca.brace(SL3, lam, mu)
-    assert rf.eq(b * ca.f(SL3, lam, mu), rf.ONE)
+    (lam, mu, nu), den = _on_lattice(lam, mu, nu)
+    dd = den * den
+    b = ca.brace(SL3, lam, mu, dd)
+    assert rf.eq(b * ca.f(SL3, lam, mu, dd), rf.ONE)
     assert rf.eq(
-        ca.brace(SL3, ca.weight_add(lam, nu), mu),
-        b * ca.brace(SL3, nu, mu),
+        ca.brace(SL3, ca.weight_add(lam, nu), mu, dd),
+        b * ca.brace(SL3, nu, mu, dd),
     )
     assert rf.eq(
-        ca.brace(SL3, lam, ca.weight_add(mu, nu)),
-        b * ca.brace(SL3, lam, nu),
+        ca.brace(SL3, lam, ca.weight_add(mu, nu), dd),
+        b * ca.brace(SL3, lam, nu, dd),
     )
 
 
@@ -159,26 +172,34 @@ def test_forms_are_ints_on_degrees(spec, lam, mu):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([SL3, B2]), st.one_of(_degrees, _weights), _weights)
 def test_forms_match_the_fraction_reference_on_weights(spec, lam, mu):
+    # each vector on its own lattice: the forms take the product of the dens
+    ([ln], ld), ([mn], md) = _on_lattice(lam), _on_lattice(mu)
+    den = ld * md
     for form, want in _ref_forms(spec, lam, mu).items():
-        got = form(spec, lam, mu)
+        got = form(spec, ln, mn, den)
         assert got == want
         # an int whenever the value is integral, a Fraction only when it is not
         assert type(got) is (int if want.denominator == 1 else Fraction)
     # the one twist monomial, and brace and f through it, on the same reference
     ref_v = _ref_form(spec.dot, lam, mu)
     ref_t = _ref_form(spec.omega, mu, lam) - _ref_form(spec.omega, lam, mu)
-    for vsign, named in ((1, ca.brace(spec, lam, mu)), (-1, ca.f(spec, mu, lam))):
+    for vsign, named in ((1, ca.brace(spec, ln, mn, den)), (-1, ca.f(spec, mn, ln, den))):
         want = rf.LaurentPoly({(vsign * ref_v, ref_t): 1})
-        got = ca.twist(spec, lam, mu, vsign)
+        got = ca.twist(spec, ln, mn, vsign, den)
         assert got.num == want and got.den is rf.LP_ONE
         assert named.num == want and named.den is rf.LP_ONE
         # the formula the K' eigenvalue and the coproduct twist wrote inline
-        inline = rf.mono(1, vsign * ca.dot(spec, lam, mu),
-                         ca.angle(spec, mu, lam) - ca.angle(spec, lam, mu))
+        inline = rf.mono(1, vsign * ca.dot(spec, ln, mn, den),
+                         ca.angle(spec, mn, ln, den) - ca.angle(spec, ln, mn, den))
         assert inline.num == want
-    assert ca.weight_add(lam, mu) == tuple(Fraction(a) + b for a, b in zip(lam, mu))
-    assert ca.weight_sub(lam, mu) == tuple(Fraction(a) - b for a, b in zip(lam, mu))
-    assert ca.weight_neg(mu) == tuple(-b for b in mu)
+    # on one common lattice the weight helpers are the rational sum, difference, negation
+    (lc, mc), d = _on_lattice(lam, mu)
+    for got, want in (
+        (ca.weight_add(lc, mc), [Fraction(a) + b for a, b in zip(lam, mu)]),
+        (ca.weight_sub(lc, mc), [Fraction(a) - b for a, b in zip(lam, mu)]),
+        (ca.weight_neg(mc), [-b for b in mu]),
+    ):
+        assert [Fraction(x, d) for x in got] == want
 
 
 def _structure(p):
@@ -191,11 +212,13 @@ def _structure(p):
        st.sampled_from([1, 0, -1]))
 def test_twist_and_v_deg_are_mono_written_onto_the_lattice(spec, lam, mu, vsign):
     ref_t = _ref_form(spec.omega, mu, lam) - _ref_form(spec.omega, lam, mu)
+    ([ln], ld), ([mn], md) = _on_lattice(lam), _on_lattice(mu)
     for got, want in (
-        (ca.twist(spec, lam, mu, vsign), rf.mono(1, vsign * _ref_form(spec.dot, lam, mu), ref_t)),
-        (ca.v_deg(spec, mu), rf.mono(1, sum(x * spec.omega[i][i] for i, x in enumerate(mu)), 0)),
-        (ca.v_deg(spec, lam), rf.mono(1, sum(Fraction(x) * spec.omega[i][i]
-                                             for i, x in enumerate(lam)), 0)),
+        (ca.twist(spec, ln, mn, vsign, ld * md),
+         rf.mono(1, vsign * _ref_form(spec.dot, lam, mu), ref_t)),
+        (ca.v_deg(spec, mn, md), rf.mono(1, sum(x * spec.omega[i][i] for i, x in enumerate(mu)), 0)),
+        (ca.v_deg(spec, ln, ld), rf.mono(1, sum(Fraction(x) * spec.omega[i][i]
+                                                for i, x in enumerate(lam)), 0)),
     ):
         assert _structure(got.num) == _structure(want.num)
         assert got.den is rf.LP_ONE

@@ -425,6 +425,13 @@ def test_module_entry_dividing_by_zero_exits_2(tmp_path, entry):
     _qdim_with_entry(tmp_path, entry)
 
 
+@pytest.mark.parametrize("entry", ["²", "٣", "1" * 5000], ids=["superscript", "arabic-indic", "long"])
+def test_module_entry_outside_the_scalar_grammar_exits_2(tmp_path, entry):
+    # digits are ASCII only, and a number int() cannot convert is a ParseError
+    proc = _qdim_with_entry(tmp_path, entry)
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "entry", ["(" * 3000 + "1" + ")" * 3000, "-" * 4000 + "1"], ids=["parens", "minus-signs"]
 )
@@ -432,3 +439,46 @@ def test_deeply_nested_module_entry_exits_2(tmp_path, entry):
     proc = _qdim_with_entry(tmp_path, entry)
     assert proc.stderr.count("\n") == 1
     assert "nested too deeply" in proc.stderr
+
+
+# Weights and --spec values share the `[-]p[/q]` grammar of ratfield.parse_rational;
+# anything else, exponent notation above all (whose cost Fraction() lets grow
+# with the exponent), is refused by name.
+_NOT_RATIONALS = {
+    "exponent": "1e5", "decimal": "0.5", "nan": "nan", "zero-den": "1/0",
+    "huge-exponent": "1e400000000", "plus-sign": "+1", "superscript": "²",
+    "too-many-digits": "1" * 5000,
+}
+
+
+@pytest.mark.parametrize("text", list(_NOT_RATIONALS.values()), ids=list(_NOT_RATIONALS))
+def test_weight_outside_the_rational_grammar_exits_2(capsys, tmp_path, text):
+    mod = tmp_path / "m.mod"
+    mod.write_text("dim = 2\nweight.1 = %s\nweight.2 = -1/2\nE.1.1.2 = 1\nF.1.2.1 = 1\n" % text)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text((CONFIGS / "sl2.cfg").read_text().replace("rank1:1", "file:m.mod"))
+    rc, out, err = run(capsys, "qdim", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: %s:2: bad rational in weight: " % mod)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", list(_NOT_RATIONALS.values()), ids=list(_NOT_RATIONALS))
+def test_spec_outside_the_rational_grammar_exits_2(capsys, monkeypatch, text):
+    # refused before the closure is evaluated
+    monkeypatch.setattr(cli.tg, "invariant", None)
+    rc, out, err = run(
+        capsys, "invariant", "--config", SL2, "--tangle", "unknot", "--spec", "t=" + text
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: bad rational in --spec %r: " % ("t=" + text))
+    assert err.count("\n") == 1
+
+
+def test_spec_reads_the_rational_grammar(capsys):
+    rc, half, _ = run(capsys, "invariant", "--config", SL2, "--tangle", "trefoil",
+                      "--spec", "t=-2/4")
+    assert rc == 0
+    rc, same, _ = run(capsys, "invariant", "--config", SL2, "--tangle", "trefoil",
+                      "--spec", "t = -1/2 ")
+    assert rc == 0 and half == same

@@ -58,12 +58,14 @@ def test_form_oracles():
 def test_serre_element_rank_two():
     s = fa.serre_element(SL3, 0, 1)
     half = rf.inv(rf.qfact(2, 1))
-    want = {
+    divided = {
         (1, 0, 0): half,
         (0, 1, 0): -rf.parse("t^-2"),
         (0, 0, 1): rf.parse("t^-2") * half,
     }
-    assert fa.f_eq(s, want)
+    # the relator with divided powers, times [2]! = (v + v^-1) t
+    assert fa.f_eq(s, {w: rf.qfact(2, 1) * c for w, c in divided.items()})
+    assert all(c.den == rf.LP_ONE for c in s.values())
 
 
 def test_serre_elements_span_form_radical_slice():

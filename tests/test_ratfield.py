@@ -120,6 +120,22 @@ def test_parse_errors():
         rf.parse("v @ t")
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(max_denominator=50))
+def test_parse_rational_reads_the_exponent_grammar(q):
+    text = str(q)  # `p/q`, or `p` when integral
+    assert rf.parse_rational(text) == (q.numerator, q.denominator)
+    # the scalar parser reads the same grammar in a parenthesized exponent
+    assert rf.render(rf.parse("v^(%s)" % text)) == rf.render(rf.v_pow(q))
+
+
+def test_parse_rational_refuses_everything_else():
+    assert rf.parse_rational(" -2 / 4 ") == (-2, 4)
+    for text in ("1e5", "0.5", "nan", "1/0", "+1", "1/-2", "2/3/4", "v", "", "٣", "1" * 5000):
+        with pytest.raises(rf.ParseError):
+            rf.parse_rational(text)
+
+
 def test_zero_division():
     with pytest.raises(ZeroDivisionError):
         rf.inv(rf.ZERO)

@@ -44,6 +44,8 @@ def test_stage_shares_runs():
     rows = [line.split(" | ") for line in proc.stdout.splitlines()
             if line.startswith("| ") and line.endswith(" % |")]
     shares = {stage.lstrip("| "): int(share.rstrip(" %|")) for stage, share in rows}
-    assert set(shares) == {"parser", "config load", "crossing build", "kink", "closure", "rest"}
+    assert set(shares) == {
+        "parser", "config load", "module check", "crossing build", "kink", "closure", "rest"
+    }
     # each share is rounded to a whole percent
     assert abs(sum(shares.values()) - 100) <= len(shares) / 2

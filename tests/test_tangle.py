@@ -1,5 +1,6 @@
 """Tangle word parsing, typing, evaluation, closures, and invariant values."""
 
+import functools
 import pathlib
 
 import pytest
@@ -188,7 +189,7 @@ def _conjugated_rank1_2():
         tuple(la.mat_mul(la.mat_mul(scale, a), unscale) for a in act)
         for act in (m.act_E, m.act_F)
     )
-    return mo.make_module(m.spec, m.labels, m.weights, act_E, act_F)
+    return mo.make_module(m.spec, m.labels, m.weights, act_E, act_F, m.den)
 
 
 _FUNCTOR_MODULES = {
@@ -266,3 +267,63 @@ def test_invariant_accepts_words_and_rejects_open_ones():
     assert rf.eq(tg.invariant(tg.parse("up"), M1), rf.parse("v + v^-1"))
     with pytest.raises(tg.TangleError):
         tg.invariant("ev", M1)
+
+
+# ------------------------------------------------- HOMFLYPT skein relation
+#
+# On the natural sl_N module (sl2.cfg: N = 2, sl3.cfg: N = 3) the invariant
+# satisfies v^-N P(L+) - v^N P(L-) + (v - v^-1) P(L0) = 0, where L+, L- and
+# L0 differ at one crossing: xp, xm, or the two strands side by side.  This
+# oracle holds whatever the crossings are built from.  The closed words are
+# braids on 2-4 strands with curls made of cups and caps of both kinds.
+
+
+def _crossing(n, k, g):
+    return [("up",) * k + (g,) + ("up",) * (n - k - 2)]
+
+
+def _curl_right(n, k, g):
+    # strand k, a cup to its right, the crossing, a cap: (+) -> (+,+,-) -> (+)
+    left, right = ("up",) * k, ("up",) * (n - k - 1)
+    return [left + ("up", "coqtr") + right, left + (g, "dn") + right, left + ("up", "qtr") + right]
+
+
+def _curl_left(n, k, g):
+    # a cup to the left of strand k, the crossing, a cap: (+) -> (-,+,+) -> (+)
+    left, right = ("up",) * k, ("up",) * (n - k - 1)
+    return [left + ("coev", "up") + right, left + ("dn", g) + right, left + ("ev", "up") + right]
+
+
+@st.composite
+def _skein_words(draw):
+    """Rows of a closed word and the (row, slot) of one of its crossings."""
+    n = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        piece = draw(st.sampled_from([_crossing, _curl_right, _curl_left]))
+        k = draw(st.integers(0, n - 2 if piece is _crossing else n - 1))
+        rows += piece(n, k, draw(st.sampled_from(["xp", "xm"])))
+    spots = [(i, j) for i, row in enumerate(rows) for j, g in enumerate(row) if g in ("xp", "xm")]
+    return rows, draw(st.sampled_from(spots))
+
+
+@functools.lru_cache(maxsize=None)
+def _natural_module(name):
+    return configio.load_config(str(CONFIGS / name)).module
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["sl2.cfg", "sl3.cfg"]), _skein_words())
+def test_homflypt_skein_relation(name, word):
+    m = _natural_module(name)
+    rows, (i, j) = word
+
+    def value(replacement):
+        changed = list(rows)
+        changed[i] = rows[i][:j] + replacement + rows[i][j + 1:]
+        return tg.invariant(tg.word(changed), m)
+
+    n = m.dim
+    lhs = (rf.v_pow(-n) * value(("xp",)) - rf.v_pow(n) * value(("xm",))
+           + rf.parse("v - v^-1") * value(("up", "up")))
+    assert rf.eq(lhs, rf.ZERO), (name, rows, (i, j))
