@@ -11,11 +11,16 @@ harness, and sums the self time of each stage over `--passes` passes:
     crossing build  `tangle._generator`: crossings, cups and caps
     kink            the first `functor_T` call of `tangle.invariant`
     closure         its second call, on the closure
-    rest            `cli.main`'s own time: rendering, reduction, printing
+    large products  `ratfield._large_mul`: LaurentPoly products of at least
+                    `ratfield.LARGE_PAIRS` term pairs, memo lookups included
+    rest            the rest of `cli.main`: the suites' and theta's own work,
+                    smaller products, rendering, reduction, printing
 
 Self time excludes the nested stages, so the kink and closure lines leave
 out the crossings built inside them.  The stages are timed with
-`time.perf_counter` wrappers.  Reads `bench/` and writes nothing there.
+`time.perf_counter` wrappers.  It also prints the hits and misses of the
+large-product memo, summed over the ops (each op starts it empty).  Reads
+`bench/` and writes nothing there.
 
     python3 scripts/stage_shares.py --workload invariants --seed 1 --passes 10
 """
@@ -30,7 +35,8 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
-STAGES = ("parser", "config load", "module check", "crossing build", "kink", "closure", "rest")
+STAGES = ("parser", "config load", "module check", "crossing build", "kink", "closure",
+          "large products", "rest")
 
 
 def load_bench(name):
@@ -73,7 +79,7 @@ class StageClock:
         return timed
 
 
-def instrument(clock, cli, configio, modules, tangle):
+def instrument(clock, cli, configio, modules, tangle, ratfield):
     """Wrap the stage functions where their callers look them up."""
     calls = []  # functor_T calls so far of each tangle.invariant running
 
@@ -104,6 +110,8 @@ def instrument(clock, cli, configio, modules, tangle):
     tangle._generator = clock.wrap(tangle._generator, "crossing build")
     tangle.functor_T = clock.wrap(tangle.functor_T, functor_stage)
     tangle.invariant = functools.wraps(inv)(invariant)
+    # LaurentPoly.__mul__ looks _large_mul up on the ratfield module at each call
+    ratfield._large_mul = clock.wrap(ratfield._large_mul, "large products")
 
 
 def main():
@@ -120,17 +128,24 @@ def main():
                              "%s:%d" % (args.workload, args.seed))
     cli = harness.import_cli()
     clock = StageClock()
-    layers = [sys.modules["vtknot." + name] for name in ("configio", "modules", "tangle")]
+    layers = [sys.modules["vtknot." + name]
+              for name in ("configio", "modules", "tangle", "ratfield")]
+    memo = layers[-1]._large_mul
     instrument(clock, cli, *layers)
+    hits = misses = 0
     for _ in range(args.passes):
         for entry in entries:
             res = harness.run_op(cli, entry["argv"], entry["limit_s"])
             why = harness.check_output(entry["argv"], res, entry)
             if why is not None:
                 sys.exit("%s: %s" % (" ".join(entry["argv"]), why))
+            info = memo.cache_info()  # run_op empties the memo before the op
+            hits, misses = hits + info.hits, misses + info.misses
     total = sum(clock.self_s.values())
     print("%s, seed %d: %d ops per pass, %d passes, %.3f s per pass in cli.main"
           % (args.workload, args.seed, len(entries), args.passes, total / args.passes))
+    print("large-product memo: %d hits, %d misses per pass"
+          % (hits / args.passes, misses / args.passes))
     print("| stage | share |")
     print("| --- | --- |")
     for stage in sorted(STAGES, key=clock.self_s.get, reverse=True):

@@ -411,6 +411,26 @@ def test_integral_sums_and_products_make_no_fraction():
     assert len(prod.terms) == 9 and len(total.terms) == 6
 
 
+def test_parse_reads_exponents_onto_the_lattice_without_fractions():
+    texts = ("t^(1/3)", "v^(-2/4)", "v^-(3/6) * t^(2/2)", "v^(0/5)", "(v + 1)^(4/2)")
+    made = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            made.append(frame)
+
+    sys.setprofile(watch)
+    try:
+        got = [rf.parse(text) for text in texts]
+    finally:
+        sys.setprofile(None)
+    assert not made
+    want = [rf.t_pow(Fraction(1, 3)), rf.v_pow(Fraction(-1, 2)),
+            rf.mono(1, Fraction(-1, 2), 1), rf.ONE, rf.parse("v^2 + 2*v + 1")]
+    for g, w in zip(got, want):
+        assert _structure(g.num) == _structure(w.num) and g.den is rf.LP_ONE
+
+
 # ------------------------------------------------- the twist-monomial path
 
 _int_or_lattice_exps = st.one_of(st.integers(-6, 6), _lattice_exps)
@@ -547,3 +567,66 @@ def test_cross_div_raises_on_an_inexact_divisor():
         rf.cross_div(one, one, zero, zero, e)
     # ((v + 1)^2 - (v + 1)) / (v + 1) = v
     assert rf.cross_div(e, e, one, e, e) == rf.V.num
+
+
+# ------------------------------------------------- the large-product path
+
+
+def _loop_product(p, q):
+    """The pair-loop reference: every term pair into one dict, then _make."""
+    s = math.lcm(p.scale, q.scale)
+    out = {}
+    rf._add_products(out, rf._terms_at(p, s), rf._terms_at(q, s))
+    return rf._make(out, s)
+
+
+# on either side of the 31- and 63-bit digit bounds
+_wide_coeffs = st.sampled_from([2**20, -(2**31), 2**40, 2**62, 2**63 - 1, -(2**63), 2**70])
+_frac_coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([2, 3]))
+
+
+@st.composite
+def _wide_polys(draw):
+    """2 to 16 terms over scale 1, 2, 3 or 6, with a v-stride of 1, 2, 3 or
+    5, negative exponents and some t-terms; the coefficients are small ints,
+    one of them perhaps a wide int or a Fraction."""
+    scale, stride = draw(st.sampled_from([1, 2, 3, 6])), draw(st.sampled_from([1, 2, 3, 5]))
+    t_exps = draw(st.sampled_from([(0,), (0,), (-1, 0, 1), (-2, 1)]))
+    box = [(Fraction(stride * a, scale), Fraction(b, scale))
+           for a in range(-6, 7) for b in t_exps]
+    keys = draw(st.permutations(box))[:draw(st.integers(2, 16))]
+    coeffs = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=16, max_size=16))
+    coeffs[0] = draw(st.sampled_from(coeffs[:1]) | _wide_coeffs | _frac_coeffs)
+    return rf.LaurentPoly(dict(zip(keys, coeffs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_polys(), _wide_polys())
+@example(rf.qint(9, 1).num, rf.qint(8, 2).num)
+@example(rf.qint(9, 1).num + rf.lp_mono(2**40, 10, 8), rf.qint(9, Fraction(1, 2)).num)
+@example(rf.parse("2^61*v + 2^61 - v^-1").num, rf.parse("v + 1").num)  # bound 2^62 + 1
+@example(rf.parse("2^62*v + 2^62 - v^-1").num, rf.parse("v + 1").num)  # bound 2^63 + 1
+def test_large_products_match_the_pair_loop(p, q):
+    want = _structure(_loop_product(p, q))
+    assert _structure(p * q) == want and _structure(q * p) == want
+    s = math.lcm(p.scale, q.scale)
+    x, y = rf._terms_at(p, s), rf._terms_at(q, s)
+    packed = rf._packed_product(x, y)
+    if packed is not None:
+        assert _structure(rf._make(packed, s)) == want
+    if any(type(c) is Fraction for c in (*x.values(), *y.values())):
+        assert packed is None
+    elif max(map(abs, x.values())) * max(map(abs, y.values())) >= 2**63:
+        assert packed is None  # a digit would need more than 63 bits
+
+
+def test_a_large_product_is_made_once_per_pair_of_values():
+    rf._large_mul.cache_clear()
+    p, q = rf.qint(9, 1).num, rf.qint(10, 1).num
+    first = p * q
+    assert rf._large_mul.cache_info().misses == 1
+    # an equal value built apart hits the memo and gets the same object
+    assert rf.qint(9, 1).num * q is first
+    small = rf.qint(7, 1).num
+    assert small * small == _loop_product(small, small)  # 49 pairs: below the memo
+    assert rf._large_mul.cache_info()[:2] == (1, 1)

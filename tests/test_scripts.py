@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -39,13 +40,20 @@ def test_crossing_spectrum_runs():
 
 
 def test_stage_shares_runs():
-    proc = run_script("stage_shares.py", "--workload", "invariants", "--seed", "1", "--passes", "1")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split(" | ") for line in proc.stdout.splitlines()
-            if line.startswith("| ") and line.endswith(" % |")]
-    shares = {stage.lstrip("| "): int(share.rstrip(" %|")) for stage, share in rows}
-    assert set(shares) == {
-        "parser", "config load", "module check", "crossing build", "kink", "closure", "rest"
-    }
-    # each share is rounded to a whole percent
-    assert abs(sum(shares.values()) - 100) <= len(shares) / 2
+    for workload in ("invariants", "identities"):
+        proc = run_script("stage_shares.py", "--workload", workload, "--seed", "1",
+                          "--passes", "1")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(" | ") for line in proc.stdout.splitlines()
+                if line.startswith("| ") and line.endswith(" % |")]
+        shares = {stage.lstrip("| "): int(share.rstrip(" %|")) for stage, share in rows}
+        assert set(shares) == {
+            "parser", "config load", "module check", "crossing build", "kink", "closure",
+            "large products", "rest",
+        }
+        # each share is rounded to a whole percent
+        assert abs(sum(shares.values()) - 100) <= len(shares) / 2
+        hits = int(re.fullmatch(r"large-product memo: (\d+) hits, \d+ misses per pass",
+                                proc.stdout.splitlines()[1]).group(1))
+        # the identity suites repeat large products; closures make almost none
+        assert (hits > 0 and shares["large products"] > 0) == (workload == "identities")
