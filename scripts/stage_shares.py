@@ -13,8 +13,16 @@ harness, and sums the self time of each stage over `--passes` passes:
     closure         its second call, on the closure
     large products  `ratfield._large_mul`: LaurentPoly products of at least
                     `ratfield.LARGE_PAIRS` term pairs, memo lookups included
+    gram            `pairing.gram`: a degree's Gram block of pairings
+    elimination     `linalg.principal_pivots` and `linalg.rank`: basis
+                    selection and rank by Bareiss elimination
+    inverse         `linalg.inverse`: the inverse of a chosen Gram block (or
+                    of the rmatrix suite's annihilator systems)
+    print           `ratfield.reduce_poly` and `ratfield.render`: values
+                    reduced and rendered for printing (and the R-matrix
+                    entries, which are reduced as they are built)
     rest            the rest of `cli.main`: the suites' and theta's own work,
-                    smaller products, rendering, reduction, printing
+                    smaller products, printing
 
 Self time excludes the nested stages, so the kink and closure lines leave
 out the crossings built inside them.  The stages are timed with
@@ -36,7 +44,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 STAGES = ("parser", "config load", "module check", "crossing build", "kink", "closure",
-          "large products", "rest")
+          "large products", "gram", "elimination", "inverse", "print", "rest")
 
 
 def load_bench(name):
@@ -79,7 +87,7 @@ class StageClock:
         return timed
 
 
-def instrument(clock, cli, configio, modules, tangle, ratfield):
+def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg):
     """Wrap the stage functions where their callers look them up."""
     calls = []  # functor_T calls so far of each tangle.invariant running
 
@@ -112,6 +120,13 @@ def instrument(clock, cli, configio, modules, tangle, ratfield):
     tangle.invariant = functools.wraps(inv)(invariant)
     # LaurentPoly.__mul__ looks _large_mul up on the ratfield module at each call
     ratfield._large_mul = clock.wrap(ratfield._large_mul, "large products")
+    # the callers of these look them up on their modules at each call
+    pairing.gram = clock.wrap(pairing.gram, "gram")
+    linalg.principal_pivots = clock.wrap(linalg.principal_pivots, "elimination")
+    linalg.rank = clock.wrap(linalg.rank, "elimination")
+    linalg.inverse = clock.wrap(linalg.inverse, "inverse")
+    ratfield.reduce_poly = clock.wrap(ratfield.reduce_poly, "print")
+    ratfield.render = clock.wrap(ratfield.render, "print")
 
 
 def main():
@@ -129,8 +144,8 @@ def main():
     cli = harness.import_cli()
     clock = StageClock()
     layers = [sys.modules["vtknot." + name]
-              for name in ("configio", "modules", "tangle", "ratfield")]
-    memo = layers[-1]._large_mul
+              for name in ("configio", "modules", "tangle", "ratfield", "pairing", "linalg")]
+    memo = sys.modules["vtknot.ratfield"]._large_mul
     instrument(clock, cli, *layers)
     hits = misses = 0
     for _ in range(args.passes):

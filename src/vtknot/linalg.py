@@ -14,12 +14,14 @@ the fused exact kernel `ratfield.cross_div`: (a*b - c*d)/e with no
 polynomial temporaries.
 
 A Gram block's numerators are t-Hermitian: the pairing is symmetric up to
-t -> t^-1, and a degree's entries share one den with no t.  Diagonal
-pivoting keeps that symmetry at every step, since pivots and previous
-pivots are then fixed by the flip, so `principal_pivots` computes only the
-upper triangle of each update and flips it into the lower one, about half
-the `cross_div` calls.  The test is one structural comparison per call;
-any other input takes the full update.
+t -> t^-1, and a degree's entries share one den with no t.  That symmetry
+is used twice.  `pairing.gram` builds only the upper triangle of a block
+and flips it into the lower one (see `pairing`).  Diagonal pivoting keeps
+the symmetry at every step, since pivots and previous pivots are then fixed
+by the flip, so `principal_pivots` likewise computes only the upper
+triangle of each update and flips it into the lower one, about half the
+`cross_div` calls.  Its test is one structural comparison per call; any
+other input takes the full update.
 """
 
 from __future__ import annotations

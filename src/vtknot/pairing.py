@@ -19,6 +19,15 @@ the same letters.  The recursion runs on LaurentPoly numerators over that
 den (`_phi_num`, `_phi_den`) and never multiplies a den out again.  Every
 caller passes all five arguments (`gram` and `_phi_words` "l", "F"), since
 `lru_cache` would key a defaulted call apart from a full one.
+
+The pairing is symmetric up to t -> t^-1: phi(E_a, F_b) is phi(E_b, F_a)
+with t inverted (Jantzen, *Lectures on Quantum Groups*, ch. 6-8).  Both
+words of a nonzero pair have the same letters, so they share the den, and
+the den has no t.  The ("l", "F") order, the one `gram` and `_phi_words`
+read, therefore recurses only for ew <= fw and returns the t-flip of the
+mirrored numerator otherwise: each Gram block makes one derivation sum per
+unordered word pair.  The other three orders keep the full recursion, so
+they stay an independent check of the flipped entries.
 `_phi_words` pairs them into the RatFunc the constructor would give, and
 `phi` extends that table bilinearly through `freealg.bilinear`.  `gram`
 gives a degree's block as the numerators over the one den that all its
@@ -35,7 +44,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cartan, freealg
-from .ratfield import LP_ONE, LP_ZERO, LaurentPoly, RatFunc, _normal, bar as rf_bar, inv, mono
+from .ratfield import (LP_ONE, LP_ZERO, LaurentPoly, RatFunc, _flip_poly, _normal, bar as rf_bar,
+                       inv, mono)
 
 
 @lru_cache(maxsize=None)
@@ -56,11 +66,13 @@ def _phi_den(spec: cartan.CartanSpec, fw) -> LaurentPoly:
 def _phi_num(spec: cartan.CartanSpec, ew, fw, end: str, side: str) -> LaurentPoly:
     """Numerator of phi(E_ew, F_fw) over _phi_den(spec, fw), by peeling the
     `end` letter ("l" or "r") of the `side` word ("E" or "F") and deriving
-    the other word."""
+    the other word; ("l", "F") below the diagonal is the flip of its mirror."""
     if freealg.deg(spec, ew) != freealg.deg(spec, fw):
         return LP_ZERO
     if not fw:
         return LP_ONE
+    if ew > fw and end == "l" and side == "F":
+        return _flip_poly(_phi_num(spec, fw, ew, "l", "F"), 1, -1)
     peeled, other, other_side = (fw, ew, "E") if side == "F" else (ew, fw, "F")
     i, rest = (peeled[-1], peeled[:-1]) if end == "r" else (peeled[0], peeled[1:])
     acc = LP_ZERO

@@ -43,11 +43,17 @@ their operands first and share it.  Below LARGE_PAIRS term pairs a product
 is that loop (`_pair_mul`); from there on it goes through `_large_mul`, an
 lru_cache keyed by the operand values, which makes each one once: as one
 big-int product (`_packed_product`, Kronecker substitution), or by the loop
-for a Fraction coefficient, a bound past 63 bits or more digits than pairs.
+for a Fraction coefficient, a bound past 63 bits or more digits than pairs;
+`*` passes the operands in one order, so q * p after p * q is a memo hit.
 No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
-with different signs (`_flip_poly`, which `linalg` also uses to mirror a
-t-Hermitian elimination).
+with different signs (`_flip_poly`, which `pairing` and `linalg` also use to
+mirror a t-Hermitian Gram block and its elimination).
+`reduce_poly` divides a den out of its num only where no cheap test refutes
+exactness (`_refutes_division`): an exact quotient adds its spans to the
+den's, and, the den's lead coefficient being 1, by Gauss's lemma has int
+coefficients when the num has, so the den's value at one point divides the
+num's there.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
 joined by ` + ` / ` - `, exponent 1 and coefficient 1 elided, integer
 exponents printed bare (`v^-2`), fractional ones in parens (`v^(1/2)`).
@@ -61,6 +67,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -308,7 +315,11 @@ class LaurentPoly:
             return _mono_mul(self, other)
         if len(self.terms) == 1:
             return _mono_mul(other, self)
-        if len(self.terms) * len(other.terms) >= LARGE_PAIRS:
+        n, m = len(self.terms), len(other.terms)
+        if n * m >= LARGE_PAIRS:
+            # one memo key per unordered pair: the shorter operand first, ties by hash
+            if n > m or (n == m and hash(self) > hash(other)):
+                return _large_mul(other, self)
             return _large_mul(self, other)
         return _pair_mul(self, other)
 
@@ -571,9 +582,43 @@ def cross_div(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly,
     return num if e is LP_ONE else poly_div_exact(num, e)
 
 
+_t_exp = itemgetter(1)
+
+
+def _refutes_division(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """True when b, a normal den, certainly does not divide a, nonzero.
+
+    Two tests, each far cheaper than a long division that fails:
+    - spans: an exact quotient q has span(a) = span(b) + span(q) in v and
+      in t, so a span of a shorter than b's refutes;
+    - one value: when every coefficient is an int, b is primitive (its lead
+      coefficient is 1), so by Gauss's lemma q has int coefficients too.
+      With a' = a / (v^a0 t^b0), a0 and b0 its least exponents (b's are 0),
+      a' = b q', q' = q / (v^a0 t^b0), and all three are polynomials with int
+      coefficients in x = v^(1/scale) and y = t^(1/scale).  So at x = 2,
+      y = 3 the value of b divides that of a', or both are 0.
+    """
+    s = lcm(a.scale, b.scale)
+    ta, tb = _terms_at(a, s), _terms_at(b, s)
+    a0 = min(ta)[0]
+    if max(ta)[0] - a0 < max(tb)[0]:
+        return True
+    b0 = min(ta, key=_t_exp)[1]
+    if max(ta, key=_t_exp)[1] - b0 < max(tb, key=_t_exp)[1]:
+        return True
+    if not set(map(type, ta.values())) | set(map(type, tb.values())) <= {int}:
+        return False
+    at = sum((c * 3 ** (t - b0)) << (v - a0) for (v, t), c in ta.items())
+    bt = sum((c * 3 ** t) << v for (v, t), c in tb.items())
+    return at % bt != 0 if bt else at != 0
+
+
 def reduce_poly(a: RatFunc) -> RatFunc:
-    """Divide out the denominator when it is exact; otherwise return a as is."""
-    if len(a.den.terms) == 1:
+    """Divide out the denominator when it is exact; otherwise return a as is.
+
+    `_refutes_division` turns most inexact cases away before the division.
+    """
+    if len(a.den.terms) == 1 or _refutes_division(a.num, a.den):
         return a
     try:
         return RatFunc(poly_div_exact(a.num, a.den))
@@ -672,24 +717,36 @@ def _render_exp(name: str, e: int, scale: int) -> str:
 
 
 def render_poly(p: LaurentPoly) -> str:
-    if p.is_zero():
+    """p in the rendering grammar.  On scale 1 an exponent is printed as it
+    is stored; only a finer lattice reduces each e/scale by a gcd."""
+    terms = p.terms
+    if not terms:
         return "0"
-    parts = []
-    for (a, b), coeff in sorted(p.terms.items(), reverse=True):
-        factors = []
-        if a:
-            factors.append(_render_exp("v", a, p.scale))
-        if b:
-            factors.append(_render_exp("t", b, p.scale))
-        mag = abs(coeff)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = " * ".join(factors)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
+    s = p.scale
+    out = []
+    for key in sorted(terms, reverse=True):
+        a, b = key
+        coeff = terms[key]
+        if s == 1:
+            fv = "" if not a else "v" if a == 1 else f"v^{a}"
+            ft = "" if not b else "t" if b == 1 else f"t^{b}"
         else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(parts)
+            fv = _render_exp("v", a, s) if a else ""
+            ft = _render_exp("t", b, s) if b else ""
+        body = f"{fv} * {ft}" if fv and ft else fv or ft
+        if coeff < 0:
+            coeff = -coeff
+            sign = " - "
+        else:
+            sign = " + "
+        if coeff != 1:
+            body = str(coeff) + " * " + body if body else str(coeff)
+        elif not body:
+            body = "1"
+        out.append(sign + body)
+    # every term carries its sign as a binary operator; the first one's is unary
+    text = "".join(out)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def render(a: RatFunc) -> str:

@@ -129,7 +129,10 @@ def suite_pairing(cfg, depth):
     for mu in ca.degrees_tr_upto(spec.rank, depth):
         words = fa.words_of_degree(mu)
         rows, den = pr.gram(spec, mu)
-        g = [[rf.RatFunc(x, den) for x in row] for row in rows]
+        # the symmetry is read off ("r", "F"): gram's ("l", "F") order makes
+        # its lower triangle as the flip of the upper one
+        g = [[rf.RatFunc(pr._phi_num(spec, ew, fw, "r", "F"), den) for fw in words]
+             for ew in words]
         for r, ew in enumerate(words):
             for c, fw in enumerate(words):
                 gram_sym = gram_sym and rf.eq(g[r][c], rf.bar_t(g[c][r]))
@@ -152,16 +155,20 @@ def suite_pairing(cfg, depth):
                     rf.inv(qr.conj_scale(spec, mu))
                     * pr.phi(spec, fa.felem(ew), fa.sigma(spec, fa.felem(fw), "F")),
                 )
-        # (x, y z) = sum over r(x) of (x1, y)(x2, z)
+        # (x, y z) = sum over r(x) of (x1, y)(x2, z); only the terms with
+        # deg x1 = deg y can pair, so r(x) is grouped by that degree first
         for ew in words:
-            rx = fa.coproduct_r(spec, fa.felem(ew))
+            by_deg = {}
+            for (x1, x2), c in fa.coproduct_r(spec, fa.felem(ew)).items():
+                by_deg.setdefault(fa.deg(spec, x1), []).append((x1, x2, c))
             for nu in ca.degrees_below(mu):
                 rest = ca.deg_sub(mu, nu)
+                terms = by_deg.get(nu, ())
                 for y in fa.words_of_degree(nu):
                     for z in fa.words_of_degree(rest):
                         lhs = pr.phi(spec, fa.felem(ew), fa.felem(y + z))
                         rhs = ZERO
-                        for (x1, x2), c in rx.items():
+                        for x1, x2, c in terms:
                             a = pr.phi(spec, fa.felem(x1), fa.felem(y))
                             if a.is_zero():
                                 continue

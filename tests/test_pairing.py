@@ -286,10 +286,12 @@ def admissible_specs(draw):
 @settings(max_examples=40, deadline=None)
 @given(admissible_specs())
 def test_gram_blocks_are_structurally_t_hermitian(spec):
-    # the premise of linalg.principal_pivots' mirror step
+    # the premise of linalg.principal_pivots' mirror step, read off the
+    # ("r", "F") order: gram's ("l", "F") order flips its lower triangle
     for mu in ca.degrees_tr_upto(spec.rank, 3):
         rows, den = pr.gram(spec, mu)
         words = fa.words_of_degree(mu)
+        right = [[pr._phi_num(spec, ew, fw, "r", "F") for fw in words] for ew in words]
         n = len(rows)
         for r in range(n):
             for c in range(n):
@@ -297,6 +299,21 @@ def test_gram_blocks_are_structurally_t_hermitian(spec):
                 got = rf.RatFunc(rows[r][c], den)
                 want = pr._phi_words(spec, words[r], words[c])
                 assert (got.num, got.den) == (want.num, want.den)
-                flipped, mirror = rf.bar_t(got), rf.RatFunc(rows[c][r], den)
+                flipped = rf.bar_t(rf.RatFunc(right[r][c], den))
+                mirror = rf.RatFunc(right[c][r], den)
                 assert (mirror.num, mirror.den) == (flipped.num, flipped.den)
-        assert la._t_hermitian(rows)
+        assert la._t_hermitian(right)
+        assert right == rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(admissible_specs())
+def test_flipped_numerators_match_an_unflipped_recursion(spec):
+    # ("l", "F") takes each entry below a Gram block's diagonal as the flip
+    # of its mirror; ("r", "E") peels the other word from the other end
+    for mu in ca.degrees_tr_upto(spec.rank, 4):
+        words = fa.words_of_degree(mu)
+        for ew in words:
+            for fw in words:
+                assert (pr._phi_num(spec, ew, fw, "l", "F")
+                        == pr._phi_num(spec, ew, fw, "r", "E")), (mu, ew, fw)

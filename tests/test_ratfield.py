@@ -378,6 +378,88 @@ def test_render_matches_the_reference_and_parses_back(a):
     assert back.den == rf.LP_ONE and back.num == p
 
 
+def _render_exp_before(name, e, scale):
+    g = math.gcd(e, scale)
+    e, scale = e // g, scale // g
+    if scale != 1:
+        return f"{name}^({e}/{scale})"
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _render_poly_before(p):
+    """`ratfield.render_poly` as it was before its one-loop rewrite."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for (a, b), coeff in sorted(p.terms.items(), reverse=True):
+        factors = []
+        if a:
+            factors.append(_render_exp_before("v", a, p.scale))
+        if b:
+            factors.append(_render_exp_before("t", b, p.scale))
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = " * ".join(factors)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)
+
+
+# unit and Fraction coefficients; zero, negative, integral and fractional
+# exponents over scales 1 to 7 (the lcm of two drawn denominators)
+_render_polys = st.dictionaries(
+    st.tuples(_lattice_exps | st.integers(-3, 3), _lattice_exps | st.integers(-3, 3)),
+    st.sampled_from([1, -1]) | _lattice_coeffs, max_size=6,
+).map(lambda m: rf.LaurentPoly({k: c for k, c in m.items() if c}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_render_polys, _render_polys)
+@example(rf.LP_ONE, rf.LP_ONE)
+@example(rf.lp_mono(-1), rf.lp_mono(Fraction(-1, 2), 2, -1))
+@example(rf.LaurentPoly({(Fraction(2, 3), Fraction(4, 3)): 1, (Fraction(1, 3), 0): -1}),
+         rf.LaurentPoly({(2, Fraction(1, 2)): Fraction(3, 2), (-1, -1): -1}))
+def test_render_poly_matches_the_renderer_it_replaced(p, q):
+    assert rf.render_poly(p) == _render_poly_before(p)
+    assert rf.parse(rf.render_poly(p)).num == p
+    if q.terms:
+        x = rf.RatFunc(p, q)
+        text, num = rf.render(x), _render_poly_before(x.num)
+        assert text == (num if x.den is rf.LP_ONE else f"({num}) / ({_render_poly_before(x.den)})")
+        assert rf.eq(rf.parse(text), x)
+
+
+_int_polys = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-2, 2)), st.integers(-3, 3), max_size=5,
+).map(lambda m: rf.LaurentPoly({k: c for k, c in m.items() if c}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_polys | laurents(), (_int_polys | laurents(max_terms=3)).filter(_nonmonomial),
+       st.just(rf.LP_ZERO) | _monomials | st.builds(rf.lp_mono, st.integers(-2, 2),
+                                                    st.integers(-4, 8), st.integers(-2, 4)))
+@example(rf.LP_ONE, rf.parse("v^2 + 1").num, rf.lp_mono(1, 1))  # values 17 and 5
+@example(rf.parse("v + 1").num, rf.parse("v - 2").num, rf.LP_ONE)  # b(2, 3) = 0
+@example(rf.parse("v + t").num, rf.parse("t - 3").num, rf.lp_mono(2))  # b(2, 3) = 0
+def test_refuting_a_division_never_rejects_a_true_quotient(q, b, r):
+    den = rf.RatFunc(rf.LP_ONE, b).den  # b in normal form
+    if not q.is_zero():
+        assert not rf._refutes_division(q * den, den)
+        assert rf.reduce_poly(rf.RatFunc(q * den, den)).num == q
+    a = q * den + r
+    if a.is_zero() or not rf._refutes_division(a, den):
+        return
+    # a refuted division is one the long division rejects too
+    with pytest.raises(ValueError):
+        rf.poly_div_exact(a, den)
+    x = rf.RatFunc(a, den)
+    got = rf.reduce_poly(x)
+    assert (got.num, got.den) == (x.num, x.den)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_ref_polys, _lattice_coeffs.filter(bool), _lattice_exps, _lattice_exps)
 def test_equal_values_compare_and_hash_alike(a, c, rv, rt):
@@ -630,3 +712,16 @@ def test_a_large_product_is_made_once_per_pair_of_values():
     small = rf.qint(7, 1).num
     assert small * small == _loop_product(small, small)  # 49 pairs: below the memo
     assert rf._large_mul.cache_info()[:2] == (1, 1)
+
+
+def test_a_large_product_in_either_order_is_one_memo_entry():
+    rf._large_mul.cache_clear()
+    p, q = rf.qint(9, 1).num, rf.qint(10, 1).num
+    first = p * q
+    assert q * p is first
+    # equal term counts: the order goes by hash, still one key per pair
+    r = rf.qint(10, 2).num
+    assert len(r.terms) == len(q.terms)
+    second = r * q
+    assert q * r is second and second == _loop_product(q, r)
+    assert rf._large_mul.cache_info()[:2] == (2, 2)

@@ -40,7 +40,7 @@ def test_crossing_spectrum_runs():
 
 
 def test_stage_shares_runs():
-    for workload in ("invariants", "identities"):
+    for workload in ("invariants", "identities", "quasi-r"):
         proc = run_script("stage_shares.py", "--workload", workload, "--seed", "1",
                           "--passes", "1")
         assert proc.returncode == 0, proc.stderr
@@ -49,11 +49,16 @@ def test_stage_shares_runs():
         shares = {stage.lstrip("| "): int(share.rstrip(" %|")) for stage, share in rows}
         assert set(shares) == {
             "parser", "config load", "module check", "crossing build", "kink", "closure",
-            "large products", "rest",
+            "large products", "gram", "elimination", "inverse", "print", "rest",
         }
         # each share is rounded to a whole percent
         assert abs(sum(shares.values()) - 100) <= len(shares) / 2
         hits = int(re.fullmatch(r"large-product memo: (\d+) hits, \d+ misses per pass",
                                 proc.stdout.splitlines()[1]).group(1))
-        # the identity suites repeat large products; closures make almost none
-        assert (hits > 0 and shares["large products"] > 0) == (workload == "identities")
+        if workload == "quasi-r":
+            # theta's stages: Gram blocks, their elimination and inverse, printing
+            assert min(shares[s] for s in ("gram", "elimination", "inverse", "print")) > 0
+            assert shares["kink"] == shares["closure"] == 0
+        else:
+            # the identity suites repeat large products; closures make almost none
+            assert (hits > 0 and shares["large products"] > 0) == (workload == "identities")
