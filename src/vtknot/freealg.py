@@ -4,8 +4,9 @@ Elements are plain dicts word -> coefficient, where a word is a tuple of
 0-based generator indices; tensors are dicts (word, word) -> coefficient.
 Zero coefficients are never stored.  Both kinds are word-keyed sparse
 combinations and share one set of helpers: `accumulate` adds one term in
-place, `f_eq` compares two combinations, and `bilinear` extends a
-word-pair table to a bilinear map (`pairing.phi` and `pairing.form`).
+place, `f_eq` compares two combinations, `_linear` extends a per-word table
+to a linear map (`coproduct_r`, `deriv` and `sigma`), and `bilinear` extends
+a word-pair table to a bilinear map (`pairing.phi` and `pairing.form`).
 Callers hand `accumulate` only dicts they built themselves, never one an
 `lru_cache` returned.
 
@@ -93,13 +94,19 @@ def _word_coproduct(spec: cartan.CartanSpec, word: Word, vsign: int) -> FTensor:
     return _tensor_mul(spec, head, gen, vsign)
 
 
-def coproduct_r(spec: cartan.CartanSpec, x: FElem, vsign: int = 1) -> FTensor:
-    """The coproduct r; vsign = -1 inverts the v-twist and gives rbar."""
+def _linear(table, x: FElem) -> dict:
+    """The linear extension of a per-word table to the element x: the sum of
+    tc * c * key over the terms c * w of x and the pairs (key, tc) of table(w)."""
     out = {}
     for w, c in x.items():
-        for key, tc in _word_coproduct(spec, w, vsign).items():
+        for key, tc in table(w):
             accumulate(out, key, tc * c)
     return out
+
+
+def coproduct_r(spec: cartan.CartanSpec, x: FElem, vsign: int = 1) -> FTensor:
+    """The coproduct r; vsign = -1 inverts the v-twist and gives rbar."""
+    return _linear(lambda w: _word_coproduct(spec, w, vsign).items(), x)
 
 
 @lru_cache(maxsize=None)
@@ -122,11 +129,7 @@ def _deriv_word(spec: cartan.CartanSpec, i: int, word: Word, end: str, side: str
 
 def deriv(spec: cartan.CartanSpec, i: int, x: FElem, end: str, side: str = "E") -> FElem:
     """Letter derivation r_i (end "r") or ir (end "l"); side "F" for F-words."""
-    out = {}
-    for w, c in x.items():
-        for dw, dc in _deriv_word(spec, i, w, end, side).items():
-            accumulate(out, dw, dc * c)
-    return out
+    return _linear(lambda w: _deriv_word(spec, i, w, end, side).items(), x)
 
 
 @lru_cache(maxsize=None)
@@ -143,11 +146,7 @@ def sigma(spec: cartan.CartanSpec, x: FElem, side: str = "E") -> FElem:
 
     On F-words (side "F") the t-power is inverted.
     """
-    out = {}
-    for w, c in x.items():
-        rev, tw = _sigma_word(spec, w, side)
-        accumulate(out, rev, c * tw)
-    return out
+    return _linear(lambda w: (_sigma_word(spec, w, side),), x)
 
 
 def bar_f(x: FElem) -> FElem:

@@ -5,6 +5,8 @@ as {row: {col: value}} with both key levels ascending.  A loop over the
 entries therefore visits them in the order of a dense row-by-row scan, so
 each entry of a product or sum adds its terms in that order and unreduced
 values keep one exact form.  `m[r, c]` reads an entry, ZERO when absent.
+`kron` is n-ary, an int n standing for the n x n identity; `modules` adds
+its cells (`_kron_cells`) term by term into the theta operators.
 
 The Bareiss routines `rank`, `inverse` and `principal_pivots` work on
 plain lists of LaurentPoly rows instead, such as a Gram block's numerators
@@ -20,12 +22,13 @@ and flips it into the lower one (see `pairing`).  Diagonal pivoting keeps
 the symmetry at every step, since pivots and previous pivots are then fixed
 by the flip, so `principal_pivots` likewise computes only the upper
 triangle of each update and flips it into the lower one, about half the
-`cross_div` calls.  Its test is one structural comparison per call; any
-other input takes the full update.
+`cross_div` calls.  The symmetry is its precondition, not a test: every
+caller passes a Gram block (`quasir`), t-Hermitian by construction.
 """
 
 from __future__ import annotations
 
+from math import prod
 from operator import add, sub
 
 from . import ratfield
@@ -122,15 +125,30 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix(a.cols, a.rows, out)
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row-major, matching left-associated tensor bases."""
+def _kron_cells(factors) -> list:
+    """(row, col, value) cells of the Kronecker product of factors over
+    left-associated tensor bases, in no fixed order.  An int factor n is the
+    n x n identity and only moves indices; each value is its factors' entries
+    multiplied left to right, and the leading ONE takes no product."""
+    cells = [(0, 0, ONE)]
+    for f in factors:
+        if isinstance(f, int):
+            cells = [(r * f + k, c * f + k, x) for r, c, x in cells for k in range(f)]
+        else:
+            items = list(f.items())
+            cells = [(r * f.rows + i, c * f.cols + j, y if x is ONE else x * y)
+                     for r, c, x in cells for i, j, y in items]
+    return cells
+
+
+def kron(*factors) -> Matrix:
+    """Kronecker product of Matrix factors, an int n standing for the n x n
+    identity; row-major, matching left-associated tensor bases."""
     out = {}
-    for i, arow in a.entries.items():
-        for p, brow in b.entries.items():
-            out[i * b.rows + p] = {
-                j * b.cols + q: x * y for j, x in arow.items() for q, y in brow.items()
-            }
-    return Matrix(a.rows * b.rows, a.cols * b.cols, out)
+    for r, c, x in _kron_cells(factors):
+        out.setdefault(r, {})[c] = x
+    rows = prod(f if isinstance(f, int) else f.rows for f in factors)
+    return Matrix(rows, prod(f if isinstance(f, int) else f.cols for f in factors), out)
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -204,13 +222,6 @@ def _bareiss(rows: list, pivot_cols: int) -> list:
     return pivots
 
 
-def _t_hermitian(rows: list) -> bool:
-    """Whether rows[j][i] is rows[i][j] with t -> t^-1, structurally, for all i, j."""
-    n = len(rows)
-    return all(rows[j][i] == ratfield._flip_poly(rows[i][j], 1, -1)
-               for i in range(n) for j in range(i, n))
-
-
 def principal_pivots(a: list) -> tuple:
     """Greedy nonsingular principal block of a square matrix, in one elimination.
 
@@ -221,9 +232,9 @@ def principal_pivots(a: list) -> tuple:
     identity), so each test costs one look at the diagonal.  Rows and
     columns of rejected indices are eliminated too.
 
-    On t-Hermitian rows, G[c][r] = bar_t(G[r][c]) as a Gram block's
-    numerators are, each update computes only the upper triangle of the
-    open block and flips it into the lower one (see the module docstring).
+    The rows must be t-Hermitian, G[c][r] = bar_t(G[r][c]), as a Gram
+    block's numerators are: each update computes only the upper triangle of
+    the open block and flips it into the lower one (see the module docstring).
 
     The LaurentPoly rows a are left as they are.  Returns (taken, rest):
     the taken indices, ascending, and the eliminated LaurentPoly rows on
@@ -231,15 +242,13 @@ def principal_pivots(a: list) -> tuple:
     rank(a) == len(taken) + rank(rest).
     """
     rows = [list(row) for row in a]
-    # with two rows or fewer each update makes one entry: nothing to mirror
-    mirror = len(rows) > 2 and _t_hermitian(rows)
     taken, open_ = [], list(range(len(a)))
     prev = ratfield.LP_ONE
     for k in range(len(a)):
         if rows[k][k].is_zero():
             continue
         open_.remove(k)
-        _eliminate(rows, k, k, prev, open_, open_, mirror)
+        _eliminate(rows, k, k, prev, open_, open_, mirror=True)
         prev = rows[k][k]
         taken.append(k)
     return taken, [[rows[i][j] for j in open_] for i in open_]

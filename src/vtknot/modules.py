@@ -13,10 +13,10 @@ module built in code go through identical paths.
 Per-module quantities are cached per module object (`WeightModule` hashes
 by identity): a word's action is built once from its prefix's, one product
 per distinct word, and the theta operators, the Serre check and the suites
-share those matrices.  `_theta_op` and `act_elem` add every term's entries
-straight into one {row: {col: value}} table and build one `Matrix` at the
-end; each entry still sums its terms in table order.  `kappa` writes the
-quantum integer on the exponent lattice whenever it is one.
+share those matrices.  `_theta_op` and `act_elem` add each term's entries
+(a theta term's are `linalg._kron_cells`) into one {row: {col: value}}
+table, then build one `Matrix`; each entry sums its terms in table order.
+`kappa` writes the quantum integer on the exponent lattice whenever it is one.
 """
 
 from __future__ import annotations
@@ -183,14 +183,14 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
 def coprod_E(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
     kdiag = act_K(a, ca.unit(a.spec, i), -1 if bar else 1)
     return la.mat_add(
-        la.kron(a.act_E[i], la.identity(b.dim)), la.kron(kdiag, b.act_E[i])
+        la.kron(a.act_E[i], b.dim), la.kron(kdiag, b.act_E[i])
     )
 
 
 def coprod_F(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
     kdiag = act_K(b, ca.unit(a.spec, i), 1 if bar else -1)
     return la.mat_add(
-        la.kron(la.identity(a.dim), b.act_F[i]), la.kron(a.act_F[i], kdiag)
+        la.kron(a.dim, b.act_F[i]), la.kron(a.act_F[i], kdiag)
     )
 
 
@@ -306,16 +306,8 @@ def _theta_op(mods, s: int, l: int, table, order: str = "lex", degrees=None) -> 
             fmat, emat = act_word(mods[s], fw, "F"), act_word(mods[l], ew, "E")
             if not (fmat.entries and emat.entries):
                 continue
-            # the Kronecker product over the slots, row-major; None marks an
-            # identity factor, which takes no product
-            cells = [(0, 0, None)]
-            for k, m in enumerate(mods):
-                d = m.dim
-                mat = list(fmat.items() if k == s else emat.items() if k == l
-                           else ((j, j, None) for j in range(d)))
-                cells = [(r * d + i, c * d + j, y if x is None else x if y is None else x * y)
-                         for r, c, x in cells for i, j, y in mat]
-            _add_terms(out, coeff, cells)
+            factors = [fmat if k == s else emat if k == l else m.dim for k, m in enumerate(mods)]
+            _add_terms(out, coeff, la._kron_cells(factors))
     return la.Matrix(size, size, out)
 
 

@@ -37,14 +37,15 @@ fraction-free update (a*b - c*d)/e: both products accumulate in one term dict
 (`_sum_products`, which `linalg.inverse` also sums its back substitution
 with) and the result is divided once, with no intermediate polynomial.  That
 loop, `_add_products`, is the package's one product-accumulate loop: it
-takes term dicts already on one lattice, so the pair product, `_sum_products`
-and the tangle functor (whose operator is term dicts over one den) rescale
-their operands first and share it.  Below LARGE_PAIRS term pairs a product
-is that loop (`_pair_mul`); from there on it goes through `_large_mul`, an
-lru_cache keyed by the operand values, which makes each one once: as one
-big-int product (`_packed_product`, Kronecker substitution), or by the loop
-for a Fraction coefficient, a bound past 63 bits or more digits than pairs;
-`*` passes the operands in one order, so q * p after p * q is a memo hit.
+takes term dicts already on one lattice, so the pair product, `_sum_products`,
+the remainder update of `poly_div_exact` and the tangle functor (whose
+operator is term dicts over one den) rescale their operands first and share
+it.  Below LARGE_PAIRS term pairs a product is that loop (`_pair_mul`); from
+there on it goes through `_large_mul`, an lru_cache keyed by the operand
+values, which makes each one once: as one big-int product (`_packed_product`,
+Kronecker substitution), or by the loop for a Fraction coefficient, a bound
+past 63 bits or more digits than pairs; `*` passes the operands in one
+order, so q * p after p * q is a memo hit.
 No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs (`_flip_poly`, which `pairing` and `linalg` also use to
@@ -149,8 +150,8 @@ def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
     """Add sign * left * right into out; all three are term dicts on one lattice.
 
     The one product-accumulate loop of the package: `_pair_mul`,
-    `_sum_products` and the tangle functor put their operands on the lattice
-    first.
+    `_sum_products`, `poly_div_exact`'s remainder update and the tangle
+    functor put their operands on the lattice first.
     """
     get = out.get
     for (av, at), ac in left.items():
@@ -559,13 +560,7 @@ def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             raise ValueError("polynomial division is not exact")
         qc = _div(rem[er], cb)
         quot[(qv, qt)] = qc
-        for (kv, kt), kc in tb.items():
-            key = (qv + kv, qt + kt)
-            acc = rem.get(key, 0) - qc * kc
-            if acc:
-                rem[key] = acc
-            else:
-                rem.pop(key, None)
+        _add_products(rem, {(qv, qt): qc}, tb, -1)
     return _make(quot, s)
 
 

@@ -9,6 +9,7 @@ report byte for byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import cartan as ca
 from . import freealg as fa
@@ -217,12 +218,11 @@ def _ladder_holds(m, i, order, degrees):
     ei, fi = m.act_E[i], m.act_F[i]
     ki = mo.act_K(m, ca.unit(m.spec, i))
     kpi = mo.act_K(m, ca.unit(m.spec, i), -1)
-    ident = la.identity(m.dim)
     kks = [la.kron(ki, ki), la.kron(kpi, kpi)]
     # the term the straight and conjugated coproducts share, then the rest of each
     sides = [
-        (la.kron(ei, ident), la.kron(ki, ei), la.kron(kpi, ei)),
-        (la.kron(ident, fi), la.kron(fi, kpi), la.kron(fi, ki)),
+        (la.kron(ei, m.dim), la.kron(ki, ei), la.kron(kpi, ei)),
+        (la.kron(m.dim, fi), la.kron(fi, kpi), la.kron(fi, ki)),
     ]
     for mu in degrees:
         th = mo._theta_op([m, m], 0, 1, qr.theta, order, [mu])
@@ -261,10 +261,8 @@ def _expands_coproduct(m, mm, w, order, side):
             for bp, bpmat in terms[ca.deg_sub(lam, mu)]:
                 coeff = pr.phi(spec, *(fa.felem(w), fa.mul(bp, b))[::step])
                 if not coeff.is_zero():
-                    x, y = (la.mat_mul(bpmat, k), bmat)[::step]
-                    mo._add_terms(rhs, coeff, (
-                        (r1 * y.rows + r2, c1 * y.cols + c2, xv * yv)
-                        for r1, c1, xv in x.items() for r2, c2, yv in y.items()))
+                    factors = (la.mat_mul(bpmat, k), bmat)[::step]
+                    mo._add_terms(rhs, coeff, la._kron_cells(factors))
     return la.mat_eq(mo.act_word(mm, w, side), la.Matrix(mm.dim, mm.dim, rhs))
 
 
@@ -326,28 +324,21 @@ def suite_quasiR(cfg, depth):
 def _cap_slide_holds(m, dual, rr):
     d = m.dim
     qtr = mo.qtr_map(m)
-    outer = la.mat_mul(qtr, la.kron(la.kron(la.identity(d), qtr), la.identity(d)))
-    lhs = la.mat_mul(outer, la.kron(la.identity(d * d), mo.rmat(dual, dual)))
-    rhs = la.mat_mul(outer, la.kron(rr, la.identity(d * d)))
+    outer = la.mat_mul(qtr, la.kron(d, qtr, d))
+    lhs = la.mat_mul(outer, la.kron(d * d, mo.rmat(dual, dual)))
+    rhs = la.mat_mul(outer, la.kron(rr, d * d))
     return la.mat_eq(lhs, rhs)
 
 
-def _ftilde_slots(mods, s, l):
-    spec = mods[0].spec
-    entries = []
-    for w0 in mods[0].weights:
-        for w1 in mods[1].weights:
-            for w2 in mods[2].weights:
-                triple = (w0, w1, w2)
-                entries.append(ca.f(spec, triple[s], triple[l], mods[s].den * mods[l].den))
-    return mo._diag(entries)
+def _ftilde_slots(m, s, l):
+    """The diagonal weight factor f(w_s, w_l) of slots s and l on m (x) m (x) m."""
+    den = m.den * m.den
+    return mo._diag(ca.f(m.spec, ws[s], ws[l], den) for ws in product(m.weights, repeat=3))
 
 
-def _transport_holds(m):
+def _transport_holds(m, f31, f32):
     """Coproduct across the first two slots assembles iterated twists."""
     mods = [m, m, m]
-    f31 = _ftilde_slots(mods, 2, 0)
-    f32 = _ftilde_slots(mods, 2, 1)
     # theta with F on the third strand and E on the tensor square of the first two
     lhs_head = mo._theta_op([mo.tensor(m, m), m], 1, 0, qr.theta)
     lhs = la.mat_mul(lhs_head, la.mat_mul(f31, f32))
@@ -358,11 +349,8 @@ def _transport_holds(m):
     return la.mat_eq(lhs, rhs)
 
 
-def _weight_factor_commutes(m):
-    mods = [m, m, m]
-    f31 = _ftilde_slots(mods, 2, 0)
-    f32 = _ftilde_slots(mods, 2, 1)
-    th12 = mo._theta_op(mods, 0, 1, qr.theta)
+def _weight_factor_commutes(m, f31, f32):
+    th12 = mo._theta_op([m, m, m], 0, 1, qr.theta)
     ff = la.mat_mul(f31, f32)
     return la.mat_eq(la.mat_mul(ff, th12), la.mat_mul(th12, ff))
 
@@ -439,6 +427,7 @@ def suite_rmatrix(cfg, depth):
     rr = mo.rmat(m, m)
     rinv = mo.rmat_inv(m, m)
     ident = la.identity(mm.dim)
+    f31, f32 = _ftilde_slots(m, 2, 0), _ftilde_slots(m, 2, 1)
     cancel = la.mat_eq(la.mat_mul(rr, rinv), ident) and la.mat_eq(
         la.mat_mul(rinv, rr), ident
     )
@@ -455,8 +444,8 @@ def suite_rmatrix(cfg, depth):
         ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m)),
         ("mixed crossing matches its cup and cap form", mixed_match),
         ("mixed crossings compose to the identity", _all_hold(_MIXED, m)),
-        ("coproduct transport assembles iterated twists", _transport_holds(m)),
-        ("weight factors commute with the twist", _weight_factor_commutes(m)),
+        ("coproduct transport assembles iterated twists", _transport_holds(m, f31, f32)),
+        ("weight factors commute with the twist", _weight_factor_commutes(m, f31, f32)),
     ]
     # the summands of M (x) M are indexed by weights of M, at most dim M of them
     ann = annihilator(tg.functor_T(tg.parse("xp"), m), m.dim)
@@ -476,15 +465,9 @@ def suite_rmatrix(cfg, depth):
 def ybe_holds(m1, m2, m3):
     """R12 R13 R23 = R23 R13 R12 on m1 (x) m2 (x) m3."""
     r12, r13, r23 = (mo.rmat(a, b) for a, b in ((m1, m2), (m1, m3), (m2, m3)))
-    id1 = la.identity(m1.dim)
-    id2 = la.identity(m2.dim)
-    id3 = la.identity(m3.dim)
-    lhs = la.mat_mul(
-        la.kron(r23, id1), la.mat_mul(la.kron(id2, r13), la.kron(r12, id3))
-    )
-    rhs = la.mat_mul(
-        la.kron(id3, r12), la.mat_mul(la.kron(r13, id2), la.kron(id1, r23))
-    )
+    d1, d2, d3 = m1.dim, m2.dim, m3.dim
+    lhs = la.mat_mul(la.kron(r23, d1), la.mat_mul(la.kron(d2, r13), la.kron(r12, d3)))
+    rhs = la.mat_mul(la.kron(d3, r12), la.mat_mul(la.kron(r13, d2), la.kron(d1, r23)))
     return la.mat_eq(lhs, rhs)
 
 

@@ -7,9 +7,10 @@ order, so unreduced values come out in the same form.
 
 The Bareiss routines take LaurentPoly rows; RatFunc matrices reach them
 through `ratfield._clear_dens`, row by row.  The one-pass basis elimination
-is checked against the greedy choice with one rank per trial prefix, and
-on t-Hermitian input (the mirror step) against the full update entry by
-entry; it and `rank` must leave their input rows as they are.  The inverse
+takes t-Hermitian rows only, as a Gram block's numerators are; on such
+rows it is checked against the greedy choice with one rank per trial
+prefix, and (the mirror step) against the full update entry by entry; it
+and `rank` must leave their input rows as they are.  The inverse
 is checked as an inverse of the RatFunc matrix and, form by form, against
 a copy of its first back substitution on [a | 1] cleared row by row, which
 fixes the unreduced values `theta` prints.  On t-dependent rows it is
@@ -96,15 +97,30 @@ def test_mat_mul_matches_the_reference(pair):
     assert_matches(la.mat_mul(sparse(pair[0]), sparse(pair[1])), (n, m, want))
 
 
+def as_dense(factor):
+    """A Kronecker factor's reference matrix: an int n is the n x n identity."""
+    if isinstance(factor, int):
+        n = factor
+        return n, n, [[ONE if r == c else Z for c in range(n)] for r in range(n)]
+    return factor
+
+
 @SETTINGS
-@given(dense(), dense())
-def test_kron_matches_the_reference(a, b):
-    (ar, ac, x), (br, bc, y) = a, b
-    want = [
-        [x[i][j] * y[p][q] for j in range(ac) for q in range(bc)]
-        for i in range(ar) for p in range(br)
-    ]
-    assert_matches(la.kron(sparse(a), sparse(b)), (ar * br, ac * bc, want))
+@given(st.lists(st.one_of(dense(), st.integers(0, 3)), min_size=1, max_size=3))
+@example([2, 3])
+@example([(2, 1, [[X], [ONE]]), 2, (1, 2, [[ONE, X]])])
+def test_kron_matches_the_reference(factors):
+    # the nested two-factor product, left-associated, entry (i, p), (j, q)
+    rows, cols, want = 1, 1, [[ONE]]
+    for f in factors:
+        br, bc, y = as_dense(f)
+        want = [
+            [want[i][j] * y[p][q] for j in range(cols) for q in range(bc)]
+            for i in range(rows) for p in range(br)
+        ]
+        rows, cols = rows * br, cols * bc
+    got = la.kron(*(f if isinstance(f, int) else sparse(f) for f in factors))
+    assert_matches(got, (rows, cols, want))
 
 
 @SETTINGS
@@ -165,17 +181,64 @@ def square(draw):
     return draw(dense(n, n))[2]
 
 
+def polys(*texts):
+    return [rf.parse(x).num for x in texts]
+
+
+# numerators fixed by t -> t^-1, for the diagonal, and pairs (x, bar_t(x)) above it
+T_FIXED = polys("0", "1", "v", "t + t^-1", "v^(1/2) * (t - 2 + t^-1)")
+T_ANY = polys("0", "1", "t", "v * t^(1/2)", "v - t^-1", "2 * v * t^2 - t")
+P0, P1, PV, PT, PTI = polys("0", "1", "v", "t", "t^-1")
+
+
+def _t_hermitian(rows):
+    """Whether rows[j][i] is rows[i][j] with t -> t^-1, structurally, for all i, j."""
+    n = len(rows)
+    return all(rows[j][i] == rf._flip_poly(rows[i][j], 1, -1)
+               for i in range(n) for j in range(i, n))
+
+
+@st.composite
+def t_hermitian(draw):
+    """Numerator rows with a[j][i] = bar_t(a[i][j]), as a Gram block's are."""
+    n = draw(st.integers(0, 4))
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = draw(st.sampled_from(T_FIXED))
+        for j in range(i + 1, n):
+            x = draw(st.sampled_from(T_ANY))
+            a[i][j], a[j][i] = x, rf._flip_poly(x, 1, -1)
+    return a
+
+
+@st.composite
+def symmetric(draw):
+    """A symmetric square of VALUES, all free of t, as numerators over one
+    den: t-Hermitian rows with fractional coefficients and exponents."""
+    n = draw(st.integers(0, 4))
+    a = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.sampled_from(VALUES))
+    nums, _ = rf._clear_dens([x for row in a for x in row])
+    return [nums[i * n:(i + 1) * n] for i in range(n)]
+
+
+# principal_pivots takes t-Hermitian rows only (a Gram block's numerators)
+HERMITIAN = st.one_of(symmetric(), t_hermitian())
+
+
 @settings(max_examples=150, deadline=None)
-@given(square())
+@given(HERMITIAN)
 # no nonsingular principal block, yet rank 2
-@example([[Z, ONE], [ONE, Z]])
+@example(poly_rows([[Z, ONE], [ONE, Z]]))
 # index 1 is the only pivot; the rejected index 0 gains a nonzero Schur entry
-@example([[Z, ONE, Z], [ONE, ONE, Z], [Z, Z, Z]])
-def test_principal_pivots_take_the_greedy_indices(a):
-    rows = poly_rows(a)
+@example(poly_rows([[Z, ONE, Z], [ONE, ONE, Z], [Z, Z, Z]]))
+def test_principal_pivots_take_the_greedy_indices(rows):
+    assert _t_hermitian(rows)
     taken, rest = la.principal_pivots(rows)
     assert taken == greedy_pivots(rows)
-    n = len(a) - len(taken)
+    n = len(rows) - len(taken)
     assert len(rest) == n and all(len(row) == n for row in rest)
     assert all(isinstance(x, rf.LaurentPoly) for row in rest for x in row)
     assert len(taken) + la.rank(rest) == la.rank(rows)
@@ -205,60 +268,25 @@ def full_pivots(a):
     return taken, [[rows[i][j] for j in open_] for i in open_]
 
 
-def polys(*texts):
-    return [rf.parse(x).num for x in texts]
-
-
-# numerators fixed by t -> t^-1, for the diagonal, and pairs (x, bar_t(x)) above it
-T_FIXED = polys("0", "1", "v", "t + t^-1", "v^(1/2) * (t - 2 + t^-1)")
-T_ANY = polys("0", "1", "t", "v * t^(1/2)", "v - t^-1", "2 * v * t^2 - t")
-P0, P1, PV, PT, PTI = polys("0", "1", "v", "t", "t^-1")
-
-
-@st.composite
-def t_hermitian(draw):
-    """Numerator rows with a[j][i] = bar_t(a[i][j]), as a Gram block's are."""
-    n = draw(st.integers(0, 4))
-    a = [[None] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = draw(st.sampled_from(T_FIXED))
-        for j in range(i + 1, n):
-            x = draw(st.sampled_from(T_ANY))
-            a[i][j], a[j][i] = x, rf._flip_poly(x, 1, -1)
-    return a
-
-
 @settings(max_examples=100, deadline=None)
-@given(t_hermitian())
+@given(HERMITIAN)
 @example([[P0, PT], [PTI, P0]])
 @example([[P1, PT, P0], [PTI, P1, P0], [P0, P0, PV]])
 def test_t_hermitian_elimination_matches_the_full_update(a):
-    assert la._t_hermitian(a)
+    assert _t_hermitian(a)
     taken, rest = la.principal_pivots(a)
     assert taken == greedy_pivots(a)
     assert (taken, rest) == full_pivots(a)
 
 
-@pytest.mark.parametrize("a", [
-    # t-Hermitian off the diagonal only: the pivot t is not fixed by the flip
-    [[PT, P1, PV], [P1, P1, P1], [PV, P1, P1 + P1]],
-    # one entry off its flip
-    [[P1, PT, P1], [PT, P1, P1], [P1, P1, PV]],
-])
-def test_input_that_is_not_t_hermitian_takes_the_full_update(a):
-    assert not la._t_hermitian(a)
-    assert la.principal_pivots(a) == full_pivots(a)
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(square().map(poly_rows), t_hermitian()))
-def test_pivots_and_rank_leave_their_input_rows_unchanged(rows):
+@given(HERMITIAN, square().map(poly_rows))
+def test_pivots_and_rank_leave_their_input_rows_unchanged(hermitian, rows):
     # quasir reads the inverse's block from the rows it eliminated
-    before = [list(row) for row in rows]
-    la.principal_pivots(rows)
-    assert rows == before
-    la.rank(rows)
-    assert rows == before
+    for a, eliminate in ((hermitian, la.principal_pivots), (rows, la.rank)):
+        before = [list(row) for row in a]
+        eliminate(a)
+        assert a == before
 
 
 def test_mirror_step_halves_the_gram_updates(monkeypatch):

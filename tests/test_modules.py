@@ -405,6 +405,24 @@ def test_operators_keep_the_per_term_forms(name):
             _assert_same_forms(mo.act_elem(target, x, side), _act_elem_by_terms(target, x, side))
 
 
+def test_theta_op_on_three_slots_is_the_nested_kron():
+    # one term, coeff * F_fw on slot s (x) E_ew on slot l, on factors of three
+    # sizes, against the two-factor Kronecker product nested to the left
+    mods = [M1, M2, mo.rank1_simple(3)]
+    coeff = rf.parse("v + t^-1")
+    fw, ew = (0,), (0,)
+
+    def table(spec, nu, order):
+        return {(fw, ew): coeff}
+
+    for s, l in itertools.permutations(range(3), 2):
+        mats = [mo.act_word(m, fw, "F") if k == s else mo.act_word(m, ew, "E") if k == l
+                else la.identity(m.dim) for k, m in enumerate(mods)]
+        want = la.mat_scale(la.kron(la.kron(mats[0], mats[1]), mats[2]), coeff)
+        assert want.entries
+        _assert_same_forms(mo._theta_op(mods, s, l, table, degrees=[(1,)]), want)
+
+
 def _kappa_by_division(spec, i, mu, den):
     a = ca.dot(spec, ca.unit(spec, i), mu, den)
     d = ca.d_i(spec, i)
