@@ -97,9 +97,7 @@ def validate(spec: CartanSpec) -> list:
                     f"dot consistency: dot[{i + 1}][{j + 1}] != omega[{i + 1}][{j + 1}]"
                     f"+omega[{j + 1}][{i + 1}]"
                 )
-    # deduplicate while keeping first-seen order
-    seen = set()
-    return [r for r in report if not (r in seen or seen.add(r))]
+    return report
 
 
 def unit(spec: CartanSpec, i: int) -> tuple:

@@ -159,17 +159,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_qdim(args) -> int:
     cfg = configio.load_config(args.config)
-    _emit(args.format, "qdim", rf.render(rf.reduce_poly(mo.qdim(cfg.module))))
+    _emit(args.format, "qdim", rf.render(mo.qdim(cfg.module)))
     return 0
 
 
 def _cmd_rmatrix(args) -> int:
     cfg = configio.load_config(args.config)
     m = cfg.module
-    mm = mo.tensor(m, m)
-    mat = mo.rmat(m, m)
-    for r, c, x in mat.items():
-        print("%s | %s | %s" % (mm.labels[r], mm.labels[c], rf.render(x)))
+    labels = mo.pair_labels(m, m)
+    for r, c, x in mo.rmat(m, m).items():
+        print("%s | %s | %s" % (labels[r], labels[c], rf.render(x)))
     return 0
 
 

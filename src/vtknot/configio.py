@@ -4,8 +4,10 @@ Config keys: rank, dot.row.<k>, omega.row.<k>, module, basis_order.
 basis_order (lex or revlex) picks the dual bases that `theta` prints and the
 quasiR suite checks; crossings, invariants and `rmatrix` do not depend on it.
 Module files: dim, optional label.<k>, weight.<k>, E.<i>.<r>.<c>, F.<i>.<r>.<c>.
-All indices are 1-based; entry values go through the scalar parser, weight
-coordinates through `ratfield.parse_rational` (`[-]p[/q]`) onto one den.
+All indices are 1-based and go through one check, `_index`, which names the
+index in its error; on a line with two bad indices the first in key order is
+reported.  Entry values go through the scalar parser, weight coordinates
+through `ratfield.parse_rational` (`[-]p[/q]`) onto one den.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ def _int(path, ln, val):
         raise ConfigError("%s:%d: expected an integer, got %r" % (path, ln, val))
 
 
+def _index(path, ln, text, bound, what):
+    """The 0-based index for the 1-based `text`, which must lie in 1..bound."""
+    k = _int(path, ln, text)
+    if not 1 <= k <= bound:
+        raise ConfigError("%s:%d: %s index out of range" % (path, ln, what))
+    return k - 1
+
+
 def _int_row(path, ln, val, width):
     parts = val.split()
     if len(parts) != width:
@@ -89,34 +99,24 @@ def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
         if key == "dim":
             continue
         if parts[0] == "label" and len(parts) == 2:
-            k = _int(path, ln, parts[1])
-            if not 1 <= k <= dim:
-                raise ConfigError("%s:%d: label index out of range" % (path, ln))
-            labels[k - 1] = val
+            labels[_index(path, ln, parts[1], dim, "label")] = val
         elif parts[0] == "weight" and len(parts) == 2:
-            k = _int(path, ln, parts[1])
-            if not 1 <= k <= dim:
-                raise ConfigError("%s:%d: weight index out of range" % (path, ln))
+            k = _index(path, ln, parts[1], dim, "weight")
             coords = val.split()
             if len(coords) != spec.rank:
                 raise ConfigError("%s:%d: weight needs %d coordinates" % (path, ln, spec.rank))
             try:
-                weights[k - 1] = [rf.parse_rational(x) for x in coords]
+                weights[k] = [rf.parse_rational(x) for x in coords]
             except rf.ParseError as e:
                 raise ConfigError("%s:%d: bad rational in weight: %s" % (path, ln, e))
         elif parts[0] in ("E", "F") and len(parts) == 4:
-            i = _int(path, ln, parts[1])
-            r = _int(path, ln, parts[2])
-            c = _int(path, ln, parts[3])
-            if not 1 <= i <= spec.rank:
-                raise ConfigError("%s:%d: generator index out of range" % (path, ln))
-            if not (1 <= r <= dim and 1 <= c <= dim):
-                raise ConfigError("%s:%d: matrix index out of range" % (path, ln))
+            i = _index(path, ln, parts[1], spec.rank, "generator")
+            r, c = (_index(path, ln, x, dim, "matrix") for x in parts[2:])
             try:
                 entry = rf.parse(val)
             except rf.ParseError as e:
                 raise ConfigError("%s:%d: %s" % (path, ln, e))
-            (act_E if parts[0] == "E" else act_F)[i - 1].setdefault(r - 1, {})[c - 1] = entry
+            (act_E if parts[0] == "E" else act_F)[i].setdefault(r, {})[c] = entry
         else:
             raise ConfigError("%s:%d: unknown key %r" % (path, ln, key))
     missing = [str(k + 1) for k in range(dim) if weights[k] is None]
@@ -152,11 +152,8 @@ def load_config(path) -> RunConfig:
                 raise ConfigError("%s:%d: basis_order must be lex or revlex" % (path, ln))
             basis_order = val
         elif parts[0] in ("dot", "omega") and len(parts) == 3 and parts[1] == "row":
-            k = _int(path, ln, parts[2])
-            if not 1 <= k <= rank:
-                raise ConfigError("%s:%d: row index out of range" % (path, ln))
-            row = _int_row(path, ln, val, rank)
-            (dot_rows if parts[0] == "dot" else omega_rows)[k - 1] = row
+            k = _index(path, ln, parts[2], rank, "row")
+            (dot_rows if parts[0] == "dot" else omega_rows)[k] = _int_row(path, ln, val, rank)
         else:
             raise ConfigError("%s:%d: unknown key %r" % (path, ln, key))
     for name, rows in (("dot", dot_rows), ("omega", omega_rows)):

@@ -5,8 +5,9 @@ Elements are plain dicts word -> coefficient, where a word is a tuple of
 Zero coefficients are never stored.  Both kinds are word-keyed sparse
 combinations and share one set of helpers: `accumulate` adds one term in
 place, `f_eq` compares two combinations, `_linear` extends a per-word table
-to a linear map (`coproduct_r`, `deriv` and `sigma`), and `bilinear` extends
-a word-pair table to a bilinear map (`pairing.phi` and `pairing.form`).
+to a linear map (`mul`, `coproduct_r`, `deriv` and `sigma`), and `bilinear`
+extends a word-pair table to a bilinear map (`pairing.phi` and
+`pairing.form`).
 Callers hand `accumulate` only dicts they built themselves, never one an
 `lru_cache` returned.
 
@@ -66,11 +67,7 @@ def deg(spec: cartan.CartanSpec, word: Word) -> cartan.Degree:
 
 def mul(a: FElem, b: FElem) -> FElem:
     """Concatenation product, bilinear; no twist inside a single factor."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            accumulate(out, wa + wb, ca * cb)
-    return out
+    return _linear(lambda wa: ((wa + wb, cb) for wb, cb in b.items()), a)
 
 
 def _tensor_mul(spec: cartan.CartanSpec, a: FTensor, b: FTensor, vsign: int) -> FTensor:

@@ -17,6 +17,8 @@ share those matrices.  `_theta_op` and `act_elem` add each term's entries
 (a theta term's are `linalg._kron_cells`) into one {row: {col: value}}
 table, then build one `Matrix`; each entry sums its terms in table order.
 `kappa` writes the quantum integer on the exponent lattice whenever it is one.
+`pair_labels` names the basis of a tensor product, for `tensor` and for the
+`rmatrix` dump, which needs no coproduct actions.
 """
 
 from __future__ import annotations
@@ -148,8 +150,7 @@ def validate_module(m: WeightModule) -> list:
                     failures.append(
                         "higher braid relation fails on the %s side for (%d, %d)" % (side, i + 1, j + 1)
                     )
-    seen = set()
-    return [x for x in failures if not (x in seen or seen.add(x))]
+    return failures
 
 
 def trivial(spec: ca.CartanSpec) -> WeightModule:
@@ -168,14 +169,15 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
     """
     if spec.rank != 1 or n < 0:
         raise la.ShapeError("rank1_simple needs a rank-one datum and n >= 0")
-    # the weights n/2 - k, over den 2
+    # the weights n/2 - k, over den 2; on an admissible datum each kappa is a
+    # quantum integer, so the E coefficients are Laurent
     weights = [(n - 2 * k,) for k in range(n + 1)]
     acoef = [ZERO]
     for k in range(1, n + 2):
         acoef.append(acoef[k - 1] + kappa(spec, 0, weights[k - 1], 2))
     if not acoef[n + 1].is_zero():
         raise la.ShapeError("the E coefficients do not close the string at n = %d" % n)
-    aE = la.Matrix(n + 1, n + 1, {k: {k + 1: rf.reduce_poly(acoef[k + 1])} for k in range(n)})
+    aE = la.Matrix(n + 1, n + 1, {k: {k + 1: acoef[k + 1]} for k in range(n)})
     aF = la.Matrix(n + 1, n + 1, {k + 1: {k: ONE} for k in range(n)})
     return make_module(spec, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,), 2)
 
@@ -194,11 +196,16 @@ def coprod_F(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.
     )
 
 
+def pair_labels(a: WeightModule, b: WeightModule) -> tuple:
+    """The basis labels of a (x) b, "(x,y)" in row-major order."""
+    return tuple("(%s,%s)" % (x, y) for x in a.labels for y in b.labels)
+
+
 def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     if a.spec != b.spec:
         raise la.ShapeError("tensor factors over different Cartan data")
     spec = a.spec
-    labels = tuple("(%s,%s)" % (x, y) for x in a.labels for y in b.labels)
+    labels = pair_labels(a, b)
     den = lcm(a.den, b.den)
     sa, sb = den // a.den, den // b.den
     weights = tuple(ca.weight_add([x * sa for x in wa], [y * sb for y in wb])

@@ -15,21 +15,21 @@ Conventions:
                 lex-lead coefficient 1 and least v and t exponents 0; a zero
                 value has den LP_ONE.  A product of normal dens is normal
                 (and LP_ONE only when both are), so +, - and * build their
-                results directly; only the constructor (and so /, inv and
-                the flips) pays the normalizing pass.  Values are immutable,
-                so a sum with a zero operand and a product with ONE return
-                the other operand.
+                results with `_normal`, which skips it; only the
+                constructor (and so /, inv and the flips) pays the
+                normalizing pass.  Values are immutable, so a sum with a
+                zero operand and a product with ONE return the other operand.
     ExpPair     a (v_exp, t_exp) pair of Fractions, the form the edges see:
                 the LaurentPoly constructor takes {(v_exp, t_exp): rational}
                 maps (specialize and the reference tests go through it), and
                 LaurentPoly.fraction_terms() yields (ExpPair, Fraction)
                 pairs (specialize and any caller that reads exponents)
 
-lp_mono (and so mono, const, v_pow, t_pow) writes its one term straight onto
-the lattice: int exponents take scale 1 and make no Fraction.  Sums,
-products, shifts and exact division work on the int lattice, with Fraction
-arithmetic only for non-integral coefficients; operands of different scales
-are rescaled once to their lcm.  A LaurentPoly product with a monomial factor
+lp_mono (and so mono, V and T) writes its one term straight onto the
+lattice: int exponents take scale 1 and make no Fraction.  Sums, products,
+shifts and exact division work on the int lattice, with Fraction arithmetic
+only for non-integral coefficients; operands of different scales are
+rescaled once to their lcm.  A LaurentPoly product with a monomial factor
 is one shift of the other factor (that factor itself when the monomial is
 LP_ONE, which lp_mono(1) returns); only two polynomials of two or more terms
 go through the loop over term pairs.  cross_div(a, b, c, d, e) is the fused
@@ -397,23 +397,15 @@ class RatFunc:
             return self
         if not self.num.terms:
             return other
-        if self.den is LP_ONE and other.den is LP_ONE:
-            # Laurent fast path: nothing to normalize
-            res = RatFunc.__new__(RatFunc)
-            res.num = self.num + other.num
-            res.den = LP_ONE
-            return res
-        if self.den == other.den:
+        if self.den is other.den or self.den == other.den:
+            # one den (LP_ONE for two Laurent values): nothing to cross-multiply
             return _normal(self.num + other.num, self.den)
         return _normal(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     def __neg__(self) -> "RatFunc":
-        res = RatFunc.__new__(RatFunc)
-        res.num = -self.num
-        res.den = self.den
-        return res
+        return _normal(-self.num, self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -426,10 +418,7 @@ class RatFunc:
             if other.den is LP_ONE:
                 if b is LP_ONE:
                     return self
-                res = RatFunc.__new__(RatFunc)
-                res.num = a * b
-                res.den = LP_ONE
-                return res
+                return _normal(a * b, LP_ONE)
         elif b is LP_ONE and other.den is LP_ONE:
             return self
         return _normal(a * b, self.den * other.den)
@@ -478,20 +467,8 @@ def mono(coeff=1, v_exp=0, t_exp=0) -> RatFunc:
     return RatFunc(lp_mono(coeff, v_exp, t_exp))
 
 
-def const(q) -> RatFunc:
-    return RatFunc(lp_mono(q))
-
-
-def v_pow(e) -> RatFunc:
-    return mono(1, e, 0)
-
-
-def t_pow(e) -> RatFunc:
-    return mono(1, 0, e)
-
-
-V = v_pow(1)
-T = t_pow(1)
+V = mono(1, 1)
+T = mono(1, 0, 1)
 
 
 def inv(a: RatFunc) -> RatFunc:
@@ -825,7 +802,7 @@ class _Parser:
             return -self.factor()
         kind, value, pos = self.take()
         if kind == "num":
-            base = const(value)
+            base = mono(value)
         elif kind == "var":
             base = V if value == "v" else T
         elif kind == "(":

@@ -3,7 +3,8 @@
 Each suite function takes a loaded run configuration and a truncation depth
 and returns an ordered list of (check name, passed) pairs.  Enumeration is
 always over deterministic word/degree orders so repeated runs print the same
-report byte for byte.
+report byte for byte.  One check, `_inverse_pair`, tests that two operators
+invert each other: theta and its conjugate, and the crossing and its inverse.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ def _all_words(spec, depth):
     for mu in ca.degrees_tr_upto(spec.rank, depth):
         for w in fa.words_of_degree(mu):
             yield mu, w
+
+
+def _inverse_pair(a, b):
+    """Whether the square matrices a and b invert each other on both sides."""
+    ident = la.identity(a.rows)
+    return la.mat_eq(la.mat_mul(a, b), ident) and la.mat_eq(la.mat_mul(b, a), ident)
 
 
 # ---------------------------------------------------------------- forms
@@ -299,10 +306,7 @@ def suite_quasiR(cfg, depth):
             intertwines = intertwines and la.mat_eq(
                 la.mat_mul(straight, th), la.mat_mul(th, conjd)
             )
-    ident = la.identity(mm.dim)
-    inverts = la.mat_eq(la.mat_mul(th, tb), ident) and la.mat_eq(
-        la.mat_mul(tb, th), ident
-    )
+    inverts = _inverse_pair(th, tb)
     delta = True
     for mu in ca.degrees_tr_upto(spec.rank, min(depth, 3)):
         for w in fa.words_of_degree(mu):
@@ -405,8 +409,8 @@ def annihilator(mat, maxdeg):
                 picked.append(rc)
                 if len(picked) == d:
                     break
-        if len(picked) < d:
-            continue
+        # d coordinates are always picked: were P^0..P^(d-1) dependent, a
+        # smaller d would have returned
         a, dens = zip(*(rf._clear_dens([powers[k][r, c] for k in range(d)])
                         for r, c in picked))
         b = [powers[d][r, c] for r, c in picked]
@@ -426,11 +430,8 @@ def suite_rmatrix(cfg, depth):
     mm = mo.tensor(m, m)
     rr = mo.rmat(m, m)
     rinv = mo.rmat_inv(m, m)
-    ident = la.identity(mm.dim)
     f31, f32 = _ftilde_slots(m, 2, 0), _ftilde_slots(m, 2, 1)
-    cancel = la.mat_eq(la.mat_mul(rr, rinv), ident) and la.mat_eq(
-        la.mat_mul(rinv, rr), ident
-    )
+    cancel = _inverse_pair(rr, rinv)
     # the functor scales xm by the crossing unit
     mixed_match = la.mat_eq(
         tg.functor_T(tg.parse(_ROT_Y % "xm"), m),

@@ -53,6 +53,21 @@ def test_validate_names_failed_conditions():
     assert any("consistency" in r for r in ca.validate(inconsistent))
 
 
+def test_validate_reports_each_fault_once_in_order():
+    # every condition fails somewhere, and symmetric pairs fail twice
+    spec = ca.make_spec(2, [[4, 1], [0, 4]], [[2, 1], [-4, 2]])
+    assert ca.validate(spec) == [
+        "dot symmetry: dot[1][2] != dot[2][1]",
+        "dot symmetry: dot[2][1] != dot[1][2]",
+        "(a) omega[1][2] must be <= 0 off the diagonal",
+        "(b) (omega[1][2]+omega[2][1])/omega[1][1] must be a nonpositive integer",
+        "(b) (omega[2][1]+omega[1][2])/omega[2][2] must be a nonpositive integer",
+        "(c) gcd of omega diagonal is 2, must be 1",
+        "dot consistency: dot[1][2] != omega[1][2]+omega[2][1]",
+        "dot consistency: dot[2][1] != omega[2][1]+omega[1][2]",
+    ]
+
+
 def test_forms_on_simple_roots():
     a1, a2 = ca.unit(SL3, 0), ca.unit(SL3, 1)
     assert ca.angle(SL3, a1, a2) == -1

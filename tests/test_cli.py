@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from vtknot import cli
+from vtknot import configio as cio
+from vtknot import modules as mo
 from vtknot import pairing as pr
 from vtknot import quasir as qr
 from vtknot import ratfield as rf
@@ -130,6 +132,20 @@ def test_rmatrix_dump(capsys):
     assert len(lines) == 5
     assert lines[0] == "(w0,w0) | (w0,w0) | v^(-1/2)"
     assert lines[3] == "(w1,w0) | (w1,w0) | -v^(3/2) + v^(-1/2)"
+
+
+SHIPPED = sorted(str(p.relative_to(ROOT))
+                 for pattern in ("configs/*.cfg", "bench/configs/*.cfg") for p in ROOT.glob(pattern))
+
+
+@pytest.mark.parametrize("config", SHIPPED)
+def test_rmatrix_labels_are_the_tensor_labels(capsys, config):
+    rc, out, _ = run(capsys, "rmatrix", "--config", str(ROOT / config))
+    assert rc == 0
+    m = cio.load_config(str(ROOT / config)).module
+    labels = mo.tensor(m, m).labels
+    want = [(labels[r], labels[c]) for r, c, _ in mo.rmat(m, m).items()]
+    assert [tuple(line.split(" | ")[:2]) for line in out.splitlines()] == want
 
 
 def test_theta_dump(capsys):

@@ -169,3 +169,31 @@ def test_dim_above_the_weight_lines_exits_2_before_allocating(tmp_path, capsys):
     assert captured.err == (
         "error: %s: missing weight lines: dim is 4611686018427387904, but 1 are given\n" % mod
     )
+
+
+_RANK1_CFG = "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = file:m.mod\n"
+
+
+@pytest.mark.parametrize("line, what", [
+    ("label.3 = x", "label"),
+    ("weight.0 = 0", "weight"),
+    ("E.2.1.2 = 1", "generator"),
+    ("F.1.3.1 = 1", "matrix"),
+    ("E.1.1.0 = 1", "matrix"),
+    # two faults on one line: the first index in key order is reported
+    ("E.2.1.x = 1", "generator"),
+])
+def test_module_index_out_of_range_names_the_index(tmp_path, line, what):
+    _write(tmp_path, "m.mod", "dim = 2\nweight.1 = 1/2\nweight.2 = -1/2\n%s\n" % line)
+    path = _write(tmp_path, "j.cfg", _RANK1_CFG)
+    with pytest.raises(cio.ConfigError) as info:
+        cio.load_config(path)
+    assert str(info.value) == "%s:4: %s index out of range" % (tmp_path / "m.mod", what)
+
+
+def test_row_index_out_of_range(tmp_path):
+    path = _write(tmp_path, "k.cfg", "rank = 1\ndot.row.2 = 2\nomega.row.1 = 1\n"
+                  "module = rank1:1\n")
+    with pytest.raises(cio.ConfigError) as info:
+        cio.load_config(path)
+    assert str(info.value) == "%s:2: row index out of range" % path

@@ -187,3 +187,49 @@ def test_form_is_symmetric(x, y):
 def test_bar_f(x, y):
     assert fa.f_eq(fa.bar_f(fa.bar_f(x)), x)
     assert fa.f_eq(fa.bar_f(fa.mul(x, y)), fa.mul(fa.bar_f(x), fa.bar_f(y)))
+
+
+def _mul_reference(a, b):
+    """The concatenation product as the plain double loop over term pairs."""
+    out = {}
+    for wa, cx in a.items():
+        for wb, cy in b.items():
+            fa.accumulate(out, wa + wb, cx * cy)
+    return out
+
+
+def _assert_same_combination(got, want):
+    assert list(got) == list(want)
+    for w in want:
+        assert rf.render(got[w]) == rf.render(want[w])
+
+
+def test_mul_sums_products_that_land_on_one_word():
+    x = {(0,): rf.parse("v"), (0, 0): rf.parse("2 * t")}
+    y = {(0, 1): rf.parse("v^-1"), (1,): rf.parse("-t^-1")}
+    got = fa.mul(x, y)
+    # (0)(0,1) and (0,0)(1) both give (0,0,1): 1 - 2 = -1
+    assert rf.render(got[(0, 0, 1)]) == "-1"
+    _assert_same_combination(got, _mul_reference(x, y))
+    # (0)(0) and (0,0)() cancel and leave no key behind
+    ones = {(0,): rf.ONE, (0, 0): rf.ONE}
+    got = fa.mul(ones, {(0,): rf.ONE, (): rf.mono(-1)})
+    assert list(got) == [(0,), (0, 0, 0)]
+    _assert_same_combination(got, _mul_reference(ones, {(0,): rf.ONE, (): rf.mono(-1)}))
+
+
+_short_words = st.lists(st.integers(0, 1), min_size=0, max_size=2).map(tuple)
+
+
+@st.composite
+def _short_felems(draw):
+    out = {}
+    for _ in range(draw(st.integers(1, 4))):
+        fa.accumulate(out, draw(_short_words), draw(_scalars))
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(_short_felems(), _short_felems())
+def test_mul_matches_the_double_loop(x, y):
+    _assert_same_combination(fa.mul(x, y), _mul_reference(x, y))

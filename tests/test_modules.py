@@ -70,6 +70,19 @@ def test_validate_module_reports_failures():
     assert "commutator of E_1 with F_1 is wrong" in fails
 
 
+def test_validate_module_reports_each_fault_once_in_order():
+    nat = sl3_natural()
+    bad = mo.make_module(nat.spec, nat.labels, nat.weights, nat.act_F, nat.act_E, nat.den)
+    assert mo.validate_module(bad) == [
+        "E_1 breaks the weight grading at entry (2, 1)",
+        "F_1 breaks the weight grading at entry (1, 2)",
+        "E_2 breaks the weight grading at entry (3, 2)",
+        "F_2 breaks the weight grading at entry (2, 3)",
+        "commutator of E_1 with F_1 is wrong",
+        "commutator of E_2 with F_2 is wrong",
+    ]
+
+
 def test_k_actions_are_brace_eigenvalues():
     got = mo.act_K(M1, (1,))
     assert rf.eq(got[0, 0], rf.parse("v"))

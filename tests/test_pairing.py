@@ -31,7 +31,7 @@ def test_generator_pairing():
                     assert rf.eq(got, rf.ZERO)
                 else:
                     d = spec.omega[i][i]
-                    want = rf.inv(rf.v_pow(-d) - rf.v_pow(d))
+                    want = rf.inv(rf.mono(1, -d) - rf.mono(1, d))
                     assert rf.eq(got, want)
 
 

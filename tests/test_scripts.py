@@ -1,5 +1,6 @@
 """Smoke tests for the analysis scripts under scripts/."""
 
+import importlib.util
 import os
 import pathlib
 import re
@@ -37,6 +38,39 @@ def test_crossing_spectrum_runs():
     assert proc.returncode == 0, proc.stderr
     labels = [line.split(": ")[0] for line in proc.stdout.splitlines() if not line.startswith(" ")]
     assert labels == ["rank1:1", "sl3 natural"]
+
+
+def test_code_lines_runs():
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    files = sorted(p.name for p in (ROOT / "src" / "vtknot").glob("*.py"))
+    assert [row[0] for row in rows] == files + ["total"]
+    code = [int(row[1]) for row in rows]
+    wc = [int(row[3]) for row in rows]
+    assert sum(code[:-1]) == code[-1] and sum(wc[:-1]) == wc[-1]
+    # docstrings, comments and blanks are left out, so code < wc in every file
+    assert all(0 < c < w for c, w in zip(code, wc))
+    text = (ROOT / "src" / "vtknot" / "freealg.py").read_text()
+    assert wc[files.index("freealg.py")] == len(text.splitlines())
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    text = (
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # trailing comment\n"
+        '    """Function docstring."""\n'
+        '    s = """not a\n'
+        '    docstring"""\n'
+        "    return s\n"
+    )
+    # def, both lines of the assigned string, return
+    assert mod.code_lines(text) == 4
 
 
 def test_stage_shares_runs():

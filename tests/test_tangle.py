@@ -324,6 +324,6 @@ def test_homflypt_skein_relation(name, word):
         return tg.invariant(tg.word(changed), m)
 
     n = m.dim
-    lhs = (rf.v_pow(-n) * value(("xp",)) - rf.v_pow(n) * value(("xm",))
+    lhs = (rf.mono(1, -n) * value(("xp",)) - rf.mono(1, n) * value(("xm",))
            + rf.parse("v - v^-1") * value(("up", "up")))
     assert rf.eq(lhs, rf.ZERO), (name, rows, (i, j))
