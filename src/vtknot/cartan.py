@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import mul
 
 from .ratfield import ONE, RatFunc, _div, _raw
 
@@ -210,6 +211,37 @@ def degrees_of_tr(rank: int, n: int):
 def degrees_tr_upto(rank: int, bound: int):
     for n in range(bound + 1):
         yield from degrees_of_tr(rank, n)
+
+
+@lru_cache(maxsize=None)
+def is_root(spec: CartanSpec, mu: Degree) -> bool:
+    """Whether mu in N[I] is a positive root, by Kac's reflection test (Kac,
+    *Infinite-dimensional Lie algebras*, 5.1-5.4).
+
+    While some <mu, a_i^v> = (a_i.mu)/d_i is positive, mu is reflected to
+    s_i(mu) = mu - <mu, a_i^v> a_i, a positive root of lower height whenever
+    mu is a positive root other than a_i.  A real root so ends at a simple
+    root, an imaginary one in the fundamental chamber with connected
+    support; a negative coordinate on the way means mu is neither.
+    """
+    mu = list(mu)
+    while sum(mu) > 1:
+        for i, row in enumerate(spec.dot):
+            c = sum(map(mul, row, mu)) // spec.omega[i][i]
+            if c > 0:
+                break
+        else:
+            support = {j for j, x in enumerate(mu) if x}
+            reached, stack = set(), [min(support)]
+            while stack:
+                j = stack.pop()
+                reached.add(j)
+                stack.extend(k for k in support - reached if spec.dot[j][k])
+            return reached == support
+        mu[i] -= c
+        if mu[i] < 0:
+            return False
+    return sum(mu) == 1
 
 
 def degrees_below(mu: Degree):

@@ -1,6 +1,7 @@
 """Run configuration: line-oriented key=value files with dotted keys.
 
 Config keys: rank, dot.row.<k>, omega.row.<k>, module, basis_order.
+module is rank1:<n> with 0 <= n <= RANK1_MAX, or file:<path>.
 basis_order (lex or revlex) picks the dual bases that `theta` prints and the
 quasiR suite checks; crossings, invariants and `rmatrix` do not depend on it.
 Module files: dim, optional label.<k>, weight.<k>, E.<i>.<r>.<c>, F.<i>.<r>.<c>.
@@ -24,6 +25,11 @@ from . import ratfield as rf
 
 class ConfigError(ValueError):
     pass
+
+
+# the largest n of a rank1:<n> module; checking the relations of one takes
+# time quadratic in n, about a second at this bound
+RANK1_MAX = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +179,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError("%s:%d: bad module descriptor %r" % (path, mln, mval))
         if rank != 1:
             raise ConfigError("%s:%d: rank1 modules need rank = 1" % (path, mln))
-        if n < 0:
-            raise ConfigError("%s:%d: module size must be nonnegative" % (path, mln))
+        if not 0 <= n <= RANK1_MAX:
+            raise ConfigError("%s:%d: module size must be between 0 and %d" % (path, mln, RANK1_MAX))
         module = mo.rank1_simple(n, spec)
     elif mval.startswith("file:"):
         rel = mval[len("file:"):].strip()

@@ -203,3 +203,46 @@ def words_of_degree(mu: cartan.Degree) -> tuple:
             sub = tuple(x - (1 if k == i else 0) for k, x in enumerate(mu))
             out.extend((i,) + w for w in words_of_degree(sub))
     return tuple(out)
+
+
+def lyndon_factors(word: Word, reverse: bool = False) -> tuple:
+    """The Chen-Fox-Lyndon factors of word, by Duval's algorithm: the one
+    nonincreasing sequence of Lyndon words whose product is word.  With
+    `reverse`, letters compare in reverse order."""
+    s = [-a for a in word] if reverse else word
+    out, i, n = [], 0, len(word)
+    while i < n:
+        j, k = i + 1, i
+        while j < n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(tuple(word[i:i + j - k]))
+            i += j - k
+    return tuple(out)
+
+
+def candidate_words(mu: cartan.Degree, good, lyndon: bool, reverse: bool) -> list:
+    """The words of degree mu, ascending, that are nonincreasing products of
+    the Lyndon words `good` (each of degree below mu), and with `lyndon` the
+    Lyndon words of degree mu too; letters compare as in `lyndon_factors`.
+
+    A product is a power of each word of `good` in turn, from the largest
+    down, so only the Lyndon words are filtered from every word of degree mu.
+    """
+    out = [w for w in words_of_degree(mu) if len(lyndon_factors(w, reverse)) == 1] if lyndon else []
+    good = sorted(good, key=lambda w: [-a for a in w] if reverse else w, reverse=True)
+    degs = [[w.count(i) for i in range(len(mu))] for w in good]
+
+    def grow(k, head, rest):
+        if not any(rest):
+            out.append(head)
+        elif k < len(good):
+            d = degs[k]
+            top = min([r // x for r, x in zip(rest, d) if x])
+            # the last word must take all of the rest
+            for m in range(top, -1, -1) if k + 1 < len(good) else (top,):
+                grow(k + 1, head + good[k] * m, [r - m * x for r, x in zip(rest, d)])
+
+    grow(0, (), mu)
+    return sorted(out)

@@ -119,19 +119,37 @@ def kappa(spec: ca.CartanSpec, i: int, mu, den: int = 1) -> RatFunc:
 
 
 def validate_module(m: WeightModule) -> list:
-    """Relation checks; returns a list of failure descriptions."""
+    """Relation checks; returns a list of failure descriptions.
+
+    The commutator of E_i with F_j is checked only when both pass the
+    grading check, and [E_i, F_i] only when every weight has
+    |<w, a_i^v>| <= dim - 1, as each a_i-string of a finite-dimensional
+    module over generic v is shorter than dim: so no quantum integer [n]
+    longer than the module is ever written out.
+    """
     spec = m.spec
     failures = []
+    broken = set()
     for i in range(spec.rank):
         e = tuple(x * m.den for x in ca.unit(spec, i))
         for mats, shift, tag in ((m.act_E, e, "E"), (m.act_F, ca.weight_neg(e), "F")):
             for r, c, _ in mats[i].items():
                 if m.weights[r] != ca.weight_add(m.weights[c], shift):
+                    broken.add((tag, i))
                     failures.append(
                         "%s_%d breaks the weight grading at entry (%d, %d)" % (tag, i + 1, r + 1, c + 1)
                     )
     for i in range(spec.rank):
+        # (a_i.w) / d_i is the n of the quantum integer [n] that kappa writes out
+        bound = (m.dim - 1) * ca.d_i(spec, i)
+        for k, w in enumerate(m.weights):
+            if abs(ca.dot(spec, ca.unit(spec, i), w, m.den)) > bound:
+                broken.add(("K", i))
+                failures.append("weight %d has |<w, a_%d^v>| > dim - 1 = %d" % (k + 1, i + 1, m.dim - 1))
+    for i in range(spec.rank):
         for j in range(spec.rank):
+            if ("E", i) in broken or ("F", j) in broken or (i == j and ("K", i) in broken):
+                continue
             lhs = la.mat_sub(
                 la.mat_mul(m.act_E[i], m.act_F[j]), la.mat_mul(m.act_F[j], m.act_E[i])
             )

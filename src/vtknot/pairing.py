@@ -30,9 +30,9 @@ unordered word pair.  The other three orders keep the full recursion, so
 they stay an independent check of the flipped entries.
 `_phi_words` pairs them into the RatFunc the constructor would give, and
 `phi` extends that table bilinearly through `freealg.bilinear`.  `gram`
-gives a degree's block as the numerators over the one den that all its
-words share.  The anti-automorphism on F-words is `freealg.sigma(spec, y,
-side="F")`.
+gives the block on some words of one degree, in the order given, as the
+numerators over the one den that all the words of the degree share.  The
+anti-automorphism on F-words is `freealg.sigma(spec, y, side="F")`.
 
 The bilinear form on words is phi times a monomial: peeling F_i scales it by
 (1-v_i^-2)^-1 t^(2<i,|rest|>) where phi takes (v_i^-1 - v_i)^-1, so `form`
@@ -111,9 +111,9 @@ def phibar(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFu
     return rf_bar(phi(spec, freealg.bar_f(x), freealg.bar_f(y)))
 
 
-def gram(spec: cartan.CartanSpec, mu: cartan.Degree) -> tuple:
-    """(rows, den): phi on all word pairs of one degree, rows and columns in
-    word order, as LaurentPoly numerators over the degree's one den."""
-    words = freealg.words_of_degree(mu)
+def gram(spec: cartan.CartanSpec, mu: cartan.Degree, words) -> tuple:
+    """(rows, den): phi on all pairs of the given words of degree mu, rows
+    and columns in their order, as LaurentPoly numerators over the degree's
+    one den."""
     rows = [[_phi_num(spec, ew, fw, "l", "F") for fw in words] for ew in words]
-    return rows, _phi_den(spec, words[0])
+    return rows, _phi_den(spec, sum(((i,) * n for i, n in enumerate(mu)), ()))

@@ -4,11 +4,26 @@ For each degree mu a monomial basis is chosen greedily (in lex or revlex word
 order) so that its Gram block under phi is invertible and carries the full
 rank of the degree.  Word k joins the basis when the block on the words
 chosen before it plus word k is nonsingular.  One fraction-free elimination
-of the degree's Gram block, pivoting on the diagonal in word order
-(`linalg.principal_pivots`), makes each such test one diagonal entry.  What
-the elimination leaves on the other words is their Schur complement up to
+of a Gram block, pivoting on the diagonal in word order
+(`linalg.principal_pivots`), makes each such test one diagonal entry.
+
+The greedy runs on candidate words only.  The words it keeps are the
+nonincreasing products of good Lyndon words (Leclerc, "Dual canonical
+bases, quantum shuffles and q-characters", Math. Z. 2004; Kharchenko,
+Algebra and Logic 1999, covers diagonal braidings like U_{v,t}), where
+letters compare in reverse order for lex and in natural order for revlex.
+The good Lyndon words of a degree are its chosen words that are Lyndon.  A
+candidate of degree mu is a word whose Chen-Fox-Lyndon factors
+(`freealg.lyndon_factors`) are all good Lyndon words of lower degree, or a
+Lyndon word of degree mu when mu is a root (`cartan.is_root`, Kac's
+reflection test).  Every chosen word is a candidate, and when the greedy
+tests one it has chosen the same words as it would on the full list, so the
+chosen words, their block and its inverse are the same.  What the
+elimination leaves on the other candidates is their Schur complement up to
 nonzero row factors, so its rank is what the chosen words miss: when it is
-not zero the degree has no complete greedy basis and `BasisError` is raised.
+not zero `BasisError` is raised.  That the chosen words carry the rank of
+every word of the degree is checked by `verify --suite pairing`, which
+builds the all-word Gram blocks anyway (`require_full_rank`, the same error).
 With G[a][c] = phi(E_{w_a}, F_{w_c}) and C = G^-1, the dual elements
 b*_a = sum_c C[a][c] E_{w_c} satisfy (b*_a, F_{w_b}) = delta.
 
@@ -19,11 +34,12 @@ Everything is represented at word level; degrees in the pairing radical act
 by zero on weight modules, which is where equality of the two descriptions
 is meaningful.
 
-`pairing.gram` gives each block as LaurentPoly numerators over the one
-den, with no t, that its entries share; the inverse takes the den back as
-its right-hand block diag(den).  The pairing is symmetric up to t -> t^-1,
-so the numerators are t-Hermitian, and so is their revlex reversal: the
-elimination computes only half of each update (see `linalg`).
+`pairing.gram` gives each block on the candidates, in the greedy's order, as
+LaurentPoly numerators over the one den, with no t, that its entries share;
+the inverse takes the den back as its right-hand block diag(den).  The
+pairing is symmetric up to t -> t^-1, so the numerators are t-Hermitian in
+any word order: the elimination computes only half of each update (see
+`linalg`).
 """
 
 from __future__ import annotations
@@ -38,29 +54,48 @@ class BasisError(RuntimeError):
     pass
 
 
+def require_full_rank(kept: int, full: int) -> None:
+    """BasisError unless the greedy's `kept` words carry the `full` rank."""
+    if full != kept:
+        raise BasisError(f"greedy principal blocks reached rank {kept} but the degree has rank {full}")
+
+
 @lru_cache(maxsize=None)
-def _basis_data(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
+def _selection(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
+    """(words, block, den): the greedy basis of degree mu and its Gram block
+    as numerators over den, both in the greedy's word order."""
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown basis order {order!r}")
-    words = list(freealg.words_of_degree(mu))
-    gram, den = pairing.gram(spec, mu)
+    good = [w for nu in cartan.degrees_below(mu) if nu != mu for w in _good_lyndon(spec, nu, order)]
+    words = freealg.candidate_words(mu, good, cartan.is_root(spec, mu), order == "lex")
     if order == "revlex":
         words.reverse()
-        gram = [row[::-1] for row in reversed(gram)]
+    gram, den = pairing.gram(spec, mu, words)
     taken, rest = linalg.principal_pivots(gram)
-    chosen = [words[k] for k in taken]
-    full_rank = len(chosen) + linalg.rank(rest)
-    if full_rank != len(chosen):
-        raise BasisError(
-            f"greedy principal blocks reached rank {len(chosen)}"
-            f" but the degree has rank {full_rank}"
-        )
-    block = [[gram[a][c] for c in taken] for a in taken]
-    return tuple(chosen), linalg.inverse(block, [den] * len(taken))
+    require_full_rank(len(taken), len(taken) + linalg.rank(rest))
+    block = tuple(tuple(gram[a][c] for c in taken) for a in taken)
+    return tuple(words[k] for k in taken), block, den
 
 
 def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> tuple:
-    return _basis_data(spec, mu, order)[0]
+    return _selection(spec, mu, order)[0]
+
+
+@lru_cache(maxsize=None)
+def _good_lyndon(spec: cartan.CartanSpec, mu: cartan.Degree, order: str) -> tuple:
+    """The good Lyndon words of degree mu: its chosen words that are Lyndon,
+    none unless mu is a root."""
+    if not cartan.is_root(spec, mu):
+        return ()
+    return tuple(w for w in select_basis(spec, mu, order)
+                 if len(freealg.lyndon_factors(w, order == "lex")) == 1)
+
+
+@lru_cache(maxsize=None)
+def _basis_data(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
+    """(words, inverse): the greedy basis of degree mu and its Gram block's inverse."""
+    words, block, den = _selection(spec, mu, order)
+    return words, linalg.inverse(block, [den] * len(words))
 
 
 @lru_cache(maxsize=None)

@@ -136,7 +136,9 @@ def suite_pairing(cfg, depth):
     peel = invariance = conj = split = gram_sym = True
     for mu in ca.degrees_tr_upto(spec.rank, depth):
         words = fa.words_of_degree(mu)
-        rows, den = pr.gram(spec, mu)
+        rows, den = pr.gram(spec, mu, words)
+        # theta eliminates candidate words only: the basis must carry the rank of all of them
+        qr.require_full_rank(len(qr.select_basis(spec, mu, cfg.basis_order)), la.rank(rows))
         # the symmetry is read off ("r", "F"): gram's ("l", "F") order makes
         # its lower triangle as the flip of the upper one
         g = [[rf.RatFunc(pr._phi_num(spec, ew, fw, "r", "F"), den) for fw in words]

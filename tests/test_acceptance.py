@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from vtknot import cli
 from vtknot import configio as cio
+from vtknot import freealg as fa
 from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import pairing as pr
@@ -49,7 +50,7 @@ def test_pairing_identities_hold():
 
 def test_braid_relator_drops_gram_rank():
     # at 2a1 + a2 the three words span a plane, not all of the weight space
-    gram, _ = pr.gram(SL3.spec, (2, 1))
+    gram, _ = pr.gram(SL3.spec, (2, 1), fa.words_of_degree((2, 1)))
     assert len(gram) == 3
     assert la.rank(gram) == 2
 

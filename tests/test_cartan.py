@@ -217,6 +217,23 @@ def test_forms_match_the_fraction_reference_on_weights(spec, lam, mu):
         assert [Fraction(x, d) for x in got] == want
 
 
+def test_is_root_counts_the_positive_roots():
+    g2 = ca.make_spec(2, [[6, -3], [-3, 2]], [[3, -3], [0, 1]])
+    a3 = ca.make_spec(3, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+                      [[1, -1, 0], [0, 1, -1], [0, 0, 1]])
+    for spec, count in ((SL3, 3), (B2, 4), (g2, 6), (a3, 6)):
+        roots = [mu for mu in ca.degrees_tr_upto(spec.rank, 8) if ca.is_root(spec, mu)]
+        assert len(roots) == count
+    assert [mu for mu in ca.degrees_tr_upto(2, 8) if ca.is_root(g2, mu)] == [
+        (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3)]
+    # affine A1^(1): delta = (1, 1) and its multiples are imaginary roots,
+    # (n, n +- 1) are real ones, and nothing else is a root
+    a11 = ca.make_spec(2, [[2, -2], [-2, 2]], [[1, -2], [0, 1]])
+    for mu in ca.degrees_tr_upto(2, 9):
+        assert ca.is_root(a11, mu) == (abs(mu[0] - mu[1]) <= 1 and any(mu)), mu
+    assert not ca.is_root(a11, (0, 0))
+
+
 def _structure(p):
     """scale, terms and the exact types of exponents and coefficients."""
     return p.scale, {(a, b, type(a), type(b)): (c, type(c)) for (a, b), c in p.terms.items()}

@@ -192,15 +192,19 @@ def test_verify_rejects_bogus_suite(capsys):
 
 
 def _clear_quasir_caches():
-    for cached in (qr._basis_data, qr.theta, qr.theta_bar):
+    for cached in (qr._selection, qr._good_lyndon, qr._basis_data, qr.theta, qr.theta_bar):
         cached.cache_clear()
 
 
 def test_basis_error_in_the_quasir_suite_exits_2(capsys, monkeypatch):
     # the antidiagonal Gram block of degree (1, 1) has full rank but no
     # nonsingular principal block (as in test_quasir)
+    real, pair = pr._phi_num, ((0, 1), (1, 0))
+
     def antidiagonal(spec, ew, fw, end, side):
-        return rf.LP_ZERO if ew == fw else rf.LP_ONE
+        if ew in pair and fw in pair:
+            return rf.LP_ZERO if ew == fw else rf.LP_ONE
+        return real(spec, ew, fw, end, side)
 
     _clear_quasir_caches()
     monkeypatch.setattr(pr, "_phi_num", antidiagonal)
@@ -214,6 +218,32 @@ def test_basis_error_in_the_quasir_suite_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err == (
         "error: greedy principal blocks reached rank 0 but the degree has rank 2\n"
+    )
+
+
+def test_incomplete_basis_in_the_pairing_suite_exits_2(capsys, monkeypatch):
+    # on degree (2, 1) only (1, 0, 0), which is not a candidate word, pairs
+    # nonzero: theta's greedy finds no basis word among the candidates, and
+    # the pairing suite, which ranks the block on every word, refuses that
+    real, lone = pr._phi_num, (1, 0, 0)
+
+    def degenerate(spec, ew, fw, end, side):
+        if sorted(ew) == sorted(fw) == [0, 0, 1]:
+            return rf.LP_ONE if ew == fw == lone else rf.LP_ZERO
+        return real(spec, ew, fw, end, side)
+
+    _clear_quasir_caches()
+    monkeypatch.setattr(pr, "_phi_num", degenerate)
+    try:
+        rc, out, err = run(
+            capsys, "verify", "--config", SL3, "--suite", "pairing", "--depth", "3"
+        )
+    finally:
+        _clear_quasir_caches()
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: greedy principal blocks reached rank 0 but the degree has rank 1\n"
     )
 
 

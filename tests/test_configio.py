@@ -1,11 +1,13 @@
 """Run configuration and module file loading, including the failure paths."""
 
 import pathlib
+import time
 
 import pytest
 
 from vtknot import cli
 from vtknot import configio as cio
+from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import ratfield as rf
 
@@ -169,6 +171,51 @@ def test_dim_above_the_weight_lines_exits_2_before_allocating(tmp_path, capsys):
     assert captured.err == (
         "error: %s: missing weight lines: dim is 4611686018427387904, but 1 are given\n" % mod
     )
+
+
+def test_rank1_size_above_the_bound_exits_2_at_once(tmp_path, capsys):
+    path = _write(tmp_path, "big.cfg",
+                  "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = rank1:999999999\n")
+    start = time.perf_counter()
+    assert cli.main(["qdim", "--config", path]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s:4: module size must be between 0 and %d\n" % (path, cio.RANK1_MAX)
+    )
+
+
+@pytest.mark.parametrize("coord", ["3000001/3", "1999999999999999999999999999999/3"])
+def test_weight_far_outside_the_module_exits_2_at_once(tmp_path, capsys, coord):
+    # a weight with |<w, a_i^v>| > dim - 1 is refused before the commutator
+    # check writes out the quantum integer [n] of its n terms
+    natural = (CONFIGS / "sl3_natural.mod").read_text()
+    _write(tmp_path, "sl3_natural.mod",
+           natural.replace("weight.2 = -1/3 1/3", "weight.2 = -1/3 %s" % coord))
+    path = _write(tmp_path, "sl3.cfg", (CONFIGS / "sl3.cfg").read_text())
+    start = time.perf_counter()
+    assert cli.main(["qdim", "--config", path]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: module does not satisfy the defining relations: "
+        "E_1 breaks the weight grading at entry (1, 2); "
+        "F_1 breaks the weight grading at entry (2, 1); "
+        "E_2 breaks the weight grading at entry (2, 3); "
+        "F_2 breaks the weight grading at entry (3, 2); "
+        "weight 2 has |<w, a_1^v>| > dim - 1 = 2; "
+        "weight 2 has |<w, a_2^v>| > dim - 1 = 2\n" % path
+    )
+
+
+def test_weight_outside_the_module_is_refused_without_a_grading_fault():
+    # a one-dimensional module with zero actions passes the grading check;
+    # its huge weight is refused without building [n]
+    zero = (la.Matrix(1, 1),)
+    m = mo.make_module(mo.RANK1, ("x",), ((10 ** 30,),), zero, zero, 1)
+    assert mo.validate_module(m) == ["weight 1 has |<w, a_1^v>| > dim - 1 = 0"]
 
 
 _RANK1_CFG = "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = file:m.mod\n"

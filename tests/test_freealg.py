@@ -89,6 +89,32 @@ def test_words_of_degree():
     assert fa.words_of_degree((0, 0)) == ((),)
 
 
+def _lyndon_factorizations(word, key):
+    """Every split of word into Lyndon words, by definition: a Lyndon word is
+    nonempty and smaller, under key, than each of its proper rotations."""
+    if not word:
+        yield ()
+        return
+    for k in range(1, len(word) + 1):
+        head = word[:k]
+        if all(key(head) < key(head[r:] + head[:r]) for r in range(1, k)):
+            for rest in _lyndon_factorizations(word[k:], key):
+                yield (head,) + rest
+
+
+def test_lyndon_factors_match_the_unique_nonincreasing_lyndon_split():
+    for reverse in (False, True):
+        key = (lambda w: [-a for a in w]) if reverse else list
+        for n in range(7):
+            for mu in ca.degrees_of_tr(3, n):
+                for w in fa.words_of_degree(mu):
+                    splits = [s for s in _lyndon_factorizations(w, key)
+                              if all(key(a) >= key(b) for a, b in zip(s, s[1:]))]
+                    assert splits == [fa.lyndon_factors(w, reverse)], (w, reverse)
+    assert fa.lyndon_factors((0, 1, 0, 0, 1)) == ((0, 1), (0, 0, 1))
+    assert fa.lyndon_factors((0, 1, 0, 0, 1), reverse=True) == ((0,), (1, 0, 0), (1,))
+
+
 _words = st.lists(st.integers(0, 1), min_size=0, max_size=4).map(tuple)
 _scalars = st.builds(
     rf.mono,

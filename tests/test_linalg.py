@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtknot import cartan as ca
+from vtknot import freealg as fa
 from vtknot import linalg as la
 from vtknot import pairing as pr
 from vtknot import ratfield as rf
@@ -291,7 +292,7 @@ def test_pivots_and_rank_leave_their_input_rows_unchanged(hermitian, rows):
 
 def test_mirror_step_halves_the_gram_updates(monkeypatch):
     spec = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
-    gram, _ = pr.gram(spec, (2, 3))
+    gram, _ = pr.gram(spec, (2, 3), fa.words_of_degree((2, 3)))
     calls = []
     real = rf.cross_div
 

@@ -51,9 +51,9 @@ def test_rank_one_gram_product_formula():
 
 
 def test_gram_ranks_rank_two():
-    g11, _ = pr.gram(SL3, (1, 1))
+    g11, _ = pr.gram(SL3, (1, 1), fa.words_of_degree((1, 1)))
     assert len(g11) == 2 and la.rank(g11) == 2
-    g21, _ = pr.gram(SL3, (2, 1))
+    g21, _ = pr.gram(SL3, (2, 1), fa.words_of_degree((2, 1)))
     assert len(g21) == 3 and la.rank(g21) == 2
 
 
@@ -296,8 +296,8 @@ def test_gram_blocks_are_structurally_t_hermitian(spec):
     # the precondition of linalg.principal_pivots, read off the
     # ("r", "F") order: gram's ("l", "F") order flips its lower triangle
     for mu in ca.degrees_tr_upto(spec.rank, 3):
-        rows, den = pr.gram(spec, mu)
         words = fa.words_of_degree(mu)
+        rows, den = pr.gram(spec, mu, words)
         right = [[pr._phi_num(spec, ew, fw, "r", "F") for fw in words] for ew in words]
         n = len(rows)
         for r in range(n):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from vtknot import cartan as ca
 from vtknot import freealg as fa
+from vtknot import linalg as la
 from vtknot import pairing as pr
 from vtknot import quasir as qr
 from vtknot import ratfield as rf
@@ -50,19 +51,72 @@ def test_select_basis_rank_two():
         qr.select_basis(SL3, (1, 1), order="sideways")
 
 
+def _clear_quasir_caches():
+    for cached in (qr._selection, qr._good_lyndon, qr._basis_data, qr.theta, qr.theta_bar):
+        cached.cache_clear()
+
+
 def test_basis_error_without_a_nonsingular_principal_block(monkeypatch):
     # on the two words of degree (1, 1) the Gram block becomes [[0, 1], [1, 0]]:
     # full rank, but neither word pairs with itself
-    def antidiagonal(spec, ew, fw, end, side):
-        return rf.LP_ZERO if ew == fw else rf.LP_ONE
+    real, pair = pr._phi_num, ((0, 1), (1, 0))
 
-    qr._basis_data.cache_clear()
+    def antidiagonal(spec, ew, fw, end, side):
+        if ew in pair and fw in pair:
+            return rf.LP_ZERO if ew == fw else rf.LP_ONE
+        return real(spec, ew, fw, end, side)
+
+    _clear_quasir_caches()
     monkeypatch.setattr(pr, "_phi_num", antidiagonal)
     try:
         with pytest.raises(qr.BasisError, match="reached rank 0 but the degree has rank 2"):
             qr.select_basis(SL3, (1, 1))
     finally:
-        qr._basis_data.cache_clear()
+        _clear_quasir_caches()
+
+
+def _all_word_greedy(spec, mu, order):
+    """The greedy on every word of the degree: (words, block, den)."""
+    words = list(fa.words_of_degree(mu))
+    if order == "revlex":
+        words.reverse()
+    gram, den = pr.gram(spec, mu, words)
+    taken, rest = la.principal_pivots(gram)
+    assert la.rank(rest) == 0
+    block = tuple(tuple(gram[a][c] for c in taken) for a in taken)
+    return tuple(words[k] for k in taken), block, den
+
+
+_REFERENCE_DATA = {
+    "A2": SL3,
+    "B2": ca.make_spec(2, [[4, -2], [-2, 2]], [[2, -2], [0, 1]]),
+    "G2": ca.make_spec(2, [[6, -3], [-3, 2]], [[3, -3], [0, 1]]),
+    "A3": ca.make_spec(3, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+                       [[1, -1, 0], [0, 1, -1], [0, 0, 1]]),
+    "A1^(1)": ca.make_spec(2, [[2, -2], [-2, 2]], [[1, -2], [0, 1]]),
+    "hyperbolic": ca.make_spec(2, [[2, -3], [-3, 2]], [[1, -2], [-1, 1]]),
+}
+
+
+@pytest.mark.parametrize("spec", _REFERENCE_DATA.values(), ids=_REFERENCE_DATA)
+def test_candidate_greedy_matches_the_all_word_greedy(spec):
+    # the inverse is compared by value and as text up to 7 basis words, which
+    # covers every degree of the finite types; past that (the 8- and 10-word
+    # blocks at tr 5 of the last two data, seconds per inverse) by the block
+    # and den it is computed from
+    assert ca.validate(spec) == []
+    for order in ("lex", "revlex"):
+        for mu in ca.degrees_tr_upto(spec.rank, 5):
+            words, block, den = _all_word_greedy(spec, mu, order)
+            assert qr.select_basis(spec, mu, order) == words, (mu, order)
+            if len(words) > 7:
+                assert qr._selection(spec, mu, order) == (words, block, den)
+                continue
+            want = la.inverse(block, [den] * len(words))
+            got = qr._basis_data(spec, mu, order)[1]
+            for wrow, grow in zip(want, got):
+                for w, g in zip(wrow, grow):
+                    assert rf.eq(w, g) and rf.render(w) == rf.render(g), (mu, order)
 
 
 def test_dual_elements_pair_as_indicators():
