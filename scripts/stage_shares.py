@@ -3,9 +3,11 @@
 
 Runs one seeded pass of a benchmark workload's catalogue ops (the pass
 `bench/run.py --seed N` draws), each op cold through the benchmark
-harness, and sums the self time of each stage over `--passes` passes:
+harness, and sums the self time of each stage over `--passes` passes.
+It prints each stage's share and its milliseconds per pass:
 
-    parser          building the parser and parsing argv
+    parser          `cli._read_args`, and for an argument list it leaves to
+                    argparse, building the parser and parsing argv
     config load     `configio.load_config`: reading and parsing the files
     module check    `modules.validate_module`, which the config load calls
     crossing build  `tangle._generator`: crossings, cups and caps
@@ -91,8 +93,8 @@ def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg)
     """Wrap the stage functions where their callers look them up."""
     calls = []  # functor_T calls so far of each tangle.invariant running
 
-    def parser_built(command=None):
-        ap = build(command)
+    def parser_built():
+        ap = build()
         ap.parse_args = clock.wrap(ap.parse_args, "parser")
         return ap
 
@@ -110,6 +112,7 @@ def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg)
             calls.pop()
 
     build, inv = cli._build_parser, tangle.invariant
+    cli._read_args = clock.wrap(cli._read_args, "parser")
     cli._build_parser = clock.wrap(parser_built, "parser")
     cli.main = clock.wrap(cli.main, "rest")
     configio.load_config = clock.wrap(configio.load_config, "config load")
@@ -161,10 +164,11 @@ def main():
           % (args.workload, args.seed, len(entries), args.passes, total / args.passes))
     print("large-product memo: %d hits, %d misses per pass"
           % (hits / args.passes, misses / args.passes))
-    print("| stage | share |")
-    print("| --- | --- |")
+    print("| stage | share | ms per pass |")
+    print("| --- | --- | --- |")
     for stage in sorted(STAGES, key=clock.self_s.get, reverse=True):
-        print("| %s | %.0f %% |" % (stage, 100 * clock.self_s[stage] / total))
+        print("| %s | %.1f %% | %.3f |" % (stage, 100 * clock.self_s[stage] / total,
+                                           1e3 * clock.self_s[stage] / args.passes))
 
 
 if __name__ == "__main__":

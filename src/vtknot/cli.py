@@ -5,18 +5,20 @@ parse/type failures, a failing suite or stdout closed early, 2 configuration
 problems, including a module with no unique maximal weight and, for
 `invariant`, a module on which the twist is not one scalar (a reducible one).
 
-When the first argument names a subcommand, only that subcommand's parser is
-built.  Every process pays for its parser, and building all five took about
-30 % of a short `vtknot invariant` call, more than loading its config.  Any
-other argument list (none, `-h`, an unknown command) builds all five; the
-one-subcommand parser prints the same usage and error bytes.
+A well-formed argument list, a command followed by `--flag value` pairs, is
+read by `_read_args`.  Any other (none, `-h`, an unknown command or option, a
+value the parser might take otherwise) goes to the argparse parser, which
+prints every usage, help and error text.  Both read the one option table
+`_COMMANDS`.  Building and running the parser took a quarter of a short
+`vtknot invariant` call, and importing argparse with gettext about 1.7 ms of
+a process's start (`python -X importtime`), so a valid call does neither.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 from fractions import Fraction
 
 from . import cartan as ca
@@ -29,62 +31,65 @@ from . import tangle as tg
 
 
 def _depth(text: str) -> int:
+    """The `--depth` type: a nonnegative integer, or argparse's type error."""
     try:
         depth = int(text)
+        error = None if depth >= 0 else "depth must be nonnegative, got %d" % depth
     except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if depth < 0:
-        raise argparse.ArgumentTypeError("depth must be nonnegative, got %d" % depth)
-    return depth
+        error = "expected an integer, got %r" % text
+    if error is None:
+        return depth
+    import argparse  # reached only on the way to the parser's error
+
+    raise argparse.ArgumentTypeError(error)
 
 
-def _invariant_options(p):
-    p.add_argument("--tangle", help="tangle word text or a built-in name")
-    p.add_argument("--tangle-file", help="file holding a tangle word")
-    p.add_argument(
-        "--spec",
-        action="append",
-        default=[],
-        metavar="VAR=RATIONAL",
-        help="specialize a variable, e.g. t=1 (repeatable)",
-    )
+def _read_args(argv):
+    """argv read as the parser reads it, or None to leave it to the parser.
+
+    Reads a command name followed by `--flag value` pairs only: exact flag
+    names, values that do not start with "-" (the parser takes "-x" for a
+    flag), choices by membership and the type on ASCII digits only (int()
+    also reads other digits, and "²".isdigit() holds).
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = dict(_COMMON + _COMMANDS[argv[0]][1])
+    values = {flag: kw.get("default") for flag, kw in options.items()}
+    missing = {flag for flag, kw in options.items() if kw.get("required")}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        kw = options.get(flag)
+        if kw is None or value.startswith("-") or value not in kw.get("choices", (value,)):
+            return None
+        if "type" in kw:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = kw["type"](value)
+            except Exception:  # int() refuses too many digits; let the parser say so
+                return None
+        # "append" starts from a copy of the default, as the parser's does
+        values[flag] = values[flag] + [value] if kw.get("action") == "append" else value
+        missing.discard(flag)
+    if missing:
+        return None
+    dests = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return types.SimpleNamespace(command=argv[0], **dests)
 
 
-def _verify_options(p):
-    p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES)
-    p.add_argument("--depth", type=_depth, default=4, help="word/degree truncation")
+def _build_parser():
+    """The `vtknot` parser with every subcommand: usage, help and errors."""
+    import argparse
 
-
-def _theta_options(p):
-    p.add_argument("--depth", type=_depth, default=4, help="largest degree sum dumped")
-
-
-def _no_options(p):
-    pass
-
-
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The `vtknot` parser with every subcommand, or with `command`'s alone."""
     ap = argparse.ArgumentParser(
         prog="vtknot",
         description="two-parameter quantum invariants of tangle closures",
     )
-    # A metavar would replace `command` in the full parser's "required" and
-    # "invalid choice" errors.  The one-subcommand parser reaches neither, and
-    # with the metavar its usage line still lists every command.
-    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_options, _ = _COMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument(
-            "--format",
-            choices=("plain", "lines"),
-            default="plain",
-            help="plain values or key | value records",
-        )
-        add_options(p)
+        for flag, kw in _COMMON + options:
+            p.add_argument(flag, **kw)
     return ap
 
 
@@ -193,26 +198,36 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-# name: (help, options beyond --config and --format, handler)
+# the options of every command, as (flag, add_argument keywords)
+_COMMON = (
+    ("--config", dict(required=True, help="run configuration file")),
+    ("--format", dict(choices=("plain", "lines"), default="plain",
+                      help="plain values or key | value records")),
+)
+
+# name: (help, options beyond _COMMON, handler)
 _COMMANDS = {
-    "invariant": (
-        "invariant of the closure of a tangle word", _invariant_options, _cmd_invariant
-    ),
-    "verify": (
-        "run an identity suite and report each check", _verify_options, _cmd_verify
-    ),
-    "qdim": ("quantum dimension of the configured module", _no_options, _cmd_qdim),
-    "rmatrix": ("dump the crossing matrix on M (x) M", _no_options, _cmd_rmatrix),
-    "theta": (
-        "dump quasi-R components degree by degree", _theta_options, _cmd_theta
-    ),
+    "invariant": ("invariant of the closure of a tangle word", (
+        ("--tangle", dict(help="tangle word text or a built-in name")),
+        ("--tangle-file", dict(help="file holding a tangle word")),
+        ("--spec", dict(action="append", default=[], metavar="VAR=RATIONAL",
+                        help="specialize a variable, e.g. t=1 (repeatable)")),
+    ), _cmd_invariant),
+    "verify": ("run an identity suite and report each check", (
+        ("--suite", dict(required=True, choices=suites.SUITE_NAMES)),
+        ("--depth", dict(type=_depth, default=4, help="word/degree truncation")),
+    ), _cmd_verify),
+    "qdim": ("quantum dimension of the configured module", (), _cmd_qdim),
+    "rmatrix": ("dump the crossing matrix on M (x) M", (), _cmd_rmatrix),
+    "theta": ("dump quasi-R components degree by degree", (
+        ("--depth", dict(type=_depth, default=4, help="largest degree sum dumped")),
+    ), _cmd_theta),
 }
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()

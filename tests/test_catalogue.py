@@ -4,8 +4,9 @@ A seeded benchmark pass draws only part of each workload's catalogue, so
 this test runs every op of `bench/catalogue.json`, in-process and cold
 through the benchmark's own harness, and compares the sha256 of its stdout
 with the recorded one.  It reads `bench/` and writes nothing there.
-It also checks that the per-module caches are ones the harness empties
-before each op, so that every benchmark op stays cold.
+It also checks that `cli._read_args` reads every op's argument list, and
+that the per-module caches are ones the harness empties before each op, so
+that every benchmark op stays cold.
 """
 
 import importlib.util
@@ -40,6 +41,15 @@ def test_every_op_prints_its_recorded_bytes(workload):
             if res.status != "ok" or harness.sha256(res.stdout) != entry["stdout_sha256"]:
                 wrong.append("%s: %s" % (" ".join(entry["argv"]), res.status))
     assert not wrong, wrong
+
+
+def test_every_op_takes_the_direct_reader():
+    # the benchmark's traffic is read without building the argparse parser
+    cli = harness.import_cli()
+    refused = [" ".join(entry["argv"]) for strata in CATALOGUE.values() for stratum in strata
+               for entry in stratum["pool"]
+               if cli._read_args(harness.argv_for(entry["argv"])) is None]
+    assert not refused, refused
 
 
 def test_make_cold_empties_the_per_module_caches():

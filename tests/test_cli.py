@@ -1,12 +1,17 @@
 """Command line contract: outputs, exit codes, and determinism."""
 
 import argparse
+import json
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vtknot import cli
 from vtknot import configio as cio
@@ -14,6 +19,7 @@ from vtknot import modules as mo
 from vtknot import pairing as pr
 from vtknot import quasir as qr
 from vtknot import ratfield as rf
+from vtknot import tangle as tg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -287,8 +293,8 @@ def _exit_of(capsys, call, argv):
 
 @pytest.mark.parametrize("argv", FRONT_END_ARGVS.values(), ids=FRONT_END_ARGVS.keys())
 def test_front_end_prints_the_full_parsers_bytes(capsys, monkeypatch, argv):
-    # main builds one subcommand's parser when argv[0] names one; its usage
-    # line and errors must still read as the five-subcommand parser's
+    # none of these is a well-formed argument list, so main leaves each to
+    # the parser: the same usage, help and error bytes and exit code
     monkeypatch.setenv("COLUMNS", "80")
     got = _exit_of(capsys, cli.main, argv)
     want = _exit_of(capsys, cli._build_parser().parse_args, argv)
@@ -333,7 +339,7 @@ def test_a_call_builds_only_its_subcommands_parser(capsys, parsers_built, comman
     rc, out, _ = run(capsys, command, "--config", SL2, *CHEAP_OPTIONS[command])
     assert rc == 0
     assert out
-    assert len(parsers_built) == 2  # vtknot and the command; 6 with every command
+    assert len(parsers_built) == 0  # a well-formed call is read without argparse
 
 
 def test_help_builds_every_subcommands_parser(capsys, monkeypatch, parsers_built):
@@ -349,9 +355,71 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch, parsers_built):
     monkeypatch.setattr(sys, "argv", ["vtknot", "qdim", "--config", SL2])
     rc = cli.main()
     got = (rc, *capsys.readouterr())
-    assert len(parsers_built) == 2
+    assert len(parsers_built) == 0
     assert got == run(capsys, "qdim", "--config", SL2)
     assert got[1] == "v + v^-1\n"
+
+
+# the token grammar of the argument lists below: commands, flags and values
+# that are near misses of well-formed ones
+_COMMAND_TOKENS = [*cli._COMMANDS, "bogus"]
+_FLAG_TOKENS = sorted({flag for _, options, _ in cli._COMMANDS.values()
+                       for flag, _ in cli._COMMON + options})
+_FLAG_TOKENS += ["--conf", "--dep", "--config=x", "-h", "--help", "--"]
+_VALUE_TOKENS = ["", "-", "-1", "007", "٣", "²", "+7", " 7", "plain", "lines", "nope",
+                 "all", "t=1"]
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly a command, its required flags and more flag-value pairs in any
+    order, at times with one token inserted, dropped or replaced; now and
+    then any list of tokens."""
+    tokens = st.sampled_from(_COMMAND_TOKENS + _FLAG_TOKENS + _VALUE_TOKENS)
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(tokens, max_size=8))
+    command = draw(st.sampled_from(_COMMAND_TOKENS))
+    options = cli._COMMON + cli._COMMANDS.get(command, (None, ()))[1]
+    flags = [flag for flag, _ in options] if draw(st.integers(0, 3)) else _FLAG_TOKENS
+
+    def value(flag):
+        # half the time a value the flag takes
+        if draw(st.booleans()):
+            return {"--format": "lines", "--suite": "all", "--depth": "007"}.get(flag, "t=1")
+        return draw(st.sampled_from(_VALUE_TOKENS))
+
+    pairs = [flag for flag, kwargs in options if kwargs.get("required")]
+    pairs += draw(st.lists(st.sampled_from(flags), max_size=4))
+    argv = [command]
+    for flag in draw(st.permutations(pairs)):
+        argv += [flag, value(flag)]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(argv)))
+        argv[k:k + draw(st.integers(0, 1))] = draw(st.lists(tokens, max_size=1))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["invariant", "--config", "c", "--spec", "t=1", "--tangle", "x", "--spec", "plain"])
+@example(["verify", "--suite", "all", "--config", "c", "--depth", "007", "--depth", "1"])
+@example(["theta", "--config", "c", "--depth", "٣"])
+@example(["qdim", "--config", "-1"])
+def test_direct_reader_agrees_with_the_parser(argv):
+    # the reader may leave any argument list to the parser, but one it reads
+    # it must read as the parser does, and the parser must accept it
+    got = cli._read_args(argv)
+    if got is not None:
+        assert vars(got) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_direct_reader_collects_spec_and_keeps_the_last_depth():
+    got = cli._read_args(["invariant", "--spec", "t=1", "--config", "c", "--spec", "v=2",
+                          "--tangle", "x", "--format", "lines"])
+    assert vars(got) == {"command": "invariant", "config": "c", "format": "lines",
+                         "tangle": "x", "tangle_file": None, "spec": ["t=1", "v=2"]}
+    got = cli._read_args(["theta", "--depth", "007", "--config", "c", "--depth", "5"])
+    assert vars(got) == {"command": "theta", "config": "c", "format": "plain", "depth": 5}
 
 
 def test_output_is_deterministic(capsys):
@@ -528,3 +596,150 @@ def test_spec_reads_the_rational_grammar(capsys):
     rc, same, _ = run(capsys, "invariant", "--config", SL2, "--tangle", "trefoil",
                       "--spec", "t = -1/2 ")
     assert rc == 0 and half == same
+
+
+# A CLI fuzz: argument lists, config and module files and tangle words, each
+# a seeded mutation of a valid input, run in two child processes under an
+# address-space limit with a time limit per input.  Whatever the input, the
+# exit code is one the module docstring documents and stderr has no traceback.
+_FUZZ_CHILD = r"""
+import contextlib, io, json, resource, signal, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+from vtknot import cli
+
+
+class Slow(BaseException):
+    pass
+
+
+def slow(signum, frame):
+    raise Slow()
+
+
+signal.signal(signal.SIGALRM, slow)
+results = []
+for argv in json.load(open(sys.argv[1])):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+    except Slow:
+        code = "over 2 s"
+    except BaseException:
+        code = "raised"
+        err.write(traceback.format_exc())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+_SL2_FILE_MODULE = "dim = 2\nweight.1 = 1/2\nweight.2 = -1/2\nE.1.1.2 = 1\nF.1.2.1 = 1\n"
+_TANGLE_TOKENS = [*tg.BOUNDARY, ";", "*", "trefoil", "x", "(", "xp;", ""]
+_FILE_ARGVS = [["qdim"], ["rmatrix"], ["invariant", "--tangle", "trefoil"],
+               ["verify", "--suite", "forms", "--depth", "2"], ["theta", "--depth", "2"]]
+
+
+def _mutate_tokens(rng, tokens, alphabet):
+    """One to three edits: insert, delete, replace or swap a token."""
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4) if tokens else 0
+        k = rng.randrange(len(tokens) + (op == 0))
+        if op == 0:
+            tokens.insert(k, rng.choice(alphabet))
+        elif op == 1:
+            del tokens[k]
+        elif op == 2:
+            tokens[k] = rng.choice(alphabet)
+        else:
+            j = rng.randrange(len(tokens))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+    return tokens
+
+
+def _mutate_lines(rng, text):
+    """One to three edits of a key = value file: swap two lines' values,
+    delete or duplicate a line, write a bad index or number, truncate a line."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        op, k = rng.randrange(5), rng.randrange(len(lines))
+        if op == 0:
+            key, eq, val = lines[k].partition("=")
+            j = rng.randrange(len(lines))
+            key2, eq2, val2 = lines[j].partition("=")
+            lines[k], lines[j] = key + eq + val2, key2 + eq2 + val
+        elif op == 1 and len(lines) > 1:
+            del lines[k]
+        elif op == 2:
+            lines.insert(k, lines[k])
+        elif op == 3:
+            # any number but the n of rank1:<n>, whose module is large but valid
+            bad = rng.choice(["0", "-1", "4", "99", "1000001", "x"])
+            lines[k] = re.sub(r"(?<!rank1:)\b\d+\b", bad, lines[k], count=1)
+        else:
+            lines[k] = lines[k][:rng.randrange(len(lines[k]) + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def _fuzz_cases(rng, tmp_path):
+    cases = []
+    tokens = _COMMAND_TOKENS + _FLAG_TOKENS + _VALUE_TOKENS
+    for _ in range(800):
+        command = rng.choice(list(CHEAP_OPTIONS))
+        argv = [command, "--config", SL2, *CHEAP_OPTIONS[command]]
+        cases.append(_mutate_tokens(rng, argv, tokens))
+    bases = [
+        ((CONFIGS / "sl2.cfg").read_text(), None),
+        ((CONFIGS / "sl3.cfg").read_text().replace("sl3_natural.mod", "m.mod"),
+         (CONFIGS / "sl3_natural.mod").read_text()),
+        ((CONFIGS / "sl2.cfg").read_text().replace("rank1:1", "file:m.mod"), _SL2_FILE_MODULE),
+    ]
+    for k in range(600):
+        cfg, mod = rng.choice(bases)
+        where = tmp_path / ("files%d" % k)
+        where.mkdir()
+        mutate = rng.randrange(3) if mod else 0
+        (where / "c.cfg").write_text(_mutate_lines(rng, cfg) if mutate != 1 else cfg)
+        if mod:
+            (where / "m.mod").write_text(_mutate_lines(rng, mod) if mutate != 0 else mod)
+        argv = rng.choice(_FILE_ARGVS)
+        cases.append([argv[0], "--config", str(where / "c.cfg"), *argv[1:]])
+    for k in range(600):
+        word = " ".join(_mutate_tokens(rng, rng.choice(list(tg.BUILTINS.values())).split(),
+                                       _TANGLE_TOKENS))
+        argv = ["invariant", "--config", rng.choice([SL2, SL3])]
+        if rng.randrange(2):
+            argv += ["--tangle", word]
+        else:
+            (tmp_path / ("word%d" % k)).write_text(word)
+            argv += ["--tangle-file", str(tmp_path / ("word%d" % k))]
+        cases.append(argv + ["--spec", "t=1"] * rng.randrange(2))
+    return cases
+
+
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path):
+    cases = _fuzz_cases(random.Random(27), tmp_path)
+    children = []
+    for k in range(2):
+        batch = tmp_path / ("batch%d.json" % k)
+        batch.write_text(json.dumps(cases[k::2]))
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _FUZZ_CHILD, str(batch)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        ))
+    results = [None] * len(cases)
+    for k, child in enumerate(children):
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        results[k::2] = json.loads(out)
+    bad = [(argv, code, err) for argv, (code, err) in zip(cases, results)
+           if code not in (0, 1, 2) or "Traceback" in err]
+    assert not bad, bad[:5]
+    # the mutations reach success, tangle errors and configuration errors
+    assert {code for code, _ in results} == {0, 1, 2}
