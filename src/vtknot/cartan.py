@@ -12,7 +12,8 @@ den, one den per module (`modules.WeightModule.den`), so every weight
 computation adds, subtracts and compares ints.  Each form takes two int
 tuples and `den`, the product of their dens (1 on degrees), and sums int
 numerators; it returns an int whenever the value is integral, which it
-always is on degrees, and a Fraction only when it is not.  The forms feed
+always is on degrees, and a Fraction only when it is not (this module's
+own `_quotient`; `ratfield` divides ints only).  The forms feed
 the multiplicative forms brace, f, c that produce the v/t twist monomials
 used everywhere downstream.  `twist` (behind brace, f, c) and `v_deg` write
 their monomial straight onto the LaurentPoly lattice: one gcd with the den
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import mul
 
-from .ratfield import ONE, RatFunc, _div, _raw
+from .ratfield import ONE, RatFunc, _raw
 
 
 Degree = tuple
@@ -125,18 +127,24 @@ def _mono(v_num: int, t_num: int, den: int) -> RatFunc:
     return RatFunc(_raw({(v_num // g, t_num // g): 1}, den // g))
 
 
+def _quotient(num: int, den: int):
+    """num / den as an int when it is integral, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def angle(spec: CartanSpec, lam, mu, den: int = 1):
-    return _div(_int_bilinear(spec.omega, lam, mu), den)
+    return _quotient(_int_bilinear(spec.omega, lam, mu), den)
 
 
 def bracket(spec: CartanSpec, lam, mu, den: int = 1):
     """2 * sum_i lam_i mu_i Omega[i][i] - angle(lam, mu)."""
     diag = sum(a * b * spec.omega[i][i] for i, (a, b) in enumerate(zip(lam, mu)))
-    return _div(2 * diag - _int_bilinear(spec.omega, lam, mu), den)
+    return _quotient(2 * diag - _int_bilinear(spec.omega, lam, mu), den)
 
 
 def dot(spec: CartanSpec, lam, mu, den: int = 1):
-    return _div(_int_bilinear(spec.dot, lam, mu), den)
+    return _quotient(_int_bilinear(spec.dot, lam, mu), den)
 
 
 @lru_cache(maxsize=None)

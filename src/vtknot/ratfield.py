@@ -2,59 +2,62 @@
 
 Conventions:
     LaurentPoly sum of c * v^(a/scale) * t^(b/scale): `terms` maps int pairs
-                (a, b) to nonzero coefficients and `scale` is one positive
-                int per polynomial, the least common denominator of its
-                exponents.  The form is minimal (scale and all exponents
-                have gcd 1; zero has scale 1), so structural == and hash
-                are value equality: v^(1/2) * v^(-1/2) equals LP_ONE.
-                Coefficients are int when integral, fractions.Fraction
-                otherwise; the numeric tower keeps == and hash consistent.
+                (a, b) to nonzero int coefficients (the only coefficient
+                type) and `scale` is one positive int per polynomial, the
+                least common denominator of its exponents.  The form is
+                minimal (scale and all exponents have gcd 1; zero has scale
+                1), so structural == and hash are value equality:
+                v^(1/2) * v^(-1/2) equals LP_ONE.
     RatFunc     num/den with den nonzero; fractions are NOT gcd-reduced,
                 equality is by cross-multiplication.  The den is normal: the
-                shared LP_ONE, or a polynomial of two or more terms with
-                lex-lead coefficient 1 and least v and t exponents 0; a zero
-                value has den LP_ONE.  A product of normal dens is normal
-                (and LP_ONE only when both are), so +, - and * build their
-                results with `_normal`, which skips it; only the
-                constructor (and so /, inv and the flips) pays the
-                normalizing pass.  Values are immutable, so a sum with a
-                zero operand and a product with ONE return the other operand.
+                shared LP_ONE, or a polynomial other than 1 with least v and
+                t exponents 0 and a positive lex-lead coefficient, so a
+                rational constant stays in the den (1/2 is 1 over 2); a zero
+                value has den LP_ONE.  The constructor shifts, fixes the sign
+                and maps a den equal to 1 to LP_ONE: it divides nothing, so
+                it is multiplicative, and a product of normal dens is normal
+                (LP_ONE only when both are).  +, - and * build their results
+                with `_normal`, which skips it; only the constructor (and so
+                /, inv and the flips) pays the normalizing pass.  Values are
+                immutable, so a sum with a zero operand and a product with
+                ONE return the other operand.
     ExpPair     a (v_exp, t_exp) pair of Fractions, the form the edges see:
-                the LaurentPoly constructor takes {(v_exp, t_exp): rational}
-                maps (specialize and the reference tests go through it), and
-                LaurentPoly.fraction_terms() yields (ExpPair, Fraction)
-                pairs (specialize and any caller that reads exponents)
+                the LaurentPoly constructor takes {(v_exp, t_exp): integer}
+                maps and refuses other coefficients (specialize and the
+                reference tests go through it), and fraction_terms() yields
+                (ExpPair, Fraction) pairs (specialize and exponent readers)
 
 lp_mono (and so mono, V and T) writes its one term straight onto the
 lattice: int exponents take scale 1 and make no Fraction.  Sums, products,
-shifts and exact division work on the int lattice, with Fraction arithmetic
-only for non-integral coefficients; operands of different scales are
-rescaled once to their lcm.  A LaurentPoly product with a monomial factor
-is one shift of the other factor (that factor itself when the monomial is
-LP_ONE, which lp_mono(1) returns); only two polynomials of two or more terms
-go through the loop over term pairs.  cross_div(a, b, c, d, e) is the fused
-fraction-free update (a*b - c*d)/e: both products accumulate in one term dict
-(`_sum_products`, which `linalg.inverse` also sums its back substitution
-with) and the result is divided once, with no intermediate polynomial.  That
-loop, `_add_products`, is the package's one product-accumulate loop: it
-takes term dicts already on one lattice, so the pair product, `_sum_products`,
-the remainder update of `poly_div_exact` and the tangle functor (whose
-operator is term dicts over one den) rescale their operands first and share
-it.  Below LARGE_PAIRS term pairs a product is that loop (`_pair_mul`); from
-there on it goes through `_large_mul`, an lru_cache keyed by the operand
-values, which makes each one once: as one big-int product (`_packed_product`,
-Kronecker substitution), or by the loop for a Fraction coefficient, a bound
-past 63 bits or more digits than pairs; `*` passes the operands in one
-order, so q * p after p * q is a memo hit.
+shifts and exact division work on the int lattice; operands of different
+scales are rescaled once to their lcm.  A LaurentPoly product with a
+monomial factor is one shift of the other factor (that factor itself when
+the monomial is LP_ONE, which lp_mono(1) returns); only two polynomials of
+two or more terms go through the loop over term pairs.  cross_div(a, b, c,
+d, e) is the fused fraction-free update (a*b - c*d)/e: both products
+accumulate in one term dict (`_sum_products`, which `linalg.inverse` also
+sums its back substitution with) and the result is divided once, with no
+intermediate polynomial.  That loop, `_add_products`, is the package's one
+product-accumulate loop: it takes term dicts already on one lattice, so the
+pair product, `_sum_products`, the remainder update of `poly_div_exact` and
+the tangle functor (whose operator is term dicts over one den) rescale their
+operands first and share it.  Below LARGE_PAIRS term pairs a product is that
+loop (`_pair_mul`); from there on it goes through `_large_mul`, an lru_cache
+keyed by the operand values, which makes each one once: as one big-int
+product (`_packed_product`, Kronecker substitution), or by the loop for a
+bound past 63 bits or more digits than pairs; `*` passes the operands in
+one order, so q * p after p * q is a memo hit.
 No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs (`_flip_poly`, which `pairing` and `linalg` also use to
 mirror a t-Hermitian Gram block and its elimination).
-`reduce_poly` divides a den out of its num only where no cheap test refutes
-exactness (`_refutes_division`): an exact quotient adds its spans to the
-den's, and, the den's lead coefficient being 1, by Gauss's lemma has int
-coefficients when the num has, so the den's value at one point divides the
-num's there.
+`poly_div_exact` divides over the integers and raises ValueError on a
+coefficient remainder: Bareiss divisions (`cross_div`) are integral by
+Sylvester's identity, and `reduce_poly` divides by a primitive polynomial.
+Integer content is divided out only where values leave the pipeline:
+`reduce_poly` divides the den's primitive part out of its num, leaving the
+content as a constant den, and `render` divides num and den by the gcd of
+all their coefficients.
 Rendering grammar (also accepted back by parse): terms `c * v^(p/q) * t^(r/s)`
 joined by ` + ` / ` - `, exponent 1 and coefficient 1 elided, integer
 exponents printed bare (`v^-2`), fractional ones in parens (`v^(1/2)`).
@@ -81,22 +84,6 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _coeff(c):
-    """An integral Fraction as an int; any other coefficient unchanged."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _div(a, b):
-    """Exact quotient of two coefficients, an int when it is integral."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _coeff(Fraction(a) / b)
-
-
 def _raw(terms: dict, scale: int) -> "LaurentPoly":
     res = LaurentPoly.__new__(LaurentPoly)
     res.terms = terms
@@ -105,7 +92,7 @@ def _raw(terms: dict, scale: int) -> "LaurentPoly":
 
 
 def _make(terms: dict, scale: int) -> "LaurentPoly":
-    """Wrap fresh nonzero terms, reducing scale and coefficients to minimal form."""
+    """Wrap fresh nonzero terms, reducing the scale to minimal form."""
     if scale != 1:
         g = scale
         for a, b in terms:
@@ -115,10 +102,6 @@ def _make(terms: dict, scale: int) -> "LaurentPoly":
         if g != 1:
             terms = {(a // g, b // g): c for (a, b), c in terms.items()}
             scale //= g
-    for c in terms.values():
-        if type(c) is not int:
-            terms = {k: _coeff(c) for k, c in terms.items()}
-            break
     return _raw(terms, scale)
 
 
@@ -197,8 +180,8 @@ LARGE_PAIRS = 64
 
 
 def _packed_product(x: dict, y: dict):
-    """x * y as one big-int product, or None for the pair loop: on a Fraction
-    coefficient, a bound past 63 bits or more digits than term pairs.
+    """x * y as one big-int product, or None for the pair loop: on a bound
+    past 63 bits or more digits than term pairs.
 
     (a, b) is digit (a - a0)/g * K + (b - b0), g the v-stride and K above the
     product's t-span.  Digits are signed, 32 or 64 bits wide as the bound
@@ -207,7 +190,7 @@ def _packed_product(x: dict, y: dict):
     nx, ny = [abs(c) for c in x.values()], [abs(c) for c in y.values()]
     sx, sy = sum(nx), sum(ny)
     bound = min(sx * max(ny), max(nx) * sy)
-    if type(sx) is not int or type(sy) is not int or bound >= 1 << 63:
+    if bound >= 1 << 63:
         return None
     code = "I" if bound < 1 << 31 else "Q"
     (xa, xb), (ya, yb) = zip(*x), zip(*y)
@@ -250,15 +233,17 @@ class LaurentPoly:
     __slots__ = ("terms", "scale")
 
     def __init__(self, terms=None):
-        """From a map of (v_exp, t_exp) pairs of rationals to rational coefficients."""
+        """From {(v_exp, t_exp) rationals: integral coefficient}; ValueError on others."""
         rows = [
             (_frac(ve), _frac(te), _frac(c))
             for (ve, te), c in (terms or {}).items()
             if c != 0
         ]
+        if any(c.denominator != 1 for _, _, c in rows):
+            raise ValueError("LaurentPoly coefficients are integers")
         # the lcm of reduced denominators is already the minimal scale
         s = lcm(*(x.denominator for ve, te, _ in rows for x in (ve, te)))
-        self.terms = {(int(ve * s), int(te * s)): _coeff(c) for ve, te, c in rows}
+        self.terms = {(int(ve * s), int(te * s)): c.numerator for ve, te, c in rows}
         self.scale = s
 
     def fraction_terms(self):
@@ -332,13 +317,11 @@ LP_ONE = _raw({(0, 0): 1}, 1)
 
 
 def lp_mono(coeff=1, v_exp=0, t_exp=0) -> LaurentPoly:
-    """coeff * v^v_exp * t^t_exp, written straight onto the lattice.
+    """int coeff * v^v_exp * t^t_exp, written straight onto the lattice.
 
     The result is the constructor's: int exponents take scale 1, rational
     ones the lcm of their denominators, and a zero coeff gives zero.
     """
-    if type(coeff) is not int:
-        coeff = _coeff(_frac(coeff))
     if not coeff:
         return _raw({}, 1)
     if type(v_exp) is int and type(t_exp) is int:
@@ -368,23 +351,18 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         terms = den.terms
-        if len(terms) == 1:
-            # exact monomial division, no gcd machinery needed
-            (dv, dt), dc = next(iter(terms.items()))
-            if dv or dt or dc != 1:
-                num = _shift_mul(num, -dv, -dt, den.scale, _div(1, dc))
+        if num.is_zero():
             den = LP_ONE
-        elif num.is_zero():
-            den = LP_ONE
-        else:
-            # pull out the denominator's monomial content and lead coefficient
+        elif den is not LP_ONE:
+            # move the den's least monomial into num and its lead's sign onto both
             minv = min(a for a, _ in terms)
             mint = min(b for _, b in terms)
-            lead = terms[max(terms)]
-            if minv or mint or lead != 1:
-                q = _div(1, lead)
-                num = _shift_mul(num, -minv, -mint, den.scale, q)
-                den = _shift_mul(den, -minv, -mint, den.scale, q)
+            sign = -1 if terms[max(terms)] < 0 else 1
+            if minv or mint or sign < 0:
+                num = _shift_mul(num, -minv, -mint, den.scale, sign)
+                den = _shift_mul(den, -minv, -mint, den.scale, sign)
+            if den == LP_ONE:
+                den = LP_ONE
         self.num = num
         self.den = den
 
@@ -503,20 +481,21 @@ def bar(a: RatFunc) -> RatFunc:
 
 
 def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Quotient a/b when b divides a exactly; raises ValueError otherwise.
+    """Quotient a/b when b divides a over the integers; raises ValueError
+    otherwise, a coefficient quotient with a remainder included.
 
-    Works by cancelling the lex-leading term of the remainder; terminates
-    because quotient exponents live on a finite lattice box when the
-    division is exact, and the leading exponent drops below that box when
-    it is not.
+    A unit monomial b is one shift.  Otherwise this cancels the lex-leading
+    term of the remainder; it terminates because quotient exponents live on
+    a finite lattice box when the division is exact, and the leading
+    exponent drops below that box when it is not.
     """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return LP_ZERO
-    if len(b.terms) == 1:
-        (bv, bt), bc = next(iter(b.terms.items()))
-        return _shift_mul(a, -bv, -bt, b.scale, _div(1, bc))
+    (bv, bt), bc = next(iter(b.terms.items()))
+    if len(b.terms) == 1 and bc in (1, -1):
+        return _shift_mul(a, -bv, -bt, b.scale, bc)  # a unit bc is 1 / bc
     s = lcm(a.scale, b.scale)
     ta, tb = _terms_at(a, s), _terms_at(b, s)
     ebv, ebt = eb = max(tb)
@@ -533,9 +512,9 @@ def poly_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     while rem:
         er = max(rem)
         qv, qt = er[0] - ebv, er[1] - ebt
-        if (qv, qt) < bound or (qt, qv) < rbound:
+        qc, r = divmod(rem[er], cb)
+        if r or (qv, qt) < bound or (qt, qv) < rbound:
             raise ValueError("polynomial division is not exact")
-        qc = _div(rem[er], cb)
         quot[(qv, qt)] = qc
         _add_products(rem, {(qv, qt): qc}, tb, -1)
     return _make(quot, s)
@@ -558,17 +537,17 @@ _t_exp = itemgetter(1)
 
 
 def _refutes_division(a: LaurentPoly, b: LaurentPoly) -> bool:
-    """True when b, a normal den, certainly does not divide a, nonzero.
+    """True when b, a primitive normal den, certainly does not divide a != 0.
 
     Two tests, each far cheaper than a long division that fails:
     - spans: an exact quotient q has span(a) = span(b) + span(q) in v and
       in t, so a span of a shorter than b's refutes;
-    - one value: when every coefficient is an int, b is primitive (its lead
-      coefficient is 1), so by Gauss's lemma q has int coefficients too.
-      With a' = a / (v^a0 t^b0), a0 and b0 its least exponents (b's are 0),
-      a' = b q', q' = q / (v^a0 t^b0), and all three are polynomials with int
-      coefficients in x = v^(1/scale) and y = t^(1/scale).  So at x = 2,
-      y = 3 the value of b divides that of a', or both are 0.
+    - one value: b is primitive, so by Gauss's lemma q has int coefficients
+      as a has.  With a' = a / (v^a0 t^b0), a0 and b0 its least exponents
+      (b's are 0), a' = b q', q' = q / (v^a0 t^b0), and all three are
+      polynomials with int coefficients in x = v^(1/scale) and
+      y = t^(1/scale).  So at x = 2, y = 3 the value of b divides that of
+      a', or both are 0.
     """
     s = lcm(a.scale, b.scale)
     ta, tb = _terms_at(a, s), _terms_at(b, s)
@@ -578,22 +557,22 @@ def _refutes_division(a: LaurentPoly, b: LaurentPoly) -> bool:
     b0 = min(ta, key=_t_exp)[1]
     if max(ta, key=_t_exp)[1] - b0 < max(tb, key=_t_exp)[1]:
         return True
-    if not set(map(type, ta.values())) | set(map(type, tb.values())) <= {int}:
-        return False
     at = sum((c * 3 ** (t - b0)) << (v - a0) for (v, t), c in ta.items())
     bt = sum((c * 3 ** t) << v for (v, t), c in tb.items())
     return at % bt != 0 if bt else at != 0
 
 
 def reduce_poly(a: RatFunc) -> RatFunc:
-    """Divide out the denominator when it is exact; otherwise return a as is.
-
-    `_refutes_division` turns most inexact cases away before the division.
-    """
-    if len(a.den.terms) == 1 or _refutes_division(a.num, a.den):
+    """Divide the den's primitive part (den over its content) out of the num
+    when it divides, leaving the content as a constant den (by Gauss's lemma
+    the quotient is integral); else return a.  `_refutes_division` turns
+    most inexact cases away before the division."""
+    den, content = a.den, gcd(*a.den.terms.values())
+    prim = den if content == 1 else _raw({k: c // content for k, c in den.terms.items()}, den.scale)
+    if len(prim.terms) == 1 or _refutes_division(a.num, prim):
         return a
     try:
-        return RatFunc(poly_div_exact(a.num, a.den))
+        return _normal(poly_div_exact(a.num, prim), lp_mono(content))
     except ValueError:
         return a
 
@@ -638,7 +617,8 @@ def _rat_pow(base: Fraction, exp: Fraction) -> Fraction:
     return base**exp.numerator
 
 
-def _specialize_poly(p: LaurentPoly, assign: dict) -> LaurentPoly:
+def _specialize_poly(p: LaurentPoly, assign: dict) -> tuple:
+    """(q, n) for p under the assignment = q / n, with q integral and n > 0."""
     out = {}
     for (ve, te), c in p.fraction_terms():
         if "v" in assign:
@@ -648,19 +628,22 @@ def _specialize_poly(p: LaurentPoly, assign: dict) -> LaurentPoly:
             c *= _rat_pow(assign["t"], te)
             te = 0
         out[ve, te] = out.get((ve, te), 0) + c
-    return LaurentPoly(out)
+    n = lcm(*(c.denominator for c in out.values()))
+    return LaurentPoly({k: c * n for k, c in out.items()}), n
 
 
 def specialize(a: RatFunc, assignments: dict) -> RatFunc:
-    """Substitute exact rationals for v and/or t (partial map allowed)."""
+    """Substitute exact rationals for v and/or t (partial map allowed);
+    with num -> p / m and den -> q / n the value is (p n) / (q m)."""
     assign = {name: _frac(val) for name, val in assignments.items()}
     for name in assign:
         if name not in ("v", "t"):
             raise SpecializeError(f"unknown variable {name!r}")
-    den = _specialize_poly(a.den, assign)
+    den, n = _specialize_poly(a.den, assign)
     if den.is_zero():
         raise SpecializeError("denominator vanishes under the given assignment")
-    return RatFunc(_specialize_poly(a.num, assign), den)
+    num, m = _specialize_poly(a.num, assign)
+    return RatFunc(num * lp_mono(n), den * lp_mono(m))
 
 
 def qint(n: int, d) -> RatFunc:
@@ -722,9 +705,15 @@ def render_poly(p: LaurentPoly) -> str:
 
 
 def render(a: RatFunc) -> str:
-    if a.den == LP_ONE:
-        return render_poly(a.num)
-    return f"({render_poly(a.num)}) / ({render_poly(a.den)})"
+    """a in the rendering grammar, over the gcd of all coefficients if the den's is > 1."""
+    num, den = a.num, a.den
+    g = gcd(*den.terms.values())
+    if g > 1:
+        g = gcd(g, *num.terms.values())
+        num, den = (_raw({k: c // g for k, c in p.terms.items()}, p.scale) for p in (num, den))
+    if den == LP_ONE:
+        return render_poly(num)
+    return f"({render_poly(num)}) / ({render_poly(den)})"
 
 
 class ParseError(ValueError):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from vtknot import cli
 from vtknot import configio as cio
+from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import pairing as pr
 from vtknot import quasir as qr
@@ -152,6 +153,35 @@ def test_rmatrix_labels_are_the_tensor_labels(capsys, config):
     labels = mo.tensor(m, m).labels
     want = [(labels[r], labels[c]) for r, c, _ in mo.rmat(m, m).items()]
     assert [tuple(line.split(" | ")[:2]) for line in out.splitlines()] == want
+
+
+# rank1:2 conjugated by D = diag(1, 2/3, 5/2): entries with rational constants
+SCALED = str(CONFIGS / "rank1_2_scaled.cfg")
+RANK1_2 = str(ROOT / "bench" / "configs" / "rank1_2.cfg")
+
+
+def test_a_rescaled_module_keeps_the_invariants_and_conjugates_the_crossing(capsys):
+    for argv in (["invariant", "--tangle", "hopf"], ["invariant", "--tangle", "trefoil"],
+                 ["invariant", "--tangle", "figure8"], ["qdim"]):
+        scaled, plain = (run(capsys, *argv, "--config", cfg) for cfg in (SCALED, RANK1_2))
+        assert scaled == plain and plain[0] == 0
+    # every rmatrix entry is the one of (D x D) R (D x D)^-1, R rank1:2's crossing
+    d = [rf.ONE, rf.parse("2/3"), rf.parse("5/2")]
+    dd, dd_inv = (la.kron(*[la.Matrix(3, 3, {i: {i: f(x)} for i, x in enumerate(d)})] * 2)
+                  for f in (lambda x: x, rf.inv))
+    m = cio.load_config(RANK1_2).module
+    want = la.mat_mul(la.mat_mul(dd, mo.rmat(m, m)), dd_inv)
+    labels = mo.tensor(m, m).labels
+    rc, out, _ = run(capsys, "rmatrix", "--config", SCALED)
+    got = {}
+    for line in out.splitlines():
+        r, c, x = line.split(" | ")
+        got[labels.index(r), labels.index(c)] = rf.parse(x)
+    assert rc == 0 and set(got) == {(r, c) for r, c, _ in want.items()}
+    assert all(rf.eq(x, want[r, c]) for (r, c), x in got.items())
+    rc, out, _ = run(capsys, "verify", "--config", SCALED, "--suite", "all")
+    assert out.splitlines()[-1] == "all 43 checks passed"
+    assert rc == 0
 
 
 def test_theta_dump(capsys):

@@ -391,3 +391,13 @@ def test_inverse_of_t_hermitian_rows_over_one_den(rows, den):
             for x, prow in zip(row, rows):
                 acc = acc + x.num * prow[k]
             assert acc == (dens[0] * den if i == k else rf.LP_ZERO)
+
+
+def test_inverse_of_four_over_v_minus_1_inverts_as_ratfunc_matrices():
+    # the full RatFunc product, not only the numerator sums checked above
+    den = T_FREE_DENS[1]
+    a = la.Matrix(4, 4, {i: {j: rf.RatFunc(x, den) for j, x in enumerate(row)}
+                         for i, row in enumerate(FOUR)})
+    got = sparse((4, 4, la.inverse(FOUR, [den] * 4)))
+    assert la.mat_eq(la.mat_mul(got, a), la.identity(4))
+    assert la.mat_eq(la.mat_mul(a, got), la.identity(4))

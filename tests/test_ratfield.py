@@ -51,8 +51,14 @@ def test_render_golden():
     assert rf.render(rf.ONE) == "1"
     assert rf.render(rf.mono(-3, 2, 1)) == "-3 * v^2 * t"
     assert rf.render(rf.mono(1, Fraction(1, 2), Fraction(-3, 2))) == "v^(1/2) * t^(-3/2)"
-    assert rf.render(rf.mono(Fraction(1, 2)) * rf.V + rf.T) == "1/2 * v + t"
+    # a rational constant stays in the den
+    half_v_plus_t = rf.parse("v / 2 + t")
+    assert rf.render(half_v_plus_t) == "(v + 2 * t) / (2)"
+    assert rf.eq(half_v_plus_t, rf.parse("(v + 2*t) / 2"))
     assert rf.render(rf.ONE / (rf.V + rf.ONE)) == "(1) / (v + 1)"
+    # the gcd of all coefficients is divided out; a den that becomes 1 is gone
+    assert rf.render(rf.parse("(2*v + 2) / (4*v - 4)")) == "(v + 1) / (2 * v - 2)"
+    assert rf.render(rf.RatFunc(rf.lp_mono(6, 1), rf.lp_mono(3))) == "2 * v"
 
 
 def test_render_is_descending_and_sign_aware():
@@ -64,16 +70,23 @@ def test_monomial_denominator_folds():
     a = rf.parse("(v+1)/v")
     assert a.den == rf.LP_ONE
     assert rf.render(a) == "1 + v^-1"
+    # the monomial folds into num, its constant stays behind as the den
     b = rf.parse("(v*t + 1) / (2*v^-1*t)")
-    assert b.den == rf.LP_ONE
-    assert rf.eq(b, rf.mono(Fraction(1, 2), 2, 0) + rf.mono(Fraction(1, 2), 1, -1))
+    assert b.den == rf.lp_mono(2)
+    assert rf.render(b) == "(v^2 + v * t^-1) / (2)"
+    assert rf.eq(b, (rf.mono(1, 2, 0) + rf.mono(1, 1, -1)) / rf.mono(2))
+    c = rf.parse("(v + 1) / (-v^2)")
+    assert c.den is rf.LP_ONE and rf.render(c) == "-v^-1 - v^-2"
 
 
 def test_denominator_normalization():
-    # content and leading coefficient pulled out of multi-term denominators
+    # the least monomial and the lead's sign come out of multi-term dens;
+    # the content stays
     a = rf.parse("v / (2*v^3 - 2*v)")
-    assert rf.render(a) == "(1/2) / (v^2 - 1)"
+    assert rf.render(a) == "(1) / (2 * v^2 - 2)"
     assert rf.eq(a, rf.parse("1 / (2*v^2 - 2)"))
+    b = rf.parse("1 / (2 - 4*v)")
+    assert b.den == rf.parse("4*v - 2").num and rf.render(b) == "(-1) / (4 * v - 2)"
 
 
 def test_eq_cross_multiplies():
@@ -98,7 +111,8 @@ def test_specialize():
     two = rf.specialize(rf.parse("v^(1/2)"), {"v": 4})
     assert rf.eq(two, rf.mono(2))
     val = rf.specialize(rf.parse("2*v/(v^2-1)"), {"v": 2})
-    assert rf.eq(val, rf.mono(Fraction(4, 3)))
+    assert rf.eq(val, rf.parse("4/3"))
+    assert rf.render(val) == "(4) / (3)"
     part = rf.specialize(rf.parse("v*t + t^2"), {"t": 3})
     assert rf.eq(part, rf.parse("3*v + 9"))
 
@@ -152,7 +166,7 @@ def laurents(draw, max_terms=4):
     n = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n):
-        terms[rf.ExpPair(draw(_exps), draw(_exps))] = Fraction(draw(_coeffs))
+        terms[rf.ExpPair(draw(_exps), draw(_exps))] = draw(_coeffs)
     return rf.LaurentPoly(terms)
 
 
@@ -201,6 +215,12 @@ def _nonmonomial(p):
     return len(p.terms) > 1
 
 
+def _primitive(p):
+    """p divided by the gcd of its coefficients."""
+    g = math.gcd(*p.terms.values())
+    return rf._raw({k: c // g for k, c in p.terms.items()}, p.scale)
+
+
 _divisors = laurents(max_terms=3).filter(_nonmonomial)
 _monomials = st.builds(rf.lp_mono, st.integers(1, 3), _exps, _exps)
 
@@ -208,9 +228,13 @@ _monomials = st.builds(rf.lp_mono, st.integers(1, 3), _exps, _exps)
 @settings(max_examples=60, deadline=None)
 @given(laurents(), _divisors)
 def test_reduce_poly_divides_out_an_exact_denominator(a, b):
-    got = rf.reduce_poly(rf.RatFunc(a * b, b))
-    assert got.den == rf.LP_ONE
-    assert got.num.terms == a.terms
+    # the den's content stays behind as a constant den, which render divides out
+    x = rf.RatFunc(a * b, b)
+    got = rf.reduce_poly(x)
+    content = rf.lp_mono(math.gcd(*x.den.terms.values()))
+    assert got.den == content
+    assert got.num == a * content
+    assert rf.eq(got, rf.RatFunc(a)) and rf.render(got) == rf.render_poly(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,7 +282,8 @@ def test_reduce_poly_agrees_with_sympy_cancel():
 
 # ------------------------------------------------- reference model
 
-# The lattice core against a plain {(v_exp, t_exp): coeff} map of Fractions.
+# The lattice core against a plain {(v_exp, t_exp): coeff} map, Fraction
+# exponents and int coefficients.
 # Values go in through the constructor and come out through fraction_terms();
 # only _canonical looks at the stored int form itself.
 
@@ -297,15 +322,13 @@ def _ref_render(a):
 
 
 def _canonical(p):
-    """Minimal scale and int coefficients wherever they are integral."""
+    """Minimal scale and int coefficients."""
     ints = [e for key in p.terms for e in key]
-    return math.gcd(p.scale, *ints) == 1 and all(
-        type(c) is int or c.denominator != 1 for c in p.terms.values()
-    )
+    return math.gcd(p.scale, *ints) == 1 and all(type(c) is int for c in p.terms.values())
 
 
 _lattice_exps = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
-_lattice_coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+_lattice_coeffs = st.integers(-6, 6)
 _ref_polys = st.dictionaries(
     st.tuples(_lattice_exps, _lattice_exps), _lattice_coeffs, max_size=4
 ).map(lambda m: {k: c for k, c in m.items() if c})
@@ -358,6 +381,9 @@ def test_specialize_matches_the_reference(a, name, root):
     # x = root^210 has a rational e-th power for every drawn exponent e
     root = Fraction(root)
     got = rf.specialize(rf.RatFunc(rf.LaurentPoly(a)), {name: root ** 210})
+    # rational constants go into the den, a positive int
+    assert set(got.den.terms) == {(0, 0)} and got.den.scale == 1
+    (d,) = got.den.terms.values()
 
     def term(v, t, c):
         if name == "v":
@@ -365,8 +391,8 @@ def test_specialize_matches_the_reference(a, name, root):
         return {(v, 0): c * root ** int(210 * t)}
 
     want = _ref_sum(*(term(v, t, c) for (v, t), c in a.items()))
-    assert _ref(got.num) == want
-    assert got.den == rf.LP_ONE
+    assert {k: c / d for k, c in _ref(got.num).items()} == want
+    assert (d == 1) == (got.den is rf.LP_ONE)
 
 
 @settings(max_examples=80, deadline=None)
@@ -408,7 +434,7 @@ def _render_poly_before(p):
     return "".join(parts)
 
 
-# unit and Fraction coefficients; zero, negative, integral and fractional
+# unit and other int coefficients; zero, negative, integral and fractional
 # exponents over scales 1 to 7 (the lcm of two drawn denominators)
 _render_polys = st.dictionaries(
     st.tuples(_lattice_exps | st.integers(-3, 3), _lattice_exps | st.integers(-3, 3)),
@@ -419,16 +445,21 @@ _render_polys = st.dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(_render_polys, _render_polys)
 @example(rf.LP_ONE, rf.LP_ONE)
-@example(rf.lp_mono(-1), rf.lp_mono(Fraction(-1, 2), 2, -1))
+@example(rf.lp_mono(-1), rf.lp_mono(-2, 2, -1))
 @example(rf.LaurentPoly({(Fraction(2, 3), Fraction(4, 3)): 1, (Fraction(1, 3), 0): -1}),
-         rf.LaurentPoly({(2, Fraction(1, 2)): Fraction(3, 2), (-1, -1): -1}))
+         rf.LaurentPoly({(2, Fraction(1, 2)): 3, (-1, -1): -1}))
+@example(rf.parse("4*v - 6").num, rf.parse("2*t + 4").num)  # gcd 2 divided out
 def test_render_poly_matches_the_renderer_it_replaced(p, q):
     assert rf.render_poly(p) == _render_poly_before(p)
     assert rf.parse(rf.render_poly(p)).num == p
     if q.terms:
         x = rf.RatFunc(p, q)
-        text, num = rf.render(x), _render_poly_before(x.num)
-        assert text == (num if x.den is rf.LP_ONE else f"({num}) / ({_render_poly_before(x.den)})")
+        # render divides out the gcd of all coefficients first
+        g = math.gcd(*x.num.terms.values(), *x.den.terms.values())
+        num, den = (_render_poly_before(rf._raw({k: c // g for k, c in y.terms.items()}, y.scale))
+                    for y in (x.num, x.den))
+        text = rf.render(x)
+        assert text == (num if den == "1" else f"({num}) / ({den})")
         assert rf.eq(rf.parse(text), x)
 
 
@@ -445,7 +476,7 @@ _int_polys = st.dictionaries(
 @example(rf.parse("v + 1").num, rf.parse("v - 2").num, rf.LP_ONE)  # b(2, 3) = 0
 @example(rf.parse("v + t").num, rf.parse("t - 3").num, rf.lp_mono(2))  # b(2, 3) = 0
 def test_refuting_a_division_never_rejects_a_true_quotient(q, b, r):
-    den = rf.RatFunc(rf.LP_ONE, b).den  # b in normal form
+    den = _primitive(rf.RatFunc(rf.LP_ONE, b).den)  # b in normal form, content 1
     if not q.is_zero():
         assert not rf._refutes_division(q * den, den)
         assert rf.reduce_poly(rf.RatFunc(q * den, den)).num == q
@@ -468,11 +499,11 @@ def test_equal_values_compare_and_hash_alike(a, c, rv, rt):
     fine = rf.lp_mono(c, rv + Fraction(1, 7), rt)
     q = (p + fine) - fine
     assert q == p and hash(q) == hash(p) and q.scale == p.scale
-    r = (p * fine) * rf.lp_mono(1 / c, -rv - Fraction(1, 7), -rt)
-    assert r == p and hash(r) == hash(p)
+    r = (p * fine) * rf.lp_mono(1, -rv - Fraction(1, 7), -rt)
+    assert r == p * rf.lp_mono(c) and hash(r) == hash(p * rf.lp_mono(c))
     assert rf.lp_mono(1, Fraction(1, 2)) * rf.lp_mono(1, Fraction(-1, 2)) == rf.LP_ONE
-    half = rf.lp_mono(Fraction(1, 2))
-    assert half + half == rf.LP_ONE and hash(half + half) == hash(rf.LP_ONE)
+    two = rf.lp_mono(3) + rf.lp_mono(-1)
+    assert two == rf.lp_mono(2) and hash(two) == hash(rf.lp_mono(2))
 
 
 def test_integral_sums_and_products_make_no_fraction():
@@ -603,7 +634,7 @@ def test_sums_differences_and_products_have_normal_dens(a, b):
 
 # ------------------------------------------------- the fused Bareiss kernel
 
-_divisors_or_one = st.one_of(st.just({(Fraction(0), Fraction(0)): Fraction(1)}),
+_divisors_or_one = st.one_of(st.just({(Fraction(0), Fraction(0)): 1}),
                              _ref_polys.filter(bool))
 
 
@@ -621,7 +652,7 @@ def _kernel_args(a, b, c, d, e):
 @settings(max_examples=150, deadline=None)
 @given(_ref_polys, _ref_polys, _ref_polys, _ref_polys, _ref_polys, _divisors_or_one,
        st.booleans())
-@example({}, {}, {}, {}, {}, {(Fraction(0), Fraction(0)): Fraction(1)}, True)
+@example({}, {}, {}, {}, {}, {(Fraction(0), Fraction(0)): 1}, True)
 def test_cross_div_is_the_exact_quotient_of_the_reference(x, y, z, b, c, e, exact):
     # exact: a = e x + c y and d = y b + e z give a b - c d = e (x b - c z)
     if exact:
@@ -651,6 +682,15 @@ def test_cross_div_raises_on_an_inexact_divisor():
     assert rf.cross_div(e, e, one, e, e) == rf.V.num
 
 
+def test_poly_div_exact_divides_over_the_integers():
+    # a coefficient quotient with a remainder is refused, by a monomial too
+    for a, b in (("v + 1", "2"), ("2*v + 1", "2*v"), ("v^2 - 1", "2*v + 2")):
+        with pytest.raises(ValueError):
+            rf.poly_div_exact(rf.parse(a).num, rf.parse(b).num)
+    for a, b, q in (("4*v^2 - 4", "2*v + 2", "2*v - 2"), ("6*v^3 + 3*v", "-3*v", "-2*v^2 - 1")):
+        assert rf.poly_div_exact(rf.parse(a).num, rf.parse(b).num) == rf.parse(q).num
+
+
 # ------------------------------------------------- the large-product path
 
 
@@ -664,21 +704,20 @@ def _loop_product(p, q):
 
 # on either side of the 31- and 63-bit digit bounds
 _wide_coeffs = st.sampled_from([2**20, -(2**31), 2**40, 2**62, 2**63 - 1, -(2**63), 2**70])
-_frac_coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([2, 3]))
 
 
 @st.composite
 def _wide_polys(draw):
     """2 to 16 terms over scale 1, 2, 3 or 6, with a v-stride of 1, 2, 3 or
     5, negative exponents and some t-terms; the coefficients are small ints,
-    one of them perhaps a wide int or a Fraction."""
+    one of them perhaps a wide int."""
     scale, stride = draw(st.sampled_from([1, 2, 3, 6])), draw(st.sampled_from([1, 2, 3, 5]))
     t_exps = draw(st.sampled_from([(0,), (0,), (-1, 0, 1), (-2, 1)]))
     box = [(Fraction(stride * a, scale), Fraction(b, scale))
            for a in range(-6, 7) for b in t_exps]
     keys = draw(st.permutations(box))[:draw(st.integers(2, 16))]
     coeffs = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=16, max_size=16))
-    coeffs[0] = draw(st.sampled_from(coeffs[:1]) | _wide_coeffs | _frac_coeffs)
+    coeffs[0] = draw(st.sampled_from(coeffs[:1]) | _wide_coeffs)
     return rf.LaurentPoly(dict(zip(keys, coeffs)))
 
 
@@ -696,9 +735,7 @@ def test_large_products_match_the_pair_loop(p, q):
     packed = rf._packed_product(x, y)
     if packed is not None:
         assert _structure(rf._make(packed, s)) == want
-    if any(type(c) is Fraction for c in (*x.values(), *y.values())):
-        assert packed is None
-    elif max(map(abs, x.values())) * max(map(abs, y.values())) >= 2**63:
+    if max(map(abs, x.values())) * max(map(abs, y.values())) >= 2**63:
         assert packed is None  # a digit would need more than 63 bits
 
 
@@ -725,3 +762,95 @@ def test_a_large_product_in_either_order_is_one_memo_entry():
     second = r * q
     assert q * r is second and second == _loop_product(q, r)
     assert rf._large_mul.cache_info()[:2] == (2, 2)
+
+
+# ------------------------------------------------- integer coefficients only
+
+def test_a_rational_coefficient_is_refused():
+    with pytest.raises(ValueError):
+        rf.LaurentPoly({(0, 0): Fraction(1, 2)})
+    assert rf.LaurentPoly({(Fraction(1, 2), 0): Fraction(4, 2)}).terms == {(1, 0): 2}
+
+
+_leaves = st.sampled_from(["v", "t", "v^(1/2)", "t^(-1/3)"]) | st.builds(
+    "({})".format, st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=6))
+_expressions = st.recursive(
+    _leaves,
+    lambda kids: st.tuples(st.sampled_from("+-*/"), kids, kids)
+    | st.tuples(st.just("^"), kids, st.integers(-2, 3)),
+    max_leaves=8,
+)
+
+
+def _text(node):
+    if isinstance(node, str):
+        return node
+    op, left, right = node
+    if op == "^":
+        return f"({_text(left)})^{right}"
+    return f"({_text(left)}) {op} ({_text(right)})"
+
+
+def _evaluate(node, seen):
+    """The value of node by RatFunc arithmetic, every intermediate into seen;
+    None where a division by zero stops it."""
+    if isinstance(node, str):
+        out = rf.parse(node)
+    else:
+        op, left, right = node
+        a = _evaluate(left, seen)
+        b = right if op == "^" else _evaluate(right, seen)
+        if a is None or b is None:
+            return None
+        if op == "^":
+            if right < 0 and a.is_zero():
+                return None
+            out = rf.ONE
+            for _ in range(abs(right)):
+                out = out * a
+            out = rf.inv(out) if right < 0 else out
+        elif op == "/":
+            if b.is_zero():
+                return None
+            out = a / b
+        else:
+            out = a + b if op == "+" else a - b if op == "-" else a * b
+    seen.append(out)
+    return out
+
+
+def _int_coefficients(x):
+    return all(type(c) is int for p in (x.num, x.den) for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions, st.sampled_from([4, Fraction(9, 4), Fraction(1, 16)]),
+       st.sampled_from([8, Fraction(1, 27), Fraction(-8, 125)]))
+@example(("/", "v", ("-", ("*", "(2)", ("^", "v", 3)), ("*", "(2)", "v"))), 4, 8)
+def test_only_int_coefficients_occur(node, v, t):
+    # int and rational constants, + - * / and ^; specialize at rational v and t
+    seen, made = [], []
+    real = rf._raw
+
+    def recording(terms, scale):
+        made.append(terms)
+        return real(terms, scale)
+
+    rf._raw = recording
+    try:
+        value = _evaluate(node, seen)
+        if value is None:
+            return
+        parsed = rf.parse(_text(node))
+        for assign in ({"v": v}, {"t": t}, {"v": v, "t": t}):
+            try:
+                seen.append(rf.specialize(value, assign))
+            except rf.SpecializeError:  # a den that vanishes there
+                pass
+        backs = [rf.parse(rf.render(x)) for x in seen]
+    finally:
+        rf._raw = real
+    assert rf.eq(parsed, value)
+    assert all(rf.eq(back, x) for back, x in zip(backs, seen))
+    assert all(map(_int_coefficients, seen + backs + [parsed]))
+    assert all(type(c) is int for terms in made for c in terms.values())
