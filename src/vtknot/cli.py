@@ -3,7 +3,8 @@
 Exit codes: 0 success (and all checks passing for verify), 1 tangle
 parse/type failures, a failing suite or stdout closed early, 2 configuration
 problems, including a module with no unique maximal weight and, for
-`invariant`, a module on which the twist is not one scalar (a reducible one).
+`invariant`, a module on which the twist is not one scalar (a reducible one),
+and running out of memory ("error: out of memory").
 
 A well-formed argument list, a command followed by `--flag value` pairs, is
 read by `_read_args`.  Any other (none, `-h`, an unknown command or option, a
@@ -249,6 +250,12 @@ def main(argv=None) -> int:
     except tg.TangleError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except MemoryError:
+        pass
+    # reached only from MemoryError, once its traceback, which holds the
+    # evaluation's frames and their state, has been let go
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

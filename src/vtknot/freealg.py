@@ -23,6 +23,9 @@ from the right ("r") or left ("l") tensor slot, and on F-words (side "F") it
 gives their mirror images with the t-twist inverted.  All four follow one
 letter recursion; the tests check the E-side ones against r directly.  The
 same `side` argument picks the mirror of `sigma` and `serre_element`.
+
+The word combinatorics are `words_of_degree` and `lyndon_factors`; which
+words are candidates for a dual basis is decided in `quasir`.
 """
 
 from __future__ import annotations
@@ -162,6 +165,16 @@ def bilinear(table, spec: cartan.CartanSpec, x: dict, y: dict) -> RatFunc:
     return out
 
 
+def serre_power(spec: cartan.CartanSpec, i: int, j: int) -> int:
+    """The power n = 1 - <a_ij> of theta_i in the Serre relator of (i, j)."""
+    if i == j:
+        raise ValueError("serre element needs distinct indices")
+    n, frac = divmod(-spec.dot[i][j], spec.omega[i][i])
+    if frac or n < 0:
+        raise ValueError("inadmissible pair for a serre element")
+    return n + 1
+
+
 def serre_element(spec: cartan.CartanSpec, i: int, j: int, side: str = "E") -> FElem:
     """Quantum Serre relator in degree (1-<a_ij>) alpha_i + alpha_j; i != j.
 
@@ -171,13 +184,8 @@ def serre_element(spec: cartan.CartanSpec, i: int, j: int, side: str = "E") -> F
     only test for zero.  The negative side ("F") swaps the powers of theta_i
     on the two sides of theta_j.
     """
-    if i == j:
-        raise ValueError("serre element needs distinct indices")
     o = spec.omega
-    n, frac = divmod(-spec.dot[i][j], o[i][i])
-    if frac or n < 0:
-        raise ValueError("inadmissible pair for a serre element")
-    n += 1
+    n = serre_power(spec, i, j)
     # prod_r (1 + v_i^(2r-n+1) z) = sum_p [n choose p] z^p, as {(p, v-exponent): coeff}
     row = {(0, 0): 1}
     for r in range(n):
@@ -220,29 +228,3 @@ def lyndon_factors(word: Word, reverse: bool = False) -> tuple:
             out.append(tuple(word[i:i + j - k]))
             i += j - k
     return tuple(out)
-
-
-def candidate_words(mu: cartan.Degree, good, lyndon: bool, reverse: bool) -> list:
-    """The words of degree mu, ascending, that are nonincreasing products of
-    the Lyndon words `good` (each of degree below mu), and with `lyndon` the
-    Lyndon words of degree mu too; letters compare as in `lyndon_factors`.
-
-    A product is a power of each word of `good` in turn, from the largest
-    down, so only the Lyndon words are filtered from every word of degree mu.
-    """
-    out = [w for w in words_of_degree(mu) if len(lyndon_factors(w, reverse)) == 1] if lyndon else []
-    good = sorted(good, key=lambda w: [-a for a in w] if reverse else w, reverse=True)
-    degs = [[w.count(i) for i in range(len(mu))] for w in good]
-
-    def grow(k, head, rest):
-        if not any(rest):
-            out.append(head)
-        elif k < len(good):
-            d = degs[k]
-            top = min([r // x for r, x in zip(rest, d) if x])
-            # the last word must take all of the rest
-            for m in range(top, -1, -1) if k + 1 < len(good) else (top,):
-                grow(k + 1, head + good[k] * m, [r - m * x for r, x in zip(rest, d)])
-
-    grow(0, (), mu)
-    return sorted(out)

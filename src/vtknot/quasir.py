@@ -12,16 +12,18 @@ nonincreasing products of good Lyndon words (Leclerc, "Dual canonical
 bases, quantum shuffles and q-characters", Math. Z. 2004; Kharchenko,
 Algebra and Logic 1999, covers diagonal braidings like U_{v,t}), where
 letters compare in reverse order for lex and in natural order for revlex.
-The good Lyndon words of a degree are its chosen words that are Lyndon.  A
-candidate of degree mu is a word whose Chen-Fox-Lyndon factors
+The good Lyndon words of a degree are its chosen words that are Lyndon,
+none unless the degree is a root (`cartan.is_root`, Kac's reflection test).
+A candidate of degree mu is a word whose Chen-Fox-Lyndon factors
 (`freealg.lyndon_factors`) are all good Lyndon words of lower degree, or a
-Lyndon word of degree mu when mu is a root (`cartan.is_root`, Kac's
-reflection test).  Every chosen word is a candidate, and when the greedy
-tests one it has chosen the same words as it would on the full list, so the
-chosen words, their block and its inverse are the same.  What the
-elimination leaves on the other candidates is their Schur complement up to
-nonzero row factors, so its rank is what the chosen words miss: when it is
-not zero `BasisError` is raised.  That the chosen words carry the rank of
+Lyndon word of degree mu when mu is a root.  `_selection` keeps the
+candidates of `freealg.words_of_degree(mu)` in its ascending order, and
+reads the chosen words of each factor's degree from its own cache.  Every
+chosen word is a candidate, and when the greedy tests one it has chosen the
+same words as it would on the full list, so the chosen words, their block
+and its inverse are the same.  What the elimination leaves on the other
+candidates is their Schur complement up to nonzero row factors, so its rank
+is what the chosen words miss: when it is not zero `BasisError` is raised.  That the chosen words carry the rank of
 every word of the degree is checked by `verify --suite pairing`, which
 builds the all-word Gram blocks anyway (`require_full_rank`, the same error).
 With G[a][c] = phi(E_{w_a}, F_{w_c}) and C = G^-1, the dual elements
@@ -66,8 +68,17 @@ def _selection(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
     as numerators over den, both in the greedy's word order."""
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown basis order {order!r}")
-    good = [w for nu in cartan.degrees_below(mu) if nu != mu for w in _good_lyndon(spec, nu, order)]
-    words = freealg.candidate_words(mu, good, cartan.is_root(spec, mu), order == "lex")
+    root = cartan.is_root(spec, mu)
+
+    def good(f):
+        nu = freealg.deg(spec, f)
+        return cartan.is_root(spec, nu) and f in _selection(spec, nu, order)[0]
+
+    words = []
+    for w in freealg.words_of_degree(mu):
+        factors = freealg.lyndon_factors(w, order == "lex")
+        if root if len(factors) == 1 else all(map(good, factors)):
+            words.append(w)
     if order == "revlex":
         words.reverse()
     gram, den = pairing.gram(spec, mu, words)
@@ -79,16 +90,6 @@ def _selection(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
 
 def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> tuple:
     return _selection(spec, mu, order)[0]
-
-
-@lru_cache(maxsize=None)
-def _good_lyndon(spec: cartan.CartanSpec, mu: cartan.Degree, order: str) -> tuple:
-    """The good Lyndon words of degree mu: its chosen words that are Lyndon,
-    none unless mu is a root."""
-    if not cartan.is_root(spec, mu):
-        return ()
-    return tuple(w for w in select_basis(spec, mu, order)
-                 if len(freealg.lyndon_factors(w, order == "lex")) == 1)
 
 
 @lru_cache(maxsize=None)

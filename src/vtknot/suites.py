@@ -119,7 +119,8 @@ def suite_forms(cfg, depth):
         rad = True
         for i in range(spec.rank):
             for j in range(spec.rank):
-                if i == j or spec.dot[i][j] == 0:
+                # the relator's degree has tr n + 1; deeper ones are left out
+                if i == j or spec.dot[i][j] == 0 or fa.serre_power(spec, i, j) >= depth:
                     continue
                 se = fa.serre_element(spec, i, j)
                 mu = fa.deg(spec, next(iter(se)))

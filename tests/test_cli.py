@@ -228,7 +228,7 @@ def test_verify_rejects_bogus_suite(capsys):
 
 
 def _clear_quasir_caches():
-    for cached in (qr._selection, qr._good_lyndon, qr._basis_data, qr.theta, qr.theta_bar):
+    for cached in (qr._selection, qr._basis_data, qr.theta, qr.theta_bar):
         cached.cache_clear()
 
 
@@ -626,6 +626,23 @@ def test_spec_reads_the_rational_grammar(capsys):
     rc, same, _ = run(capsys, "invariant", "--config", SL2, "--tangle", "trefoil",
                       "--spec", "t = -1/2 ")
     assert rc == 0 and half == same
+
+
+def test_running_out_of_memory_exits_2_with_a_named_error():
+    # the closure of the 24-strand unlink holds 2^24 states, past 512 MiB
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+             "from vtknot import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "invariant", "--config", SL2,
+         "--tangle", " * ".join(["up"] * 24)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory\n"
+    assert proc.stdout == ""
 
 
 # A CLI fuzz: argument lists, config and module files and tangle words, each

@@ -7,9 +7,11 @@ import pytest
 
 from vtknot import cli
 from vtknot import configio as cio
+from vtknot import freealg as fa
 from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import ratfield as rf
+from vtknot import suites as su
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -216,6 +218,37 @@ def test_weight_outside_the_module_is_refused_without_a_grading_fault():
     zero = (la.Matrix(1, 1),)
     m = mo.make_module(mo.RANK1, ("x",), ((10 ** 30,),), zero, zero, 1)
     assert mo.validate_module(m) == ["weight 1 has |<w, a_1^v>| > dim - 1 = 0"]
+
+
+def test_serre_relator_past_the_module_is_not_written_out(tmp_path, capsys):
+    # a_12 = a_21 = -200: each relator has 201 + 1 letters and Gaussian
+    # binomials up to [201 choose 100]; on a one-dimensional module every
+    # term holds E_i^p or F_i^p with p >= 1 = dim, so neither is built, and
+    # the forms suite stops at its depth
+    _write(tmp_path, "triv.mod", "dim = 1\nweight.1 = 0 0\n")
+    path = _write(tmp_path, "wide.cfg", "rank = 2\ndot.row.1 = 2 -200\ndot.row.2 = -200 2\n"
+                  "omega.row.1 = 1 -200\nomega.row.2 = 0 1\nmodule = file:triv.mod\n")
+    for argv in (["qdim"], ["verify", "--suite", "forms", "--depth", "4"]):
+        start = time.perf_counter()
+        assert cli.main(argv + ["--config", path]) == 0
+        assert time.perf_counter() - start < 2
+    out = capsys.readouterr().out
+    assert out.startswith("1\n")
+    assert "pass  braid relators sit in the form radical\n" in out
+
+
+def test_sl3_serre_relators_are_still_checked(monkeypatch):
+    built = []
+    real = fa.serre_element
+    monkeypatch.setattr(fa, "serre_element", lambda *a: built.append(a[1:3]) or real(*a))
+    cfg = cio.load_config(str(CONFIGS / "sl3.cfg"))
+    assert sorted(built) == [(0, 1), (0, 1), (1, 0), (1, 0)]
+    built.clear()
+    su.suite_forms(cfg, 4)
+    assert sorted(built) == [(0, 1), (1, 0)]
+    built.clear()
+    su.suite_forms(cfg, 2)
+    assert built == []
 
 
 _RANK1_CFG = "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = file:m.mod\n"

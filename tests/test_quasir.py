@@ -52,7 +52,7 @@ def test_select_basis_rank_two():
 
 
 def _clear_quasir_caches():
-    for cached in (qr._selection, qr._good_lyndon, qr._basis_data, qr.theta, qr.theta_bar):
+    for cached in (qr._selection, qr._basis_data, qr.theta, qr.theta_bar):
         cached.cache_clear()
 
 

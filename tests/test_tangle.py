@@ -327,3 +327,97 @@ def test_homflypt_skein_relation(name, word):
     lhs = (rf.mono(1, -n) * value(("xp",)) - rf.mono(1, n) * value(("xm",))
            + rf.parse("v - v^-1") * value(("up", "up")))
     assert rf.eq(lhs, rf.ZERO), (name, rows, (i, j))
+
+
+# Kauffman-bracket oracle on sl2 (Kauffman, Topology 1987).  Each crossing
+# has two smoothings: "vertical" joins each lower end to the upper end above
+# it, "horizontal" joins the two lower ends and the two upper ends.  A state
+# picks one per crossing; its loops are counted by union-find over the ends
+# of the word's rows, with the closure joining top end k to bottom end k.
+# <D> = sum over states of A^(#A - #A^-1) delta^loops, delta = -A^2 - A^-2,
+# and the framing unit is (-A^3)^-writhe.  Every exponent of A is then even,
+# and A^2 = -v^-1 gives the value on the two-dimensional module, [2] = v + v^-1
+# on the unknot.  Nothing here but `parse` comes from tangle.
+
+# A-exponent of the (vertical, horizontal) smoothing, and the writhe sign;
+# both crossings join two upward strands
+_SMOOTHINGS = {"xp": (1, -1, 1), "xm": (-1, 1, -1)}
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _kauffman_closure(text):
+    """The state sum of the closure of the all-plus word text, as a RatFunc."""
+    w = tg.parse(text)
+    joins, crossings = [], []
+    for k, row in enumerate(w.rows):
+        p = q = 0  # the next end on level k (below the row) and k + 1 (above)
+        for g in row:
+            if g in ("up", "dn"):
+                joins.append(((k, p), (k + 1, q)))
+                p, q = p + 1, q + 1
+            elif g in ("ev", "qtr"):
+                joins.append(((k, p), (k, p + 1)))
+                p += 2
+            elif g in ("coev", "coqtr"):
+                joins.append(((k + 1, q), (k + 1, q + 1)))
+                q += 2
+            else:
+                crossings.append((g, (k, p), (k, p + 1), (k + 1, q), (k + 1, q + 1)))
+                p, q = p + 2, q + 2
+    joins += [((0, i), (len(w.rows), i)) for i in range(len(w.source))]
+    bracket = {}
+    for state in range(2 ** len(crossings)):
+        parent = {}
+
+        def root(x):
+            while parent.setdefault(x, x) != x:
+                x = parent[x]
+            return x
+
+        links, e = list(joins), 0
+        for b, (g, bl, br, tl, tr) in enumerate(crossings):
+            horizontal = state >> b & 1
+            e += _SMOOTHINGS[g][horizontal]
+            links += [(bl, br), (tl, tr)] if horizontal else [(bl, tl), (br, tr)]
+        for x, y in links:
+            parent[root(x)] = root(y)
+        term = {e: 1}
+        for _ in range(len({root(x) for x in list(parent)})):
+            term = _poly_mul(term, {2: -1, -2: -1})
+        for a, c in term.items():
+            bracket[a] = bracket.get(a, 0) + c
+    writhe = sum(_SMOOTHINGS[g][2] for g, *_ in crossings)
+    value = _poly_mul(bracket, {-3 * writhe: (-1) ** writhe})
+    assert all(a % 2 == 0 for a in value)
+    return sum((rf.mono((-1) ** (a // 2) * c, -a // 2) for a, c in value.items()), rf.ZERO)
+
+
+@st.composite
+def _closed_words(draw):
+    """A closed braid word on 2-4 strands, with curls of both kinds."""
+    n = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        piece = draw(st.sampled_from([_crossing, _crossing, _curl_right, _curl_left]))
+        k = draw(st.integers(0, n - 2 if piece is _crossing else n - 1))
+        rows += piece(n, k, draw(st.sampled_from(["xp", "xm"])))
+    return " ; ".join(" * ".join(row) for row in rows)
+
+
+def test_kauffman_bracket_matches_the_builtin_knots():
+    m = _natural_module("sl2.cfg")
+    for name in ("unknot", "hopf", "trefoil", "figure8"):
+        assert rf.eq(_kauffman_closure(tg.BUILTINS[name]), tg.invariant(name, m)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(_closed_words())
+def test_kauffman_bracket_state_sum(text):
+    assert rf.eq(_kauffman_closure(text), tg.invariant(text, _natural_module("sl2.cfg"))), text
