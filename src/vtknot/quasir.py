@@ -23,11 +23,14 @@ chosen word is a candidate, and when the greedy tests one it has chosen the
 same words as it would on the full list, so the chosen words, their block
 and its inverse are the same.  What the elimination leaves on the other
 candidates is their Schur complement up to nonzero row factors, so its rank
-is what the chosen words miss: when it is not zero `BasisError` is raised.  That the chosen words carry the rank of
-every word of the degree is checked by `verify --suite pairing`, which
-builds the all-word Gram blocks anyway (`require_full_rank`, the same error).
-With G[a][c] = phi(E_{w_a}, F_{w_c}) and C = G^-1, the dual elements
-b*_a = sum_c C[a][c] E_{w_c} satisfy (b*_a, F_{w_b}) = delta.
+is what the chosen words miss: when it is not zero `BasisError` is raised.
+That the chosen words carry the rank of every word of the degree is checked
+by `verify --suite pairing`, which builds the all-word Gram blocks anyway
+(`require_full_rank`, the same error).  With G[a][c] = phi(E_{w_a}, F_{w_c})
+and C = G^-1, the dual elements b*_a = sum_c C[a][c] E_{w_c} satisfy
+(b*_a, F_{w_b}) = delta.  So theta holds the inverse, theta[(w_a, w_c)] =
+C[a][c], and `dual_element` reads its row a.  `_selection` is cached apart,
+so lower degrees and `select_basis` pick bases without inverting.
 
     theta(mu)     = sum_a  w_a (x) b*_a          as {(fword, eword): coeff}
     theta_bar(mu) = (-1)^tr(mu) v^(mu.mu/2) v_(-mu) sum_a w_a (x) sigma(b*_a)
@@ -93,20 +96,13 @@ def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex")
 
 
 @lru_cache(maxsize=None)
-def _basis_data(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
-    """(words, inverse): the greedy basis of degree mu and its Gram block's inverse."""
-    words, block, den = _selection(spec, mu, order)
-    return words, linalg.inverse(block, [den] * len(words))
-
-
-@lru_cache(maxsize=None)
 def theta(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dict:
-    """Component of the quasi-R-matrix in degree mu: F-side slot first."""
-    words, ginv = _basis_data(spec, mu, order)
+    """Component of the quasi-R-matrix in degree mu: F-side slot first, the
+    inverse of the Gram block with zeros left out."""
+    words, block, den = _selection(spec, mu, order)
     out = {}
-    for a, wa in enumerate(words):
-        for c, wc in enumerate(words):
-            coeff = ginv[a][c]
+    for wa, row in zip(words, linalg.inverse(block, [den] * len(words))):
+        for wc, coeff in zip(words, row):
             if not coeff.is_zero():
                 out[(wa, wc)] = coeff
     return out
@@ -119,7 +115,6 @@ def conj_scale(spec: cartan.CartanSpec, mu: cartan.Degree) -> RatFunc:
     return -scale if cartan.tr(mu) % 2 else scale
 
 
-@lru_cache(maxsize=None)
 def theta_bar(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dict:
     """Closed form of the conjugated component, via the sigma-twisted duals."""
     scale = conj_scale(spec, mu)
@@ -132,9 +127,7 @@ def theta_bar(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") ->
 
 
 def dual_element(spec: cartan.CartanSpec, mu: cartan.Degree, a: int, order: str = "lex") -> freealg.FElem:
-    """The a-th dual basis element b*_a as a plus-side combination of words."""
-    words, ginv = _basis_data(spec, mu, order)
-    out = {}
-    for wc, coeff in zip(words, ginv[a]):
-        freealg.accumulate(out, wc, coeff)
-    return out
+    """The a-th dual basis element b*_a as a plus-side combination of words:
+    row a of the theta table."""
+    wa = select_basis(spec, mu, order)[a]
+    return {wc: coeff for (wb, wc), coeff in theta(spec, mu, order).items() if wb == wa}

@@ -25,12 +25,6 @@ ZERO = rf.ZERO
 ONE = rf.ONE
 
 
-def _all_words(spec, depth):
-    for mu in ca.degrees_tr_upto(spec.rank, depth):
-        for w in fa.words_of_degree(mu):
-            yield mu, w
-
-
 def _inverse_pair(a, b):
     """Whether the square matrices a and b invert each other on both sides."""
     ident = la.identity(a.rows)
@@ -49,17 +43,16 @@ def _split_once(spec, x, left):
     return out
 
 
-def _rbar_is_flip(spec, x):
+def _rbar_is_flip(spec, x, rx):
     flipped = {}
-    for (a, b), c in fa.coproduct_r(spec, x).items():
+    for (a, b), c in rx.items():
         da, db = fa.deg(spec, a), fa.deg(spec, b)
         tw = ca.twist(spec, da, db, -1)
         fa.accumulate(flipped, (b, a), c * tw)
     return fa.f_eq(flipped, fa.coproduct_r(spec, x, -1))
 
 
-def _derivs_are_slices(spec, x):
-    rx = fa.coproduct_r(spec, x)
+def _derivs_are_slices(spec, x, rx):
     for i in range(spec.rank):
         right = {}
         left = {}
@@ -75,10 +68,10 @@ def _derivs_are_slices(spec, x):
     return True
 
 
-def _sigma_conjugates(spec, x):
+def _sigma_conjugates(spec, x, rx):
     lhs = fa.coproduct_r(spec, fa.sigma(spec, x))
     rhs = {}
-    for (a, b), c in fa.coproduct_r(spec, x).items():
+    for (a, b), c in rx.items():
         da, db = fa.deg(spec, a), fa.deg(spec, b)
         tw = ca.twist(spec, da, db, 0)
         sa, sb = fa.sigma(spec, fa.felem(a)), fa.sigma(spec, fa.felem(b))
@@ -90,23 +83,21 @@ def _sigma_conjugates(spec, x):
 
 def suite_forms(cfg, depth):
     spec = cfg.spec
-    coassoc = flip = slices = conj = True
-    for _, w in _all_words(spec, depth):
-        x = fa.felem(w)
-        rx = fa.coproduct_r(spec, x)
-        coassoc = coassoc and fa.f_eq(
-            _split_once(spec, rx, True), _split_once(spec, rx, False)
-        )
-        flip = flip and _rbar_is_flip(spec, x)
-        slices = slices and _derivs_are_slices(spec, x)
-        conj = conj and _sigma_conjugates(spec, x)
-    sym = True
+    coassoc = flip = slices = conj = sym = True
     for mu in ca.degrees_tr_upto(spec.rank, depth):
-        for wx in fa.words_of_degree(mu):
-            for wy in fa.words_of_degree(mu):
+        words = fa.words_of_degree(mu)
+        for wx in words:
+            x = fa.felem(wx)
+            rx = fa.coproduct_r(spec, x)
+            coassoc = coassoc and fa.f_eq(
+                _split_once(spec, rx, True), _split_once(spec, rx, False)
+            )
+            flip = flip and _rbar_is_flip(spec, x, rx)
+            slices = slices and _derivs_are_slices(spec, x, rx)
+            conj = conj and _sigma_conjugates(spec, x, rx)
+            for wy in words:
                 sym = sym and rf.eq(
-                    pr.form(spec, fa.felem(wx), fa.felem(wy)),
-                    pr.form(spec, fa.felem(wy), fa.felem(wx)),
+                    pr.form(spec, x, fa.felem(wy)), pr.form(spec, fa.felem(wy), x)
                 )
     out = [
         ("coproduct is coassociative", coassoc),
@@ -137,16 +128,17 @@ def suite_pairing(cfg, depth):
     peel = invariance = conj = split = gram_sym = True
     for mu in ca.degrees_tr_upto(spec.rank, depth):
         words = fa.words_of_degree(mu)
-        rows, den = pr.gram(spec, mu, words)
+        rows, _ = pr.gram(spec, mu, words)
         # theta eliminates candidate words only: the basis must carry the rank of all of them
         qr.require_full_rank(len(qr.select_basis(spec, mu, cfg.basis_order)), la.rank(rows))
-        # the symmetry is read off ("r", "F"): gram's ("l", "F") order makes
-        # its lower triangle as the flip of the upper one
-        g = [[rf.RatFunc(pr._phi_num(spec, ew, fw, "r", "F"), den) for fw in words]
-             for ew in words]
+        # the symmetry, principal_pivots' precondition, is read off ("r", "F"):
+        # gram's ("l", "F") order makes its lower triangle as the flip of the
+        # upper one.  Every entry is over the one den, which has no t, so each
+        # numerator is compared with the t-flip of its mirror's
         for r, ew in enumerate(words):
             for c, fw in enumerate(words):
-                gram_sym = gram_sym and rf.eq(g[r][c], rf.bar_t(g[c][r]))
+                gram_sym = gram_sym and pr._phi_num(spec, ew, fw, "r", "F") == rf._flip_poly(
+                    pr._phi_num(spec, fw, ew, "r", "F"), 1, -1)
                 want = pr.phi(spec, fa.felem(ew), fa.felem(fw))
                 # every order is a numerator over the one den of rows[r][c]
                 peel = peel and all(

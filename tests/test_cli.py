@@ -18,9 +18,10 @@ from vtknot import configio as cio
 from vtknot import linalg as la
 from vtknot import modules as mo
 from vtknot import pairing as pr
-from vtknot import quasir as qr
 from vtknot import ratfield as rf
 from vtknot import tangle as tg
+
+from conftest import clear_caches
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -227,11 +228,6 @@ def test_verify_rejects_bogus_suite(capsys):
     capsys.readouterr()
 
 
-def _clear_quasir_caches():
-    for cached in (qr._selection, qr._basis_data, qr.theta, qr.theta_bar):
-        cached.cache_clear()
-
-
 def test_basis_error_in_the_quasir_suite_exits_2(capsys, monkeypatch):
     # the antidiagonal Gram block of degree (1, 1) has full rank but no
     # nonsingular principal block (as in test_quasir)
@@ -242,14 +238,14 @@ def test_basis_error_in_the_quasir_suite_exits_2(capsys, monkeypatch):
             return rf.LP_ZERO if ew == fw else rf.LP_ONE
         return real(spec, ew, fw, end, side)
 
-    _clear_quasir_caches()
+    clear_caches()
     monkeypatch.setattr(pr, "_phi_num", antidiagonal)
     try:
         rc, out, err = run(
             capsys, "verify", "--config", SL3, "--suite", "quasiR", "--depth", "2"
         )
     finally:
-        _clear_quasir_caches()
+        clear_caches()
     assert rc == 2
     assert out == ""
     assert err == (
@@ -268,14 +264,14 @@ def test_incomplete_basis_in_the_pairing_suite_exits_2(capsys, monkeypatch):
             return rf.LP_ONE if ew == fw == lone else rf.LP_ZERO
         return real(spec, ew, fw, end, side)
 
-    _clear_quasir_caches()
+    clear_caches()
     monkeypatch.setattr(pr, "_phi_num", degenerate)
     try:
         rc, out, err = run(
             capsys, "verify", "--config", SL3, "--suite", "pairing", "--depth", "3"
         )
     finally:
-        _clear_quasir_caches()
+        clear_caches()
     assert rc == 2
     assert out == ""
     assert err == (

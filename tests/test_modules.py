@@ -22,6 +22,8 @@ from vtknot import ratfield as rf
 from vtknot import suites as su
 from vtknot import tangle as tg
 
+from conftest import clear_caches
+
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 SL3 = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
@@ -496,15 +498,6 @@ def test_inverse_crossing_builds_no_new_f_word(monkeypatch):
     assert [w for w, side in built if side == "F"] == f_words
 
 
-def _clear_package_caches():
-    """Empty every lru_cache of the package, as a cold benchmark op starts."""
-    for name, module in list(sys.modules.items()):
-        if name == "vtknot" or name.startswith("vtknot."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
-
-
 def test_module_check_and_crossings_make_no_fraction(monkeypatch):
     # module weights are int numerators over one den, and the Serre relators
     # carry Gaussian binomials, so a cold sl3 load and crossing build make no
@@ -529,7 +522,7 @@ def test_module_check_and_crossings_make_no_fraction(monkeypatch):
         lambda: tg._generator("xp", m),
         lambda: tg._generator("xm", m),
     ):
-        _clear_package_caches()
+        clear_caches()
         with monkeypatch.context() as patch:
             patch.setattr(Fraction, "__new__", counted_new)
             sys.setprofile(watch)

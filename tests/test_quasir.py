@@ -11,6 +11,8 @@ from vtknot import pairing as pr
 from vtknot import quasir as qr
 from vtknot import ratfield as rf
 
+from conftest import clear_caches
+
 SL2 = ca.make_spec(1, [[2]], [[1]])
 SL3 = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
 
@@ -51,11 +53,6 @@ def test_select_basis_rank_two():
         qr.select_basis(SL3, (1, 1), order="sideways")
 
 
-def _clear_quasir_caches():
-    for cached in (qr._selection, qr._basis_data, qr.theta, qr.theta_bar):
-        cached.cache_clear()
-
-
 def test_basis_error_without_a_nonsingular_principal_block(monkeypatch):
     # on the two words of degree (1, 1) the Gram block becomes [[0, 1], [1, 0]]:
     # full rank, but neither word pairs with itself
@@ -66,13 +63,13 @@ def test_basis_error_without_a_nonsingular_principal_block(monkeypatch):
             return rf.LP_ZERO if ew == fw else rf.LP_ONE
         return real(spec, ew, fw, end, side)
 
-    _clear_quasir_caches()
+    clear_caches()
     monkeypatch.setattr(pr, "_phi_num", antidiagonal)
     try:
         with pytest.raises(qr.BasisError, match="reached rank 0 but the degree has rank 2"):
             qr.select_basis(SL3, (1, 1))
     finally:
-        _clear_quasir_caches()
+        clear_caches()
 
 
 def _all_word_greedy(spec, mu, order):
@@ -113,7 +110,8 @@ def test_candidate_greedy_matches_the_all_word_greedy(spec):
                 assert qr._selection(spec, mu, order) == (words, block, den)
                 continue
             want = la.inverse(block, [den] * len(words))
-            got = qr._basis_data(spec, mu, order)[1]
+            table = qr.theta(spec, mu, order)
+            got = [[table.get((wa, wc), rf.ZERO) for wc in words] for wa in words]
             for wrow, grow in zip(want, got):
                 for w, g in zip(wrow, grow):
                     assert rf.eq(w, g) and rf.render(w) == rf.render(g), (mu, order)
@@ -137,13 +135,13 @@ def expand(x, mu, side):
     side "-": x in the minus part, coefficients against the basis words,
         so x = sum coeff_a b_a modulo the radical.
     """
-    words, ginv = qr._basis_data(SL3, mu, "lex")
+    words, table = qr.select_basis(SL3, mu, "lex"), qr.theta(SL3, mu, "lex")
     if side == "+":
         return {wa: pr.phi(SL3, x, fa.felem(wa)) for wa in words}
     vals = [pr.phi(SL3, fa.felem(wc), x) for wc in words]
     return {
-        wa: sum((c * val for c, val in zip(ginv[a], vals)), rf.ZERO)
-        for a, wa in enumerate(words)
+        wa: sum((table.get((wa, wc), rf.ZERO) * val for wc, val in zip(words, vals)), rf.ZERO)
+        for wa in words
     }
 
 
@@ -212,3 +210,46 @@ def test_expansion_reconstructs_minus_side(case):
         fa.accumulate(diff, wa, coeffs[wa])
     for w in fa.words_of_degree(mu):
         assert rf.eq(pr.phi(SL3, fa.felem(w), diff), rf.ZERO)
+
+
+def test_theta_inverts_each_gram_block_once(monkeypatch):
+    # theta holds the inverse, dual_element reads its rows, theta_bar reads
+    # the table and select_basis the selection: one inverse per (degree, order)
+    real, inverted = la.inverse, []
+
+    def counting(a, dens):
+        inverted.append(a)
+        return real(a, dens)
+
+    pairs = [(mu, order) for order in ("lex", "revlex") for mu in ca.degrees_tr_upto(2, 4)]
+    clear_caches()
+    monkeypatch.setattr(la, "inverse", counting)
+    try:
+        for mu, order in pairs:
+            words = qr.select_basis(SL3, mu, order)
+            assert words, (mu, order)
+            for a in range(len(words)):
+                qr.dual_element(SL3, mu, a, order)
+            qr.theta_bar(SL3, mu, order)
+            qr.theta(SL3, mu, order)
+            qr.dual_element(SL3, mu, 0, order)
+        blocks = [qr._selection(SL3, mu, order)[1] for mu, order in pairs]
+    finally:
+        clear_caches()
+    assert len(inverted) == len(pairs)
+    assert all(any(a is b for a in inverted) for b in blocks)
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_dual_element_is_a_row_of_theta(order):
+    for mu in ca.degrees_tr_upto(2, 4):
+        words, block, den = qr._selection(SL3, mu, order)
+        inv = la.inverse(block, [den] * len(words))
+        table = qr.theta(SL3, mu, order)
+        for a, wa in enumerate(words):
+            got = list(qr.dual_element(SL3, mu, a, order).items())
+            row = [(wc, c) for (wb, wc), c in table.items() if wb == wa]
+            want = [(wc, c) for wc, c in zip(words, inv[a]) if not c.is_zero()]
+            assert [w for w, _ in got] == [w for w, _ in row] == [w for w, _ in want]
+            for (_, g), (_, r), (_, w) in zip(got, row, want):
+                assert g is r and rf.eq(g, w) and rf.render(g) == rf.render(w)

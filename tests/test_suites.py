@@ -2,6 +2,7 @@
 crossings and peeling orders."""
 
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,8 @@ from vtknot import pairing as pr
 from vtknot import quasir as qr
 from vtknot import ratfield as rf
 from vtknot import suites as su
-from vtknot import tangle as tg
+
+from conftest import clear_caches
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SL3 = cio.load_config(str(CONFIGS / "sl3.cfg"))
@@ -125,16 +127,6 @@ def _failed(report):
     return [name for name, ok in report if not ok]
 
 
-# the cached functions themselves, as the tests patch their module attributes
-_CROSSING_CACHES = (mo.rmat, mo.rmat_inv, tg._generator)
-_PAIRING_CACHES = (pr._phi_num, pr._phi_words)
-
-
-def _clear(caches):
-    for cached in caches:
-        cached.cache_clear()
-
-
 def test_mixed_crossing_check_rejects_a_scaled_mixed_crossing(monkeypatch):
     # a crossing between two different modules, here m and its dual, times v
     real = mo.rmat
@@ -143,12 +135,12 @@ def test_mixed_crossing_check_rejects_a_scaled_mixed_crossing(monkeypatch):
         x = real(a, b)
         return x if a is b else la.mat_scale(x, V)
 
-    _clear(_CROSSING_CACHES)
+    clear_caches()
     monkeypatch.setattr(mo, "rmat", scaled)
     try:
         failed = _failed(su.suite_rmatrix(SL3, 4))
     finally:
-        _clear(_CROSSING_CACHES)
+        clear_caches()
     assert failed == ["mixed crossing matches its cup and cap form"]
 
 
@@ -159,10 +151,48 @@ def test_peeling_check_rejects_one_wrong_order(monkeypatch):
         x = real(spec, ew, fw, end, side)
         return x * V.num if (end, side) == ("r", "E") else x
 
-    _clear(_PAIRING_CACHES)
+    clear_caches()
     monkeypatch.setattr(pr, "_phi_num", wrong)
     try:
         failed = _failed(su.suite_pairing(SL3, 3))
     finally:
-        _clear(_PAIRING_CACHES)
+        clear_caches()
     assert failed == ["all four peeling orders agree"]
+
+
+def test_forms_suite_builds_each_coproduct_once(monkeypatch):
+    # each word's r(x) is built in suite_forms and handed to the checks that
+    # read it; every element reaches the straight coproduct at most once
+    real, seen = fa.coproduct_r, []
+
+    def recording(spec, x, vsign=1):
+        seen.append((x, vsign))  # keeps x alive, so the ids below stay distinct
+        return real(spec, x, vsign)
+
+    monkeypatch.setattr(fa, "coproduct_r", recording)
+    assert _failed(su.suite_forms(SL3, 3)) == []
+    straight = Counter(id(x) for x, vsign in seen if vsign == 1)
+    # _rbar_is_flip takes r-bar once per word, of the element suite_forms built
+    rbar = [x for x, vsign in seen if vsign == -1]
+    assert len(rbar) == sum(len(fa.words_of_degree(mu)) for mu in ca.degrees_tr_upto(2, 3))
+    assert all(straight[id(x)] == 1 for x in rbar)
+    assert max(straight.values()) == 1
+
+
+def test_gram_symmetry_check_rejects_one_t_asymmetric_entry(monkeypatch):
+    # phi(E_0, F_0) times t in every peeling order: the orders still agree,
+    # and at depth 1 no other entry is built from it, so only the symmetry fails
+    real, t = pr._phi_num, rf.mono(1, 0, 1).num
+
+    def asymmetric(spec, ew, fw, end, side):
+        x = real(spec, ew, fw, end, side)
+        return x * t if ew == fw == (0,) else x
+
+    assert _failed(su.suite_pairing(SL3, 1)) == []
+    clear_caches()
+    monkeypatch.setattr(pr, "_phi_num", asymmetric)
+    try:
+        failed = _failed(su.suite_pairing(SL3, 1))
+    finally:
+        clear_caches()
+    assert failed == ["gram matrices are symmetric up to inverting t"]
