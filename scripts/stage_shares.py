@@ -23,8 +23,11 @@ It prints each stage's share and its milliseconds per pass:
     print           `ratfield.reduce_poly` and `ratfield.render`: values
                     reduced and rendered for printing (and the R-matrix
                     entries, which are reduced as they are built)
-    rest            the rest of `cli.main`: the suites' and theta's own work,
-                    smaller products, printing
+    suite NAME      one stage per entry of `suites.SUITES`, wrapped where
+                    `run_suite` reads the table: that suite's own sums,
+                    smaller products and comparisons
+    rest            the rest of `cli.main`: theta's own work, smaller
+                    products outside the suites, printing
 
 Self time excludes the nested stages, so the kink and closure lines leave
 out the crossings built inside them.  The stages are timed with
@@ -46,7 +49,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 STAGES = ("parser", "config load", "module check", "crossing build", "kink", "closure",
-          "large products", "gram", "elimination", "inverse", "print", "rest")
+          "large products", "gram", "elimination", "inverse", "print")
 
 
 def load_bench(name):
@@ -60,8 +63,8 @@ def load_bench(name):
 class StageClock:
     """Self time per stage; a stage entered inside another pauses it."""
 
-    def __init__(self):
-        self.self_s = dict.fromkeys(STAGES, 0.0)
+    def __init__(self, stages):
+        self.self_s = dict.fromkeys(stages, 0.0)
         self.stack = []
         self.mark = 0.0
 
@@ -89,7 +92,7 @@ class StageClock:
         return timed
 
 
-def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg):
+def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg, suites):
     """Wrap the stage functions where their callers look them up."""
     calls = []  # functor_T calls so far of each tangle.invariant running
 
@@ -130,6 +133,8 @@ def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg)
     linalg.inverse = clock.wrap(linalg.inverse, "inverse")
     ratfield.reduce_poly = clock.wrap(ratfield.reduce_poly, "print")
     ratfield.render = clock.wrap(ratfield.render, "print")
+    # run_suite reads the SUITES table at each call
+    suites.SUITES = tuple((name, clock.wrap(func, "suite " + name)) for name, func in suites.SUITES)
 
 
 def main():
@@ -145,9 +150,10 @@ def main():
     entries = workloads.draw([(s["stratum"], s["count"], s["pool"]) for s in strata],
                              "%s:%d" % (args.workload, args.seed))
     cli = harness.import_cli()
-    clock = StageClock()
-    layers = [sys.modules["vtknot." + name]
-              for name in ("configio", "modules", "tangle", "ratfield", "pairing", "linalg")]
+    layers = [sys.modules["vtknot." + name] for name in
+              ("configio", "modules", "tangle", "ratfield", "pairing", "linalg", "suites")]
+    stages = STAGES + tuple("suite " + name for name, _ in layers[-1].SUITES) + ("rest",)
+    clock = StageClock(stages)
     memo = sys.modules["vtknot.ratfield"]._large_mul
     instrument(clock, cli, *layers)
     hits = misses = 0
@@ -166,7 +172,7 @@ def main():
           % (hits / args.passes, misses / args.passes))
     print("| stage | share | ms per pass |")
     print("| --- | --- | --- |")
-    for stage in sorted(STAGES, key=clock.self_s.get, reverse=True):
+    for stage in sorted(stages, key=clock.self_s.get, reverse=True):
         print("| %s | %.1f %% | %.3f |" % (stage, 100 * clock.self_s[stage] / total,
                                            1e3 * clock.self_s[stage] / args.passes))
 

@@ -37,8 +37,7 @@ def _split_once(spec, x, left):
     """Apply the twisted coproduct to one slot of a 2-tensor."""
     out = {}
     for (a, b), c in x.items():
-        inner = fa.coproduct_r(spec, fa.felem(a if left else b))
-        for (p, q), ic in inner.items():
+        for (p, q), ic in fa._word_coproduct(spec, a if left else b, 1).items():
             fa.accumulate(out, (p, q, b) if left else (a, p, q), c * ic)
     return out
 
@@ -95,10 +94,12 @@ def suite_forms(cfg, depth):
             flip = flip and _rbar_is_flip(spec, x, rx)
             slices = slices and _derivs_are_slices(spec, x, rx)
             conj = conj and _sigma_conjugates(spec, x, rx)
+            # each unordered word pair once: (wy, wx) is the same comparison
             for wy in words:
-                sym = sym and rf.eq(
-                    pr.form(spec, x, fa.felem(wy)), pr.form(spec, fa.felem(wy), x)
-                )
+                if wy > wx:
+                    sym = sym and rf.eq(
+                        pr._form_words(spec, wx, wy), pr._form_words(spec, wy, wx)
+                    )
     out = [
         ("coproduct is coassociative", coassoc),
         ("conjugated coproduct is the twisted flip", flip),
@@ -122,6 +123,52 @@ def suite_forms(cfg, depth):
 
 
 # -------------------------------------------------------------- pairing
+# Two checks compare sums that repeat their inner parts, and each sum is
+# regrouped so that every inner part is made once.  The values compared, and
+# so the checks, stay the same.
+# - The split line: (x, y z) = sum over r(x) of c (x1, y)(x2, z).  Only the
+#   terms with deg x1 = deg y pair, so r(x) is grouped by that degree, and
+#   inner[x1][z] = sum over x2 of c (x2, z) is made once per x1, then summed
+#   as (x1, y) inner[x1][z] over x1 for each y.  The sums run on
+#   `pairing._phi_num` numerators.  (x1, y) is over den(y), (x2, z) over
+#   den(z) and (x, y z) over den(y z).  So when den(y z) = den(y) den(z) and
+#   every c is Laurent, the numerators are equal exactly when the values are.
+#   The line checks both premises itself and fails when either does not hold.
+# - The quasiR probe: two theta tables {(F-word, E-word): c} of one degree are
+#   compared by pairing each with every probe pair (x, y) of the degree, in
+#   two steps: half[ew] = sum_fw phi(x, fw) c(fw, ew) once per x, then
+#   sum_ew half[ew] phi(ew, y).  That is the per-pair sum of c phi(x, fw)
+#   phi(ew, y), at N n^2 + N^2 n products, not N^2 n^2, for N words in the
+#   degree and n in the table.
+
+def _dot(pairs):
+    """The sum of a * b over the LaurentPoly pairs (a, b)."""
+    acc = rf.LP_ZERO
+    for a, b in pairs:
+        if a.terms and b.terms:
+            acc = acc + a * b
+    return acc
+
+
+def _splits_through_coproduct(spec, ew, splits):
+    """Whether phi(E_ew, F_y F_z) is the coproduct sum on numerators for
+    every split (nu, ys, zs) of the degree, y in ys of degree nu and z in zs."""
+    num = lambda e, f: pr._phi_num(spec, e, f, "l", "F")
+    by_deg = {}
+    for (x1, x2), c in fa._word_coproduct(spec, ew, 1).items():
+        if c.den != rf.LP_ONE:
+            return False
+        by_deg.setdefault(fa.deg(spec, x1), {}).setdefault(x1, []).append((x2, c.num))
+    for nu, ys, zs in splits:
+        inner = [(x1, [_dot((c, num(x2, z)) for x2, c in tail) for z in zs])
+                 for x1, tail in by_deg.get(nu, {}).items()]
+        for y in ys:
+            left = [(num(x1, y), row) for x1, row in inner]
+            for k, z in enumerate(zs):
+                if num(ew, y + z) != _dot((a, row[k]) for a, row in left):
+                    return False
+    return True
+
 
 def suite_pairing(cfg, depth):
     spec = cfg.spec
@@ -158,25 +205,16 @@ def suite_pairing(cfg, depth):
                     rf.inv(qr.conj_scale(spec, mu))
                     * pr.phi(spec, fa.felem(ew), fa.sigma(spec, fa.felem(fw), "F")),
                 )
-        # (x, y z) = sum over r(x) of (x1, y)(x2, z); only the terms with
-        # deg x1 = deg y can pair, so r(x) is grouped by that degree first
+        # the split line compares numerators, so it checks the den premise
+        # first: F_y F_z pairs over the product of the dens of F_y and F_z
+        splits = [(nu, fa.words_of_degree(nu), fa.words_of_degree(ca.deg_sub(mu, nu)))
+                  for nu in ca.degrees_below(mu)]
+        split = split and all(
+            pr._phi_den(spec, y + z) == pr._phi_den(spec, y) * pr._phi_den(spec, z)
+            for _, ys, zs in splits for y in ys for z in zs
+        )
         for ew in words:
-            by_deg = {}
-            for (x1, x2), c in fa.coproduct_r(spec, fa.felem(ew)).items():
-                by_deg.setdefault(fa.deg(spec, x1), []).append((x1, x2, c))
-            for nu in ca.degrees_below(mu):
-                rest = ca.deg_sub(mu, nu)
-                terms = by_deg.get(nu, ())
-                for y in fa.words_of_degree(nu):
-                    for z in fa.words_of_degree(rest):
-                        lhs = pr.phi(spec, fa.felem(ew), fa.felem(y + z))
-                        rhs = ZERO
-                        for x1, x2, c in terms:
-                            a = pr.phi(spec, fa.felem(x1), fa.felem(y))
-                            if a.is_zero():
-                                continue
-                            rhs = rhs + c * a * pr.phi(spec, fa.felem(x2), fa.felem(z))
-                        split = split and rf.eq(lhs, rhs)
+            split = split and _splits_through_coproduct(spec, ew, splits)
     return [
         ("all four peeling orders agree", peel),
         ("pairing is invariant under reversal", invariance),
@@ -187,12 +225,7 @@ def suite_pairing(cfg, depth):
 
 
 # --------------------------------------------------------------- quasiR
-# Two theta tables {(F-word, E-word): c} of one degree are compared by pairing
-# each with every probe pair (x, y) of the degree, in two steps: half[ew] =
-# sum_fw phi(x, fw) c(fw, ew) once per x, then sum_ew half[ew] phi(ew, y).
-# That is the per-pair sum of c phi(x, fw) phi(ew, y), regrouped: the exact
-# values compared with rf.eq, and so the check, are the same, at N n^2 + N^2 n
-# products, not N^2 n^2, for N words in the degree and n in the table.
+# The theta probe is regrouped as the pairing section's comment says.
 
 def _theta_rows(spec, mu, table):
     """Per probe word x, the pairings of a theta table with x and each y."""
@@ -240,31 +273,33 @@ def _ladder_holds(m, i, order, degrees):
     return True
 
 
-def _expands_coproduct(m, mm, w, order, side):
+def _expands_coproduct(m, mm, w, order, side, terms):
     """The coproduct of the E-word (side "E") or F-word w on m (x) m in dual bases.
 
     Side "E": the basis words pair with w, the dual elements act, and K_mu
     sits on slot 1.  Side "F": the roles swap, and K'_mu sits on slot 2.
+    `terms` keeps each degree's (element paired with w, its partner's action)
+    pairs per side across the calls of one suite run.
     """
     spec = m.spec
     lam = fa.deg(spec, w)
     # step reverses the pairing's arguments and the two slots on side F
     step = 1 if side == "E" else -1
-    terms = {}  # per degree: (element paired with w, its partner's action)
     for mu in ca.degrees_below(lam):
-        words = [fa.felem(b) for b in qr.select_basis(spec, mu, order)]
-        duals = [qr.dual_element(spec, mu, k, order) for k in range(len(words))]
-        paired, acting = (words, duals)[::step]
-        terms[mu] = [(x, mo.act_elem(m, y, side)) for x, y in zip(paired, acting)]
+        if (side, mu) not in terms:
+            words = [fa.felem(b) for b in qr.select_basis(spec, mu, order)]
+            duals = [qr.dual_element(spec, mu, k, order) for k in range(len(words))]
+            paired, acting = (words, duals)[::step]
+            terms[side, mu] = [(x, mo.act_elem(m, y, side)) for x, y in zip(paired, acting)]
     rhs = {}  # every term's Kronecker product added into one entry table
-    for mu in terms:
+    for mu in ca.degrees_below(lam):
         k = mo.act_K(m, mu, step)
-        for b, bmat in terms[mu]:
-            for bp, bpmat in terms[ca.deg_sub(lam, mu)]:
+        partners = [(bp, la.mat_mul(bpmat, k)) for bp, bpmat in terms[side, ca.deg_sub(lam, mu)]]
+        for b, bmat in terms[side, mu]:
+            for bp, bpk in partners:
                 coeff = pr.phi(spec, *(fa.felem(w), fa.mul(bp, b))[::step])
                 if not coeff.is_zero():
-                    factors = (la.mat_mul(bpmat, k), bmat)[::step]
-                    mo._add_terms(rhs, coeff, la._kron_cells(factors))
+                    mo._add_terms(rhs, coeff, la._kron_cells((bpk, bmat)[::step]))
     return la.mat_eq(mo.act_word(mm, w, side), la.Matrix(mm.dim, mm.dim, rhs))
 
 
@@ -303,10 +338,11 @@ def suite_quasiR(cfg, depth):
             )
     inverts = _inverse_pair(th, tb)
     delta = True
+    terms = {}
     for mu in ca.degrees_tr_upto(spec.rank, min(depth, 3)):
         for w in fa.words_of_degree(mu):
             for side in ("E", "F"):
-                delta = delta and _expands_coproduct(m, mm, w, order, side)
+                delta = delta and _expands_coproduct(m, mm, w, order, side, terms)
     return [
         ("dual bases pair to indicator values", dual_pair),
         ("theta solves the coproduct ladder degree by degree", ladder),

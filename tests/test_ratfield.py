@@ -363,6 +363,39 @@ def test_shift_and_flips_match_the_reference(a, dv, dt):
     assert _ref(rf.bar_t(rf.RatFunc(p)).num) == _ref_map(a, lambda v, t: (v, -t))
 
 
+_int_exps = st.integers(-6, 6)
+_int_polys = st.dictionaries(
+    st.tuples(_int_exps, _int_exps), _lattice_coeffs, max_size=4
+).map(lambda m: {k: c for k, c in m.items() if c})
+
+
+def _ref_shift(a, dv, dt, q):
+    return {(v + dv, t + dt): c * q for (v, t), c in a.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int_polys, _int_exps, _int_exps, st.sampled_from([1, -1, 3, -3]))
+def test_scale_one_shift_matches_the_reference(a, dv, dt, q):
+    # int exponents on both sides: lcm(1, 1) = 1, so nothing is rescaled
+    p = rf.LaurentPoly(a)
+    assert p.scale == 1
+    got = rf._shift_mul(p, dv, dt, 1, q)
+    assert _ref(got) == _ref_shift(_ref(p), dv, dt, q)
+    assert got == rf.LaurentPoly(_ref_shift(a, dv, dt, q))
+    assert _canonical(got)
+
+
+def test_shift_on_scale_three_rescales_and_reduces():
+    # -3 v^(1/3) t^(-1/3) times a scale-3 polynomial whose product has int
+    # exponents: the lcm rescale in, and the gcd pass back to scale 1
+    p = rf.LaurentPoly({(Fraction(2, 3), Fraction(1, 3)): 2, (Fraction(-1, 3), Fraction(4, 3)): -1})
+    assert p.scale == 3
+    got = rf._shift_mul(p, 1, -1, 3, -3)
+    want = {(1, 0): -6, (0, 1): 3}
+    assert _ref(got) == _ref_shift(_ref(p), Fraction(1, 3), Fraction(-1, 3), -3) == want
+    assert got.scale == 1 and got == rf.LaurentPoly(want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_ref_polys, _ref_polys.filter(lambda m: len(m) > 1), _lattice_exps, _lattice_exps)
 def test_exact_and_inexact_division_match_the_reference(a, b, rv, rt):

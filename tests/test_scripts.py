@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+from vtknot import suites as su
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -81,10 +83,17 @@ def test_stage_shares_runs():
         rows = [line.strip("| ").split(" | ") for line in proc.stdout.splitlines()
                 if line.startswith("| ") and line.endswith(" |")][2:]
         shares = {stage: float(share.rstrip(" %")) for stage, share, _ in rows}
+        suite_ms = {stage: float(ms) for stage, _, ms in rows if stage.startswith("suite ")}
         assert set(shares) == {
             "parser", "config load", "module check", "crossing build", "kink", "closure",
             "large products", "gram", "elimination", "inverse", "print", "rest",
-        }
+        } | {"suite " + name for name, _ in su.SUITES}
+        # the identities pass runs every suite; the other workloads run none
+        assert len(suite_ms) == len(su.SUITES)
+        if workload == "identities":
+            assert min(suite_ms.values()) > 0
+        else:
+            assert max(suite_ms.values()) == 0
         # each share is rounded to a tenth of a percent
         assert abs(sum(shares.values()) - 100) <= 0.05 * len(shares)
         # the direct reader of valid argument lists is timed as the parser

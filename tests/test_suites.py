@@ -93,7 +93,7 @@ W = (0, 1)  # the word E_1 E_2 (F_1 F_2 on side F)
 @pytest.mark.parametrize("side", ["E", "F"])
 def test_dual_bases_expand_the_coproduct(side):
     m = SL3.module
-    assert su._expands_coproduct(m, mo.tensor(m, m), W, "lex", side)
+    assert su._expands_coproduct(m, mo.tensor(m, m), W, "lex", side, {})
 
 
 # the degree-(1, 1) terms act by F_1 F_2 = 0 on the natural module, so on
@@ -110,7 +110,7 @@ def test_expansion_rejects_scaled_dual_elements(monkeypatch, side, scaled):
         return {w: c * V for w, c in x.items()} if mu == scaled else x
 
     monkeypatch.setattr(qr, "dual_element", wrong)
-    assert not su._expands_coproduct(m, mm, W, "lex", side)
+    assert not su._expands_coproduct(m, mm, W, "lex", side, {})
 
 
 @pytest.mark.parametrize("side", ["E", "F"])
@@ -120,7 +120,7 @@ def test_expansion_rejects_swapped_k_and_k_prime(monkeypatch, side):
     mm = mo.tensor(m, m)
     real = mo.act_K
     monkeypatch.setattr(mo, "act_K", lambda m, mu, vsign=1: real(m, mu, -vsign))
-    assert not su._expands_coproduct(m, mm, W, "lex", side)
+    assert not su._expands_coproduct(m, mm, W, "lex", side, {})
 
 
 def _failed(report):
@@ -196,3 +196,99 @@ def test_gram_symmetry_check_rejects_one_t_asymmetric_entry(monkeypatch):
     finally:
         clear_caches()
     assert failed == ["gram matrices are symmetric up to inverting t"]
+
+
+SPLIT = "pairing splits products through the coproduct"
+COASSOC = "coproduct is coassociative"
+
+
+def _with(monkeypatch, module, name, fake, run):
+    """The failed lines of run() with module.name replaced by fake(real),
+    every cache emptied before and after."""
+    real = getattr(module, name)
+    clear_caches()
+    monkeypatch.setattr(module, name, fake(real))
+    try:
+        return run()
+    finally:
+        monkeypatch.setattr(module, name, real)
+        clear_caches()
+
+
+def _scale_term(factor):
+    """A `_word_coproduct` whose E_0 (x) E_1 term of r(E_0 E_1) is times
+    factor; the longer words' coproducts are built from it."""
+    def fake(real):
+        def scaled(spec, word, vsign):
+            x = real(spec, word, vsign)
+            if word == (0, 1) and vsign == 1:
+                x = {**x, ((0,), (1,)): x[(0,), (1,)] * factor}
+            return x
+        return scaled
+    return fake
+
+
+def test_split_and_coassociativity_reject_a_scaled_coproduct_term(monkeypatch):
+    fake = _scale_term(rf.mono(2))
+    assert _with(monkeypatch, fa, "_word_coproduct", fake,
+                 lambda: _failed(su.suite_pairing(SL3, 3))) == [SPLIT]
+    assert COASSOC in _with(monkeypatch, fa, "_word_coproduct", fake,
+                            lambda: _failed(su.suite_forms(SL3, 3)))
+
+
+def test_split_rejects_a_coproduct_coefficient_that_is_not_laurent(monkeypatch):
+    # times 1/2, a den of 2 over the same numerator: the numerator sums
+    # alone would agree, so only the Laurent premise catches it.  At depth 2
+    # no longer word's coproduct is built from the altered one
+    fake = _scale_term(rf.inv(rf.mono(2)))
+    assert _with(monkeypatch, fa, "_word_coproduct", fake,
+                 lambda: _failed(su.suite_pairing(SL3, 2))) == [SPLIT]
+
+
+def test_split_rejects_a_den_that_is_not_multiplicative(monkeypatch):
+    # each F-word of two or more letters pairs over twice its den; the
+    # numerators, and so every other line, do not change
+    def fake(real):
+        return lambda spec, fw: real(spec, fw) * rf.lp_mono(2) if len(fw) == 2 else real(spec, fw)
+
+    assert _with(monkeypatch, pr, "_phi_den", fake,
+                 lambda: _failed(su.suite_pairing(SL3, 3))) == [SPLIT]
+
+
+def test_expansion_rejects_one_scaled_theta_coefficient(monkeypatch):
+    # the dual elements of degree (1, 1) are rows of theta: the memo of
+    # (element, action) pairs that the suite's expansions share carries it
+    def fake(real):
+        def scaled(spec, mu, order="lex"):
+            table = real(spec, mu, order)
+            return _one_coefficient_times_v(table) if mu == (1, 1) else table
+        return scaled
+
+    failed = _with(monkeypatch, qr, "theta", fake, lambda: _failed(su.suite_quasiR(SL3, 3)))
+    assert "dual bases expand the coproduct" in failed
+
+
+def test_form_symmetry_rejects_one_value_times_t(monkeypatch):
+    def fake(real):
+        def scaled(spec, xw, yw):
+            x = real(spec, xw, yw)
+            return x * rf.mono(1, 0, 1) if (xw, yw) == ((0, 1), (1, 0)) else x
+        return scaled
+
+    assert _with(monkeypatch, pr, "_form_words", fake,
+                 lambda: _failed(su.suite_forms(SL3, 3))) == ["bilinear form is symmetric"]
+
+
+def test_quasiR_suite_builds_each_dual_action_once(monkeypatch):
+    # each (side, degree, basis element) action is built once per suite run,
+    # however many words' expansions read it
+    real, seen = mo.act_elem, []
+
+    def recording(m, x, side):
+        seen.append(side)
+        return real(m, x, side)
+
+    monkeypatch.setattr(mo, "act_elem", recording)
+    assert _failed(su.suite_quasiR(SL3, 3)) == []
+    per_side = sum(len(qr.select_basis(SL3.spec, mu)) for mu in ca.degrees_tr_upto(2, 3))
+    assert Counter(seen) == {"E": per_side, "F": per_side}
