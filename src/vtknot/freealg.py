@@ -7,7 +7,9 @@ combinations and share one set of helpers: `accumulate` adds one term in
 place, `f_eq` compares two combinations, `_linear` extends a per-word table
 to a linear map (`mul`, `coproduct_r`, `deriv` and `sigma`), and `bilinear`
 extends a word-pair table to a bilinear map (`pairing.phi` and
-`pairing.form`).
+`pairing.form`).  The pairing, the quasi-R-matrix and the verify suites read
+the cached per-word tables (`_word_coproduct`, `_deriv_word`, `_sigma_word`)
+themselves; the linear maps serve callers that hold elements.
 Callers hand `accumulate` only dicts they built themselves, never one an
 `lru_cache` returned.
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cartan
-from .ratfield import ONE, ZERO, RatFunc, _raw, bar as rf_bar, eq as rf_eq, mono
+from .ratfield import ONE, ZERO, RatFunc, _raw, eq as rf_eq, mono
 
 Word = tuple
 FElem = dict
@@ -147,11 +149,6 @@ def sigma(spec: cartan.CartanSpec, x: FElem, side: str = "E") -> FElem:
     On F-words (side "F") the t-power is inverted.
     """
     return _linear(lambda w: (_sigma_word(spec, w, side),), x)
-
-
-def bar_f(x: FElem) -> FElem:
-    """Coefficientwise v -> v^-1; words are bar-fixed."""
-    return {w: rf_bar(c) for w, c in x.items()}
 
 
 def bilinear(table, spec: cartan.CartanSpec, x: dict, y: dict) -> RatFunc:

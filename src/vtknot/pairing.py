@@ -6,11 +6,11 @@ peeling one letter off either end of either word, e.g. the first F-letter:
 
     (x, F_i y) = (v_i^-1 - v_i)^-1 (ir(x), y)
 
-with (1,1) = 1 and degree mismatch pairing to zero, where ir is
-freealg.deriv(spec, i, x, "l").  The same derivation peels the other end
-(end "r") or acts on F-words (side "F"): `_phi_num(spec, ew, fw, end,
-side)` is one recursion for all four orders, which the pairing suite
-checks agree.
+with (1,1) = 1 and degree mismatch pairing to zero, where ir is the
+per-word derivation table freealg._deriv_word(spec, i, x, "l", "E").  The
+same derivation peels the other end (end "r") or acts on F-words (side
+"F"): `_phi_num(spec, ew, fw, end, side)` is one recursion for all four
+orders, which the pairing suite checks agree.
 
 The derivation coefficients are Laurent, so phi(E_w, F_fw) has one den for
 every E-word w: the product of the peel dens (v_i^2 - 1 up to a monomial) of
@@ -31,8 +31,13 @@ they stay an independent check of the flipped entries.
 `_phi_words` pairs them into the RatFunc the constructor would give, and
 `phi` extends that table bilinearly through `freealg.bilinear`.  `gram`
 gives the block on some words of one degree, in the order given, as the
-numerators over the one den that all the words of the degree share.  The
-anti-automorphism on F-words is `freealg.sigma(spec, y, side="F")`.
+numerators over the one den that all the words of the degree share.
+
+The pairing suite checks the reversal and conjugation identities on
+`_phi_words` itself.  On one word the anti-automorphism is one word times a
+t-power, `freealg._sigma_word(spec, w, side)` with the power inverted on
+F-words, and v -> v^-1 fixes a word, so the conjugated pairing of two words
+is the bar of their phi.
 
 The bilinear form on words is phi times a monomial: peeling F_i scales it by
 (1-v_i^-2)^-1 t^(2<i,|rest|>) where phi takes (v_i^-1 - v_i)^-1, so `form`
@@ -44,8 +49,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cartan, freealg
-from .ratfield import (LP_ONE, LP_ZERO, LaurentPoly, RatFunc, _flip_poly, _normal, bar as rf_bar,
-                       inv, mono)
+from .ratfield import LP_ONE, LP_ZERO, LaurentPoly, RatFunc, _flip_poly, _normal, inv, mono
 
 
 @lru_cache(maxsize=None)
@@ -104,11 +108,6 @@ def _form_words(spec: cartan.CartanSpec, xw, yw) -> RatFunc:
 def form(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:
     """Bilinear form with (1,1)=1, (theta_i,theta_j)=delta_ij/(1-v_i^-2)."""
     return freealg.bilinear(_form_words, spec, x, y)
-
-
-def phibar(spec: cartan.CartanSpec, x: freealg.FElem, y: freealg.FElem) -> RatFunc:
-    """Conjugated pairing: bar of phi on the barred arguments."""
-    return rf_bar(phi(spec, freealg.bar_f(x), freealg.bar_f(y)))
 
 
 def gram(spec: cartan.CartanSpec, mu: cartan.Degree, words) -> tuple:

@@ -42,16 +42,16 @@ def _split_once(spec, x, left):
     return out
 
 
-def _rbar_is_flip(spec, x, rx):
+def _rbar_is_flip(spec, wx, rx):
     flipped = {}
     for (a, b), c in rx.items():
         da, db = fa.deg(spec, a), fa.deg(spec, b)
         tw = ca.twist(spec, da, db, -1)
         fa.accumulate(flipped, (b, a), c * tw)
-    return fa.f_eq(flipped, fa.coproduct_r(spec, x, -1))
+    return fa.f_eq(flipped, fa._word_coproduct(spec, wx, -1))
 
 
-def _derivs_are_slices(spec, x, rx):
+def _derivs_are_slices(spec, wx, rx):
     for i in range(spec.rank):
         right = {}
         left = {}
@@ -60,23 +60,21 @@ def _derivs_are_slices(spec, x, rx):
                 fa.accumulate(right, a, c)
             if a == (i,):
                 fa.accumulate(left, b, c)
-        if not fa.f_eq(fa.deriv(spec, i, x, "r"), right):
+        if not fa.f_eq(fa._deriv_word(spec, i, wx, "r", "E"), right):
             return False
-        if not fa.f_eq(fa.deriv(spec, i, x, "l"), left):
+        if not fa.f_eq(fa._deriv_word(spec, i, wx, "l", "E"), left):
             return False
     return True
 
 
-def _sigma_conjugates(spec, x, rx):
-    lhs = fa.coproduct_r(spec, fa.sigma(spec, x))
+def _sigma_conjugates(spec, wx, rx):
+    rev, tw = fa._sigma_word(spec, wx)
+    lhs = {k: tw * c for k, c in fa._word_coproduct(spec, rev, 1).items()}
     rhs = {}
     for (a, b), c in rx.items():
-        da, db = fa.deg(spec, a), fa.deg(spec, b)
-        tw = ca.twist(spec, da, db, 0)
-        sa, sb = fa.sigma(spec, fa.felem(a)), fa.sigma(spec, fa.felem(b))
-        for wa, cca in sb.items():
-            for wb, ccb in sa.items():
-                fa.accumulate(rhs, (wa, wb), c * tw * cca * ccb)
+        (ra, ta), (rb, tb) = fa._sigma_word(spec, a), fa._sigma_word(spec, b)
+        twist = ca.twist(spec, fa.deg(spec, a), fa.deg(spec, b), 0)
+        fa.accumulate(rhs, (rb, ra), c * twist * tb * ta)
     return fa.f_eq(lhs, rhs)
 
 
@@ -86,14 +84,13 @@ def suite_forms(cfg, depth):
     for mu in ca.degrees_tr_upto(spec.rank, depth):
         words = fa.words_of_degree(mu)
         for wx in words:
-            x = fa.felem(wx)
-            rx = fa.coproduct_r(spec, x)
+            rx = fa._word_coproduct(spec, wx, 1)
             coassoc = coassoc and fa.f_eq(
                 _split_once(spec, rx, True), _split_once(spec, rx, False)
             )
-            flip = flip and _rbar_is_flip(spec, x, rx)
-            slices = slices and _derivs_are_slices(spec, x, rx)
-            conj = conj and _sigma_conjugates(spec, x, rx)
+            flip = flip and _rbar_is_flip(spec, wx, rx)
+            slices = slices and _derivs_are_slices(spec, wx, rx)
+            conj = conj and _sigma_conjugates(spec, wx, rx)
             # each unordered word pair once: (wy, wx) is the same comparison
             for wy in words:
                 if wy > wx:
@@ -178,33 +175,27 @@ def suite_pairing(cfg, depth):
         rows, _ = pr.gram(spec, mu, words)
         # theta eliminates candidate words only: the basis must carry the rank of all of them
         qr.require_full_rank(len(qr.select_basis(spec, mu, cfg.basis_order)), la.rank(rows))
+        # reversal takes a word to one word times a t-power, and the
+        # conjugation v -> v^-1 fixes a word, so both lines read word tables
+        unscale = rf.inv(qr.conj_scale(spec, mu))
         # the symmetry, principal_pivots' precondition, is read off ("r", "F"):
         # gram's ("l", "F") order makes its lower triangle as the flip of the
         # upper one.  Every entry is over the one den, which has no t, so each
         # numerator is compared with the t-flip of its mirror's
         for r, ew in enumerate(words):
+            er, te = fa._sigma_word(spec, ew)
             for c, fw in enumerate(words):
                 gram_sym = gram_sym and pr._phi_num(spec, ew, fw, "r", "F") == rf._flip_poly(
                     pr._phi_num(spec, fw, ew, "r", "F"), 1, -1)
-                want = pr.phi(spec, fa.felem(ew), fa.felem(fw))
                 # every order is a numerator over the one den of rows[r][c]
                 peel = peel and all(
                     pr._phi_num(spec, ew, fw, end, side) == rows[r][c]
                     for end, side in (("r", "F"), ("l", "E"), ("r", "E"))
                 )
-                invariance = invariance and rf.eq(
-                    want,
-                    pr.phi(
-                        spec,
-                        fa.sigma(spec, fa.felem(ew)),
-                        fa.sigma(spec, fa.felem(fw), "F"),
-                    ),
-                )
-                conj = conj and rf.eq(
-                    pr.phibar(spec, fa.felem(ew), fa.felem(fw)),
-                    rf.inv(qr.conj_scale(spec, mu))
-                    * pr.phi(spec, fa.felem(ew), fa.sigma(spec, fa.felem(fw), "F")),
-                )
+                fr, tf = fa._sigma_word(spec, fw, "F")
+                want = pr._phi_words(spec, ew, fw)
+                invariance = invariance and rf.eq(want, te * tf * pr._phi_words(spec, er, fr))
+                conj = conj and rf.eq(rf.bar(want), unscale * tf * pr._phi_words(spec, ew, fr))
         # the split line compares numerators, so it checks the den premise
         # first: F_y F_z pairs over the product of the dens of F_y and F_z
         splits = [(nu, fa.words_of_degree(nu), fa.words_of_degree(ca.deg_sub(mu, nu)))

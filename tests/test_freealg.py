@@ -208,13 +208,6 @@ def test_form_is_symmetric(x, y):
     assert rf.eq(pr.form(SL3, x, y), pr.form(SL3, y, x))
 
 
-@settings(max_examples=25, deadline=None)
-@given(felems(), felems())
-def test_bar_f(x, y):
-    assert fa.f_eq(fa.bar_f(fa.bar_f(x)), x)
-    assert fa.f_eq(fa.bar_f(fa.mul(x, y)), fa.mul(fa.bar_f(x), fa.bar_f(y)))
-
-
 def _mul_reference(a, b):
     """The concatenation product as the plain double loop over term pairs."""
     out = {}

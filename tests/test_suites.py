@@ -160,23 +160,14 @@ def test_peeling_check_rejects_one_wrong_order(monkeypatch):
     assert failed == ["all four peeling orders agree"]
 
 
-def test_forms_suite_builds_each_coproduct_once(monkeypatch):
-    # each word's r(x) is built in suite_forms and handed to the checks that
-    # read it; every element reaches the straight coproduct at most once
-    real, seen = fa.coproduct_r, []
+def test_forms_suite_reads_word_tables_only(monkeypatch):
+    # every forms line reads the per-word tables, never their linear extensions
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forms suite extended a word table to an element")
 
-    def recording(spec, x, vsign=1):
-        seen.append((x, vsign))  # keeps x alive, so the ids below stay distinct
-        return real(spec, x, vsign)
-
-    monkeypatch.setattr(fa, "coproduct_r", recording)
+    for name in ("coproduct_r", "deriv", "sigma"):
+        monkeypatch.setattr(fa, name, refuse)
     assert _failed(su.suite_forms(SL3, 3)) == []
-    straight = Counter(id(x) for x, vsign in seen if vsign == 1)
-    # _rbar_is_flip takes r-bar once per word, of the element suite_forms built
-    rbar = [x for x, vsign in seen if vsign == -1]
-    assert len(rbar) == sum(len(fa.words_of_degree(mu)) for mu in ca.degrees_tr_upto(2, 3))
-    assert all(straight[id(x)] == 1 for x in rbar)
-    assert max(straight.values()) == 1
 
 
 def test_gram_symmetry_check_rejects_one_t_asymmetric_entry(monkeypatch):
@@ -292,3 +283,74 @@ def test_quasiR_suite_builds_each_dual_action_once(monkeypatch):
     assert _failed(su.suite_quasiR(SL3, 3)) == []
     per_side = sum(len(qr.select_basis(SL3.spec, mu)) for mu in ca.degrees_tr_upto(2, 3))
     assert Counter(seen) == {"E": per_side, "F": per_side}
+
+
+# Each line that reads a per-word table reports a wrong entry of it.  A
+# t-power is left alone by the conjugation v -> v^-1, and a pair (a, b) with
+# b a palindrome appears in the conjugation line only as (a, b) on both sides.
+INVARIANCE = "pairing is invariant under reversal"
+CONJ_PAIRING = "conjugate pairing factors through reversal"
+FLIP = "conjugated coproduct is the twisted flip"
+SLICES = "derivations extract coproduct slices"
+REVERSAL = "reversal conjugates the coproduct"
+T = rf.mono(1, 0, 1)
+
+
+def test_invariance_rejects_one_reversed_pair_times_t(monkeypatch):
+    # (E_0 E_0 E_1, F_0 F_1 F_0) is the reversal of (E_1 E_0 E_0, F_0 F_1 F_0)
+    def fake(real):
+        def scaled(spec, ew, fw):
+            x = real(spec, ew, fw)
+            return x * T if (ew, fw) == ((0, 0, 1), (0, 1, 0)) else x
+        return scaled
+
+    assert not pr._phi_words(SL3.spec, (0, 0, 1), (0, 1, 0)).is_zero()
+    assert _with(monkeypatch, pr, "_phi_words", fake,
+                 lambda: _failed(su.suite_pairing(SL3, 3))) == [INVARIANCE]
+
+
+def test_conjugation_rejects_a_scale_times_v(monkeypatch):
+    def fake(real):
+        return lambda spec, mu: real(spec, mu) * V
+
+    assert _with(monkeypatch, qr, "conj_scale", fake,
+                 lambda: _failed(su.suite_pairing(SL3, 3))) == [CONJ_PAIRING]
+
+
+def test_flip_rejects_one_scaled_rbar_term(monkeypatch):
+    def fake(real):
+        def scaled(spec, word, vsign):
+            x = real(spec, word, vsign)
+            if word == (0, 1) and vsign == -1:
+                x = {**x, ((0,), (1,)): x[(0,), (1,)] * V}
+            return x
+        return scaled
+
+    assert _with(monkeypatch, fa, "_word_coproduct", fake,
+                 lambda: _failed(su.suite_forms(SL3, 3))) == [FLIP]
+
+
+def test_slices_reject_one_scaled_derivation_coefficient(monkeypatch):
+    # the right derivations only: the pairing the form reads peels from the left
+    def fake(real):
+        def scaled(spec, i, word, end, side):
+            x = real(spec, i, word, end, side)
+            if (i, word, end, side) == (1, (0, 1), "r", "E"):
+                x = {**x, (0,): x[(0,)] * V}
+            return x
+        return scaled
+
+    assert _with(monkeypatch, fa, "_deriv_word", fake,
+                 lambda: _failed(su.suite_forms(SL3, 3))) == [SLICES]
+
+
+def test_reversal_rejects_one_word_with_a_wrong_t_power(monkeypatch):
+    # one word only: t^len(w) on every word would cancel between the sides
+    def fake(real):
+        def shifted(spec, word, side="E"):
+            rev, tw = real(spec, word, side)
+            return rev, (tw * T if (word, side) == ((0, 1), "E") else tw)
+        return shifted
+
+    assert _with(monkeypatch, fa, "_sigma_word", fake,
+                 lambda: _failed(su.suite_forms(SL3, 3))) == [REVERSAL]

@@ -421,3 +421,32 @@ def test_kauffman_bracket_matches_the_builtin_knots():
 @given(_closed_words())
 def test_kauffman_bracket_state_sum(text):
     assert rf.eq(_kauffman_closure(text), tg.invariant(text, _natural_module("sl2.cfg"))), text
+
+
+# Cubic recurrence on rank1:2.  V_2 (x) V_2 = V_4 + V_2 + V_0, and the
+# normalized crossing acts on the three summands by v^2, -v^6 and v^8.  So
+# the closures f(k) of sigma^k on two strands satisfy
+# f(k + 3) = e1 f(k + 2) - e2 f(k + 1) + e3 f(k), with e1, e2 and e3 the
+# elementary symmetric functions of the three eigenvalues, and f(k) is the
+# power sum of the eigenvalues weighted by the quantum dimensions [5], [3]
+# and 1 of the summands.  The recurrence checks the crossing and its
+# framing unit, but not the cups and caps of the closure, which only weight
+# the power sums: the first three values check those.  The closure is
+# evaluated without `invariant`'s kink check, so a wrong framing unit is
+# caught by the recurrence itself.
+_E1, _E2, _E3 = (rf.parse(x) for x in ("v^2 - v^6 + v^8", "-v^8 + v^10 - v^14", "-v^16"))
+# (quantum dimension, sign, v-exponent) of each summand's eigenvalue
+_SUMMANDS = ((rf.parse("v^4 + v^2 + 1 + v^-2 + v^-4"), 1, 2), (rf.parse("v^2 + 1 + v^-2"), -1, 6),
+             (rf.ONE, 1, 8))
+
+
+def test_rank1_2_closures_satisfy_the_cubic_recurrence():
+    m = configio.load_config(str(BENCH_CONFIGS / "rank1_2.cfg")).module
+    f = [tg.functor_T(tg.closure(tg.parse(" ; ".join(["xp"] * k))), m)[0, 0]
+         for k in range(1, 10)]
+    for k in range(6):
+        want = _E1 * f[k + 2] - _E2 * f[k + 1] + _E3 * f[k]
+        assert rf.eq(f[k + 3], want), ("recurrence at k", k + 1)
+    for k in range(1, 4):
+        want = sum((q * rf.mono(sign ** k, e * k, 0) for q, sign, e in _SUMMANDS), rf.ZERO)
+        assert rf.eq(f[k - 1], want), ("closure of sigma^k", k)
