@@ -11,8 +11,9 @@ It prints each stage's share and its milliseconds per pass:
     config load     `configio.load_config`: reading and parsing the files
     module check    `modules.validate_module`, which the config load calls
     crossing build  `tangle._generator`: crossings, cups and caps
-    kink            the first `functor_T` call of `tangle.invariant`
-    closure         its second call, on the closure
+    kink            `tangle._framing_holds`: the framing check of
+                    `tangle.invariant`, the crossing's partial quantum trace
+    closure         each `functor_T` call inside `tangle.invariant`
     large products  `ratfield._large_mul`: LaurentPoly products of at least
                     `ratfield.LARGE_PAIRS` term pairs, memo lookups included
     gram            `pairing.gram`: a degree's Gram block of pairings
@@ -30,8 +31,9 @@ It prints each stage's share and its milliseconds per pass:
                     products outside the suites, printing
 
 Self time excludes the nested stages, so the kink and closure lines leave
-out the crossings built inside them.  The stages are timed with
-`time.perf_counter` wrappers.  It also prints the hits and misses of the
+out the crossings built inside them; `functor_T` calls outside `invariant`
+(the identity suites') are left in their callers' stages.  The stages are
+timed with `time.perf_counter` wrappers.  It also prints the hits and misses of the
 large-product memo, summed over the ops (each op starts it empty).  Reads
 `bench/` and writes nothing there.
 
@@ -94,7 +96,7 @@ class StageClock:
 
 def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg, suites):
     """Wrap the stage functions where their callers look them up."""
-    calls = []  # functor_T calls so far of each tangle.invariant running
+    running = []  # one mark per tangle.invariant call running
 
     def parser_built():
         ap = build()
@@ -102,17 +104,14 @@ def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg,
         return ap
 
     def functor_stage():
-        if not calls:
-            return None
-        calls[-1] += 1
-        return "kink" if calls[-1] == 1 else "closure"
+        return "closure" if running else None
 
     def invariant(*args, **kwargs):
-        calls.append(0)
+        running.append(True)
         try:
             return inv(*args, **kwargs)
         finally:
-            calls.pop()
+            running.pop()
 
     build, inv = cli._build_parser, tangle.invariant
     cli._read_args = clock.wrap(cli._read_args, "parser")
@@ -122,6 +121,7 @@ def instrument(clock, cli, configio, modules, tangle, ratfield, pairing, linalg,
     # configio looks validate_module up on the modules module at each call
     modules.validate_module = clock.wrap(modules.validate_module, "module check")
     tangle._generator = clock.wrap(tangle._generator, "crossing build")
+    tangle._framing_holds = clock.wrap(tangle._framing_holds, "kink")
     tangle.functor_T = clock.wrap(tangle.functor_T, functor_stage)
     tangle.invariant = functools.wraps(inv)(invariant)
     # LaurentPoly.__mul__ looks _large_mul up on the ratfield module at each call

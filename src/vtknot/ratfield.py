@@ -37,16 +37,17 @@ two or more terms go through the loop over term pairs.  cross_div(a, b, c,
 d, e) is the fused fraction-free update (a*b - c*d)/e: both products
 accumulate in one term dict (`_sum_products`, which `linalg.inverse` also
 sums its back substitution with) and the result is divided once, with no
-intermediate polynomial.  That loop, `_add_products`, is the package's one
+intermediate polynomial.  That loop, `_add_products`, is ratfield's one
 product-accumulate loop: it takes term dicts already on one lattice, so the
-pair product, `_sum_products`, the remainder update of `poly_div_exact` and
-the tangle functor (whose operator is term dicts over one den) rescale their
-operands first and share it.  Below LARGE_PAIRS term pairs a product is that
-loop (`_pair_mul`); from there on it goes through `_large_mul`, an lru_cache
-keyed by the operand values, which makes each one once: as one big-int
-product (`_packed_product`, Kronecker substitution), or by the loop for a
-bound past 63 bits or more digits than pairs; `*` passes the operands in
-one order, so q * p after p * q is a memo hit.
+pair product, `_sum_products` and the remainder update of `poly_div_exact`
+rescale their operands first and share it.  The tangle functor does not:
+its operator is packed ints, one per (entry, t-power), with no term dicts.
+Below LARGE_PAIRS term pairs a product is that loop (`_pair_mul`); from
+there on it goes through `_large_mul`, an lru_cache keyed by the operand
+values, which makes each one once: as one big-int product
+(`_packed_product`, Kronecker substitution), or by the loop for a bound
+past 63 bits or more digits than pairs; `*` passes the operands in one
+order, so q * p after p * q is a memo hit.
 No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs (`_flip_poly`, which `pairing` and `linalg` also use to
@@ -132,9 +133,9 @@ def _mono_mul(p: "LaurentPoly", m: "LaurentPoly") -> "LaurentPoly":
 def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
     """Add sign * left * right into out; all three are term dicts on one lattice.
 
-    The one product-accumulate loop of the package: `_pair_mul`,
-    `_sum_products`, `poly_div_exact`'s remainder update and the tangle
-    functor put their operands on the lattice first.
+    ratfield's one product-accumulate loop: `_pair_mul`, `_sum_products`
+    and `poly_div_exact`'s remainder update put their operands on the
+    lattice first.  The tangle functor multiplies packed ints instead.
     """
     get = out.get
     for (av, at), ac in left.items():

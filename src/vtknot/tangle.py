@@ -5,24 +5,28 @@ tensor of generators.  Each generator has a fixed boundary type and adjacent
 rows must match.  Evaluation sends a word to a sparse `linalg.Matrix` over
 Q(v,t): each cup, cap or crossing acts on its own strands of the operator
 built so far, so no row-wide Kronecker product is ever formed.  The operator
-is kept as numerators over one den: every value is a term dict
-{(a, b): coeff} for the sum of coeff * v^(a/s) * t^(b/s), with one lattice
-scale s for the whole evaluation, the lcm of the used generators' scales.
-Each product goes straight into its output entry's dict through ratfield's
-one product loop; scalars are built only for the returned matrix.
+is kept as numerators over one den, packed: one Python int per (entry,
+t-power), the entry's v-polynomial at that t-power evaluated at v = 2^K
+(Kronecker substitution), so a product is one int product and a sum one int
+sum.  K holds a bound on every coefficient fixed before the first product;
+only the returned entries are unpacked into term dicts.
+`invariant` checks the framing on the crossing's table itself, as its
+partial quantum trace over the second strand, and evaluates only the
+closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import cartan as ca
 from . import linalg as la
 from . import modules as mo
 from . import ratfield as rf
-from .ratfield import LP_ONE
+from .ratfield import LP_ONE, LP_ZERO
 
 BOUNDARY = {
     "up": (("+",), ("+",)),
@@ -148,10 +152,14 @@ def crossing_unit(m: mo.WeightModule) -> rf.RatFunc:
 def _generator(g: str, m: mo.WeightModule) -> tuple:
     """One cup, cap or crossing on the strands it occupies, as a table.
 
-    Returns (cols, den), built once per module and shared by every caller,
-    so read-only: cols maps each column to its nonzero entries as
+    Returns (cols, den, shape), built once per module and shared by every
+    caller, so read-only: cols maps each column to its nonzero entries as
     [(row, num)], and the entry is num/den.  den is the product of the
-    entries' distinct dens, LP_ONE when all are Laurent.
+    entries' distinct dens, LP_ONE when all are Laurent.  shape is
+    (scale, l1, vmin, vstep, tmin, tstep, tspan): on the lattice of scale,
+    the lcm of the nums' scales, their least v and t exponents, the gcd of
+    every exponent's distance from them (0 for one exponent) and the t-span;
+    l1 is the largest sum over a row of its coefficients' absolute values.
     """
     if g == "xp":
         mat = la.mat_scale(mo.rmat(m, m), rf.inv(crossing_unit(m)))
@@ -162,34 +170,81 @@ def _generator(g: str, m: mo.WeightModule) -> tuple:
         mat = maps[g](m)
     entries = list(mat.items())
     nums, den = rf._clear_dens([x for _, _, x in entries])
-    cols = {}
+    cols, l1 = {}, {}
     for (r, c, _), p in zip(entries, nums):
         cols.setdefault(c, []).append((r, p))
-    return cols, den
+        l1[r] = l1.get(r, 0) + sum(map(abs, p.terms.values()))
+    s = lcm(*(p.scale for p in nums))
+    keys = set()
+    for p in nums:
+        keys.update(rf._terms_at(p, s))
+    va, tb = (set(x) for x in zip(*keys))
+    vmin, tmin = min(va), min(tb)
+    shape = (s, max(l1.values()), vmin, gcd(*(a - vmin for a in va)),
+             tmin, gcd(*(b - tmin for b in tb)), max(tb) - tmin)
+    return cols, den, shape
 
 
-def _apply(cols, acc, ds, dt, dlo):
-    """Apply a generator's table cols (dt x ds) to its strands of acc.
+def _layout(shapes) -> tuple:
+    """(k, scale, voff, vstep, toff, tstep, width) of the packed state for
+    generators of these shapes, one per application.
 
-    acc maps the index k = (hi*ds + r)*dlo + lo of each nonzero entry to its
-    term dict, on the table's lattice; k becomes (hi*dt + r')*dlo + lo for
-    every entry (r', x) of column r, and x * y is added into that entry.
-    The strands left (hi) and right (lo) of the generator are untouched.
+    On the lattice of scale, the lcm of their scales, each entry of the
+    state is a sum of products of one num per application, so its v
+    exponents are voff, the sum of the v minima, plus multiples of vstep,
+    the gcd of the steps, and its t exponents toff plus a t-slot below width
+    times tstep.  Its coefficients are at most the product of the l1, so
+    balanced base-2^k digits hold them when k is that bound's bits plus one
+    sign bit.
     """
-    add = rf._add_products
+    scales, l1s, vmins, vsteps, tmins, tsteps, tspans = list(zip(*shapes)) or [()] * 7
+    scale = lcm(*scales)
+    f = [scale // x for x in scales]
+    k = prod(l1s).bit_length() + 1
+    vstep = gcd(*map(mul, f, vsteps)) or 1
+    tstep = gcd(*map(mul, f, tsteps)) or 1
+    width = sum(map(mul, f, tspans)) // tstep + 1
+    voff, toff = sum(map(mul, f, vmins)), sum(map(mul, f, tmins))
+    return k, scale, voff, vstep, toff, tstep, width
+
+
+def _unpack(z: int, k: int) -> list:
+    """The balanced base-2^k digits d_i of z = sum d_i 2^(k i), least first.
+
+    Needs |d_i| < 2^(k-1).  Each digit is the low k bits of what is left,
+    read as a signed number; taking it away leaves a multiple of 2^k.
+    """
+    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    while z:
+        d = z & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        z = (z - d) >> k
+    return out
+
+
+def _apply(cols, acc, ds, dt, blo):
+    """Apply a generator's packed table cols (dt x ds) to its strands of acc.
+
+    acc maps the key (hi*ds + r)*blo + lo of each nonzero (entry, t-power)
+    to its packed int, lo holding the strands right of the generator and
+    the t-slot; the key becomes (hi*dt + r')*blo + lo + slot for every entry
+    (r', slot, x) of column r, and x * y is added there.
+    """
+    block = ds * blo
+    offsets = {c: [(r * blo + slot, x) for r, slot, x in col] for c, col in cols.items()}
     out = {}
-    block = ds * dlo
-    for k, y in acc.items():
-        hi, rest = divmod(k, block)
-        mid, lo = divmod(rest, dlo)
-        hi *= dt
-        for r, x in cols.get(mid, ()):
-            j = (hi + r) * dlo + lo
-            num = out.get(j)
-            if num is None:
-                num = out[j] = {}
-            add(num, x, y)
-    return {j: num for j, num in out.items() if num}
+    get = out.get
+    for key, y in acc.items():
+        hi, rest = divmod(key, block)
+        mid, lo = divmod(rest, blo)
+        base = hi * dt * blo + lo
+        for off, x in offsets.get(mid, ()):
+            j = base + off
+            out[j] = get(j, 0) + x * y
+    return {j: z for j, z in out.items() if z}
 
 
 def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
@@ -197,24 +252,32 @@ def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
 
     The functor is strict monoidal, so each generator of a row acts on its
     own strands only and up/dn do nothing.  Each generator's table comes
-    from the cached `_generator`; once per call its numerators go onto one
-    lattice, the lcm of their scales.  The operator from the source
-    boundary is kept as the term dicts of its nonzero entries, keyed by
-    row * cols + col, so the source boundary is one more block of strands
-    to the right of every generator.  All share one den, the product of the
-    applied generators' dens, and become RatFuncs only in the returned
-    matrix.
+    from the cached `_generator` and is packed once per call, on the word's
+    `_layout`.  The operator from the source boundary is kept as packed
+    ints keyed by (row * cols + col) * width + t-slot, so the source
+    boundary and the t-slot are one more block to the right of every
+    generator.  All entries share one den, the product of the applied
+    generators' dens, and become RatFuncs only in the returned matrix.
     """
     d = m.dim
-    gens = {g: _generator(g, m) for row in w.rows for g in row if g not in ("up", "dn")}
-    scale = lcm(*(p.scale for cols, _ in gens.values() for col in cols.values() for _, p in col))
-    tables = {
-        g: {c: [(r, rf._terms_at(p, scale)) for r, p in col] for c, col in cols.items()}
-        for g, (cols, _) in gens.items()
-    }
+    applied = [g for row in w.rows for g in row if g not in ("up", "dn")]
+    gens = {g: _generator(g, m) for g in applied}
+    k, scale, voff, vstep, toff, tstep, width = _layout([gens[g][2] for g in applied])
+    tables = {}
+    for g, (cols, _, (s, _, vmin, _, tmin, _, _)) in gens.items():
+        vmin, tmin = vmin * (scale // s), tmin * (scale // s)
+        tables[g] = table = {}
+        for c, col in cols.items():
+            table[c] = packed = []
+            for r, p in col:
+                ints = {}
+                for (a, b), x in rf._terms_at(p, scale).items():
+                    slot = (b - tmin) // tstep
+                    ints[slot] = ints.get(slot, 0) + (x << k * ((a - vmin) // vstep))
+                packed += [(r, slot, z) for slot, z in ints.items()]
     ncols = d ** len(w.source)
     den = LP_ONE
-    acc = {c * ncols + c: {(0, 0): 1} for c in range(ncols)}
+    acc = {(c * ncols + c) * width: 1 for c in range(ncols)}
     for row in w.rows:
         lo = len(_row_boundary(row)[0])
         for g in row:
@@ -222,12 +285,20 @@ def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
             lo -= s
             if g in ("up", "dn"):
                 continue
-            acc = _apply(tables[g], acc, d ** s, d ** t, d ** lo * ncols)
+            acc = _apply(tables[g], acc, d ** s, d ** t, d ** lo * ncols * width)
             den = den * gens[g][1]
+    nums = {}
+    for key, z in acc.items():
+        idx, slot = divmod(key, width)
+        b = toff + slot * tstep
+        terms = nums.setdefault(idx, {})
+        for i, x in enumerate(_unpack(z, k)):
+            if x:
+                terms[voff + i * vstep, b] = x
     out = {}
-    for k, num in acc.items():
-        r, c = divmod(k, ncols)
-        out.setdefault(r, {})[c] = rf.RatFunc(rf._make(num, scale), den)
+    for idx, terms in nums.items():
+        r, c = divmod(idx, ncols)
+        out.setdefault(r, {})[c] = rf.RatFunc(rf._make(terms, scale), den)
     return la.Matrix(d ** len(w.target), ncols, out)
 
 
@@ -244,17 +315,44 @@ def closure(w: TangleWord) -> TangleWord:
     return word(rows)
 
 
+def _framing_holds(x: str, m: mo.WeightModule) -> bool:
+    """True when the kink `KINK % x` evaluates to the identity.
+
+    The kink is the crossing's partial quantum trace over its second strand:
+    qtr and coqtr are diagonal, so its (r, c) entry is
+    sum_j qtr(j) X[(r, j), (c, j)] coqtr(j).  On the numerators of the three
+    tables that sum must be delta_rc times the product of their dens.
+    """
+    d = m.dim
+    cols, den, _ = _generator(x, m)
+    qtr, qden, _ = _generator("qtr", m)
+    coqtr, cden, _ = _generator("coqtr", m)
+    q = {c: p for c, ((_, p),) in qtr.items()}
+    co = dict(coqtr[0])
+    trace = {}
+    for c, col in cols.items():
+        c1, j = divmod(c, d)
+        for r, p in col:
+            r1, i = divmod(r, d)
+            if i == j:
+                jj = j * d + j
+                trace[r1, c1] = trace.get((r1, c1), LP_ZERO) + q[jj] * p * co[jj]
+    one = qden * den * cden
+    return all(trace.get((r, c), LP_ZERO) == (one if r == c else LP_ZERO)
+               for r in range(d) for c in range(d))
+
+
 def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
     """Framing-normalized invariant of the closure of w on m.
 
-    Raises FramingError when the twist is not one scalar on m.  The check
-    evaluates a kink with the crossing the word uses, cached for the closure.
+    Raises FramingError when the twist is not one scalar on m, checked by
+    `_framing_holds` on the crossing the word uses.
     """
     if isinstance(w, str):
         w = parse(BUILTINS.get(w.strip(), w))
     used = {g for row in w.rows for g in row}
     x = "xm" if "xm" in used and "xp" not in used else "xp"
-    if not la.mat_eq(functor_T(parse(KINK % x), m), la.identity(m.dim)):
+    if not _framing_holds(x, m):
         raise FramingError(
             "the twist does not act on the module by one scalar (is it reducible?), "
             "so its values would depend on the framing"

@@ -107,3 +107,6 @@ def test_stage_shares_runs():
         else:
             # the identity suites repeat large products; closures make almost none
             assert (hits > 0 and shares["large products"] > 0) == (workload == "identities")
+        if workload == "invariants":
+            # the framing check and the closure's functor_T call, each its own stage
+            assert shares["kink"] > 0 and shares["closure"] > 0

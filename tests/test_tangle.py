@@ -1,7 +1,9 @@
 """Tangle word parsing, typing, evaluation, closures, and invariant values."""
 
 import functools
+import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,34 @@ _LOCAL = (
 )
 
 
+def _random_word(rng):
+    """A well-typed word from 2-3 source strands, every level at most three
+    strands: crossings, cups and caps of both kinds, and dual strands."""
+    sig = [rng.choice("++-") for _ in range(rng.randint(2, 3))]
+    rows = []
+    for _ in range(rng.randint(2, 4)):
+        row, above, p = [], [], 0
+        while p < len(sig) or not row:
+            options = []
+            if p < len(sig):
+                options.append("up" if sig[p] == "+" else "dn")
+                options += {"++": ["xp", "xm"], "-+": ["ev"], "+-": ["qtr"]}.get("".join(sig[p:p + 2]), [])
+            if len(above) + len(sig) - p <= 1:
+                options += ["coev", "coqtr"]
+            # a strand is left alone only when it must be, or one time in four
+            g = rng.choice(options[1:] if len(options) > 1 and rng.random() < 0.75 else options)
+            src, tgt = tg.BOUNDARY[g]
+            row.append(g)
+            above += tgt
+            p += len(src)
+        rows.append(" * ".join(row))
+        sig = above
+    return " ; ".join(rows)
+
+
+_RANDOM = tuple(_random_word(random.Random(seed)) for seed in range(16))
+
+
 def _dense_T(w, gens, d):
     """Reference evaluation: kron each row's matrices, multiply rows upward."""
     acc = la.identity(d ** len(w.source))
@@ -197,6 +227,8 @@ _FUNCTOR_MODULES = {
     "sl3.cfg": lambda: configio.load_config(str(CONFIGS / "sl3.cfg")).module,
     "bench-rank1_3.cfg": lambda: configio.load_config(str(BENCH_CONFIGS / "rank1_3.cfg")).module,
     "rank1_2-conjugated": _conjugated_rank1_2,
+    # rational constants in the entries: the crossings' den is a constant
+    "rank1_2_scaled.cfg": lambda: configio.load_config(str(CONFIGS / "rank1_2_scaled.cfg")).module,
 }
 
 
@@ -214,7 +246,7 @@ def test_functor_matches_dense_row_by_row_evaluation(name):
         "xp": la.mat_scale(mo.rmat(m, m), rf.inv(unit)),
         "xm": la.mat_scale(mo.rmat_inv(m, m), unit),
     }
-    for text in _POOL + _LOCAL:
+    for text in _POOL + _LOCAL + _RANDOM:
         w = tg.parse(text)
         got, want = tg.functor_T(w, m), _dense_T(w, gens, m.dim)
         assert la.mat_eq(got, want), text
@@ -223,6 +255,65 @@ def test_functor_matches_dense_row_by_row_evaluation(name):
             for r, c, x in got.items():
                 assert x.den is rf.LP_ONE, text
                 assert x.num == rf.reduce_poly(want[r, c]).num, text
+
+
+def _kink_is_identity(x, m):
+    return la.mat_eq(tg.functor_T(tg.parse(tg.KINK % x), m), la.identity(m.dim))
+
+
+@pytest.mark.parametrize("name", list(_FUNCTOR_MODULES))
+def test_framing_check_is_the_kink(name):
+    m = _FUNCTOR_MODULES[name]()
+    for x in ("xp", "xm"):
+        kink = _kink_is_identity(x, m)
+        assert kink, x
+        assert tg._framing_holds(x, m) == kink, x
+
+
+def test_framing_check_refuses_a_reducible_module(tmp_path):
+    # test_cli's simple plus trivial rank-one module: the twist acts on the
+    # two summands by different scalars
+    (tmp_path / "sum.mod").write_text(
+        "dim = 3\nweight.1 = 1/2\nweight.2 = -1/2\nweight.3 = 0\nE.1.1.2 = 1\nF.1.2.1 = 1\n")
+    spec = configio.load_config(str(CONFIGS / "sl2.cfg")).spec
+    m = configio.load_module_file(str(tmp_path / "sum.mod"), spec)
+    for x in ("xp", "xm"):
+        kink = _kink_is_identity(x, m)
+        assert not kink, x
+        assert tg._framing_holds(x, m) == kink, x
+
+
+@pytest.mark.parametrize("name", list(_FUNCTOR_MODULES))
+def test_packed_digits_hold_the_bound_with_one_bit_to_spare(name):
+    m = _FUNCTOR_MODULES[name]()
+    w = tg.closure(tg.parse("xp * up ; up * xm ; xp * up"))
+    shapes = [tg._generator(g, m)[2] for row in w.rows for g in row if g not in ("up", "dn")]
+    bound = math.prod(sh[1] for sh in shapes)
+    k = tg._layout(shapes)[0]
+    digits = [bound, -bound, 0, 1, -bound, bound, -1]
+
+    def pack(bits):
+        return sum(c << bits * i for i, c in enumerate(digits))
+
+    assert tg._unpack(pack(k), k) == digits
+    assert tg._unpack(pack(k - 1), k - 1) != digits
+
+
+def test_wide_digit_closure_on_rank1_4():
+    # the 3-strand positive braid with 12 crossings packs 63-bit digits; the
+    # value is the one the functor printed when it kept term dicts
+    m = configio.load_config(str(BENCH_CONFIGS / "rank1_4.cfg")).module
+    w = " ; ".join(["xp * up ; up * xp"] * 6)
+    want = (
+        "v^216 + 3 * v^210 + 3 * v^208 + 3 * v^206 + 5 * v^196 + 5 * v^194 + 5 * v^192"
+        " + 5 * v^190 + 5 * v^188 + 4 * v^174 + 4 * v^172 + 4 * v^170 + 4 * v^168"
+        " + 4 * v^166 + 4 * v^164 + 4 * v^162 + 3 * v^144 + 3 * v^142 + 3 * v^140"
+        " + 3 * v^138 + 3 * v^136 + 3 * v^134 + 3 * v^132 + 3 * v^130 + 3 * v^128"
+        " + 2 * v^106 + 2 * v^104 + 2 * v^102 + 2 * v^100 + 2 * v^98 + 2 * v^96"
+        " + 2 * v^94 + 2 * v^92 + 2 * v^90 + 2 * v^88 + 2 * v^86 + v^60 + v^58 + v^56"
+        " + v^54 + v^52 + v^50 + v^48 + v^46 + v^44 + v^42 + v^40 + v^38 + v^36"
+    )
+    assert rf.render(rf.reduce_poly(tg.invariant(w, m))) == want
 
 
 def test_conjugated_module_has_the_invariants_of_rank1_2():
