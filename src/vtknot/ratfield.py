@@ -45,9 +45,10 @@ its operator is packed ints, one per (entry, t-power), with no term dicts.
 Below LARGE_PAIRS term pairs a product is that loop (`_pair_mul`); from
 there on it goes through `_large_mul`, an lru_cache keyed by the operand
 values, which makes each one once: as one big-int product
-(`_packed_product`, Kronecker substitution), or by the loop for a bound
-past 63 bits or more digits than pairs; `*` passes the operands in one
-order, so q * p after p * q is a memo hit.
+(`_packed_product`, Kronecker substitution), or by the loop when it has
+more digits than pairs; `*` passes the operands in one order, so q * p
+after p * q is a memo hit.  Both packings read their ints back with one
+codec, `_unpack`: balanced base-2^k digits of any width k.
 No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs (`_flip_poly`, which `pairing` and `linalg` also use to
@@ -67,8 +68,6 @@ Term order is descending by (v_exp, t_exp).
 
 from __future__ import annotations
 
-import sys
-from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -175,54 +174,65 @@ def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
 
 
 # Products of this many term pairs or more go through `_large_mul`: packing
-# took 1.8x the pair loop's time at 32-63 pairs, 0.8-1.2x at 64-127 and 0.75x
-# at 128-255 (identity suites), and with the memo 32 to 96 gave equal times.
+# took 1.65x the pair loop's time at 32-63 pairs, 1.1x at 64-127, 0.7x at
+# 128-255 and 0.33x past that (identity suites), and with the memo 32 to 96
+# gave equal times.
 LARGE_PAIRS = 64
 
 
-def _packed_product(x: dict, y: dict):
-    """x * y as one big-int product, or None for the pair loop: on a bound
-    past 63 bits or more digits than term pairs.
+def _unpack(z: int, k: int) -> list:
+    """The balanced base-2^k digits d_i of z = sum d_i 2^(k i), least first.
 
-    (a, b) is digit (a - a0)/g * K + (b - b0), g the v-stride and K above the
-    product's t-span.  Digits are signed, 32 or 64 bits wide as the bound
-    min(|x|_1 |y|_inf, |x|_inf |y|_1) on the product's coefficients needs.
+    Needs -2^(k-1) <= d_i < 2^(k-1).  Each digit is the low k bits of what
+    is left, read as a signed number; a negative one borrows 1 from the rest.
+    The one codec of the package: `_packed_product` and the tangle functor
+    read their packed ints back with it.
     """
-    nx, ny = [abs(c) for c in x.values()], [abs(c) for c in y.values()]
-    sx, sy = sum(nx), sum(ny)
-    bound = min(sx * max(ny), max(nx) * sy)
-    if bound >= 1 << 63:
-        return None
-    code = "I" if bound < 1 << 31 else "Q"
+    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    while z:
+        d = z & mask
+        z >>= k
+        if d >= half:
+            d -= full
+            z += 1
+        out.append(d)
+    return out
+
+
+def _packed_product(x: dict, y: dict):
+    """x * y as one big-int product, or None for the pair loop when it has
+    more digits than term pairs.
+
+    (a, b) is digit (a - a0)/g * span + (b - b0), g the v-stride and span
+    the product's t-span plus one; digit i is the coefficient of 2^(k i).
+    The bound min(|x|_1 |y|_inf, |x|_inf |y|_1) holds every coefficient of
+    the product, so k is its bits plus one sign bit, the rule of the tangle
+    functor's layout, and `_unpack` reads the digits back at any width.
+    """
     (xa, xb), (ya, yb) = zip(*x), zip(*y)
     xa0, xb0, ya0, yb0 = min(xa), min(xb), min(ya), min(yb)
     g = gcd(*(a - xa0 for a in xa), *(a - ya0 for a in ya)) or 1
-    k = max(xb) - xb0 + max(yb) - yb0 + 1
-    digits = (max(xa) - xa0 + max(ya) - ya0) // g * k + k
-    if digits > len(nx) * len(ny):
+    span = max(xb) - xb0 + max(yb) - yb0 + 1
+    if (max(xa) - xa0 + max(ya) - ya0) // g * span + span > len(x) * len(y):
         return None
-    order, width = sys.byteorder, array(code).itemsize
-    zero = bytes(digits * width)
+    nx, ny = [abs(c) for c in x.values()], [abs(c) for c in y.values()]
+    k = min(sum(nx) * max(ny), max(nx) * sum(ny)).bit_length() + 1
 
     def pack(terms, a0, b0):
-        pos, neg = array(code, zero), array(code, zero)
-        for (a, b), c in terms.items():
-            (pos if c > 0 else neg)[(a - a0) // g * k + b - b0] = abs(c)
-        return int.from_bytes(pos, order) - int.from_bytes(neg, order)
+        return sum(c << k * ((a - a0) // g * span + b - b0) for (a, b), c in terms.items())
 
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(array(code, (half,)) * digits, order)  # no digit borrows
-    z = pack(x, xa0, xb0) * pack(y, ya0, yb0) + bias
-    out = array(code, z.to_bytes(digits * width, order))
     a0, b0 = xa0 + ya0, xb0 + yb0
-    return {(a0 + i // k * g, b0 + i % k): d - half for i, d in enumerate(out) if d != half}
+    digits = _unpack(pack(x, xa0, xb0) * pack(y, ya0, yb0), k)
+    return {(a0 + i // span * g, b0 + i % span): d for i, d in enumerate(digits) if d}
 
 
 # a benchmark op makes at most 105 distinct large products; the sl3 quasiR
 # suite at depth 5 makes 1,722 and keeps 96 % of its hits at this size
 @lru_cache(maxsize=1024)
 def _large_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
-    """p * q, packed when `_packed_product` takes it, else by `_pair_mul`."""
+    """p * q by `_packed_product`, or by `_pair_mul` when the packed
+    product would have more digits than term pairs."""
     s = lcm(p.scale, q.scale)
     terms = _packed_product(_terms_at(p, s), _terms_at(q, s))
     return _pair_mul(p, q) if terms is None else _make(terms, s)

@@ -9,7 +9,9 @@ is kept as numerators over one den, packed: one Python int per (entry,
 t-power), the entry's v-polynomial at that t-power evaluated at v = 2^K
 (Kronecker substitution), so a product is one int product and a sum one int
 sum.  K holds a bound on every coefficient fixed before the first product;
-only the returned entries are unpacked into term dicts.
+only the returned entries are unpacked into term dicts, by
+`ratfield._unpack`, the balanced-digit codec that ratfield's packed
+products also read back with.
 `invariant` checks the framing on the crossing's table itself, as its
 partial quantum trace over the second strand, and evaluates only the
 closure.
@@ -208,23 +210,6 @@ def _layout(shapes) -> tuple:
     return k, scale, voff, vstep, toff, tstep, width
 
 
-def _unpack(z: int, k: int) -> list:
-    """The balanced base-2^k digits d_i of z = sum d_i 2^(k i), least first.
-
-    Needs |d_i| < 2^(k-1).  Each digit is the low k bits of what is left,
-    read as a signed number; taking it away leaves a multiple of 2^k.
-    """
-    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
-    out = []
-    while z:
-        d = z & mask
-        if d >= half:
-            d -= full
-        out.append(d)
-        z = (z - d) >> k
-    return out
-
-
 def _apply(cols, acc, ds, dt, blo):
     """Apply a generator's packed table cols (dt x ds) to its strands of acc.
 
@@ -292,7 +277,7 @@ def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
         idx, slot = divmod(key, width)
         b = toff + slot * tstep
         terms = nums.setdefault(idx, {})
-        for i, x in enumerate(_unpack(z, k)):
+        for i, x in enumerate(rf._unpack(z, k)):
             if x:
                 terms[voff + i * vstep, b] = x
     out = {}

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from vtknot import ratfield as rf
 
+from conftest import clear_caches
+
 
 def test_addition_oracle():
     # 1/(v-1) + 1/(v+1) = 2v/(v^2-1), denominators kept unreduced
@@ -735,7 +737,7 @@ def _loop_product(p, q):
     return rf._make(out, s)
 
 
-# on either side of the 31- and 63-bit digit bounds
+# on either side of 2^31, 2^63 and 2^64: the digit width follows the bound
 _wide_coeffs = st.sampled_from([2**20, -(2**31), 2**40, 2**62, 2**63 - 1, -(2**63), 2**70])
 
 
@@ -768,8 +770,61 @@ def test_large_products_match_the_pair_loop(p, q):
     packed = rf._packed_product(x, y)
     if packed is not None:
         assert _structure(rf._make(packed, s)) == want
-    if max(map(abs, x.values())) * max(map(abs, y.values())) >= 2**63:
-        assert packed is None  # a digit would need more than 63 bits
+    assert (packed is not None) == (_digits(x, y) <= len(x) * len(y))
+
+
+def _digits(x, y):
+    """The digits of the packed product of x and y: v-range over the v-stride
+    plus one, times the t-span plus one."""
+    (xa, xb), (ya, yb) = zip(*x), zip(*y)
+    g = math.gcd(*(a - min(xa) for a in xa), *(a - min(ya) for a in ya)) or 1
+    span = max(xb) - min(xb) + max(yb) - min(yb) + 1
+    return ((max(xa) - min(xa) + max(ya) - min(ya)) // g + 1) * span
+
+
+@pytest.mark.parametrize("bound", [2**31, 2**63, 2**64 - 1, 2**100])
+def test_a_product_at_its_coefficient_bound_is_packed(bound):
+    # every coefficient of the product is +-bound, the largest the digits hold
+    x, y = {(0, 0): bound}, {(-1, 0): -1, (0, 0): 1, (1, 0): -1, (2, 0): 1}
+    want = {}
+    rf._add_products(want, x, y)
+    assert rf._packed_product(x, y) == want
+
+
+def test_a_large_product_past_63_bits_is_packed(monkeypatch):
+    p, q = rf.qint(9, 1).num * rf.lp_mono(2**62), rf.qint(10, 1).num
+    want = _loop_product(p, q)
+    assert max(p.terms.values()) * len(q.terms) >= 2**63
+
+    def refuse(*args):
+        raise AssertionError("the pair loop made a large product")
+
+    monkeypatch.setattr(rf, "_pair_mul", refuse)
+    clear_caches()
+    assert p * q == want
+
+
+@st.composite
+def _balanced_digits(draw):
+    """(k, digits): 2 <= k <= 80 and digits in [-2^(k-1), 2^(k-1)), the last
+    one nonzero, so z = sum d_i 2^(k i) has exactly these digits."""
+    k = draw(st.integers(2, 80))
+    half = 1 << (k - 1)
+    digit = st.integers(-half, half - 1) | st.sampled_from([0, -half, half - 1])
+    digits = draw(st.lists(digit, max_size=12))
+    while digits and not digits[-1]:
+        digits.pop()
+    return k, digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_balanced_digits())
+@example((2, []))  # z = 0
+@example((64, [5, 0, 0, -1]))
+@example((80, [-(2**79), 0, 0, 2**79 - 1, -(2**79)]))
+def test_unpack_reads_back_balanced_digits(case):
+    k, digits = case
+    assert rf._unpack(sum(d << k * i for i, d in enumerate(digits)), k) == digits
 
 
 def test_a_large_product_is_made_once_per_pair_of_values():

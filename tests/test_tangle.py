@@ -295,8 +295,8 @@ def test_packed_digits_hold_the_bound_with_one_bit_to_spare(name):
     def pack(bits):
         return sum(c << bits * i for i, c in enumerate(digits))
 
-    assert tg._unpack(pack(k), k) == digits
-    assert tg._unpack(pack(k - 1), k - 1) != digits
+    assert rf._unpack(pack(k), k) == digits
+    assert rf._unpack(pack(k - 1), k - 1) != digits
 
 
 def test_wide_digit_closure_on_rank1_4():
