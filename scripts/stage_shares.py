@@ -10,10 +10,16 @@ It prints each stage's share and its milliseconds per pass:
                     argparse, building the parser and parsing argv
     config load     `configio.load_config`: reading and parsing the files
     module check    `modules.validate_module`, which the config load calls
-    crossing build  `tangle._generator`: crossings, cups and caps
+    crossing build  `tangle._generator`: the crossing tables, and the cup
+                    and cap tables of words that hold them (`invariant`
+                    builds none)
     kink            `tangle._framing_holds`: the framing check of
                     `tangle.invariant`, the crossing's partial quantum trace
-    closure         each `functor_T` call inside `tangle.invariant`
+                    with the cap's weights v_deg(-w_j)^2 read off the module
+    closure         the `functor_T` call inside `tangle.invariant`: the open
+                    word evaluated on the columns of dominant weight, only
+                    their diagonal entries unpacked.  The orbit sums and the
+                    weighted sum around it stay in "rest"
     large products  `ratfield._large_mul`: LaurentPoly products of at least
                     `ratfield.LARGE_PAIRS` term pairs, memo lookups included
     gram            `pairing.gram`: a degree's Gram block of pairings

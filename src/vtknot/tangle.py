@@ -9,12 +9,28 @@ is kept as numerators over one den, packed: one Python int per (entry,
 t-power), the entry's v-polynomial at that t-power evaluated at v = 2^K
 (Kronecker substitution), so a product is one int product and a sum one int
 sum.  K holds a bound on every coefficient fixed before the first product;
-only the returned entries are unpacked into term dicts, by
+only the requested entries are unpacked into term dicts, by
 `ratfield._unpack`, the balanced-digit codec that ratfield's packed
 products also read back with.
-`invariant` checks the framing on the crossing's table itself, as its
-partial quantum trace over the second strand, and evaluates only the
-closure.
+
+`invariant` evaluates no cup or cap.  The closure of an (n, n) tangle L
+joins each top end to its bottom end by nested caps and cups, which weight
+the basis vector e of V^(x)n by qw(wt e) = v_deg(-wt e)^2, so its value is
+the quantum trace sum_e qw(wt e) T(L)_ee (Reshetikhin-Turaev, CMP 127,
+1990).  T(L) is a module map, and for a weight nu with
+n = <nu, a_i^v> < 0 the power E_i^(-n) maps the weight space V_nu
+bijectively onto V_{s_i nu}; it commutes with T(L), so the trace of T(L)
+on a weight space depends only on the Weyl orbit of its weight (the
+W-invariance of characters: Jantzen, *Lectures on Quantum Groups*, ch. 5).
+Hence
+
+    invariant = sum over dominant mu of tr(T(L) | V_mu) * S(mu),
+
+S(mu) the sum of qw(nu) over the distinct weights nu of V^(x)n whose
+dominant representative is mu.  `functor_T` evaluates only the columns of
+dominant weight and unpacks only their diagonal entries.  The framing check
+is the crossing table's partial quantum trace, read from the weights too.
+`closure` builds the closed word, which the tests evaluate as the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from . import cartan as ca
 from . import linalg as la
@@ -232,17 +248,20 @@ def _apply(cols, acc, ds, dt, blo):
     return {j: z for j, z in out.items() if z}
 
 
-def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
+def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
     """Evaluate the word on the module: + strands carry m, - strands dual(m).
 
-    The functor is strict monoidal, so each generator of a row acts on its
-    own strands only and up/dn do nothing.  Each generator's table comes
-    from the cached `_generator` and is packed once per call, on the word's
+    entries lists the (row, col) entries to read, all by default; the
+    returned matrix holds those of them that are nonzero.  The functor is
+    strict monoidal, so each generator of a row acts on its own strands
+    only and up/dn do nothing.  Each generator's table comes from the
+    cached `_generator` and is packed once per call, on the word's
     `_layout`.  The operator from the source boundary is kept as packed
     ints keyed by (row * cols + col) * width + t-slot, so the source
     boundary and the t-slot are one more block to the right of every
-    generator.  All entries share one den, the product of the applied
-    generators' dens, and become RatFuncs only in the returned matrix.
+    generator; it starts from the entries' columns only.  All entries
+    share one den, the product of the applied generators' dens, and become
+    RatFuncs only in the returned matrix.
     """
     d = m.dim
     applied = [g for row in w.rows for g in row if g not in ("up", "dn")]
@@ -261,8 +280,13 @@ def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
                     ints[slot] = ints.get(slot, 0) + (x << k * ((a - vmin) // vstep))
                 packed += [(r, slot, z) for slot, z in ints.items()]
     ncols = d ** len(w.source)
+    if entries is None:
+        starts, wanted = range(ncols), None
+    else:
+        wanted = {r * ncols + c for r, c in entries}
+        starts = {idx % ncols for idx in wanted}
     den = LP_ONE
-    acc = {(c * ncols + c) * width: 1 for c in range(ncols)}
+    acc = {(c * ncols + c) * width: 1 for c in starts}
     for row in w.rows:
         lo = len(_row_boundary(row)[0])
         for g in row:
@@ -275,6 +299,8 @@ def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
     nums = {}
     for key, z in acc.items():
         idx, slot = divmod(key, width)
+        if wanted is not None and idx not in wanted:
+            continue
         b = toff + slot * tstep
         terms = nums.setdefault(idx, {})
         for i, x in enumerate(rf._unpack(z, k)):
@@ -287,12 +313,18 @@ def functor_T(w: TangleWord, m: mo.WeightModule) -> la.Matrix:
     return la.Matrix(d ** len(w.target), ncols, out)
 
 
-def closure(w: TangleWord) -> TangleWord:
-    """Join matching ends of a square all-plus word, caps above, cups below."""
+def _closed_strands(w: TangleWord) -> int:
+    """n for a square all-plus word on n strands, the words with a closure."""
     n = len(w.source)
     if n == 0 or w.source != w.target or any(s != "+" for s in w.source):
         raise TangleError("closure needs a square all-plus boundary, got %s -> %s"
                           % (_sig(w.source), _sig(w.target)))
+    return n
+
+
+def closure(w: TangleWord) -> TangleWord:
+    """Join matching ends of a square all-plus word, caps above, cups below."""
+    n = _closed_strands(w)
     # bottom to top: nested cups, the word beside n downward strands, nested caps
     rows = [("up",) * k + ("coqtr",) + ("dn",) * k for k in range(n)]
     rows += [row + ("dn",) * n for row in w.rows]
@@ -304,34 +336,53 @@ def _framing_holds(x: str, m: mo.WeightModule) -> bool:
     """True when the kink `KINK % x` evaluates to the identity.
 
     The kink is the crossing's partial quantum trace over its second strand:
-    qtr and coqtr are diagonal, so its (r, c) entry is
-    sum_j qtr(j) X[(r, j), (c, j)] coqtr(j).  On the numerators of the three
-    tables that sum must be delta_rc times the product of their dens.
+    the cap qtr is diagonal with qtr(j) = v_deg(-w_j)^2 and the cup coqtr is
+    1 on every j, so its (r, c) entry is sum_j qtr(j) X[(r, j), (c, j)].  On
+    the crossing table's numerators that sum must be delta_rc times its den.
     """
     d = m.dim
     cols, den, _ = _generator(x, m)
-    qtr, qden, _ = _generator("qtr", m)
-    coqtr, cden, _ = _generator("coqtr", m)
-    q = {c: p for c, ((_, p),) in qtr.items()}
-    co = dict(coqtr[0])
+    q = [mo._v2(m, ca.weight_neg(w)).num for w in m.weights]
     trace = {}
     for c, col in cols.items():
         c1, j = divmod(c, d)
         for r, p in col:
             r1, i = divmod(r, d)
             if i == j:
-                jj = j * d + j
-                trace[r1, c1] = trace.get((r1, c1), LP_ZERO) + q[jj] * p * co[jj]
-    one = qden * den * cden
-    return all(trace.get((r, c), LP_ZERO) == (one if r == c else LP_ZERO)
+                trace[r1, c1] = trace.get((r1, c1), LP_ZERO) + q[j] * p
+    return all(trace.get((r, c), LP_ZERO) == (den if r == c else LP_ZERO)
                for r in range(d) for c in range(d))
+
+
+def _dominant(spec: ca.CartanSpec, nu, weights) -> tuple:
+    """The dominant weight in nu's Weyl orbit, nu an int numerator tuple.
+
+    While some (a_i.nu) is negative, nu becomes s_i(nu) = nu - <nu, a_i^v> a_i,
+    which adds a positive multiple of a_i.  On the weights of a module that
+    passes `modules.validate_module` every a_i-string is symmetric, so each
+    step stays in weights, which is finite: the walk ends.
+    """
+    nu = list(nu)
+    while True:
+        for i, row in enumerate(spec.dot):
+            a = sum(map(mul, row, nu))
+            if a < 0:
+                break
+        else:
+            return tuple(nu)
+        nu[i] -= a // ca.d_i(spec, i)
+        if tuple(nu) not in weights:
+            raise ValueError("the module's weights are not Weyl-symmetric")
 
 
 def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
     """Framing-normalized invariant of the closure of w on m.
 
-    Raises FramingError when the twist is not one scalar on m, checked by
-    `_framing_holds` on the crossing the word uses.
+    The weighted trace of the module docstring: `functor_T` reads the
+    diagonal entries of the columns of dominant weight, their numerators
+    over the word's one den are summed per weight, and each sum is
+    weighted by S(mu).  Raises FramingError when the twist is not one
+    scalar on m, checked by `_framing_holds` on the crossing the word uses.
     """
     if isinstance(w, str):
         w = parse(BUILTINS.get(w.strip(), w))
@@ -342,4 +393,27 @@ def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
             "the twist does not act on the module by one scalar (is it reducible?), "
             "so its values would depend on the framing"
         )
-    return functor_T(closure(w), m)[0, 0]
+    n = _closed_strands(w)
+    # the basis vectors of V^(x)n by weight, strand 0 the most significant digit
+    d, spaces = m.dim, {(0,) * m.spec.rank: [0]}
+    for _ in range(n):
+        grown = {}
+        for nu, idx in spaces.items():
+            for j, wj in enumerate(m.weights):
+                grown.setdefault(tuple(map(add, nu, wj)), []).extend(e * d + j for e in idx)
+        spaces = grown
+    # qw(nu) = v_deg(-nu)^2 is v to the -2 sum_i d_i nu_i, over m.den
+    ds = [ca.d_i(m.spec, i) for i in range(m.spec.rank)]
+    orbit = {}
+    for nu in spaces:
+        terms = orbit.setdefault(_dominant(m.spec, nu, spaces), {})
+        a = -2 * sum(map(mul, ds, nu))
+        terms[a, 0] = terms.get((a, 0), 0) + 1
+    op = functor_T(w, m, [(e, e) for mu in orbit for e in spaces[mu]])
+    total = LP_ZERO
+    for mu, terms in orbit.items():
+        trace = sum((op[e, e].num for e in spaces[mu]), LP_ZERO)
+        total = total + trace * rf._make(terms, m.den)
+    # every entry is a numerator over the word's one den
+    den = next((x.den for _, _, x in op.items()), LP_ONE)
+    return rf.RatFunc(total, den)

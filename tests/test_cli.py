@@ -1,6 +1,7 @@
 """Command line contract: outputs, exit codes, and determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -50,6 +51,45 @@ def test_invariant_trefoil_specialized(capsys):
     assert rc == 0
     assert out == "-v^9 + v^5 + v^3 + v\n"
 
+
+
+@pytest.mark.parametrize("cfg", ["affine_a1.cfg", "hyperbolic_23.cfg"])
+@pytest.mark.parametrize("tangle", ["trefoil", "figure8"])
+def test_infinite_type_closures_print_one(capsys, cfg, tangle):
+    # the trivial module: one weight, 0, which is dominant
+    rc, out, _ = run(capsys, "invariant", "--config", str(CONFIGS / cfg), "--tangle", tangle)
+    assert rc == 0
+    assert out == "1\n"
+
+
+def _positive_braid(n, crossings, minus=0):
+    """Crossing k on strands i + 1 and i + 2, i = k mod (n - 1): xm at every
+    minus-th crossing when minus is set, xp elsewhere."""
+    rows = []
+    for k in range(crossings):
+        i = k % (n - 1)
+        g = "xm" if minus and k % minus == minus - 1 else "xp"
+        rows.append(" * ".join(("up",) * i + (g,) + ("up",) * (n - 2 - i)))
+    return " ; ".join(rows)
+
+
+# closures larger than any benchmark op: the sha256 of the stdout that the
+# evaluation of the closed word, cups and caps included, printed
+_LARGE_CLOSURES = (
+    ("bench/configs/rank1_4.cfg", _positive_braid(4, 9),
+     "25563cae5707e783e95e7f1198acc76c8a3c452541ae4be5a4e96e4bb31c4930"),
+    ("bench/configs/rank1_4.cfg", _positive_braid(5, 8),
+     "67c670aeb1453af883f73f32d4f633707fc5864a0ea9c28b10bbc47cc6fbb6b1"),
+    ("configs/sl3.cfg", _positive_braid(5, 10, 3),
+     "4b9ae371a8f7f51708fddf79f15ac29072afeea853fa8c2f0dea8ea052c2fcf3"),
+)
+
+
+def test_large_closures_print_their_recorded_bytes(capsys):
+    for cfg, tangle, digest in _LARGE_CLOSURES:
+        rc, out, _ = run(capsys, "invariant", "--config", str(ROOT / cfg), "--tangle", tangle)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (cfg, tangle)
 
 def test_invariant_type_error_exits_1(capsys):
     rc, out, err = run(capsys, "invariant", "--config", SL2, "--tangle", "qtr ; up")
@@ -625,7 +665,8 @@ def test_spec_reads_the_rational_grammar(capsys):
 
 
 def test_running_out_of_memory_exits_2_with_a_named_error():
-    # the closure of the 24-strand unlink holds 2^24 states, past 512 MiB
+    # the 24-strand unlink lists the weights of 2^24 basis vectors and starts
+    # from about half as many dominant columns, past 512 MiB
     child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
              "from vtknot import cli\n"

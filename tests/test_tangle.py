@@ -6,7 +6,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtknot import configio
@@ -359,6 +359,127 @@ def test_invariant_accepts_words_and_rejects_open_ones():
     with pytest.raises(tg.TangleError):
         tg.invariant("ev", M1)
 
+
+
+# ------------------------------------- the weighted trace against the closure
+#
+# `invariant` reads only the diagonal of the dominant-weight columns of the
+# open word; the reference is the closed word evaluated by `functor_T`, cups
+# and caps included.  Both are numerators over the crossings' one den, so
+# they must agree structurally, not just as values.
+
+_TRACE_MODULES = {
+    "sl2": lambda: configio.load_config(str(CONFIGS / "sl2.cfg")).module,
+    "rank1:3": lambda: configio.load_config(str(BENCH_CONFIGS / "rank1_3.cfg")).module,
+    "sl3": lambda: configio.load_config(str(CONFIGS / "sl3.cfg")).module,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_module(name):
+    return _TRACE_MODULES[name]()
+
+
+def _assert_matches_the_closure(w, m):
+    got, want = tg.invariant(w, m), tg.functor_T(tg.closure(w), m)[0, 0]
+    assert got.num == want.num and got.den == want.den, w
+
+
+def _kink_rows(x, p, n):
+    """KINK % x on strand p of n upward strands, as rows."""
+    pad = lambda row: ("up",) * p + row + ("up",) * (n - 1 - p)
+    return [pad(("up", "coqtr")), pad((x, "dn")), pad(("up", "qtr"))]
+
+
+@settings(max_examples=30, deadline=None)
+@example("sl2", 1, [], (0, "xp"), None)  # KINK % "xp"
+@example("rank1:3", 1, [], (0, "xm"), None)  # KINK % "xm"
+@example("sl3", 2, [(0, "xp")] * 3, None, None)  # the trefoil
+@example("rank1:3", 3, [(0, "xp"), (1, "xm")] * 2, None, None)  # the figure eight
+@example("sl3", 2, [(0, "xp"), (0, "xm")], (1, "xp"), "xm")
+@given(
+    st.sampled_from(sorted(_TRACE_MODULES)),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from(("xp", "xm"))), max_size=5),
+    st.one_of(st.none(), st.tuples(st.integers(0, 3), st.sampled_from(("xp", "xm")))),
+    st.one_of(st.none(), st.sampled_from(("xp", "xm"))),
+)
+def test_invariant_is_the_closure_of_the_word(name, n, letters, kink, stabilize):
+    # a braid on n strands, perhaps with a curl of cups and caps on one strand
+    # and a Markov stabilization on strand n + 1, kept to at most 4 strands
+    rows = [("up",) * n]
+    if n > 1:
+        for k, g in letters:
+            k %= n - 1
+            rows.append(("up",) * k + (g,) + ("up",) * (n - 2 - k))
+    if kink is not None:
+        rows += _kink_rows(kink[1], kink[0] % n, n)
+    if stabilize is not None and n < 4:
+        rows = [row + ("up",) for row in rows] + [("up",) * (n - 1) + (stabilize,)]
+    _assert_matches_the_closure(tg.word(rows), _trace_module(name))
+
+
+def _reflections_to_dominance(spec, nu):
+    """How many simple reflections the walk to the dominant weight takes."""
+    nu, steps = list(nu), 0
+    while True:
+        a = [sum(x * y for x, y in zip(row, nu)) for row in spec.dot]
+        neg = [i for i, x in enumerate(a) if x < 0]
+        if not neg:
+            return steps
+        i = neg[0]
+        nu[i] -= a[i] // spec.omega[i][i]
+        steps += 1
+
+
+def test_sl3_on_four_strands_needs_several_reflections():
+    m = _trace_module("sl3")
+    weights = {(0,) * m.spec.rank}
+    for _ in range(4):
+        weights = {tuple(x + y for x, y in zip(a, b)) for a in weights for b in m.weights}
+    # the premise: some weight of V^(x)4 is two or more reflections from dominance
+    assert max(_reflections_to_dominance(m.spec, nu) for nu in weights) >= 2
+    w = "xp * up * up ; up * xm * up ; up * up * xp ; xp * up * up ; up * xp * up ; up * up * xm"
+    _assert_matches_the_closure(tg.parse(w), m)
+
+
+def test_functor_reads_only_the_requested_entries():
+    m = _trace_module("sl2")
+    for text in _POOL + _LOCAL:
+        w = tg.parse(text)
+        full = tg.functor_T(w, m)
+        cells = [(r, c) for r in range(full.rows) for c in range(full.cols) if (r + c) % 2 == 0]
+        part = tg.functor_T(w, m, cells)
+        assert (part.rows, part.cols) == (full.rows, full.cols), text
+        assert {(r, c) for r, c, _ in part.items()} <= set(cells), text
+        for r, c in cells:
+            assert part[r, c].num == full[r, c].num and part[r, c].den == full[r, c].den, text
+
+
+def test_invariant_refuses_an_open_word_with_the_closure_error():
+    with pytest.raises(tg.TangleError) as info:
+        tg.invariant("ev", M1)
+    assert str(info.value) == "closure needs a square all-plus boundary, got (-,+) -> ()"
+
+
+def test_invariant_refuses_a_reducible_module(tmp_path):
+    (tmp_path / "sum.mod").write_text(
+        "dim = 3\nweight.1 = 1/2\nweight.2 = -1/2\nweight.3 = 0\nE.1.1.2 = 1\nF.1.2.1 = 1\n")
+    spec = configio.load_config(str(CONFIGS / "sl2.cfg")).spec
+    m = configio.load_module_file(str(tmp_path / "sum.mod"), spec)
+    for text in ("up", "xp", "xm ; xm ; xm", "trefoil"):
+        with pytest.raises(tg.FramingError):
+            tg.invariant(text, m)
+
+
+def test_invariant_refuses_weights_that_are_not_weyl_symmetric():
+    # a one-dimensional module of weight -1, built without validate_module,
+    # which refuses it: its reflection, +1, is no weight of V
+    zero = la.Matrix(1, 1)
+    m = mo.make_module(mo.RANK1, ("w",), ((-2,),), (zero,), (zero,), 2)
+    assert mo.validate_module(m)
+    with pytest.raises(ValueError, match="not Weyl-symmetric"):
+        tg.invariant("up", m)
 
 # ------------------------------------------------- HOMFLYPT skein relation
 #
