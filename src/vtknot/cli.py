@@ -119,8 +119,7 @@ def _emit(fmt, key, value):
         print(value)
 
 
-def _cmd_invariant(args) -> int:
-    cfg = configio.load_config(args.config)
+def _cmd_invariant(args, cfg) -> int:
     # refuse a bad --spec before the evaluation, which can take seconds
     assign = _parse_assignments(args.spec or ())
     if (args.tangle is None) == (args.tangle_file is None):
@@ -145,8 +144,7 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = configio.load_config(args.config)
+def _cmd_verify(args, cfg) -> int:
     report = suites.run_suite(args.suite, cfg, args.depth)
     failed = sum(1 for _, ok in report if not ok)
     for name, ok in report:
@@ -163,14 +161,12 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_qdim(args) -> int:
-    cfg = configio.load_config(args.config)
+def _cmd_qdim(args, cfg) -> int:
     _emit(args.format, "qdim", rf.render(mo.qdim(cfg.module)))
     return 0
 
 
-def _cmd_rmatrix(args) -> int:
-    cfg = configio.load_config(args.config)
+def _cmd_rmatrix(args, cfg) -> int:
     m = cfg.module
     labels = mo.pair_labels(m, m)
     for r, c, x in mo.rmat(m, m).items():
@@ -178,8 +174,7 @@ def _cmd_rmatrix(args) -> int:
     return 0
 
 
-def _cmd_theta(args) -> int:
-    cfg = configio.load_config(args.config)
+def _cmd_theta(args, cfg) -> int:
     spec = cfg.spec
     for mu in ca.degrees_tr_upto(spec.rank, args.depth):
         if ca.tr(mu) == 0:
@@ -206,7 +201,8 @@ _COMMON = (
                       help="plain values or key | value records")),
 )
 
-# name: (help, options beyond _COMMON, handler)
+# name: (help, options beyond _COMMON, handler); main loads --config and
+# calls the handler with the parsed arguments and the RunConfig
 _COMMANDS = {
     "invariant": ("invariant of the closure of a tangle word", (
         ("--tangle", dict(help="tangle word text or a built-in name")),
@@ -230,7 +226,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command][2](args)
+        code = _COMMANDS[args.command][2](args, configio.load_config(args.config))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

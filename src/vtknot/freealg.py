@@ -75,25 +75,20 @@ def mul(a: FElem, b: FElem) -> FElem:
     return _linear(lambda wa: ((wa + wb, cb) for wb, cb in b.items()), a)
 
 
-def _tensor_mul(spec: cartan.CartanSpec, a: FTensor, b: FTensor, vsign: int) -> FTensor:
-    out = {}
-    for (x1, x2), ca in a.items():
-        dx2 = deg(spec, x2)
-        for (y1, y2), cb in b.items():
-            dy1 = deg(spec, y1)
-            tw = cartan.twist(spec, dx2, dy1, vsign)
-            accumulate(out, (x1 + y1, x2 + y2), ca * cb * tw)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _word_coproduct(spec: cartan.CartanSpec, word: Word, vsign: int) -> FTensor:
+    """r(word) = r(head) (theta_i (x) 1 + 1 (x) theta_i), word = head i: each
+    term x1 (x) x2 of r(head) gives x1 i (x) x2, twisted by (|x2|, alpha_i),
+    and x1 (x) x2 i, whose twist by (|x2|, 0) is 1."""
     if not word:
         return {((), ()): ONE}
-    head = _word_coproduct(spec, word[:-1], vsign)
-    i = word[-1]
-    gen = {((i,), ()): ONE, ((), (i,)): ONE}
-    return _tensor_mul(spec, head, gen, vsign)
+    head, i = word[:-1], word[-1]
+    ei = cartan.unit(spec, i)
+    out = {}
+    for (x1, x2), c in _word_coproduct(spec, head, vsign).items():
+        accumulate(out, (x1 + (i,), x2), c * cartan.twist(spec, deg(spec, x2), ei, vsign))
+        accumulate(out, (x1, x2 + (i,)), c)
+    return out
 
 
 def _linear(table, x: FElem) -> dict:

@@ -362,11 +362,12 @@ def _ftilde_slots(m, s, l):
     return mo._diag(ca.f(m.spec, ws[s], ws[l], den) for ws in product(m.weights, repeat=3))
 
 
-def _transport_holds(m, f31, f32):
-    """Coproduct across the first two slots assembles iterated twists."""
+def _transport_holds(m, mm, f31, f32):
+    """Coproduct across the first two slots assembles iterated twists; mm is
+    the tensor square m (x) m."""
     mods = [m, m, m]
     # theta with F on the third strand and E on the tensor square of the first two
-    lhs_head = mo._theta_op([mo.tensor(m, m), m], 1, 0, qr.theta)
+    lhs_head = mo._theta_op([mm, m], 1, 0, qr.theta)
     lhs = la.mat_mul(lhs_head, la.mat_mul(f31, f32))
     rhs = la.mat_mul(
         la.mat_mul(mo._theta_op(mods, 2, 0, qr.theta), f31),
@@ -467,7 +468,7 @@ def suite_rmatrix(cfg, depth):
         ("full twist through a cup gives the framing unit", _all_hold(_KINKS, m)),
         ("mixed crossing matches its cup and cap form", mixed_match),
         ("mixed crossings compose to the identity", _all_hold(_MIXED, m)),
-        ("coproduct transport assembles iterated twists", _transport_holds(m, f31, f32)),
+        ("coproduct transport assembles iterated twists", _transport_holds(m, mm, f31, f32)),
         ("weight factors commute with the twist", _weight_factor_commutes(m, f31, f32)),
     ]
     # the summands of M (x) M are indexed by weights of M, at most dim M of them

@@ -1,17 +1,20 @@
 """Oriented tangle words: a small DSL, boundary typing, and evaluation.
 
 Words are rows of generators listed bottom to top; a row is a horizontal
-tensor of generators.  Each generator has a fixed boundary type and adjacent
-rows must match.  Evaluation sends a word to a sparse `linalg.Matrix` over
-Q(v,t): each cup, cap or crossing acts on its own strands of the operator
-built so far, so no row-wide Kronecker product is ever formed.  The operator
-is kept as numerators over one den, packed: one Python int per (entry,
-t-power), the entry's v-polynomial at that t-power evaluated at v = 2^K
-(Kronecker substitution), so a product is one int product and a sum one int
-sum.  K holds a bound on every coefficient fixed before the first product;
-only the requested entries are unpacked into term dicts, by
-`ratfield._unpack`, the balanced-digit codec that ratfield's packed
-products also read back with.
+tensor of generators.  Each generator has a fixed boundary type and
+adjacent rows must match.  `parse` is the one reader of outside text: it
+refuses an unknown or empty generator with its row and slot.  `word` only
+types rows of known generators, which `parse`, `compose`, `tensorw` and
+`closure` pass it, and refuses a row that does not feed the next.
+Evaluation sends a word to a sparse `linalg.Matrix` over Q(v,t): each cup,
+cap or crossing acts on its own strands of the operator built so far, so no
+row-wide Kronecker product is ever formed.  The operator is kept as
+numerators over one den, packed: one Python int per (entry, t-power), the
+entry's v-polynomial at that t-power evaluated at v = 2^K (Kronecker
+substitution), so a product is one int product and a sum one int sum.  K
+holds a bound on every coefficient fixed before the first product; only the
+requested entries are unpacked into term dicts, by `ratfield._unpack`, the
+balanced-digit codec that ratfield's packed products also read back with.
 
 `invariant` evaluates no cup or cap.  The closure of an (n, n) tangle L
 joins each top end to its bottom end by nested caps and cups, which weight
@@ -27,10 +30,13 @@ Hence
     invariant = sum over dominant mu of tr(T(L) | V_mu) * S(mu),
 
 S(mu) the sum of qw(nu) over the distinct weights nu of V^(x)n whose
-dominant representative is mu.  `functor_T` evaluates only the columns of
-dominant weight and unpacks only their diagonal entries.  The framing check
-is the crossing table's partial quantum trace, read from the weights too.
-`closure` builds the closed word, which the tests evaluate as the reference.
+dominant representative is mu.  Any one representative per orbit gives the
+same value; `_dominant` picks the dominant one.  `functor_T` evaluates only
+the columns of dominant weight and unpacks only their diagonal entries, and
+`invariant` sums them as values, per weight, before the weighting by S(mu).
+The framing check is the crossing table's partial quantum trace, read from
+the weights too.  `closure` builds the closed word, which the tests
+evaluate as the reference.
 """
 
 from __future__ import annotations
@@ -101,13 +107,10 @@ def _row_boundary(row):
 
 
 def word(rows) -> TangleWord:
+    """Type nonempty rows of known generators: each row's source must be the
+    target of the row below; the word runs from the first row's source to
+    the last row's target."""
     rows = tuple(tuple(r) for r in rows)
-    if not rows or not all(rows):
-        raise TangleError("empty tangle word")
-    for row in rows:
-        for g in row:
-            if g not in BOUNDARY:
-                raise TangleError("unknown generator %r" % (g,))
     src, prev = _row_boundary(rows[0])
     for k in range(1, len(rows)):
         s, t = _row_boundary(rows[k])
@@ -379,10 +382,10 @@ def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
     """Framing-normalized invariant of the closure of w on m.
 
     The weighted trace of the module docstring: `functor_T` reads the
-    diagonal entries of the columns of dominant weight, their numerators
-    over the word's one den are summed per weight, and each sum is
-    weighted by S(mu).  Raises FramingError when the twist is not one
-    scalar on m, checked by `_framing_holds` on the crossing the word uses.
+    diagonal entries of the columns of dominant weight, they are summed per
+    weight, and each sum is weighted by S(mu).  Raises FramingError when
+    the twist is not one scalar on m, checked by `_framing_holds` on the
+    crossing the word uses.
     """
     if isinstance(w, str):
         w = parse(BUILTINS.get(w.strip(), w))
@@ -410,10 +413,8 @@ def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
         a = -2 * sum(map(mul, ds, nu))
         terms[a, 0] = terms.get((a, 0), 0) + 1
     op = functor_T(w, m, [(e, e) for mu in orbit for e in spaces[mu]])
-    total = LP_ZERO
+    total = rf.ZERO
     for mu, terms in orbit.items():
-        trace = sum((op[e, e].num for e in spaces[mu]), LP_ZERO)
-        total = total + trace * rf._make(terms, m.den)
-    # every entry is a numerator over the word's one den
-    den = next((x.den for _, _, x in op.items()), LP_ONE)
-    return rf.RatFunc(total, den)
+        trace = sum((op[e, e] for e in spaces[mu]), rf.ZERO)
+        total = total + trace * rf.RatFunc(rf._make(terms, m.den))
+    return total

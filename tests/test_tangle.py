@@ -1,5 +1,6 @@
 """Tangle word parsing, typing, evaluation, closures, and invariant values."""
 
+import fractions
 import functools
 import math
 import pathlib
@@ -229,6 +230,8 @@ _FUNCTOR_MODULES = {
     "rank1_2-conjugated": _conjugated_rank1_2,
     # rational constants in the entries: the crossings' den is a constant
     "rank1_2_scaled.cfg": lambda: configio.load_config(str(CONFIGS / "rank1_2_scaled.cfg")).module,
+    # a basis that depends on t: the crossings' den is (1 + t)^2
+    "rank1_2_tbasis.cfg": lambda: configio.load_config(str(CONFIGS / "rank1_2_tbasis.cfg")).module,
 }
 
 
@@ -420,27 +423,45 @@ def test_invariant_is_the_closure_of_the_word(name, n, letters, kink, stabilize)
 
 
 def _reflections_to_dominance(spec, nu):
-    """How many simple reflections the walk to the dominant weight takes."""
+    """(how many simple reflections the walk to the dominant weight takes,
+    the dominant weight)."""
     nu, steps = list(nu), 0
     while True:
         a = [sum(x * y for x, y in zip(row, nu)) for row in spec.dot]
         neg = [i for i, x in enumerate(a) if x < 0]
         if not neg:
-            return steps
+            return steps, tuple(nu)
         i = neg[0]
         nu[i] -= a[i] // spec.omega[i][i]
         steps += 1
 
 
+def _tensor_power_weights(m, n):
+    weights = {(0,) * m.spec.rank}
+    for _ in range(n):
+        weights = {tuple(x + y for x, y in zip(a, b)) for a in weights for b in m.weights}
+    return weights
+
+
 def test_sl3_on_four_strands_needs_several_reflections():
     m = _trace_module("sl3")
-    weights = {(0,) * m.spec.rank}
-    for _ in range(4):
-        weights = {tuple(x + y for x, y in zip(a, b)) for a in weights for b in m.weights}
+    weights = _tensor_power_weights(m, 4)
     # the premise: some weight of V^(x)4 is two or more reflections from dominance
-    assert max(_reflections_to_dominance(m.spec, nu) for nu in weights) >= 2
+    assert max(_reflections_to_dominance(m.spec, nu)[0] for nu in weights) >= 2
     w = "xp * up * up ; up * xm * up ; up * up * xp ; xp * up * up ; up * xp * up ; up * up * xm"
     _assert_matches_the_closure(tg.parse(w), m)
+
+
+def test_dominant_walks_every_weight_into_the_dominant_chamber():
+    # the weighted trace is exact for any representative of each weight's
+    # W-orbit, since the trace on a weight space is W-invariant; so no value,
+    # the closure's or an oracle's, sees a walk that stops early, and this
+    # test checks the walk itself
+    for name, n in (("sl3", 4), ("rank1:3", 3)):
+        m = _trace_module(name)
+        weights = _tensor_power_weights(m, n)
+        for nu in weights:
+            assert tg._dominant(m.spec, nu, weights) == _reflections_to_dominance(m.spec, nu)[1], (name, nu)
 
 
 def test_functor_reads_only_the_requested_entries():
@@ -662,3 +683,234 @@ def test_rank1_2_closures_satisfy_the_cubic_recurrence():
     for k in range(1, 4):
         want = sum((q * rf.mono(sign ** k, e * k, 0) for q, sign, e in _SUMMANDS), rf.ZERO)
         assert rf.eq(f[k - 1], want), ("closure of sigma^k", k)
+
+
+# ------------------------------------------------- the functor's t-twist
+#
+# Write w_i for the weight of strand i of a boundary basis vector e, -w on a
+# - strand, and <a, b> for the omega form over den^2.  With
+# D(e) = 1/2 sum_{i<k} (<w_i, w_k> - <w_k, w_i>), every entry (r, c) of
+# functor_T is t^(D(r) - D(c)) times its value at t = 1: Reshetikhin's twist
+# (LMP 20, 1990), diagonal on weight vectors.  This holds in the bases of
+# configs/sl3.cfg and bench/configs/sl3_revlex.cfg, not in every basis: in
+# configs/rank1_2_tbasis.cfg, rank1:2 with a basis vector scaled by 1 + t, two
+# crossing entries carry (1 + t)^(-/+2), and on rank one the twist is 1.
+
+_TWIST_CONFIGS = {"sl3.cfg": CONFIGS / "sl3.cfg", "sl3_revlex.cfg": BENCH_CONFIGS / "sl3_revlex.cfg"}
+
+
+@functools.lru_cache(maxsize=None)
+def _twist_module(name):
+    return configio.load_config(str(_TWIST_CONFIGS[name])).module
+
+
+def _strands(sig, e, d):
+    """(sign, basis index) of each strand of basis vector e of the boundary
+    sig of a d-dimensional module, strand 0 the most significant digit."""
+    out = []
+    for s in reversed(sig):
+        e, j = divmod(e, d)
+        out.append((s, j))
+    return out[::-1]
+
+
+def _twist_exponent(m, sig, e):
+    ws = [m.weights[j] if s == "+" else tuple(-x for x in m.weights[j])
+          for s, j in _strands(sig, e, m.dim)]
+    omega = m.spec.omega
+    form = lambda a, b: sum(x * omega[i][j] * y for i, x in enumerate(a) for j, y in enumerate(b))
+    skew = sum(form(ws[i], ws[k]) - form(ws[k], ws[i])
+               for i in range(len(ws)) for k in range(i + 1, len(ws)))
+    return fractions.Fraction(skew, 2 * m.den * m.den)
+
+
+@settings(max_examples=40, deadline=None)
+@example("sl3.cfg", "xp")
+@example("sl3.cfg", "xm")
+@example("sl3_revlex.cfg", "xp")
+@example("sl3_revlex.cfg", "xm")
+@given(st.sampled_from(sorted(_TWIST_CONFIGS)),
+       st.integers(0, 2 ** 32).map(lambda seed: _random_word(random.Random(seed))))
+def test_functor_is_a_diagonal_t_twist_of_its_value_at_t_1(name, text):
+    m, w = _twist_module(name), tg.parse(text)
+    for r, c, x in tg.functor_T(w, m).items():
+        d = _twist_exponent(m, w.target, r) - _twist_exponent(m, w.source, c)
+        assert rf.eq(x, rf.specialize(x, {"t": 1}) * rf.mono(1, 0, d)), (text, r, c)
+
+
+# ------------------------------------- a shipped module in a t-dependent basis
+#
+# configs/rank1_2_tbasis.cfg is rank1:2 with each action X read as S^-1 X S,
+# S = diag(1, 1 + t, 1).  Every module map conjugates the same way, so the
+# functor's value on a word is S^-1 T(w) S, with S on every + strand of a
+# boundary and S^-1 on every - strand, and every closure is rank1:2's.
+
+_TBASIS_SCALE = (rf.ONE, rf.parse("1 + t"), rf.ONE)
+
+
+def _tbasis_factor(sig, e):
+    out = rf.ONE
+    for s, j in _strands(sig, e, 3):
+        out = out * (_TBASIS_SCALE[j] if s == "+" else rf.inv(_TBASIS_SCALE[j]))
+    return out
+
+
+def test_tbasis_module_is_rank1_2_conjugated_by_its_basis_change():
+    m = configio.load_config(str(BENCH_CONFIGS / "rank1_2.cfg")).module
+    conj = configio.load_config(str(CONFIGS / "rank1_2_tbasis.cfg")).module
+    for text in _POOL + _LOCAL + _RANDOM:
+        w = tg.parse(text)
+        got, ref = tg.functor_T(w, conj), tg.functor_T(w, m)
+        want = {(r, c): x * _tbasis_factor(w.source, c) / _tbasis_factor(w.target, r)
+                for r, c, x in ref.items()}
+        assert {(r, c) for r, c, _ in got.items()} == set(want), text
+        for (r, c), x in want.items():
+            assert rf.eq(got[r, c], x), (text, r, c)
+    for name in tg.BUILTINS:
+        want, got = tg.invariant(name, m), tg.invariant(name, conj)
+        assert rf.render(rf.reduce_poly(got)) == rf.render(rf.reduce_poly(want)), name
+
+
+# --------------------------------------------------- Rosso-Jones torus knots
+#
+# Rosso and Jones (JKTR 2, 1993): with psi^p the Adams operation,
+# psi^p(chi_lam) = sum_mu c_mu chi_mu, and theta_mu = v^-(mu, mu + 2 rho),
+#
+#     J(T(p, q); V_lam) = theta_lam^(-pq) sum_mu c_mu theta_mu^(q/p) qdim V_mu.
+#
+# The braid is (s_1 ... s_{p-1})^q on p strands, all xp, and the value is
+# `invariant`'s.  Weights are in simple-root coordinates, where the module's
+# `spec.dot` is the form ( , ); the Weyl group, rho, the positive roots and
+# the c_mu (by Racah-Speiser: p nu + rho reflected into the dominant chamber,
+# the sign of the reflection, nothing on a wall) are built here with
+# Fractions for any finite-type datum.  qdim V_mu is Weyl's product
+# prod_(a > 0) [(mu + rho, a)] / [(rho, a)], [x] = (v^x - v^-x) / (v - v^-1),
+# so both sides are compared times the Weyl denominator
+# prod_(a > 0) (v^(rho, a) - v^-(rho, a)); polynomials in v are dicts
+# {Fraction exponent: int coefficient}.
+
+
+def _rj_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _rj_form(dot, a, b):
+    return sum(x * dot[i][j] * y for i, x in enumerate(a) for j, y in enumerate(b))
+
+
+def _rj_coroot_pairings(dot, nu):
+    """(nu, a_i^v) = 2 (nu, a_i) / (a_i, a_i) for every simple root a_i."""
+    return [fractions.Fraction(2 * sum(x * row[j] for j, x in enumerate(nu)), row[i])
+            for i, row in enumerate(dot)]
+
+
+def _rj_reflect(dot, i, nu):
+    n = _rj_coroot_pairings(dot, nu)[i]
+    return tuple(x - n if k == i else x for k, x in enumerate(nu))
+
+
+def _rj_rho(dot):
+    """The weight with (rho, a_i^v) = 1 for every i: dot rho = (a_i, a_i) / 2."""
+    rows = [[fractions.Fraction(x) for x in row] + [fractions.Fraction(row[i], 2)]
+            for i, row in enumerate(dot)]
+    n = len(rows)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return tuple(rows[i][n] / rows[i][i] for i in range(n))
+
+
+def _rj_positive_roots(dot):
+    """The W-orbit of the simple roots, positive half."""
+    n = len(dot)
+    roots = {tuple(fractions.Fraction(int(k == i)) for k in range(n)) for i in range(n)}
+    todo = list(roots)
+    while todo:
+        r = todo.pop()
+        for i in range(n):
+            s = _rj_reflect(dot, i, r)
+            if s not in roots:
+                roots.add(s)
+                todo.append(s)
+    return [r for r in roots if all(x >= 0 for x in r)]
+
+
+def _rj_chamber(dot, nu):
+    """(sign, w nu) with w nu dominant and sign (-1)^l(w), or None when nu
+    lies on a wall (some w nu pairs to 0 with a simple coroot)."""
+    sign = 1
+    while True:
+        pairs = _rj_coroot_pairings(dot, nu)
+        if 0 in pairs:
+            return None
+        neg = [i for i, a in enumerate(pairs) if a < 0]
+        if not neg:
+            return sign, nu
+        nu, sign = _rj_reflect(dot, neg[0], nu), -sign
+
+
+def _rosso_jones(m, p, q):
+    """(J times the Weyl denominator, the Weyl denominator)."""
+    dot = m.spec.dot
+    ws = [tuple(fractions.Fraction(x, m.den) for x in w) for w in m.weights]
+    rho, roots = _rj_rho(dot), _rj_positive_roots(dot)
+    add = lambda a, b: tuple(x + y for x, y in zip(a, b))
+    theta = lambda mu: -_rj_form(dot, mu, add(mu, add(rho, rho)))
+    lam = max(ws, key=lambda w: _rj_form(dot, w, rho))
+    adams = {}
+    for w in ws:
+        hit = _rj_chamber(dot, add(tuple(p * x for x in w), rho))
+        if hit is not None:
+            mu = tuple(x - y for x, y in zip(hit[1], rho))
+            adams[mu] = adams.get(mu, 0) + hit[0]
+    total = {}
+    for mu, c in adams.items():
+        term = {theta(mu) * fractions.Fraction(q, p) - p * q * theta(lam): c}
+        for a in roots:
+            x = _rj_form(dot, add(mu, rho), a)
+            term = _rj_mul(term, {x: 1, -x: -1})
+        for e, x in term.items():
+            total[e] = total.get(e, 0) + x
+    weyl = {fractions.Fraction(0): 1}
+    for a in roots:
+        x = _rj_form(dot, rho, a)
+        weyl = _rj_mul(weyl, {x: 1, -x: -1})
+    return {e: c for e, c in total.items() if c}, weyl
+
+
+def _rj_poly(lp):
+    """A t-free LaurentPoly as {Fraction exponent of v: coefficient}."""
+    assert all(b == 0 for _, b in lp.terms), lp.terms
+    return {fractions.Fraction(a, lp.scale): c for (a, _), c in lp.terms.items()}
+
+
+def _torus_braid(p, q):
+    row = lambda i: " * ".join(("up",) * i + ("xp",) + ("up",) * (p - 2 - i))
+    return " ; ".join(row(i) for _ in range(q) for i in range(p - 1))
+
+
+_RJ_KNOTS = ((2, 3), (3, 2), (2, 5), (5, 2), (2, 7), (3, 4), (4, 3), (3, 5))
+_RJ_MODULES = {
+    **{"rank1:%d" % n: functools.partial(mo.rank1_simple, n) for n in range(1, 5)},
+    "sl3": lambda: configio.load_config(str(CONFIGS / "sl3.cfg")).module,
+}
+
+
+@pytest.mark.parametrize("name", list(_RJ_MODULES))
+def test_torus_knots_match_rosso_jones(name):
+    m = _RJ_MODULES[name]()
+    # rank1:4's T(4, 3) and T(5, 2) are test_cli's sha256-pinned closures
+    # 4 x 9 and 5 x 8; sl3 also takes T(5, 3) and T(7, 2)
+    knots = _RJ_KNOTS + (((5, 3), (7, 2)) if name == "sl3" else ())
+    for p, q in knots:
+        val = tg.invariant(_torus_braid(p, q), m)
+        rhs, weyl = _rosso_jones(m, p, q)
+        assert _rj_mul(_rj_poly(val.num), weyl) == _rj_mul(rhs, _rj_poly(val.den)), (name, p, q)
