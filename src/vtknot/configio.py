@@ -7,8 +7,9 @@ quasiR suite checks; crossings, invariants and `rmatrix` do not depend on it.
 Module files: dim, optional label.<k>, weight.<k>, E.<i>.<r>.<c>, F.<i>.<r>.<c>.
 All indices are 1-based and go through one check, `_index`, which names the
 index in its error; on a line with two bad indices the first in key order is
-reported.  Entry values go through the scalar parser, weight coordinates
-through `ratfield.parse_rational` (`[-]p[/q]`) onto one den.
+reported; dim and rank go through one count check, `_size`.  Entry values go
+through the scalar parser, weight coordinates through
+`ratfield.parse_rational` (`[-]p[/q]`) onto one den.
 """
 
 from __future__ import annotations
@@ -76,6 +77,24 @@ def _index(path, ln, text, bound, what):
     return k - 1
 
 
+def _size(path, table, key, prefix):
+    """table[key], an int from 1 to the number of keys that start with prefix.
+
+    Every index up to it needs its line, so a larger value cannot load;
+    refusing it here allocates nothing of its size.
+    """
+    if key not in table:
+        raise ConfigError("%s: missing %s" % (path, key))
+    n = _int(path, table[key][1], table[key][0])
+    if n < 1:
+        raise ConfigError("%s: %s must be positive" % (path, key))
+    lines = sum(k.startswith(prefix) for k in table)
+    if n > lines:
+        raise ConfigError("%s: missing %s lines: %s is %d, but %d are given"
+                          % (path, prefix[:-1], key, n, lines))
+    return n
+
+
 def _int_row(path, ln, val, width):
     parts = val.split()
     if len(parts) != width:
@@ -85,17 +104,7 @@ def _int_row(path, ln, val, width):
 
 def load_module_file(path, spec: ca.CartanSpec) -> mo.WeightModule:
     table = _read_table(path)
-    if "dim" not in table:
-        raise ConfigError("%s: missing dim" % path)
-    dim = _int(path, table["dim"][1], table["dim"][0])
-    if dim < 1:
-        raise ConfigError("%s: dim must be positive" % path)
-    # every basis vector needs a weight line, so a larger dim cannot load;
-    # refusing it here allocates nothing of its size
-    lines = sum(key.startswith("weight.") for key in table)
-    if dim > lines:
-        raise ConfigError("%s: missing weight lines: dim is %d, but %d are given"
-                          % (path, dim, lines))
+    dim = _size(path, table, "dim", "weight.")
     labels = ["m%d" % (k + 1) for k in range(dim)]
     weights = [None] * dim
     act_E = [{} for _ in range(spec.rank)]
@@ -139,13 +148,7 @@ def load_config(path) -> RunConfig:
     for need in ("rank", "module"):
         if need not in table:
             raise ConfigError("%s: missing %s" % (path, need))
-    rank = _int(path, table["rank"][1], table["rank"][0])
-    if rank < 1:
-        raise ConfigError("%s: rank must be positive" % path)
-    lines = sum(key.startswith("dot.row.") for key in table)
-    if rank > lines:
-        raise ConfigError("%s: missing dot.row lines: rank is %d, but %d are given"
-                          % (path, rank, lines))
+    rank = _size(path, table, "rank", "dot.row.")
     dot_rows = [None] * rank
     omega_rows = [None] * rank
     basis_order = "lex"

@@ -204,18 +204,13 @@ def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
     return make_module(spec, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,), 2)
 
 
-def coprod_E(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
-    kdiag = act_K(a, ca.unit(a.spec, i), -1 if bar else 1)
-    return la.mat_add(
-        la.kron(a.act_E[i], b.dim), la.kron(kdiag, b.act_E[i])
-    )
-
-
-def coprod_F(a: WeightModule, b: WeightModule, i: int, bar: bool = False) -> la.Matrix:
-    kdiag = act_K(b, ca.unit(a.spec, i), 1 if bar else -1)
-    return la.mat_add(
-        la.kron(a.dim, b.act_F[i]), la.kron(a.act_F[i], kdiag)
-    )
+def coprod(a: WeightModule, b: WeightModule, i: int, side: str, bar: bool = False) -> la.Matrix:
+    """Delta(E_i) = E_i (x) 1 + K_i (x) E_i for side "E", Delta(F_i) =
+    1 (x) F_i + F_i (x) K'_i for side "F", on a (x) b; bar swaps K and K'."""
+    e = ca.unit(a.spec, i)
+    if side == "E":
+        return la.mat_add(la.kron(a.act_E[i], b.dim), la.kron(act_K(a, e, -1 if bar else 1), b.act_E[i]))
+    return la.mat_add(la.kron(a.dim, b.act_F[i]), la.kron(a.act_F[i], act_K(b, e, 1 if bar else -1)))
 
 
 def pair_labels(a: WeightModule, b: WeightModule) -> tuple:
@@ -232,8 +227,7 @@ def tensor(a: WeightModule, b: WeightModule) -> WeightModule:
     sa, sb = den // a.den, den // b.den
     weights = tuple(ca.weight_add([x * sa for x in wa], [y * sb for y in wb])
                     for wa in a.weights for wb in b.weights)
-    act_E = tuple(coprod_E(a, b, i) for i in range(spec.rank))
-    act_F = tuple(coprod_F(a, b, i) for i in range(spec.rank))
+    act_E, act_F = (tuple(coprod(a, b, i, side) for i in range(spec.rank)) for side in "EF")
     return make_module(spec, labels, weights, act_E, act_F, den)
 
 
@@ -260,26 +254,18 @@ def _v2(m: WeightModule, w) -> RatFunc:
     return ca.v_deg(m.spec, w, m.den) * ca.v_deg(m.spec, w, m.den)
 
 
-def ev_map(m: WeightModule) -> la.Matrix:
-    """dual(M) (x) M -> trivial, w* (x) w' -> w*(w')."""
-    return la.Matrix(1, m.dim * m.dim, {0: {k * m.dim + k: ONE for k in range(m.dim)}})
+def cup_cap(m: WeightModule, g: str) -> la.Matrix:
+    """The cap ("ev", "qtr") or cup ("coev", "coqtr") g of the tangle functor.
 
-
-def qtr_map(m: WeightModule) -> la.Matrix:
-    """M (x) dual(M) -> trivial, with the v^2_{-|w|} twist."""
-    row = {k * m.dim + k: _v2(m, ca.weight_neg(w)) for k, w in enumerate(m.weights)}
-    return la.Matrix(1, m.dim * m.dim, {0: row})
-
-
-def coev_map(m: WeightModule) -> la.Matrix:
-    """trivial -> dual(M) (x) M, 1 -> sum v^2_{|w|} w* (x) w."""
-    col = {k * m.dim + k: {0: _v2(m, w)} for k, w in enumerate(m.weights)}
-    return la.Matrix(m.dim * m.dim, 1, col)
-
-
-def coqtr_map(m: WeightModule) -> la.Matrix:
-    """trivial -> M (x) dual(M), 1 -> sum w (x) w*."""
-    return la.Matrix(m.dim * m.dim, 1, {k * m.dim + k: {0: ONE} for k in range(m.dim)})
+    Each pairs basis vector k with its dual at entry k*dim + k: by 1 on ev,
+    dual(M) (x) M -> trivial, and on coqtr, trivial -> M (x) dual(M); by
+    v^2_{-|w|} on qtr and by v^2_{|w|} on coev.  A cap is a row, a cup a column.
+    """
+    sign = {"ev": 0, "coqtr": 0, "qtr": -1, "coev": 1}[g]
+    cells = {k * m.dim + k: _v2(m, [sign * x for x in w]) for k, w in enumerate(m.weights)}
+    if g in ("ev", "qtr"):
+        return la.Matrix(1, m.dim * m.dim, {0: cells})
+    return la.Matrix(m.dim * m.dim, 1, {j: {0: x} for j, x in cells.items()})
 
 
 def qdim(m: WeightModule) -> RatFunc:

@@ -320,13 +320,9 @@ def suite_quasiR(cfg, depth):
     tb = mo._theta_op([m, m], 0, 1, qr.theta_bar, order)
     intertwines = True
     for i in range(spec.rank):
-        for straight, conjd in (
-            (mm.act_E[i], mo.coprod_E(m, m, i, True)),
-            (mm.act_F[i], mo.coprod_F(m, m, i, True)),
-        ):
-            intertwines = intertwines and la.mat_eq(
-                la.mat_mul(straight, th), la.mat_mul(th, conjd)
-            )
+        for side, straight in zip("EF", (mm.act_E[i], mm.act_F[i])):
+            conjd = mo.coprod(m, m, i, side, True)
+            intertwines = intertwines and la.mat_eq(la.mat_mul(straight, th), la.mat_mul(th, conjd))
     inverts = _inverse_pair(th, tb)
     delta = True
     terms = {}
@@ -349,7 +345,7 @@ def suite_quasiR(cfg, depth):
 
 def _cap_slide_holds(m, dual, rr):
     d = m.dim
-    qtr = mo.qtr_map(m)
+    qtr = mo.cup_cap(m, "qtr")
     outer = la.mat_mul(qtr, la.kron(d, qtr, d))
     lhs = la.mat_mul(outer, la.kron(d * d, mo.rmat(dual, dual)))
     rhs = la.mat_mul(outer, la.kron(rr, d * d))

@@ -4,8 +4,8 @@ Words are rows of generators listed bottom to top; a row is a horizontal
 tensor of generators.  Each generator has a fixed boundary type and
 adjacent rows must match.  `parse` is the one reader of outside text: it
 refuses an unknown or empty generator with its row and slot.  `word` only
-types rows of known generators, which `parse`, `compose`, `tensorw` and
-`closure` pass it, and refuses a row that does not feed the next.
+types rows of known generators, which `parse`, `compose` and `tensorw` pass
+it, and refuses a row that does not feed the next.
 Evaluation sends a word to a sparse `linalg.Matrix` over Q(v,t): each cup,
 cap or crossing acts on its own strands of the operator built so far, so no
 row-wide Kronecker product is ever formed.  The operator is kept as
@@ -35,8 +35,7 @@ same value; `_dominant` picks the dominant one.  `functor_T` evaluates only
 the columns of dominant weight and unpacks only their diagonal entries, and
 `invariant` sums them as values, per weight, before the weighting by S(mu).
 The framing check is the crossing table's partial quantum trace, read from
-the weights too.  `closure` builds the closed word, which the tests
-evaluate as the reference.
+the weights too.
 """
 
 from __future__ import annotations
@@ -177,18 +176,17 @@ def _generator(g: str, m: mo.WeightModule) -> tuple:
     caller, so read-only: cols maps each column to its nonzero entries as
     [(row, num)], and the entry is num/den.  den is the product of the
     entries' distinct dens, LP_ONE when all are Laurent.  shape is
-    (scale, l1, vmin, vstep, tmin, tstep, tspan): on the lattice of scale,
-    the lcm of the nums' scales, their least v and t exponents, the gcd of
-    every exponent's distance from them (0 for one exponent) and the t-span;
-    l1 is the largest sum over a row of its coefficients' absolute values.
+    (scale, l1, vmin, vstep, tmin, tspan): on the lattice of scale, the lcm
+    of the nums' scales, their least v and t exponents, the gcd of every v
+    exponent's distance from vmin (0 for one exponent) and the t-span; l1 is
+    the largest sum over a row of its coefficients' absolute values.
     """
     if g == "xp":
         mat = la.mat_scale(mo.rmat(m, m), rf.inv(crossing_unit(m)))
     elif g == "xm":
         mat = la.mat_scale(mo.rmat_inv(m, m), crossing_unit(m))
     else:
-        maps = {"ev": mo.ev_map, "qtr": mo.qtr_map, "coev": mo.coev_map, "coqtr": mo.coqtr_map}
-        mat = maps[g](m)
+        mat = mo.cup_cap(m, g)
     entries = list(mat.items())
     nums, den = rf._clear_dens([x for _, _, x in entries])
     cols, l1 = {}, {}
@@ -201,32 +199,29 @@ def _generator(g: str, m: mo.WeightModule) -> tuple:
         keys.update(rf._terms_at(p, s))
     va, tb = (set(x) for x in zip(*keys))
     vmin, tmin = min(va), min(tb)
-    shape = (s, max(l1.values()), vmin, gcd(*(a - vmin for a in va)),
-             tmin, gcd(*(b - tmin for b in tb)), max(tb) - tmin)
+    shape = (s, max(l1.values()), vmin, gcd(*(a - vmin for a in va)), tmin, max(tb) - tmin)
     return cols, den, shape
 
 
 def _layout(shapes) -> tuple:
-    """(k, scale, voff, vstep, toff, tstep, width) of the packed state for
+    """(k, scale, voff, vstep, toff, width) of the packed state for
     generators of these shapes, one per application.
 
     On the lattice of scale, the lcm of their scales, each entry of the
     state is a sum of products of one num per application, so its v
     exponents are voff, the sum of the v minima, plus multiples of vstep,
-    the gcd of the steps, and its t exponents toff plus a t-slot below width
-    times tstep.  Its coefficients are at most the product of the l1, so
-    balanced base-2^k digits hold them when k is that bound's bits plus one
-    sign bit.
+    the gcd of the steps, and its t exponents toff plus a t-slot below
+    width.  Its coefficients are at most the product of the l1, so balanced
+    base-2^k digits hold them when k is that bound's bits plus one sign bit.
     """
-    scales, l1s, vmins, vsteps, tmins, tsteps, tspans = list(zip(*shapes)) or [()] * 7
+    scales, l1s, vmins, vsteps, tmins, tspans = list(zip(*shapes)) or [()] * 6
     scale = lcm(*scales)
     f = [scale // x for x in scales]
     k = prod(l1s).bit_length() + 1
     vstep = gcd(*map(mul, f, vsteps)) or 1
-    tstep = gcd(*map(mul, f, tsteps)) or 1
-    width = sum(map(mul, f, tspans)) // tstep + 1
+    width = sum(map(mul, f, tspans)) + 1
     voff, toff = sum(map(mul, f, vmins)), sum(map(mul, f, tmins))
-    return k, scale, voff, vstep, toff, tstep, width
+    return k, scale, voff, vstep, toff, width
 
 
 def _apply(cols, acc, ds, dt, blo):
@@ -269,9 +264,9 @@ def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
     d = m.dim
     applied = [g for row in w.rows for g in row if g not in ("up", "dn")]
     gens = {g: _generator(g, m) for g in applied}
-    k, scale, voff, vstep, toff, tstep, width = _layout([gens[g][2] for g in applied])
+    k, scale, voff, vstep, toff, width = _layout([gens[g][2] for g in applied])
     tables = {}
-    for g, (cols, _, (s, _, vmin, _, tmin, _, _)) in gens.items():
+    for g, (cols, _, (s, _, vmin, _, tmin, _)) in gens.items():
         vmin, tmin = vmin * (scale // s), tmin * (scale // s)
         tables[g] = table = {}
         for c, col in cols.items():
@@ -279,8 +274,7 @@ def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
             for r, p in col:
                 ints = {}
                 for (a, b), x in rf._terms_at(p, scale).items():
-                    slot = (b - tmin) // tstep
-                    ints[slot] = ints.get(slot, 0) + (x << k * ((a - vmin) // vstep))
+                    ints[b - tmin] = ints.get(b - tmin, 0) + (x << k * ((a - vmin) // vstep))
                 packed += [(r, slot, z) for slot, z in ints.items()]
     ncols = d ** len(w.source)
     if entries is None:
@@ -288,7 +282,6 @@ def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
     else:
         wanted = {r * ncols + c for r, c in entries}
         starts = {idx % ncols for idx in wanted}
-    den = LP_ONE
     acc = {(c * ncols + c) * width: 1 for c in starts}
     for row in w.rows:
         lo = len(_row_boundary(row)[0])
@@ -298,17 +291,16 @@ def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
             if g in ("up", "dn"):
                 continue
             acc = _apply(tables[g], acc, d ** s, d ** t, d ** lo * ncols * width)
-            den = den * gens[g][1]
+    den = prod((gens[g][1] for g in applied), start=LP_ONE)
     nums = {}
     for key, z in acc.items():
         idx, slot = divmod(key, width)
         if wanted is not None and idx not in wanted:
             continue
-        b = toff + slot * tstep
         terms = nums.setdefault(idx, {})
         for i, x in enumerate(rf._unpack(z, k)):
             if x:
-                terms[voff + i * vstep, b] = x
+                terms[voff + i * vstep, toff + slot] = x
     out = {}
     for idx, terms in nums.items():
         r, c = divmod(idx, ncols)
@@ -323,16 +315,6 @@ def _closed_strands(w: TangleWord) -> int:
         raise TangleError("closure needs a square all-plus boundary, got %s -> %s"
                           % (_sig(w.source), _sig(w.target)))
     return n
-
-
-def closure(w: TangleWord) -> TangleWord:
-    """Join matching ends of a square all-plus word, caps above, cups below."""
-    n = _closed_strands(w)
-    # bottom to top: nested cups, the word beside n downward strands, nested caps
-    rows = [("up",) * k + ("coqtr",) + ("dn",) * k for k in range(n)]
-    rows += [row + ("dn",) * n for row in w.rows]
-    rows += [("up",) * k + ("qtr",) + ("dn",) * k for k in reversed(range(n))]
-    return word(rows)
 
 
 def _framing_holds(x: str, m: mo.WeightModule) -> bool:

@@ -175,6 +175,22 @@ def test_dim_above_the_weight_lines_exits_2_before_allocating(tmp_path, capsys):
     )
 
 
+# the order of the count checks: presence of rank and module first, then
+# rank as an int, its sign, and its dot.row lines; dim the same way
+@pytest.mark.parametrize("cfg, mod, want", [
+    ("rank = 0\n", None, "{cfg}: missing module"),
+    ("rank = x\nmodule = rank1:1\n", None, "{cfg}:1: expected an integer, got 'x'"),
+    ("rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = file:z.mod\n",
+     "dim = 0\nweight.1 = 1/2\n", "{mod}: dim must be positive"),
+])
+def test_count_checks_keep_their_order(tmp_path, cfg, mod, want):
+    mpath = _write(tmp_path, "z.mod", mod) if mod else None
+    path = _write(tmp_path, "z.cfg", cfg)
+    with pytest.raises(cio.ConfigError) as info:
+        cio.load_config(path)
+    assert str(info.value) == want.format(cfg=path, mod=mpath)
+
+
 def test_rank1_size_above_the_bound_exits_2_at_once(tmp_path, capsys):
     path = _write(tmp_path, "big.cfg",
                   "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\nmodule = rank1:999999999\n")

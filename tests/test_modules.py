@@ -147,15 +147,15 @@ def test_four_maps_are_module_maps():
     for m in (M1, M2, sl3_natural()):
         d = mo.dual(m)
         triv = mo.trivial(m.spec)
-        assert mo.is_module_map(mo.tensor(d, m), triv, mo.ev_map(m))
-        assert mo.is_module_map(mo.tensor(m, d), triv, mo.qtr_map(m))
-        assert mo.is_module_map(triv, mo.tensor(d, m), mo.coev_map(m))
-        assert mo.is_module_map(triv, mo.tensor(m, d), mo.coqtr_map(m))
+        assert mo.is_module_map(mo.tensor(d, m), triv, mo.cup_cap(m, "ev"))
+        assert mo.is_module_map(mo.tensor(m, d), triv, mo.cup_cap(m, "qtr"))
+        assert mo.is_module_map(triv, mo.tensor(d, m), mo.cup_cap(m, "coev"))
+        assert mo.is_module_map(triv, mo.tensor(m, d), mo.cup_cap(m, "coqtr"))
 
 
 def test_quantum_trace_of_coquantum_trace_is_qdim():
     for m in (M1, M2, sl3_natural()):
-        loop = la.mat_mul(mo.qtr_map(m), mo.coqtr_map(m))
+        loop = la.mat_mul(mo.cup_cap(m, "qtr"), mo.cup_cap(m, "coqtr"))
         assert rf.eq(loop[0, 0], mo.qdim(m))
 
 
@@ -198,9 +198,9 @@ def test_theta_intertwines_coproducts():
     for m in (M2, sl3_natural()):
         th = mo.theta_mat(m, m)
         for i in range(m.spec.rank):
-            for build in (mo.coprod_E, mo.coprod_F):
-                straight = build(m, m, i)
-                conjd = build(m, m, i, bar=True)
+            for side in "EF":
+                straight = mo.coprod(m, m, i, side)
+                conjd = mo.coprod(m, m, i, side, bar=True)
                 assert la.mat_eq(
                     la.mat_mul(straight, th), la.mat_mul(th, conjd)
                 )

@@ -1,10 +1,13 @@
 """Dual-basis selection and the two descriptions of the quasi-R components."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtknot import cartan as ca
+from vtknot import configio
 from vtknot import freealg as fa
 from vtknot import linalg as la
 from vtknot import pairing as pr
@@ -12,6 +15,7 @@ from vtknot import quasir as qr
 from vtknot import ratfield as rf
 
 from conftest import clear_caches
+from test_tangle import CONFIGS, _rj_positive_roots
 
 SL2 = ca.make_spec(1, [[2]], [[1]])
 SL3 = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
@@ -253,3 +257,54 @@ def test_dual_element_is_a_row_of_theta(order):
             assert [w for w, _ in got] == [w for w, _ in row] == [w for w, _ in want]
             for (_, g), (_, r), (_, w) in zip(got, row, want):
                 assert g is r and rf.eq(g, w) and rf.render(g) == rf.render(w)
+
+
+# ------------------------------------------------- Kostant's partition function
+#
+# U^+ has a PBW basis of ordered monomials in root vectors, one vector per
+# positive root counted with multiplicity, and the greedy basis carries the
+# rank of its degree: so degree mu has P(mu) basis words, P the number of
+# multisets of positive roots that sum to mu.  The roots come from outside
+# the code under test: on finite type they are the positive half of the Weyl
+# orbit of the simple roots (the Rosso-Jones oracle's walk), on affine A1^(1)
+# they are a_0 + n delta and a_1 + n delta (n >= 0) and n delta (n >= 1), all
+# of multiplicity one (Kac, *Infinite-dimensional Lie algebras*, ch. 7).
+
+_KOSTANT_BOUND = 6
+_KOSTANT_DATA = {
+    "sl3": lambda: SL3,
+    "B2": lambda: ca.make_spec(2, [[4, -2], [-2, 2]], [[2, -2], [0, 1]]),
+    "G2": lambda: ca.make_spec(2, [[6, -3], [-3, 2]], [[3, -3], [0, 1]]),
+    "affine_a1": lambda: configio.load_config(str(CONFIGS / "affine_a1.cfg")).spec,
+}
+
+
+def _positive_roots(name, spec):
+    if name != "affine_a1":
+        return [tuple(map(int, r)) for r in _rj_positive_roots(spec.dot)]
+    ns = range(_KOSTANT_BOUND + 1)
+    return [(n + 1, n) for n in ns] + [(n, n + 1) for n in ns] + [(n, n) for n in ns if n]
+
+
+def _kostant(roots, rank, bound):
+    """P on every degree with coordinates up to bound: each root may be
+    taken any number of times, so the count runs over the box in
+    lexicographic order, which puts nu - r before nu."""
+    box = list(itertools.product(range(bound + 1), repeat=rank))
+    ways = dict.fromkeys(box, 0)
+    ways[(0,) * rank] = 1
+    for r in roots:
+        for nu in box:
+            rest = tuple(x - y for x, y in zip(nu, r))
+            if min(rest) >= 0:
+                ways[nu] += ways[rest]
+    return ways
+
+
+@pytest.mark.parametrize("name", list(_KOSTANT_DATA))
+def test_basis_sizes_are_kostants_partition_function(name):
+    spec = _KOSTANT_DATA[name]()
+    ways = _kostant(_positive_roots(name, spec), spec.rank, _KOSTANT_BOUND)
+    for mu, p in ways.items():
+        if sum(mu) <= _KOSTANT_BOUND:
+            assert len(qr.select_basis(spec, mu)) == p, mu

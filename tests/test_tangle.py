@@ -58,13 +58,13 @@ def test_compose_and_tensor():
 
 
 def test_closure_shapes():
-    assert tg.closure(tg.parse("up")) == tg.parse("coqtr ; up * dn ; qtr")
-    two = tg.closure(tg.parse("xp"))
+    assert _closure(tg.parse("up")) == tg.parse("coqtr ; up * dn ; qtr")
+    two = _closure(tg.parse("xp"))
     assert two.source == () and two.target == ()
     with pytest.raises(tg.TangleError):
-        tg.closure(tg.parse("dn"))
+        _closure(tg.parse("dn"))
     with pytest.raises(tg.TangleError):
-        tg.closure(tg.parse("up * coev"))
+        _closure(tg.parse("up * coev"))
 
 
 def test_functor_identity_and_scalars():
@@ -206,6 +206,17 @@ def _dense_T(w, gens, d):
     return acc
 
 
+def _closure(w):
+    """Join matching ends of a square all-plus word, caps above, cups below:
+    the closed word whose value `invariant` must reproduce."""
+    n = tg._closed_strands(w)
+    # bottom to top: nested cups, the word beside n downward strands, nested caps
+    rows = [("up",) * k + ("coqtr",) + ("dn",) * k for k in range(n)]
+    rows += [row + ("dn",) * n for row in w.rows]
+    rows += [("up",) * k + ("qtr",) + ("dn",) * k for k in reversed(range(n))]
+    return tg.word(rows)
+
+
 def _conjugated_rank1_2():
     """rank1:2 with its middle basis vector scaled by 1 + v.
 
@@ -242,10 +253,7 @@ def test_functor_matches_dense_row_by_row_evaluation(name):
     gens = {
         "up": la.identity(m.dim),
         "dn": la.identity(m.dim),
-        "ev": mo.ev_map(m),
-        "qtr": mo.qtr_map(m),
-        "coev": mo.coev_map(m),
-        "coqtr": mo.coqtr_map(m),
+        **{g: mo.cup_cap(m, g) for g in ("ev", "qtr", "coev", "coqtr")},
         "xp": la.mat_scale(mo.rmat(m, m), rf.inv(unit)),
         "xm": la.mat_scale(mo.rmat_inv(m, m), unit),
     }
@@ -258,6 +266,31 @@ def test_functor_matches_dense_row_by_row_evaluation(name):
             for r, c, x in got.items():
                 assert x.den is rf.LP_ONE, text
                 assert x.num == rf.reduce_poly(want[r, c]).num, text
+
+
+# T lands in module maps (Reshetikhin-Turaev, CMP 127, 1990): T(w) commutes
+# with E_i, F_i and the weight grading between its boundaries, the module
+# B(sig) being the left-nested tensor product of m on + strands and dual(m) on
+# - strands, and the trivial module on an empty boundary.
+
+@functools.lru_cache(maxsize=None)
+def _functor_module(name):
+    return _FUNCTOR_MODULES[name]()
+
+
+def _boundary_module(m, sig):
+    mods = [m if s == "+" else mo.dual(m) for s in sig]
+    return functools.reduce(mo.tensor, mods) if mods else mo.trivial(m.spec)
+
+
+@pytest.mark.parametrize("name", list(_FUNCTOR_MODULES))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_functor_lands_in_module_maps(name, seed):
+    m, text = _functor_module(name), _random_word(random.Random(seed))
+    w = tg.parse(text)
+    source, target = (_boundary_module(m, sig) for sig in (w.source, w.target))
+    assert mo.is_module_map(source, target, tg.functor_T(w, m)), text
 
 
 def _kink_is_identity(x, m):
@@ -289,7 +322,7 @@ def test_framing_check_refuses_a_reducible_module(tmp_path):
 @pytest.mark.parametrize("name", list(_FUNCTOR_MODULES))
 def test_packed_digits_hold_the_bound_with_one_bit_to_spare(name):
     m = _FUNCTOR_MODULES[name]()
-    w = tg.closure(tg.parse("xp * up ; up * xm ; xp * up"))
+    w = _closure(tg.parse("xp * up ; up * xm ; xp * up"))
     shapes = [tg._generator(g, m)[2] for row in w.rows for g in row if g not in ("up", "dn")]
     bound = math.prod(sh[1] for sh in shapes)
     k = tg._layout(shapes)[0]
@@ -384,7 +417,7 @@ def _trace_module(name):
 
 
 def _assert_matches_the_closure(w, m):
-    got, want = tg.invariant(w, m), tg.functor_T(tg.closure(w), m)[0, 0]
+    got, want = tg.invariant(w, m), tg.functor_T(_closure(w), m)[0, 0]
     assert got.num == want.num and got.den == want.den, w
 
 
@@ -675,7 +708,7 @@ _SUMMANDS = ((rf.parse("v^4 + v^2 + 1 + v^-2 + v^-4"), 1, 2), (rf.parse("v^2 + 1
 
 def test_rank1_2_closures_satisfy_the_cubic_recurrence():
     m = configio.load_config(str(BENCH_CONFIGS / "rank1_2.cfg")).module
-    f = [tg.functor_T(tg.closure(tg.parse(" ; ".join(["xp"] * k))), m)[0, 0]
+    f = [tg.functor_T(_closure(tg.parse(" ; ".join(["xp"] * k))), m)[0, 0]
          for k in range(1, 10)]
     for k in range(6):
         want = _E1 * f[k + 2] - _E2 * f[k + 1] + _E3 * f[k]
