@@ -10,16 +10,18 @@ It prints each stage's share and its milliseconds per pass:
                     argparse, building the parser and parsing argv
     config load     `configio.load_config`: reading and parsing the files
     module check    `modules.validate_module`, which the config load calls
-    crossing build  `tangle._generator`: the crossing tables, and the cup
-                    and cap tables of words that hold them (`invariant`
-                    builds none)
+    crossing build  `tangle._generator`: the crossing tables, the R-matrix's
+                    numerators with the curl scalar's monomial folded in,
+                    and the cup and cap tables of words that hold them
+                    (`invariant` builds none)
     kink            `tangle._framing_holds`: the framing check of
                     `tangle.invariant`, the crossing's partial quantum trace
                     with the cap's weights v_deg(-w_j)^2 read off the module
     closure         the `functor_T` call inside `tangle.invariant`: the open
-                    word evaluated on the columns of dominant weight, only
-                    their diagonal entries unpacked.  The orbit sums and the
-                    weighted sum around it stay in "rest"
+                    word evaluated on the columns of dominant weight, each
+                    weight space's diagonal ints summed and unpacked once as
+                    its trace.  The orbit sums and the weighted sum around
+                    it stay in "rest"
     large products  `ratfield._large_mul`: LaurentPoly products of at least
                     `ratfield.LARGE_PAIRS` term pairs, memo lookups included
     gram            `pairing.gram`: a degree's Gram block of pairings

@@ -16,7 +16,9 @@ per distinct word, and the theta operators, the Serre check and the suites
 share those matrices.  `_theta_op` and `act_elem` add each term's entries
 (a theta term's are `linalg._kron_cells`) into one {row: {col: value}}
 table, then build one `Matrix`; each entry sums its terms in table order.
-`kappa` writes the quantum integer on the exponent lattice whenever it is one.
+`kappa` writes the quantum integer on the exponent lattice whenever it is one,
+and is cached by its arguments.  `validate_module` adds E_i F_j - F_j E_i -
+delta_ij diag(kappa) entry by entry into one table, with no matrix product.
 `pair_labels` names the basis of a tensor product, for `tensor` and for the
 `rmatrix` dump, which needs no coproduct actions.
 """
@@ -101,11 +103,13 @@ def act_elem(m: WeightModule, x, side: str) -> la.Matrix:
     return la.Matrix(m.dim, m.dim, out)
 
 
-def kappa(spec: ca.CartanSpec, i: int, mu, den: int = 1) -> RatFunc:
+@lru_cache(maxsize=None)
+def kappa(spec: ca.CartanSpec, i: int, mu: tuple, den: int = 1) -> RatFunc:
     """(v^(i.mu) - v^(-i.mu)) c_{i,mu} / (v_i - v_i^-1) for the weight mu over den.
 
     When n = (i.mu)/d_i is an integer this is the quantum integer [n] in
     v_i = v^d_i times c_{i,mu}, written on the lattice with no division.
+    Cached, so `rank1_simple` and `validate_module` share each value.
     """
     a = ca.dot(spec, ca.unit(spec, i), mu, den)
     d = ca.d_i(spec, i)
@@ -154,14 +158,14 @@ def validate_module(m: WeightModule) -> list:
         for j in range(spec.rank):
             if ("E", i) in broken or ("F", j) in broken or (i == j and ("K", i) in broken):
                 continue
-            lhs = la.mat_sub(
-                la.mat_mul(m.act_E[i], m.act_F[j]), la.mat_mul(m.act_F[j], m.act_E[i])
-            )
+            # E_i F_j - F_j E_i - delta_ij diag(kappa), entry by entry in one table
+            out = {}
+            for a, b, neg in ((m.act_E[i], m.act_F[j], False), (m.act_F[j], m.act_E[i], True)):
+                for r, k, x in a.items():
+                    _add_terms(out, -x if neg else x, ((r, c, y) for c, y in b.entries.get(k, {}).items()))
             if i == j:
-                rhs = _diag(kappa(spec, i, w, m.den) for w in m.weights)
-            else:
-                rhs = la.Matrix(m.dim, m.dim)
-            if not la.mat_eq(lhs, rhs):
+                _add_terms(out, ONE, ((k, k, -kappa(spec, i, w, m.den)) for k, w in enumerate(m.weights)))
+            if any(not x.is_zero() for row in out.values() for x in row.values()):
                 failures.append("commutator of E_%d with F_%d is wrong" % (i + 1, j + 1))
     for i in range(spec.rank):
         for j in range(spec.rank):

@@ -443,7 +443,10 @@ def _normal(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
 
 def _clear_dens(values) -> tuple:
     """(nums, den): the values as numerators over den, the product of their
-    distinct dens; each num is its value's numerator times the other dens."""
+    distinct dens; each num is its value's numerator times the other dens.
+    Laurent values alone are their nums over LP_ONE at once."""
+    if all(e.den is LP_ONE for e in values):
+        return [e.num for e in values], LP_ONE
     dens = []
     for e in values:
         if not any(d == e.den for d in dens):

@@ -12,9 +12,12 @@ row-wide Kronecker product is ever formed.  The operator is kept as
 numerators over one den, packed: one Python int per (entry, t-power), the
 entry's v-polynomial at that t-power evaluated at v = 2^K (Kronecker
 substitution), so a product is one int product and a sum one int sum.  K
-holds a bound on every coefficient fixed before the first product; only the
-requested entries are unpacked into term dicts, by `ratfield._unpack`, the
-balanced-digit codec that ratfield's packed products also read back with.
+holds a bound on every coefficient, and on every sum of a block's diagonal
+entries, fixed before the first product; ints are unpacked into term dicts
+by `ratfield._unpack`, the balanced-digit codec that ratfield's packed
+products also read back with.  A crossing's table is the R-matrix's with the
+curl scalar's monomial folded into its numerators, so no scaled copy of the
+R-matrix is built.
 
 `invariant` evaluates no cup or cap.  The closure of an (n, n) tangle L
 joins each top end to its bottom end by nested caps and cups, which weight
@@ -32,8 +35,9 @@ Hence
 S(mu) the sum of qw(nu) over the distinct weights nu of V^(x)n whose
 dominant representative is mu.  Any one representative per orbit gives the
 same value; `_dominant` picks the dominant one.  `functor_T` evaluates only
-the columns of dominant weight and unpacks only their diagonal entries, and
-`invariant` sums them as values, per weight, before the weighting by S(mu).
+the columns of dominant weight and returns one trace per weight space: its
+diagonal packed ints summed per t-slot and unpacked once, which `invariant`
+weights by S(mu).
 The framing check is the crossing table's partial quantum trace, read from
 the weights too.
 """
@@ -175,20 +179,24 @@ def _generator(g: str, m: mo.WeightModule) -> tuple:
     Returns (cols, den, shape), built once per module and shared by every
     caller, so read-only: cols maps each column to its nonzero entries as
     [(row, num)], and the entry is num/den.  den is the product of the
-    entries' distinct dens, LP_ONE when all are Laurent.  shape is
-    (scale, l1, vmin, vstep, tmin, tspan): on the lattice of scale, the lcm
-    of the nums' scales, their least v and t exponents, the gcd of every v
-    exponent's distance from vmin (0 for one exponent) and the t-span; l1 is
-    the largest sum over a row of its coefficients' absolute values.
+    entries' distinct dens, LP_ONE when all are Laurent.  A crossing is
+    `modules.rmat` (xp) or `rmat_inv` (xm) divided by `crossing_unit`, a
+    monomial over LP_ONE: its dens are cleared as they are and each num is
+    multiplied by the unit's num, with no scaled copy of the matrix.  shape
+    is (scale, l1, vmin, vstep, tmin, tspan): on the lattice of scale, the
+    lcm of the nums' scales, their least v and t exponents, the gcd of every
+    v exponent's distance from vmin (0 for one exponent) and the t-span; l1
+    is the largest sum over a row of its coefficients' absolute values.
     """
     if g == "xp":
-        mat = la.mat_scale(mo.rmat(m, m), rf.inv(crossing_unit(m)))
+        mat, unit = mo.rmat(m, m), rf.inv(crossing_unit(m)).num
     elif g == "xm":
-        mat = la.mat_scale(mo.rmat_inv(m, m), crossing_unit(m))
+        mat, unit = mo.rmat_inv(m, m), crossing_unit(m).num
     else:
-        mat = mo.cup_cap(m, g)
+        mat, unit = mo.cup_cap(m, g), LP_ONE
     entries = list(mat.items())
     nums, den = rf._clear_dens([x for _, _, x in entries])
+    nums = [p * unit for p in nums]
     cols, l1 = {}, {}
     for (r, c, _), p in zip(entries, nums):
         cols.setdefault(c, []).append((r, p))
@@ -203,37 +211,39 @@ def _generator(g: str, m: mo.WeightModule) -> tuple:
     return cols, den, shape
 
 
-def _layout(shapes) -> tuple:
+def _layout(shapes, terms: int = 1) -> tuple:
     """(k, scale, voff, vstep, toff, width) of the packed state for
-    generators of these shapes, one per application.
+    generators of these shapes, one per application, read back as sums of
+    up to terms entries.
 
     On the lattice of scale, the lcm of their scales, each entry of the
     state is a sum of products of one num per application, so its v
     exponents are voff, the sum of the v minima, plus multiples of vstep,
     the gcd of the steps, and its t exponents toff plus a t-slot below
-    width.  Its coefficients are at most the product of the l1, so balanced
-    base-2^k digits hold them when k is that bound's bits plus one sign bit.
+    width.  Its coefficients are at most the product of the l1, and a sum
+    of terms entries' at most terms times that, so balanced base-2^k digits
+    hold them when k is that bound's bits plus one sign bit.
     """
     scales, l1s, vmins, vsteps, tmins, tspans = list(zip(*shapes)) or [()] * 6
     scale = lcm(*scales)
     f = [scale // x for x in scales]
-    k = prod(l1s).bit_length() + 1
+    k = (terms * prod(l1s)).bit_length() + 1
     vstep = gcd(*map(mul, f, vsteps)) or 1
     width = sum(map(mul, f, tspans)) + 1
     voff, toff = sum(map(mul, f, vmins)), sum(map(mul, f, tmins))
     return k, scale, voff, vstep, toff, width
 
 
-def _apply(cols, acc, ds, dt, blo):
-    """Apply a generator's packed table cols (dt x ds) to its strands of acc.
+def _apply(offsets, acc, ds, dt, blo):
+    """Apply a generator (dt x ds) to its strands of acc.
 
     acc maps the key (hi*ds + r)*blo + lo of each nonzero (entry, t-power)
     to its packed int, lo holding the strands right of the generator and
-    the t-slot; the key becomes (hi*dt + r')*blo + lo + slot for every entry
-    (r', slot, x) of column r, and x * y is added there.
+    the t-slot; offsets maps each column r to [(r' * blo + slot, x)] for the
+    generator's entries (r', slot, x) of that column, and x * y is added at
+    (hi*dt + r')*blo + lo + slot.
     """
     block = ds * blo
-    offsets = {c: [(r * blo + slot, x) for r, slot, x in col] for c, col in cols.items()}
     out = {}
     get = out.get
     for key, y in acc.items():
@@ -246,25 +256,29 @@ def _apply(cols, acc, ds, dt, blo):
     return {j: z for j, z in out.items() if z}
 
 
-def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
+def functor_T(w: TangleWord, m: mo.WeightModule, blocks=None):
     """Evaluate the word on the module: + strands carry m, - strands dual(m).
 
-    entries lists the (row, col) entries to read, all by default; the
-    returned matrix holds those of them that are nonzero.  The functor is
-    strict monoidal, so each generator of a row acts on its own strands
-    only and up/dn do nothing.  Each generator's table comes from the
-    cached `_generator` and is packed once per call, on the word's
-    `_layout`.  The operator from the source boundary is kept as packed
-    ints keyed by (row * cols + col) * width + t-slot, so the source
-    boundary and the t-slot are one more block to the right of every
-    generator; it starts from the entries' columns only.  All entries
-    share one den, the product of the applied generators' dens, and become
-    RatFuncs only in the returned matrix.
+    Returns the full `linalg.Matrix` by default.  With blocks, a list of
+    lists of source basis vectors, it returns instead each block's trace,
+    the sum of the diagonal entries (e, e) over e in the block, as one
+    RatFunc per block, and starts from the blocks' columns only.  The
+    functor is strict monoidal, so each generator of a row acts on its own
+    strands only and up/dn do nothing.  Each generator's table comes from
+    the cached `_generator` and is packed once per call, on the word's
+    `_layout`, and its offsets once per strand position.  The operator from
+    the source boundary is kept as packed ints keyed by
+    (row * cols + col) * width + t-slot, so the source boundary and the
+    t-slot are one more block to the right of every generator.  A block's
+    diagonal ints are summed per t-slot, which the layout's digits hold, and
+    unpacked once.  All entries share one den, the product of the applied
+    generators' dens, and become RatFuncs only when unpacked.
     """
     d = m.dim
     applied = [g for row in w.rows for g in row if g not in ("up", "dn")]
     gens = {g: _generator(g, m) for g in applied}
-    k, scale, voff, vstep, toff, width = _layout([gens[g][2] for g in applied])
+    size = 1 if blocks is None else max(map(len, blocks), default=1)
+    k, scale, voff, vstep, toff, width = _layout([gens[g][2] for g in applied], size)
     tables = {}
     for g, (cols, _, (s, _, vmin, _, tmin, _)) in gens.items():
         vmin, tmin = vmin * (scale // s), tmin * (scale // s)
@@ -277,12 +291,9 @@ def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
                     ints[b - tmin] = ints.get(b - tmin, 0) + (x << k * ((a - vmin) // vstep))
                 packed += [(r, slot, z) for slot, z in ints.items()]
     ncols = d ** len(w.source)
-    if entries is None:
-        starts, wanted = range(ncols), None
-    else:
-        wanted = {r * ncols + c for r, c in entries}
-        starts = {idx % ncols for idx in wanted}
+    starts = range(ncols) if blocks is None else {e for block in blocks for e in block}
     acc = {(c * ncols + c) * width: 1 for c in starts}
+    offsets = {}
     for row in w.rows:
         lo = len(_row_boundary(row)[0])
         for g in row:
@@ -290,21 +301,39 @@ def functor_T(w: TangleWord, m: mo.WeightModule, entries=None) -> la.Matrix:
             lo -= s
             if g in ("up", "dn"):
                 continue
-            acc = _apply(tables[g], acc, d ** s, d ** t, d ** lo * ncols * width)
+            blo = d ** lo * ncols * width
+            offs = offsets.get((g, lo))
+            if offs is None:
+                offs = offsets[g, lo] = {c: [(r * blo + slot, x) for r, slot, x in col]
+                                         for c, col in tables[g].items()}
+            acc = _apply(offs, acc, d ** s, d ** t, blo)
     den = prod((gens[g][1] for g in applied), start=LP_ONE)
-    nums = {}
+
+    def value(slots):
+        terms = {}
+        for slot, z in slots.items():
+            for i, x in enumerate(rf._unpack(z, k)):
+                if x:
+                    terms[voff + i * vstep, toff + slot] = x
+        return rf.RatFunc(rf._make(terms, scale), den)
+
+    if blocks is not None:
+        sums = [{} for _ in blocks]
+        owners = {}
+        for block, slots in zip(blocks, sums):
+            for e in block:
+                owners.setdefault(e * ncols + e, []).append(slots)
+        for key, z in acc.items():
+            idx, slot = divmod(key, width)
+            for slots in owners.get(idx, ()):
+                slots[slot] = slots.get(slot, 0) + z
+        return [value(slots) for slots in sums]
+    out = {}
     for key, z in acc.items():
         idx, slot = divmod(key, width)
-        if wanted is not None and idx not in wanted:
-            continue
-        terms = nums.setdefault(idx, {})
-        for i, x in enumerate(rf._unpack(z, k)):
-            if x:
-                terms[voff + i * vstep, toff + slot] = x
-    out = {}
-    for idx, terms in nums.items():
         r, c = divmod(idx, ncols)
-        out.setdefault(r, {})[c] = rf.RatFunc(rf._make(terms, scale), den)
+        out.setdefault(r, {}).setdefault(c, {})[slot] = z
+    out = {r: {c: value(slots) for c, slots in row.items()} for r, row in out.items()}
     return la.Matrix(d ** len(w.target), ncols, out)
 
 
@@ -363,9 +392,9 @@ def _dominant(spec: ca.CartanSpec, nu, weights) -> tuple:
 def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
     """Framing-normalized invariant of the closure of w on m.
 
-    The weighted trace of the module docstring: `functor_T` reads the
-    diagonal entries of the columns of dominant weight, they are summed per
-    weight, and each sum is weighted by S(mu).  Raises FramingError when
+    The weighted trace of the module docstring: `functor_T` returns the
+    trace of each weight space of dominant weight, as blocks of basis
+    vectors, and each trace is weighted by S(mu).  Raises FramingError when
     the twist is not one scalar on m, checked by `_framing_holds` on the
     crossing the word uses.
     """
@@ -394,9 +423,8 @@ def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
         terms = orbit.setdefault(_dominant(m.spec, nu, spaces), {})
         a = -2 * sum(map(mul, ds, nu))
         terms[a, 0] = terms.get((a, 0), 0) + 1
-    op = functor_T(w, m, [(e, e) for mu in orbit for e in spaces[mu]])
+    traces = functor_T(w, m, [spaces[mu] for mu in orbit])
     total = rf.ZERO
-    for mu, terms in orbit.items():
-        trace = sum((op[e, e] for e in spaces[mu]), rf.ZERO)
+    for trace, terms in zip(traces, orbit.values()):
         total = total + trace * rf.RatFunc(rf._make(terms, m.den))
     return total

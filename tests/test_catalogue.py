@@ -58,7 +58,7 @@ def test_make_cold_empties_the_per_module_caches():
     tg = sys.modules["vtknot.tangle"]
     cio = sys.modules["vtknot.configio"]
     rf = sys.modules["vtknot.ratfield"]
-    per_module = [mo.act_word, mo._raising_degrees, tg.crossing_unit, rf._large_mul]
+    per_module = [mo.act_word, mo._raising_degrees, mo.kappa, tg.crossing_unit, rf._large_mul]
     m = cio.load_config(str(BENCH / "configs" / "sl3.cfg")).module
     tg.invariant("trefoil", m)
     rf.qint(9, 1) * rf.qint(8, 1)  # 72 term pairs: a large product
@@ -66,4 +66,4 @@ def test_make_cold_empties_the_per_module_caches():
     found = harness.package_caches()
     assert all(any(c is f for f in found) for c in per_module)
     harness.make_cold()
-    assert [c.cache_info().currsize for c in per_module] == [0, 0, 0, 0]
+    assert [c.cache_info().currsize for c in per_module] == [0] * len(per_module)

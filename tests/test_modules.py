@@ -87,6 +87,24 @@ def test_validate_module_reports_each_fault_once_in_order():
     ]
 
 
+def test_validate_module_reports_a_mixed_commutator():
+    # nat (x) nat with F_2's entry (x1,x3) <- (x1,x2) doubled: [E_1, F_2], which
+    # must vanish, no longer does, and neither does [E_2, F_2] nor F's Serre
+    # relators; each pair's entries are summed in one table, with no matrices
+    nn = mo.tensor(sl3_natural(), sl3_natural())
+    rows = {r: dict(row) for r, row in nn.act_F[1].entries.items()}
+    rows[2][1] = rows[2][1] * rf.mono(2)
+    f2 = la.Matrix(nn.dim, nn.dim, rows)
+    bad = mo.make_module(nn.spec, nn.labels, nn.weights, nn.act_E, (nn.act_F[0], f2), nn.den)
+    assert mo.validate_module(nn) == []
+    assert mo.validate_module(bad) == [
+        "commutator of E_1 with F_2 is wrong",
+        "commutator of E_2 with F_2 is wrong",
+        "higher braid relation fails on the F side for (1, 2)",
+        "higher braid relation fails on the F side for (2, 1)",
+    ]
+
+
 def test_k_actions_are_brace_eigenvalues():
     got = mo.act_K(M1, (1,))
     assert rf.eq(got[0, 0], rf.parse("v"))

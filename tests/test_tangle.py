@@ -1,5 +1,6 @@
 """Tangle word parsing, typing, evaluation, closures, and invariant values."""
 
+import collections
 import fractions
 import functools
 import math
@@ -325,14 +326,18 @@ def test_packed_digits_hold_the_bound_with_one_bit_to_spare(name):
     w = _closure(tg.parse("xp * up ; up * xm ; xp * up"))
     shapes = [tg._generator(g, m)[2] for row in w.rows for g in row if g not in ("up", "dn")]
     bound = math.prod(sh[1] for sh in shapes)
-    k = tg._layout(shapes)[0]
-    digits = [bound, -bound, 0, 1, -bound, bound, -1]
+    # a block's trace sums up to n diagonal entries, n the largest weight
+    # space of V^(x)3, each within the bound
+    n = max(collections.Counter(_tensor_power_weights(m, 3, list)).values())
+    for terms, top in ((1, bound), (n, n * bound)):
+        k = tg._layout(shapes, terms)[0]
+        digits = [top, -top, 0, 1, -top, top, -1]
 
-    def pack(bits):
-        return sum(c << bits * i for i, c in enumerate(digits))
+        def pack(bits):
+            return sum(c << bits * i for i, c in enumerate(digits))
 
-    assert rf._unpack(pack(k), k) == digits
-    assert rf._unpack(pack(k - 1), k - 1) != digits
+        assert rf._unpack(pack(k), k) == digits, terms
+        assert rf._unpack(pack(k - 1), k - 1) != digits, terms
 
 
 def test_wide_digit_closure_on_rank1_4():
@@ -469,10 +474,11 @@ def _reflections_to_dominance(spec, nu):
         steps += 1
 
 
-def _tensor_power_weights(m, n):
-    weights = {(0,) * m.spec.rank}
+def _tensor_power_weights(m, n, kind=set):
+    """The weights of V^(x)n, each once, or as a list with multiplicities."""
+    weights = kind([(0,) * m.spec.rank])
     for _ in range(n):
-        weights = {tuple(x + y for x, y in zip(a, b)) for a in weights for b in m.weights}
+        weights = kind(tuple(x + y for x, y in zip(a, b)) for a in weights for b in m.weights)
     return weights
 
 
@@ -497,17 +503,28 @@ def test_dominant_walks_every_weight_into_the_dominant_chamber():
             assert tg._dominant(m.spec, nu, weights) == _reflections_to_dominance(m.spec, nu)[1], (name, nu)
 
 
-def test_functor_reads_only_the_requested_entries():
+def test_functor_traces_the_requested_blocks():
     m = _trace_module("sl2")
+    dual = mo.dual(m)
     for text in _POOL + _LOCAL:
         w = tg.parse(text)
         full = tg.functor_T(w, m)
-        cells = [(r, c) for r in range(full.rows) for c in range(full.cols) if (r + c) % 2 == 0]
-        part = tg.functor_T(w, m, cells)
-        assert (part.rows, part.cols) == (full.rows, full.cols), text
-        assert {(r, c) for r, c, _ in part.items()} <= set(cells), text
-        for r, c in cells:
-            assert part[r, c].num == full[r, c].num and part[r, c].den == full[r, c].den, text
+        # the source's weight spaces, and a block of every other index
+        spaces = {(0,) * m.spec.rank: [0]}
+        for sign in w.source:
+            weights = (m if sign == "+" else dual).weights
+            grown = {}
+            for nu, idx in spaces.items():
+                for j, wj in enumerate(weights):
+                    key = tuple(x + y for x, y in zip(nu, wj))
+                    grown.setdefault(key, []).extend(e * m.dim + j for e in idx)
+            spaces = grown
+        blocks = list(spaces.values()) + [list(range(0, full.cols, 2))]
+        got = tg.functor_T(w, m, blocks)
+        assert len(got) == len(blocks), text
+        for block, x in zip(blocks, got):
+            want = sum((full[e, e] for e in block), rf.ZERO)
+            assert x.num == want.num and x.den == want.den, (text, block)
 
 
 def test_invariant_refuses_an_open_word_with_the_closure_error():
