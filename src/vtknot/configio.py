@@ -1,7 +1,8 @@
 """Run configuration: line-oriented key=value files with dotted keys.
 
 Config keys: rank, dot.row.<k>, omega.row.<k>, module, basis_order.
-module is rank1:<n> with 0 <= n <= RANK1_MAX, or file:<path>.
+module is rank1:<n> with 0 <= n <= RANK1_MAX, built over `modules.RANK1`,
+the one rank-one datum that `cartan.validate` admits, or file:<path>.
 basis_order (lex or revlex) picks the dual bases that `theta` prints and the
 quasiR suite checks; crossings, invariants and `rmatrix` do not depend on it.
 Module files: dim, optional label.<k>, weight.<k>, E.<i>.<r>.<c>, F.<i>.<r>.<c>.
@@ -184,7 +185,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError("%s:%d: rank1 modules need rank = 1" % (path, mln))
         if not 0 <= n <= RANK1_MAX:
             raise ConfigError("%s:%d: module size must be between 0 and %d" % (path, mln, RANK1_MAX))
-        module = mo.rank1_simple(n, spec)
+        module = mo.rank1_simple(n)
     elif mval.startswith("file:"):
         rel = mval[len("file:"):].strip()
         mpath = os.path.join(os.path.dirname(os.path.abspath(path)), rel)

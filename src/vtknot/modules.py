@@ -16,9 +16,11 @@ per distinct word, and the theta operators, the Serre check and the suites
 share those matrices.  `_theta_op` and `act_elem` add each term's entries
 (a theta term's are `linalg._kron_cells`) into one {row: {col: value}}
 table, then build one `Matrix`; each entry sums its terms in table order.
-`kappa` writes the quantum integer on the exponent lattice whenever it is one,
-and is cached by its arguments.  `validate_module` adds E_i F_j - F_j E_i -
+`validate_module` refuses a weight whose <w, a_i^v> is not an integer, so
+`kappa` always writes the quantum integer on the exponent lattice, and is
+cached by its arguments.  `validate_module` adds E_i F_j - F_j E_i -
 delta_ij diag(kappa) entry by entry into one table, with no matrix product.
+`rank1_simple(n)` is built over RANK1, the one admissible rank-one datum.
 `pair_labels` names the basis of a tensor product, for `tensor` and for the
 `rmatrix` dump, which needs no coproduct actions.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import cartan as ca
 from . import freealg
@@ -107,16 +109,14 @@ def act_elem(m: WeightModule, x, side: str) -> la.Matrix:
 def kappa(spec: ca.CartanSpec, i: int, mu: tuple, den: int = 1) -> RatFunc:
     """(v^(i.mu) - v^(-i.mu)) c_{i,mu} / (v_i - v_i^-1) for the weight mu over den.
 
-    When n = (i.mu)/d_i is an integer this is the quantum integer [n] in
-    v_i = v^d_i times c_{i,mu}, written on the lattice with no division.
-    Cached, so `rank1_simple` and `validate_module` share each value.
+    Precondition: n = <mu, a_i^v> = (i.mu)/d_i is an integer, as on every
+    weight that `validate_module` lets through.  The value is then the
+    quantum integer [n] in v_i = v^d_i times c_{i,mu}, written on the lattice
+    with no division.  Cached, so `rank1_simple` and `validate_module` share
+    each value.
     """
-    a = ca.dot(spec, ca.unit(spec, i), mu, den)
     d = ca.d_i(spec, i)
-    n, frac = divmod(a, d)
-    if frac:
-        num = (rf.mono(1, a, 0) - rf.mono(1, -a, 0)) * ca.c(spec, i, mu, den)
-        return num / (rf.mono(1, d, 0) - rf.mono(1, -d, 0))
+    n = ca.dot(spec, ca.unit(spec, i), mu, den) // d
     sign, n = (1, n) if n >= 0 else (-1, -n)
     qint = {(d * (n - 1 - 2 * k), 0): sign for k in range(n)}
     return RatFunc(rf._raw(qint, 1)) * ca.c(spec, i, mu, den)
@@ -126,10 +126,13 @@ def validate_module(m: WeightModule) -> list:
     """Relation checks; returns a list of failure descriptions.
 
     The commutator of E_i with F_j is checked only when both pass the
-    grading check, and [E_i, F_i] only when every weight has
-    |<w, a_i^v>| <= dim - 1, as each a_i-string of a finite-dimensional
-    module over generic v is shorter than dim: so no quantum integer [n]
-    longer than the module is ever written out.  For the same reason the
+    grading check, and [E_i, F_i] only when every weight has an integral
+    <w, a_i^v> with |<w, a_i^v>| <= dim - 1.  A non-integral one cannot pass
+    that commutator: along an a_i-string c_{i,mu} is constant and the
+    exponents +-(a - 2 d_i k) never meet, so the trace of [E_i, F_i] over
+    the string is not 0.  Each a_i-string of a finite-dimensional module
+    over generic v is shorter than dim, so no quantum integer [n] longer
+    than the module is ever written out.  For the same reason the
     Serre relator of (i, j) is checked only when its power n = 1 - <a_ij>
     of theta_i is below 2 dim - 1: from there on each of its terms holds a
     power of E_i (or F_i) of at least dim, which is zero once the grading
@@ -148,10 +151,17 @@ def validate_module(m: WeightModule) -> list:
                         "%s_%d breaks the weight grading at entry (%d, %d)" % (tag, i + 1, r + 1, c + 1)
                     )
     for i in range(spec.rank):
-        # (a_i.w) / d_i is the n of the quantum integer [n] that kappa writes out
-        bound = (m.dim - 1) * ca.d_i(spec, i)
+        # <w, a_i^v> = (a_i.w) / (d_i den) is the n of the quantum integer [n]
+        # that kappa writes out: it must be an integer, of size below dim
+        q = ca.d_i(spec, i) * m.den
         for k, w in enumerate(m.weights):
-            if abs(ca.dot(spec, ca.unit(spec, i), w, m.den)) > bound:
+            a = ca.dot(spec, ca.unit(spec, i), w)
+            if a % q:
+                broken.add(("K", i))
+                g = gcd(a, q)
+                failures.append("weight %d has a non-integral <w, a_%d^v> = %d/%d"
+                                % (k + 1, i + 1, a // g, q // g))
+            if abs(a) > (m.dim - 1) * q:
                 broken.add(("K", i))
                 failures.append("weight %d has |<w, a_%d^v>| > dim - 1 = %d" % (k + 1, i + 1, m.dim - 1))
     for i in range(spec.rank):
@@ -187,25 +197,26 @@ def trivial(spec: ca.CartanSpec) -> WeightModule:
 RANK1 = ca.make_spec(1, [[2]], [[1]])
 
 
-def rank1_simple(n: int, spec: ca.CartanSpec = RANK1) -> WeightModule:
-    """Simple highest-weight module with n+1 basis vectors over a rank-one datum.
+def rank1_simple(n: int) -> WeightModule:
+    """Simple highest-weight module with n+1 basis vectors over RANK1.
 
-    F walks down the string, E comes back with coefficients a_k fixed by the
-    commutator relation; the recursion must close with a_{n+1} = 0.
+    RANK1 is the one rank-one datum that `cartan.validate` admits: Omega_11 > 0
+    and a diagonal of gcd 1 force Omega = [1].  F walks down the string, E
+    comes back with coefficients a_k = [n] + [n - 2] + ... + [n - 2k + 2]
+    fixed by the commutator relation; the string closes, a_{n+1} = 0, since
+    [-x] = -[x].
     """
-    if spec.rank != 1 or n < 0:
-        raise la.ShapeError("rank1_simple needs a rank-one datum and n >= 0")
-    # the weights n/2 - k, over den 2; on an admissible datum each kappa is a
-    # quantum integer, so the E coefficients are Laurent
+    if n < 0:
+        raise la.ShapeError("rank1_simple needs n >= 0")
+    # the weights n/2 - k, over den 2; each kappa is a quantum integer, so
+    # the E coefficients are Laurent
     weights = [(n - 2 * k,) for k in range(n + 1)]
     acoef = [ZERO]
-    for k in range(1, n + 2):
-        acoef.append(acoef[k - 1] + kappa(spec, 0, weights[k - 1], 2))
-    if not acoef[n + 1].is_zero():
-        raise la.ShapeError("the E coefficients do not close the string at n = %d" % n)
+    for k in range(1, n + 1):
+        acoef.append(acoef[k - 1] + kappa(RANK1, 0, weights[k - 1], 2))
     aE = la.Matrix(n + 1, n + 1, {k: {k + 1: acoef[k + 1]} for k in range(n)})
     aF = la.Matrix(n + 1, n + 1, {k + 1: {k: ONE} for k in range(n)})
-    return make_module(spec, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,), 2)
+    return make_module(RANK1, tuple("w%d" % k for k in range(n + 1)), weights, (aE,), (aF,), 2)
 
 
 def coprod(a: WeightModule, b: WeightModule, i: int, side: str, bar: bool = False) -> la.Matrix:

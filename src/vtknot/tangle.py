@@ -260,13 +260,14 @@ def functor_T(w: TangleWord, m: mo.WeightModule, blocks=None):
     """Evaluate the word on the module: + strands carry m, - strands dual(m).
 
     Returns the full `linalg.Matrix` by default.  With blocks, a list of
-    lists of source basis vectors, it returns instead each block's trace,
-    the sum of the diagonal entries (e, e) over e in the block, as one
-    RatFunc per block, and starts from the blocks' columns only.  The
-    functor is strict monoidal, so each generator of a row acts on its own
-    strands only and up/dn do nothing.  Each generator's table comes from
-    the cached `_generator` and is packed once per call, on the word's
-    `_layout`, and its offsets once per strand position.  The operator from
+    disjoint lists of source basis vectors (`invariant` passes weight
+    spaces), it returns instead each block's trace, the sum of the diagonal
+    entries (e, e) over e in the block, as one RatFunc per block, and starts
+    from the blocks' columns only.  The functor is strict monoidal, so each
+    generator of a row acts on its own strands only and up/dn do nothing.
+    Each generator's table comes from the cached `_generator` and is packed
+    once per call, on the word's `_layout`, and its offsets once per strand
+    position.  The operator from
     the source boundary is kept as packed ints keyed by
     (row * cols + col) * width + t-slot, so the source boundary and the
     t-slot are one more block to the right of every generator.  A block's
@@ -291,7 +292,7 @@ def functor_T(w: TangleWord, m: mo.WeightModule, blocks=None):
                     ints[b - tmin] = ints.get(b - tmin, 0) + (x << k * ((a - vmin) // vstep))
                 packed += [(r, slot, z) for slot, z in ints.items()]
     ncols = d ** len(w.source)
-    starts = range(ncols) if blocks is None else {e for block in blocks for e in block}
+    starts = range(ncols) if blocks is None else [e for block in blocks for e in block]
     acc = {(c * ncols + c) * width: 1 for c in starts}
     offsets = {}
     for row in w.rows:
@@ -319,13 +320,11 @@ def functor_T(w: TangleWord, m: mo.WeightModule, blocks=None):
 
     if blocks is not None:
         sums = [{} for _ in blocks]
-        owners = {}
-        for block, slots in zip(blocks, sums):
-            for e in block:
-                owners.setdefault(e * ncols + e, []).append(slots)
+        owner = {e * ncols + e: slots for block, slots in zip(blocks, sums) for e in block}
         for key, z in acc.items():
             idx, slot = divmod(key, width)
-            for slots in owners.get(idx, ()):
+            slots = owner.get(idx)
+            if slots is not None:
                 slots[slot] = slots.get(slot, 0) + z
         return [value(slots) for slots in sums]
     out = {}
@@ -394,12 +393,14 @@ def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
 
     The weighted trace of the module docstring: `functor_T` returns the
     trace of each weight space of dominant weight, as blocks of basis
-    vectors, and each trace is weighted by S(mu).  Raises FramingError when
-    the twist is not one scalar on m, checked by `_framing_holds` on the
-    crossing the word uses.
+    vectors, and each trace is weighted by S(mu).  The word is checked
+    before the module: TangleError for a word with no closure, then
+    FramingError when the twist is not one scalar on m, checked by
+    `_framing_holds` on the crossing the word uses.
     """
     if isinstance(w, str):
         w = parse(BUILTINS.get(w.strip(), w))
+    n = _closed_strands(w)
     used = {g for row in w.rows for g in row}
     x = "xm" if "xm" in used and "xp" not in used else "xp"
     if not _framing_holds(x, m):
@@ -407,7 +408,6 @@ def invariant(w, m: mo.WeightModule) -> rf.RatFunc:
             "the twist does not act on the module by one scalar (is it reducible?), "
             "so its values would depend on the framing"
         )
-    n = _closed_strands(w)
     # the basis vectors of V^(x)n by weight, strand 0 the most significant digit
     d, spaces = m.dim, {(0,) * m.spec.rank: [0]}
     for _ in range(n):

@@ -164,6 +164,58 @@ def test_bad_config_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_verify_reports_a_failing_check_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.suites, "annihilator", lambda mat, maxdeg: None)
+    rc, out, err = run(capsys, "verify", "--config", SL2, "--suite", "rmatrix")
+    assert (rc, err) == (1, "")
+    assert out == (
+        "pass  crossing is a module map\n"
+        "pass  crossing and its inverse cancel\n"
+        "pass  zigzag identities hold\n"
+        "pass  crossing slides across a cap\n"
+        "pass  full twist through a cup gives the framing unit\n"
+        "pass  mixed crossing matches its cup and cap form\n"
+        "pass  mixed crossings compose to the identity\n"
+        "pass  coproduct transport assembles iterated twists\n"
+        "pass  weight factors commute with the twist\n"
+        "FAIL  normalized crossing satisfies a short polynomial relation\n"
+        "pass  crossing at t = 1 matches the one-parameter form\n"
+        "1 of 11 checks failed\n"
+    )
+
+
+def test_spec_v_zero_needs_nonnegative_powers(capsys):
+    rc, out, err = run(capsys, "invariant", "--config", SL2, "--tangle", "xp ; xp ; xp",
+                       "--spec", "v=0")
+    assert (rc, out, err) == (0, "0\n", "note: denominator is trivial\n")
+    rc, out, err = run(capsys, "invariant", "--config", SL2, "--tangle", "xm ; xm ; xm",
+                       "--spec", "v=0")
+    assert (rc, out, err) == (2, "", "error: zero raised to a negative power\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "theta"])
+def test_depth_that_is_no_integer_goes_to_the_parser(capsys, command):
+    extra = ["--suite", "forms"] if command == "verify" else []
+    code, out, err = _exit_of(capsys, cli.main,
+                              [command, "--config", SL2, *extra, "--depth", "x"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: vtknot %s " % command)
+    assert err.endswith(
+        "\nvtknot %s: error: argument --depth: expected an integer, got 'x'\n" % command)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit on this Python")
+def test_depth_past_the_digit_limit_goes_to_the_parser(capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = _exit_of(capsys, cli.main,
+                              ["verify", "--config", SL2, "--suite", "forms", "--depth", digits])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: vtknot verify ")
+    assert err.endswith(
+        "\nvtknot verify: error: argument --depth: expected an integer, got '%s'\n" % digits)
+
+
 def test_qdim_formats(capsys):
     rc, out, _ = run(capsys, "qdim", "--config", SL2)
     assert rc == 0 and out == "v + v^-1\n"
@@ -579,6 +631,26 @@ def test_reducible_module_is_refused(tmp_path, tangle):
     assert "error: the twist does not act on the module by one scalar" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_open_word_on_a_reducible_module_is_refused_as_a_word(capsys, tmp_path):
+    # the word is checked before the module, so the closure error comes first
+    (tmp_path / "sum.mod").write_text(_SIMPLE_PLUS_TRIVIAL)
+    cfg = tmp_path / "sum.cfg"
+    cfg.write_text((CONFIGS / "sl2.cfg").read_text().replace("rank1:1", "file:sum.mod"))
+    want = (1, "", "error: closure needs a square all-plus boundary, got (-,+) -> ()\n")
+    for config in (SL2, str(cfg)):
+        assert run(capsys, "invariant", "--config", config, "--tangle", "ev") == want
+
+
+def test_unary_minus_inside_a_factor_is_read(capsys, tmp_path):
+    # E entry v * -t = -v t and F entry its inverse: sl2 in a rescaled basis
+    (tmp_path / "m.mod").write_text(
+        "dim = 2\nweight.1 = 1/2\nweight.2 = -1/2\nE.1.1.2 = v * -t\nF.1.2.1 = -v^-1 * t^-1\n")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text((CONFIGS / "sl2.cfg").read_text().replace("rank1:1", "file:m.mod"))
+    assert rf.eq(rf.parse("v * -t"), -(rf.V * rf.T))
+    assert run(capsys, "qdim", "--config", str(cfg)) == (0, "v + v^-1\n", "")
 
 
 def _qdim_with_entry(tmp_path, entry):

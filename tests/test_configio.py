@@ -293,3 +293,54 @@ def test_row_index_out_of_range(tmp_path):
     with pytest.raises(cio.ConfigError) as info:
         cio.load_config(path)
     assert str(info.value) == "%s:2: row index out of range" % path
+
+
+_SL2_HEAD = "rank = 1\ndot.row.1 = 2\nomega.row.1 = 1\n"
+_SL2_MOD = "dim = 2\nweight.1 = 1/2\nweight.2 = -1/2\nE.1.1.2 = 1\nF.1.2.1 = 1\n"
+
+# (config text, module file text or None, stderr); {cfg} and {mod} are the paths
+_REFUSALS = {
+    "no-equals": (_SL2_HEAD.replace("omega.row.1 = 1", "omega.row.1") + "module = rank1:1\n",
+                  None, "{cfg}:3: expected key = value"),
+    "row-width": ("rank = 2\ndot.row.1 = 2 -1 0\ndot.row.2 = -1 2\n"
+                  "omega.row.1 = 1 -1\nomega.row.2 = 0 1\nmodule = rank1:1\n",
+                  None, "{cfg}:2: expected 2 entries, got 3"),
+    "weight-width": (_SL2_HEAD + "module = file:m.mod\n",
+                     _SL2_MOD.replace("weight.1 = 1/2", "weight.1 = 1/2 0"),
+                     "{mod}:2: weight needs 1 coordinates"),
+    "entry": (_SL2_HEAD + "module = file:m.mod\n", _SL2_MOD.replace("E.1.1.2 = 1", "E.1.1.2 = v +"),
+              "{mod}:4: unexpected token '' at position 3"),
+    "fractional-exponent": (_SL2_HEAD + "module = file:m.mod\n",
+                            _SL2_MOD.replace("E.1.1.2 = 1", "E.1.1.2 = (v + 1)^(1/2)"),
+                            "{mod}:4: fractional exponents only on v and t"),
+    "unknown-config-key": (_SL2_HEAD + "module = rank1:1\nwat = 1\n", None,
+                           "{cfg}:5: unknown key 'wat'"),
+    "unknown-module-key": (_SL2_HEAD + "module = file:m.mod\n", _SL2_MOD + "foo = 1\n",
+                           "{mod}:6: unknown key 'foo'"),
+    # weight.01 is index 1 again under another key, so vector 2 has no weight
+    "weight-01": (_SL2_HEAD + "module = file:m.mod\n",
+                  _SL2_MOD.replace("weight.2", "weight.01"),
+                  "{mod}: missing weight for basis vectors 2"),
+    "no-omega": ("rank = 1\ndot.row.1 = 2\nmodule = rank1:1\n", None, "{cfg}: missing omega.row.1"),
+    "descriptor": (_SL2_HEAD + "module = rank1:x\n", None, "{cfg}:4: bad module descriptor 'rank1:x'"),
+    "module-kind": (_SL2_HEAD + "module = foo:1\n", None,
+                    "{cfg}:4: module must be rank1:<n> or file:<path>"),
+    "no-dim": (_SL2_HEAD + "module = file:m.mod\n", _SL2_MOD.replace("dim = 2\n", ""),
+               "{mod}: missing dim"),
+    "omega-sign": ("rank = 1\ndot.row.1 = -2\nomega.row.1 = -1\nmodule = rank1:1\n", None,
+                   "{cfg}: (a) omega[1][1] must be positive"),
+    "non-integral": (_SL2_HEAD + "module = file:m.mod\n", "dim = 2\nweight.1 = 1/3\nweight.2 = 0\n",
+                     "{cfg}: module does not satisfy the defining relations: "
+                     "weight 1 has a non-integral <w, a_1^v> = 2/3"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_input_refusals_print_their_message_and_exit_2(tmp_path, capsys, case):
+    cfg, mod, want = _REFUSALS[case]
+    mpath = _write(tmp_path, "m.mod", mod) if mod is not None else None
+    path = _write(tmp_path, "c.cfg", cfg)
+    assert cli.main(["qdim", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % want.format(cfg=path, mod=mpath)

@@ -171,6 +171,53 @@ def test_four_maps_are_module_maps():
         assert mo.is_module_map(triv, mo.tensor(m, d), mo.cup_cap(m, "coqtr"))
 
 
+def _one_entry_times_v(mat):
+    rows = {r: dict(row) for r, row in mat.entries.items()}
+    r = min(rows)
+    c = min(rows[r])
+    rows[r][c] = rows[r][c] * rf.V
+    return la.Matrix(mat.rows, mat.cols, rows)
+
+
+def test_module_map_check_rejects_maps_that_break_an_action():
+    # a crossing with one entry times v keeps the weight grading but not the
+    # actions; so does coev with weight 1 on every k (the coqtr column), the
+    # cup a wrong cup_cap would build
+    for m in (M1, M2, sl3_natural()):
+        mm = mo.tensor(m, m)
+        r = mo.rmat(m, m)
+        assert mo.is_module_map(mm, mm, r)
+        assert not mo.is_module_map(mm, mm, _one_entry_times_v(r))
+        assert not mo.is_module_map(mo.trivial(m.spec), mo.tensor(mo.dual(m), m),
+                                    mo.cup_cap(m, "coqtr"))
+
+
+def test_module_map_check_rejects_a_map_between_weights():
+    # one-dimensional modules of weights 1 and 0, E and F zero on both: the
+    # identity commutes with every action but does not keep the weight
+    zero = (la.Matrix(1, 1),)
+    one = mo.make_module(mo.RANK1, ("x",), ((2,),), zero, zero, 2)
+    assert mo.is_module_map(one, one, la.identity(1))
+    assert not mo.is_module_map(one, mo.trivial(mo.RANK1), la.identity(1))
+
+
+def test_non_integral_weight_is_refused_before_the_commutator():
+    # <w, a_1^v> = 2/3 on rank one; the commutator, which kappa needs an
+    # integral <w, a_i^v> for, is not checked
+    zero = (la.Matrix(2, 2),)
+    m = mo.make_module(mo.RANK1, ("a", "b"), ((1,), (0,)), zero, zero, 3)
+    assert mo.validate_module(m) == ["weight 1 has a non-integral <w, a_1^v> = 2/3"]
+    # on B2 the weight (0, 1/2) has <w, a_1^v> = -1/2, and <w, a_2^v> = 1
+    # outside a one-dimensional module
+    zero = (la.Matrix(1, 1),) * 2
+    m = mo.make_module(B2, ("x",), ((0, 1),), zero, zero, 2)
+    assert mo.validate_module(m) == [
+        "weight 1 has a non-integral <w, a_1^v> = -1/2",
+        "weight 1 has |<w, a_1^v>| > dim - 1 = 0",
+        "weight 1 has |<w, a_2^v>| > dim - 1 = 0",
+    ]
+
+
 def test_quantum_trace_of_coquantum_trace_is_qdim():
     for m in (M1, M2, sl3_natural()):
         loop = la.mat_mul(mo.cup_cap(m, "qtr"), mo.cup_cap(m, "coqtr"))
@@ -332,7 +379,6 @@ cases = {
     "make_module action size": lambda: mo.make_module(
         mo.RANK1, ("a",), [(0,)], (la.Matrix(2, 2),), (la.Matrix(1, 1),)),
     "mat_add": lambda: la.mat_add(la.identity(2), la.identity(3)),
-    "rank1_simple rank": lambda: mo.rank1_simple(1, sl3),
     "rank1_simple size": lambda: mo.rank1_simple(-1),
     "tensor": lambda: mo.tensor(m1, mo.trivial(sl3)),
 }
@@ -470,20 +516,23 @@ B2 = ca.make_spec(2, [[4, -2], [-2, 2]], [[2, -2], [0, 1]])
 
 def test_kappa_is_the_quantum_integer_on_the_lattice():
     assert ca.validate(B2) == []
-    # weights as numerators over a den: (a/3, b/3), n/2 and (0, 1/2)
+    # weights as numerators over a den: (a/3, b/3), n/2 and, on B2, (a/2, b/2);
+    # kappa is defined where <mu, a_i^v> is an integer, as validate_module
+    # checks at load
     cases = [(SL3, (a, b), 3) for a in range(-6, 7) for b in range(-6, 7)]
     cases += [(mo.RANK1, (n,), 2) for n in range(-6, 7)]
-    # (alpha_1 . mu) / d_1 = -1/2 on B2: the one case with no quantum integer
-    cases += [(B2, (0, 1), 2)]
+    cases += [(B2, (a, b), 2) for a in range(-4, 5) for b in range(-4, 5)]
     lattice = 0
     for spec, mu, den in cases:
         for i in range(spec.rank):
+            n = Fraction(ca.dot(spec, ca.unit(spec, i), mu, den), ca.d_i(spec, i))
+            if n.denominator != 1:
+                continue
             got = mo.kappa(spec, i, mu, den)
             assert rf.eq(got, _kappa_by_division(spec, i, mu, den)), (spec, i, mu)
-            n = Fraction(ca.dot(spec, ca.unit(spec, i), mu, den), ca.d_i(spec, i))
-            # the lattice branch divides nothing; the other keeps a den
-            assert (got.den == rf.LP_ONE) == (n.denominator == 1), (spec, i, mu)
-            lattice += n.denominator == 1
+            # the lattice divides nothing
+            assert got.den == rf.LP_ONE, (spec, i, mu)
+            lattice += 1
             if n == 0:
                 assert got.is_zero()
     assert lattice

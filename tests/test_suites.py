@@ -15,6 +15,7 @@ from vtknot import pairing as pr
 from vtknot import quasir as qr
 from vtknot import ratfield as rf
 from vtknot import suites as su
+from vtknot import tangle as tg
 
 from conftest import clear_caches
 
@@ -354,3 +355,78 @@ def test_reversal_rejects_one_word_with_a_wrong_t_power(monkeypatch):
 
     assert _with(monkeypatch, fa, "_sigma_word", fake,
                  lambda: _failed(su.suite_forms(SL3, 3))) == [REVERSAL]
+
+
+# ------------------------------------------- lines that must be able to fail
+
+LADDER = "theta solves the coproduct ladder degree by degree"
+THETA_INVERTS = "theta and its conjugate invert each other"
+CANCEL = "crossing and its inverse cancel"
+
+
+def _scaled_at(mu):
+    """A theta table maker whose one coefficient of degree mu is times v."""
+    def fake(real):
+        def scaled(spec, nu, order="lex"):
+            table = real(spec, nu, order)
+            return _one_coefficient_times_v(table) if nu == mu else table
+        return scaled
+    return fake
+
+
+def test_ladder_rejects_one_scaled_theta_coefficient(monkeypatch):
+    # degree (1, 0) acts on the natural module; the scaled term keeps the
+    # weight, so the E/F slices fail
+    failed = _with(monkeypatch, qr, "theta", _scaled_at((1, 0)),
+                   lambda: _failed(su.suite_quasiR(SL3, 2)))
+    assert LADDER in failed
+
+
+def test_ladder_rejects_an_operator_off_the_weight_grading(monkeypatch):
+    # E and F act by zero, so every E/F slice holds whatever theta is; an
+    # operator that swaps the weights 1/2 and -1/2 on slot 1 fails K (x) K
+    zero = (la.Matrix(2, 2),)
+    m = mo.make_module(mo.RANK1, ("a", "b"), ((1,), (-1,)), zero, zero, 2)
+    assert su._ladder_holds(m, 0, "lex", [(1,)])
+    swap = la.kron(la.Matrix(2, 2, {0: {1: rf.ONE}, 1: {0: rf.ONE}}), 2)
+    monkeypatch.setattr(mo, "_theta_op", lambda mods, s, l, table, order, degrees:
+                        swap if degrees == [(1,)] else la.Matrix(4, 4))
+    assert not su._ladder_holds(m, 0, "lex", [(1,)])
+
+
+def test_theta_inverse_line_rejects_one_scaled_conjugate_coefficient(monkeypatch):
+    failed = _with(monkeypatch, qr, "theta_bar", _scaled_at((1, 0)),
+                   lambda: _failed(su.suite_quasiR(SL3, 2)))
+    assert THETA_INVERTS in failed
+
+
+def test_crossing_inverse_line_rejects_one_scaled_entry(monkeypatch):
+    def fake(real):
+        def scaled(a, b):
+            x = real(a, b)
+            rows = {r: dict(row) for r, row in x.entries.items()}
+            r = min(rows)
+            c = min(rows[r])
+            rows[r][c] = rows[r][c] * V
+            return la.Matrix(x.rows, x.cols, rows)
+        return scaled
+
+    failed = _with(monkeypatch, mo, "rmat_inv", fake, lambda: _failed(su.suite_rmatrix(SL3, 4)))
+    assert CANCEL in failed
+
+
+def test_annihilator_is_none_below_the_least_degree():
+    # the normalized sl2 crossing satisfies a quadratic and no linear relation
+    m = cio.load_config(str(CONFIGS / "sl2.cfg")).module
+    x = tg.functor_T(tg.parse("xp"), m)
+    assert su.annihilator(x, 1) is None
+    assert len(su.annihilator(x, 2)) == 2
+
+
+def test_tangles_with_different_boundaries_are_not_equal():
+    # up and dn both evaluate to the 2x2 identity on sl2
+    m = cio.load_config(str(CONFIGS / "sl2.cfg")).module
+    up, dn = tg.parse("up"), tg.parse("dn")
+    assert la.mat_eq(tg.functor_T(up, m), tg.functor_T(dn, m))
+    assert not su.tangles_equal(up, dn, m)
+    assert su.tangles_equal(up, up, m)

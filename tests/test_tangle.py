@@ -509,7 +509,7 @@ def test_functor_traces_the_requested_blocks():
     for text in _POOL + _LOCAL:
         w = tg.parse(text)
         full = tg.functor_T(w, m)
-        # the source's weight spaces, and a block of every other index
+        # the source's weight spaces
         spaces = {(0,) * m.spec.rank: [0]}
         for sign in w.source:
             weights = (m if sign == "+" else dual).weights
@@ -519,12 +519,14 @@ def test_functor_traces_the_requested_blocks():
                     key = tuple(x + y for x, y in zip(nu, wj))
                     grown.setdefault(key, []).extend(e * m.dim + j for e in idx)
             spaces = grown
-        blocks = list(spaces.values()) + [list(range(0, full.cols, 2))]
-        got = tg.functor_T(w, m, blocks)
-        assert len(got) == len(blocks), text
-        for block, x in zip(blocks, got):
-            want = sum((full[e, e] for e in block), rf.ZERO)
-            assert x.num == want.num and x.den == want.den, (text, block)
+        # two disjoint partitions: the weight spaces, and even and odd indices
+        parity = [list(range(0, full.cols, 2)), list(range(1, full.cols, 2))]
+        for blocks in (list(spaces.values()), parity):
+            got = tg.functor_T(w, m, blocks)
+            assert len(got) == len(blocks), text
+            for block, x in zip(blocks, got):
+                want = sum((full[e, e] for e in block), rf.ZERO)
+                assert x.num == want.num and x.den == want.den, (text, block)
 
 
 def test_invariant_refuses_an_open_word_with_the_closure_error():
