@@ -6,8 +6,9 @@ the one rank-one datum that `cartan.validate` admits, or file:<path>.
 basis_order (lex or revlex) picks the dual bases that `theta` prints and the
 quasiR suite checks; crossings, invariants and `rmatrix` do not depend on it.
 Module files: dim, optional label.<k>, weight.<k>, E.<i>.<r>.<c>, F.<i>.<r>.<c>.
-All indices are 1-based and go through one check, `_index`, which names the
-index in its error; on a line with two bad indices the first in key order is
+All indices are 1-based plain decimals (no sign, leading zero or `_`) and
+go through one check, `_index`, which names the index and the line in its
+error; on a line with two bad indices the first in key order is
 reported; dim and rank go through one count check, `_size`.  Entry values go
 through the scalar parser, weight coordinates through
 `ratfield.parse_rational` (`[-]p[/q]`) onto one den.
@@ -71,8 +72,12 @@ def _int(path, ln, val):
 
 
 def _index(path, ln, text, bound, what):
-    """The 0-based index for the 1-based `text`, which must lie in 1..bound."""
+    """The 0-based index for the 1-based `text`, which must be the plain
+    decimal of a value in 1..bound: `01`, `+1` and `1_0` would read as the
+    index of another key's line."""
     k = _int(path, ln, text)
+    if str(k) != text:
+        raise ConfigError("%s:%d: %s index %r is not a plain decimal" % (path, ln, what, text))
     if not 1 <= k <= bound:
         raise ConfigError("%s:%d: %s index out of range" % (path, ln, what))
     return k - 1

@@ -44,7 +44,11 @@ LaurentPoly numerators over the one den, with no t, that its entries share;
 the inverse takes the den back as its right-hand block diag(den).  The
 pairing is symmetric up to t -> t^-1, so the numerators are t-Hermitian in
 any word order: the elimination computes only half of each update (see
-`linalg`).
+`linalg`).  `linalg.inverse` inverts the chosen block by one elimination
+over Python ints, the block at v = 2^K: entry (a, c) is t^(s(a) - s(c))
+times its value at t = 1 (ROADMAP item 13), so its per-row and per-column
+shifts take t out and the ints carry v alone.  It prints the forms of the
+polynomial elimination, byte for byte.
 """
 
 from __future__ import annotations

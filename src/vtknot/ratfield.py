@@ -34,21 +34,23 @@ scales are rescaled once to their lcm.  A LaurentPoly product with a
 monomial factor is one shift of the other factor (that factor itself when
 the monomial is LP_ONE, which lp_mono(1) returns); only two polynomials of
 two or more terms go through the loop over term pairs.  cross_div(a, b, c,
-d, e) is the fused fraction-free update (a*b - c*d)/e: both products
-accumulate in one term dict (`_sum_products`, which `linalg.inverse` also
-sums its back substitution with) and the result is divided once, with no
-intermediate polynomial.  That loop, `_add_products`, is ratfield's one
-product-accumulate loop: it takes term dicts already on one lattice, so the
-pair product, `_sum_products` and the remainder update of `poly_div_exact`
-rescale their operands first and share it.  The tangle functor does not:
-its operator is packed ints, one per (entry, t-power), with no term dicts.
+d, e) is the fused fraction-free update (a*b - c*d)/e of `linalg.rank` and
+`linalg.principal_pivots`: both products accumulate in one term dict and the
+result is divided once, with no intermediate polynomial.  That loop,
+`_add_products`, is ratfield's one product-accumulate loop: it takes term
+dicts already on one lattice, so the pair product, `cross_div` and the
+remainder update of `poly_div_exact` rescale their operands first and share
+it.  The tangle functor and `linalg.inverse` do not: they compute on packed
+ints, with no term dicts until the end.
 Below LARGE_PAIRS term pairs a product is that loop (`_pair_mul`); from
 there on it goes through `_large_mul`, an lru_cache keyed by the operand
 values, which makes each one once: as one big-int product
 (`_packed_product`, Kronecker substitution), or by the loop when it has
 more digits than pairs; `*` passes the operands in one order, so q * p
-after p * q is a memo hit.  Both packings read their ints back with one
-codec, `_unpack`: balanced base-2^k digits of any width k.
+after p * q is a memo hit.  `_packed_product` and `linalg.inverse` put
+their term dicts on one layout, `_pack` (and read them back with
+`_unpack_terms`), and every packing reads its ints back with one codec,
+`_unpack`: balanced base-2^k digits of any width k.
 No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
 with different signs (`_flip_poly`, which `pairing` and `linalg` also use to
@@ -132,9 +134,10 @@ def _mono_mul(p: "LaurentPoly", m: "LaurentPoly") -> "LaurentPoly":
 def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
     """Add sign * left * right into out; all three are term dicts on one lattice.
 
-    ratfield's one product-accumulate loop: `_pair_mul`, `_sum_products`
-    and `poly_div_exact`'s remainder update put their operands on the
-    lattice first.  The tangle functor multiplies packed ints instead.
+    ratfield's one product-accumulate loop: `_pair_mul`, `cross_div` and
+    `poly_div_exact`'s remainder update put their operands on the lattice
+    first.  The tangle functor and `linalg.inverse` multiply packed ints
+    instead.
     """
     get = out.get
     for (av, at), ac in left.items():
@@ -150,19 +153,6 @@ def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
                     out[key] = acc
                 else:
                     del out[key]
-
-
-def _sum_products(triples) -> "LaurentPoly":
-    """The sum of sign * x * y over (x, y, sign) triples.
-
-    Every product goes into one term dict over the lcm of the scales, and
-    the sum is put in minimal form once.
-    """
-    s = lcm(*(p.scale for x, y, _ in triples for p in (x, y)))
-    out = {}
-    for x, y, sign in triples:
-        _add_products(out, _terms_at(x, s), _terms_at(y, s), sign)
-    return _make(out, s)
 
 
 def _pair_mul(p: "LaurentPoly", q: "LaurentPoly") -> "LaurentPoly":
@@ -200,15 +190,35 @@ def _unpack(z: int, k: int) -> list:
     return out
 
 
+def _pack(terms: dict, a0: int, b0: int, g: int, span: int, k: int) -> int:
+    """The terms at v = 2^(k span / g), t = 2^k, over v^a0 t^b0: term (a, b)
+    is digit (a - a0)/g * span + (b - b0), the coefficient of 2^(k i) for
+    digit i.  The layout of `_packed_product` and `linalg.inverse`; it
+    needs every a - a0 a multiple of g and 0 <= b - b0 < span."""
+    z = 0
+    for (a, b), c in terms.items():
+        z += c << k * ((a - a0) // g * span + b - b0)
+    return z
+
+
+def _unpack_terms(z: int, k: int, a0: int, b0: int, g: int, span: int) -> dict:
+    """The term dict that `_pack` with these arguments packs into z."""
+    out = {}
+    for i, d in enumerate(_unpack(z, k)):
+        if d:
+            out[a0 + i // span * g, b0 + i % span] = d
+    return out
+
+
 def _packed_product(x: dict, y: dict):
     """x * y as one big-int product, or None for the pair loop when it has
     more digits than term pairs.
 
-    (a, b) is digit (a - a0)/g * span + (b - b0), g the v-stride and span
-    the product's t-span plus one; digit i is the coefficient of 2^(k i).
-    The bound min(|x|_1 |y|_inf, |x|_inf |y|_1) holds every coefficient of
-    the product, so k is its bits plus one sign bit, the rule of the tangle
-    functor's layout, and `_unpack` reads the digits back at any width.
+    Both factors go onto `_pack`'s layout, g the v-stride and span the
+    product's t-span plus one.  The bound min(|x|_1 |y|_inf, |x|_inf |y|_1)
+    holds every coefficient of the product, so k is its bits plus one sign
+    bit, the rule of the tangle functor's layout, and `_unpack` reads the
+    digits back at any width.
     """
     (xa, xb), (ya, yb) = zip(*x), zip(*y)
     xa0, xb0, ya0, yb0 = min(xa), min(xb), min(ya), min(yb)
@@ -218,13 +228,8 @@ def _packed_product(x: dict, y: dict):
         return None
     nx, ny = [abs(c) for c in x.values()], [abs(c) for c in y.values()]
     k = min(sum(nx) * max(ny), max(nx) * sum(ny)).bit_length() + 1
-
-    def pack(terms, a0, b0):
-        return sum(c << k * ((a - a0) // g * span + b - b0) for (a, b), c in terms.items())
-
-    a0, b0 = xa0 + ya0, xb0 + yb0
-    digits = _unpack(pack(x, xa0, xb0) * pack(y, ya0, yb0), k)
-    return {(a0 + i // span * g, b0 + i % span): d for i, d in enumerate(digits) if d}
+    z = _pack(x, xa0, xb0, g, span, k) * _pack(y, ya0, yb0, g, span, k)
+    return _unpack_terms(z, k, xa0 + ya0, xb0 + yb0, g, span)
 
 
 # a benchmark op makes at most 105 distinct large products; the sl3 quasiR
@@ -543,7 +548,11 @@ def cross_div(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly,
     polynomial in between, and the result is divided once, not at all when
     e is LP_ONE.
     """
-    num = _sum_products(((a, b, 1), (c, d, -1)))
+    s = lcm(a.scale, b.scale, c.scale, d.scale)
+    out = {}
+    _add_products(out, _terms_at(a, s), _terms_at(b, s))
+    _add_products(out, _terms_at(c, s), _terms_at(d, s), -1)
+    num = _make(out, s)
     return num if e is LP_ONE else poly_div_exact(num, e)
 
 

@@ -91,6 +91,33 @@ def test_large_closures_print_their_recorded_bytes(capsys):
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (cfg, tangle)
 
+
+# theta past the benchmark's depths, on Gram blocks larger than 3 x 3: the
+# sha256 of the stdout, recorded from the polynomial Bareiss inverse that the
+# integer elimination replaced
+_DEEP_THETA = (
+    # largest block 5 x 5
+    ("configs/sl3.cfg", 8,
+     "944308869459f5d29c917b8e16c02a71f1930a018eb6a5f9b7e6b01b13e14114"),
+    ("bench/configs/sl3_revlex.cfg", 8,
+     "d8df5e64979d101dfcd0d920cbc378000ee0cb8f7ad1058acce750f5a298f62f"),
+    # 8 x 8
+    ("configs/affine_a1.cfg", 5,
+     "416a090f69c2027e3d742540972f14a51002acb65df475e42c6371ba048a9414"),
+    # 6 x 6
+    ("configs/hyperbolic_23.cfg", 4,
+     "f49dbdd79821762f81a5251a5577f82f527a0e3a7b2b8297fdee1181dd36f7e3"),
+)
+
+
+def test_deep_theta_prints_its_recorded_bytes(capsys):
+    for cfg, depth, digest in _DEEP_THETA:
+        clear_caches()
+        rc, out, _ = run(capsys, "theta", "--config", str(ROOT / cfg), "--depth", str(depth))
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (cfg, depth)
+
+
 def test_invariant_type_error_exits_1(capsys):
     rc, out, err = run(capsys, "invariant", "--config", SL2, "--tangle", "qtr ; up")
     assert rc == 1

@@ -317,10 +317,13 @@ _REFUSALS = {
                            "{cfg}:5: unknown key 'wat'"),
     "unknown-module-key": (_SL2_HEAD + "module = file:m.mod\n", _SL2_MOD + "foo = 1\n",
                            "{mod}:6: unknown key 'foo'"),
-    # weight.01 is index 1 again under another key, so vector 2 has no weight
+    # weight.01 and weight.1_0 would read as indices 1 and 10 under other keys
     "weight-01": (_SL2_HEAD + "module = file:m.mod\n",
                   _SL2_MOD.replace("weight.2", "weight.01"),
-                  "{mod}: missing weight for basis vectors 2"),
+                  "{mod}:3: weight index '01' is not a plain decimal"),
+    "weight-1_0": (_SL2_HEAD + "module = file:m.mod\n",
+                   _SL2_MOD.replace("weight.2", "weight.1_0"),
+                   "{mod}:3: weight index '1_0' is not a plain decimal"),
     "no-omega": ("rank = 1\ndot.row.1 = 2\nmodule = rank1:1\n", None, "{cfg}: missing omega.row.1"),
     "descriptor": (_SL2_HEAD + "module = rank1:x\n", None, "{cfg}:4: bad module descriptor 'rank1:x'"),
     "module-kind": (_SL2_HEAD + "module = foo:1\n", None,

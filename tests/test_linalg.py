@@ -16,7 +16,10 @@ a copy of its first back substitution on [a | 1] cleared row by row, which
 fixes the unreduced values `theta` prints.  On t-dependent rows it is
 checked in the shape quasir passes, t-Hermitian numerator rows over one
 t-free den, by polynomial products only: summing RatFunc products over
-its per-row dens swells past usefulness on such input.
+its per-row dens swells past usefulness on such input.  The integer
+elimination behind `inverse` is checked on examples that take each of its
+two decodes, on diagonal blocks that need every bit of their width, and on
+a 1 x 1 block, which must pack nothing.
 """
 
 import pytest
@@ -338,14 +341,35 @@ def reference_inverse(a):
     return out
 
 
+def cleared_rows(a):
+    """(rows, dens): the RatFunc matrix a as numerator rows over row dens."""
+    cleared = [rf._clear_dens(row) for row in a]
+    return [p for p, _ in cleared], [d for _, d in cleared]
+
+
+M1, VH = VALUES[2], VALUES[4]
+TP, TQ = rf.parse("t + 2 * v * t^-1"), rf.parse("t^2 - v^(1/2) * t^-1")
+# the first pivot is the second row's
+SWAP = [[Z, ONE], [ONE, Z]]
+THREE = [[X, ONE, Z], [ONE, Z, X], [Z, X, ONE]]
+# several t-powers in one entry, so no conjugation makes the block t-free
+T_POWERS = [[TP, ONE, X], [ONE, TQ, VALUES[3]], [X, VALUES[3], TP]]
+# row 0's den has coefficients far above its entries' (|den|_1 = 64)
+HEAVY_DEN = [[rf.parse("1 / (v + 1)^6"), Z], [Z, ONE]]
+# circulant: row i is the first row turned right i times
+SIX_WIDE = [[[X, VALUES[3], ONE, Z, VH, M1][(j - i) % 6] for j in range(6)] for i in range(6)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(square())
-@example([[Z, ONE], [ONE, Z]])
-@example([[X, ONE, Z], [ONE, Z, X], [Z, X, ONE]])
+@example(SWAP)
+@example(THREE)
+@example(T_POWERS)
+@example(SIX_WIDE)
+@example(HEAVY_DEN)
 def test_inverse_inverts_and_keeps_the_reference_forms(a):
     n = len(a)
-    cleared = [rf._clear_dens(row) for row in a]
-    rows, dens = [p for p, _ in cleared], [d for _, d in cleared]
+    rows, dens = cleared_rows(a)
     if la.rank(rows) < n:
         with pytest.raises(la.SingularMatrixError):
             la.inverse(rows, dens)
@@ -401,3 +425,57 @@ def test_inverse_of_four_over_v_minus_1_inverts_as_ratfunc_matrices():
     got = sparse((4, 4, la.inverse(FOUR, [den] * 4)))
     assert la.mat_eq(la.mat_mul(got, a), la.identity(4))
     assert la.mat_eq(la.mat_mul(a, got), la.identity(4))
+
+
+def takes_direct(rows, dens, monkeypatch):
+    """Whether `inverse` decodes N and the row dens directly, by its rule:
+    when the direct width is at most three times the rebuild width."""
+    widths = []
+    real = la._width
+    monkeypatch.setattr(la, "_width", lambda bound: widths.append(real(bound)) or widths[-1])
+    la.inverse(rows, dens)
+    monkeypatch.setattr(la, "_width", real)
+    rebuild, direct = widths
+    return direct <= 3 * rebuild
+
+
+def test_the_inverse_examples_take_both_decodes(monkeypatch):
+    examples = (("swap", SWAP), ("three", THREE), ("t", T_POWERS), ("wide", SIX_WIDE))
+    taken = {name: takes_direct(*cleared_rows(a), monkeypatch) for name, a in examples}
+    assert taken == {"swap": True, "three": True, "t": True, "wide": False}
+
+
+@pytest.mark.parametrize("diagonal, direct", [((15, 13), True), ((15, 13, 11, 9, 7, 5), False)])
+def test_a_diagonal_block_reaches_the_bound_and_needs_every_bit(monkeypatch, diagonal, direct):
+    # over dens 1 each row's bound is its entry, so the rebuild bound is the
+    # product of the entries, the determinant, which the rebuild decodes as
+    # its last pivot; the direct bound is that times, for j = 1 .. n-1, the
+    # product of the j largest entries, which row 0's den (the product of
+    # every pivot, c_0 (c_0 c_1) ...) reaches when the entries descend
+    n = len(diagonal)
+    rows = [[rf.lp_mono(c) if i == j else rf.LP_ZERO for j in range(n)]
+            for i, c in enumerate(diagonal)]
+    dens = [rf.LP_ONE] * n
+    assert takes_direct(rows, dens, monkeypatch) == direct
+    want = reference_inverse([[rf.RatFunc(x) for x in row] for row in rows])
+
+    def forms(got):
+        return [[(x.num, x.den) for x in row] for row in got]
+
+    assert forms(la.inverse(rows, dens)) == forms(want)
+    real = la._width
+    monkeypatch.setattr(la, "_width", lambda bound: real(bound) - 1)
+    assert forms(la.inverse(rows, dens)) != forms(want)
+
+
+def test_a_1x1_block_packs_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a 1 x 1 block went through the packed ints")
+
+    for name in ("_pack", "_unpack"):
+        monkeypatch.setattr(rf, name, refuse)
+    x, den = polys("v^2 * t - 1", "v - v^-1")
+    (got,), = la.inverse([[x]], [den])
+    assert rf.eq(got, rf.RatFunc(den, x))
+    with pytest.raises(la.SingularMatrixError):
+        la.inverse([[rf.LP_ZERO]], [den])
