@@ -26,9 +26,13 @@ It prints each stage's share and its milliseconds per pass:
                     `ratfield.LARGE_PAIRS` term pairs, memo lookups included
     gram            `pairing.gram`: a degree's Gram block of pairings
     elimination     `linalg.principal_pivots` and `linalg.rank`: basis
-                    selection and rank by Bareiss elimination
-    inverse         `linalg.inverse`: the inverse of a chosen Gram block (or
-                    of the rmatrix suite's annihilator systems)
+                    selection, the greedy's packing and forward elimination
+                    on ints, which `theta` reuses, and the polynomial
+                    Bareiss rank of what it leaves
+    inverse         `linalg.inverse`: the den columns' elimination, the back
+                    substitution and the decode of a chosen Gram block's
+                    inverse (and, the whole elimination included, the
+                    rmatrix suite's annihilator systems)
     print           `ratfield.reduce_poly` and `ratfield.render`: values
                     reduced and rendered for printing (and the R-matrix
                     entries, which are reduced as they are built)

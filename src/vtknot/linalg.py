@@ -8,41 +8,41 @@ values keep one exact form.  `m[r, c]` reads an entry, ZERO when absent.
 `kron` is n-ary, an int n standing for the n x n identity; `modules` adds
 its cells (`_kron_cells`) term by term into the theta operators.
 
-The Bareiss routines `rank`, `inverse` and `principal_pivots` work on
+The Bareiss routines `rank`, `principal_pivots` and `inverse` work on
 plain lists of LaurentPoly rows instead, such as a Gram block's numerators
 over its one den (RatFunc rows go through `ratfield._clear_dens` first).
-`rank` and `principal_pivots` share one row update, `_eliminate`, which
-makes each new entry with the fused exact kernel `ratfield.cross_div`:
-(a*b - c*d)/e with no polynomial temporaries.
+`rank` eliminates the polynomials themselves (`_bareiss`), each new entry
+made by the fused exact kernel `ratfield.cross_div`: (a*b - c*d)/e with
+no polynomial temporaries.
 
-`inverse` runs the same elimination (same pivots, exact division by the
-previous pivot) on Python ints: each entry of [rows | diag(dens)], shifted
-by a monomial per row and per column so that every minor is a polynomial
-(`_frame`; on a Gram block the shifts are the t-conjugation that makes it
-t-free), is packed at v = 2^(k span/g), t = 2^k on `ratfield._pack`'s
-layout, one int per entry.  Evaluation is a ring map, so the ints are the
-images of the polynomial elimination, and the width k, fixed before the
-first product from a Hadamard bound on the minors (documented at
-`_frame`), makes the images that are decoded readable by
-`ratfield._unpack`.  Only the back substitution's results, or the pivots
-and the adjugate they are rebuilt from, are decoded: every printed form is
-that of the polynomial elimination.
-
-A Gram block's numerators are t-Hermitian: the pairing is symmetric up to
-t -> t^-1, and a degree's entries share one den with no t.  That symmetry
-is used twice.  `pairing.gram` builds only the upper triangle of a block
-and flips it into the lower one (see `pairing`).  Diagonal pivoting keeps
-the symmetry at every step, since pivots and previous pivots are then fixed
-by the flip, so `principal_pivots` likewise computes only the upper
-triangle of each update and flips it into the lower one, about half the
-`cross_div` calls.  The symmetry is its precondition, not a test: every
-caller passes a Gram block (`quasir`), t-Hermitian by construction.
+`principal_pivots` and `inverse` run one elimination, `_int_eliminate`,
+on Python ints, with exact division by the previous pivot: each entry of
+[rows | diag(dens)], shifted by a monomial per row and per column so that
+every minor is a polynomial (`_frame`; on a Gram block the shifts are the
+t-conjugation that makes it t-free), is packed at v = 2^(k span/g),
+t = 2^k on `ratfield._pack`'s layout, one int per entry (`_forward`).
+Evaluation is a ring map, so the ints are the images of the polynomial
+elimination, and the width k, fixed before the first product from a
+Hadamard bound on the minors (documented at `_frame`), makes each pivot
+test exact and the images that are decoded readable by `ratfield._unpack`.
+The elimination has two pivot rules.  `inverse` takes the first nonzero
+entry at or below the diagonal, as `_bareiss` does.  `principal_pivots`
+takes the diagonal in index order and passes over an index whose entry is
+zero, which picks a nonsingular principal block greedily, and hands its
+elimination on to `inverse` of that block (`quasir` caches it with the
+basis).  The den columns are eliminated only when `inverse` needs them
+(`_int_solve`), which then substitutes back and decodes.  Only the back
+substitution's results, or the pivots and the adjugate they are rebuilt
+from, are decoded: every printed form is that of the polynomial
+elimination.  Neither routine reads the t-Hermitian symmetry of a Gram
+block's numerators.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm, prod
 from operator import add, sub
+from typing import NamedTuple
 
 from . import ratfield
 from .ratfield import RatFunc, ZERO, ONE
@@ -179,40 +179,16 @@ class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-def _eliminate(rows: list, r: int, c: int, prev, targets, cols, mirror=False) -> None:
-    """Fraction-free elimination of column c from rows `targets` by row r.
-
-    Each target row becomes (row * pivot - pivot row * row[c]) / prev on
-    `cols`, one `ratfield.cross_div` per entry, where prev is the pivot
-    taken before rows[r][c] (LP_ONE for the first, which divides nothing).
-    Sylvester's identity makes every division exact, and every entry is a
-    LaurentPoly in minimal form, so the update's evaluation order cannot
-    change a term.
-
-    With `mirror`, targets and cols are one ascending index list and the
-    rows are t-Hermitian: rows[j][i] is rows[i][j] with t -> t^-1.  Then
-    piv and prev are fixed by the flip, so the flip of the update at (i, j)
-    is the update at (j, i): each row is computed from its diagonal on, and
-    every entry below the diagonal is written as the flip of its mirror.
-    """
-    piv, prow = rows[r][c], rows[r]
-    for n, i in enumerate(targets):
-        row = rows[i]
-        fi = row[c]
-        upper = cols[n:] if mirror else cols
-        for j in upper:
-            row[j] = ratfield.cross_div(row[j], piv, prow[j], fi, prev)
-        row[c] = ratfield.LP_ZERO
-        if mirror:
-            for j in upper[1:]:
-                rows[j][i] = ratfield._flip_poly(row[j], 1, -1)
-
-
 def _bareiss(rows: list, pivot_cols: int) -> list:
     """Fraction-free forward elimination in place; returns pivot columns.
 
     Pivots are searched among the first pivot_cols columns only, but row
     updates span the whole row (so an augmented block is carried along).
+    Each row below the pivot becomes (row * pivot - pivot row * row[c]) /
+    prev, one `ratfield.cross_div` per entry, where prev is the pivot taken
+    before (LP_ONE for the first, which divides nothing).  Sylvester's
+    identity makes every division exact, and every entry is a LaurentPoly
+    in minimal form, so the update's evaluation order cannot change a term.
     """
     if not rows:
         return []
@@ -226,45 +202,19 @@ def _bareiss(rows: list, pivot_cols: int) -> list:
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        _eliminate(rows, r, c, prev, range(r + 1, nrows), range(c + 1, width))
-        prev = rows[r][c]
+        piv, prow = rows[r][c], rows[r]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            fi = row[c]
+            for j in range(c + 1, width):
+                row[j] = ratfield.cross_div(row[j], piv, prow[j], fi, prev)
+            row[c] = ratfield.LP_ZERO
+        prev = piv
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
-
-
-def principal_pivots(a: list) -> tuple:
-    """Greedy nonsingular principal block of a square matrix, in one elimination.
-
-    Index k is taken when the principal block on the indices taken before
-    it plus k is nonsingular.  Pivoting on the diagonal only, in index
-    order, the entry at (k, k) after elimination by the pivots taken so far
-    is that block's determinant up to nonzero row factors (Sylvester's
-    identity), so each test costs one look at the diagonal.  Rows and
-    columns of rejected indices are eliminated too.
-
-    The rows must be t-Hermitian, G[c][r] = bar_t(G[r][c]), as a Gram
-    block's numerators are: each update computes only the upper triangle of
-    the open block and flips it into the lower one (see the module docstring).
-
-    The LaurentPoly rows a are left as they are.  Returns (taken, rest):
-    the taken indices, ascending, and the eliminated LaurentPoly rows on
-    the other indices, their Schur complement up to nonzero row factors, so
-    rank(a) == len(taken) + rank(rest).
-    """
-    rows = [list(row) for row in a]
-    taken, open_ = [], list(range(len(a)))
-    prev = ratfield.LP_ONE
-    for k in range(len(a)):
-        if rows[k][k].is_zero():
-            continue
-        open_.remove(k)
-        _eliminate(rows, k, k, prev, open_, open_, mirror=True)
-        prev = rows[k][k]
-        taken.append(k)
-    return taken, [[rows[i][j] for j in open_] for i in open_]
 
 
 def rank(a: list) -> int:
@@ -275,12 +225,12 @@ def rank(a: list) -> int:
 
 def _width(bound: int) -> int:
     """Bits of a digit that holds every int of absolute value <= bound, one
-    of them the sign: the one width rule of `inverse`."""
+    of them the sign: the one width rule of `_forward`."""
     return bound.bit_length() + 1
 
 
 def _frame(a: list, dens: list) -> tuple:
-    """The frame in which `inverse` packs [a | diag(dens)], n = len(a) >= 2.
+    """The frame in which `_forward` packs [a | diag(dens)], n = len(a) >= 2.
 
     Returns (s, entries, sig, kap, g, hh, tau):
     - s, the lcm of the scales: every exponent below is on its lattice;
@@ -388,43 +338,192 @@ def _frame(a: list, dens: list) -> tuple:
     return s, entries, sig, kap, g or 1, hh, tau
 
 
-def _int_inverse(rows: list) -> tuple:
-    """Fraction-free elimination in place of n x 2n int rows [A | B], and
-    the back substitution: (perm, w), perm[j] the input row that ends as
-    row j, and w = d A^-1 B, d the last pivot, as
-        w_ik = (d U_i(n+k) - sum_(j>i) U_ij w_jk) // U_ii,
-    U the eliminated rows.  Pivots are taken as `_bareiss` takes them, and
-    each division is exact (Sylvester's identity; d A^-1 is the adjugate
-    up to sign).  SingularMatrixError when a column has no pivot.
+class Forward(NamedTuple):
+    """[a | diag(dens)] eliminated on packed ints by `_forward`."""
+
+    rows: list  # a's eliminated ints (see `_int_eliminate`), in input order
+    dens: list  # the packed dens, one per row
+    pivots: list  # (row, column) of each pivot, in pivot order
+    rest: list  # the rows that took no pivot, ascending
+    s: int  # `_frame`'s lattice scale, shifts and v stride
+    sig: list
+    kap: list
+    g: int
+    k: int  # the digit width and the t span of the packing
+    span: int
+    direct: bool  # the decode of `inverse` that k and span hold
+
+
+def _int_eliminate(rows: list, n: int, greedy: bool) -> tuple:
+    """Fraction-free forward elimination in place of the n x n int rows A:
+    (pivots, rest), the (row, column) of each pivot in pivot order and the
+    rows that took none.
+
+    Two pivot rules:
+    - general: column c pivots on its first nonzero entry in the rows not
+      yet pivoted, in the order `_bareiss`'s row swaps leave them;
+      SingularMatrixError when it has none;
+    - greedy: index c pivots on (c, c) when that entry is nonzero, and is
+      passed over otherwise, its row left among the rest.
+    Each row not yet pivoted becomes (row * piv - pivot row * row[c]) //
+    prev, prev the pivot before (1 for the first), on the columns not yet
+    pivoted.  The division is exact (Sylvester's identity): entry (i, j) is
+    then the minor on the pivot rows and i by the pivot columns and j.  Rows
+    keep their place in the list, a swap only reorders the rows not yet
+    pivoted, and column c is left as it is, so each row keeps there the
+    multiplier row[c] of step c, which `_int_solve` reads.
     """
-    n = len(rows)
-    perm, prev, width = list(range(n)), 1, 2 * n
+    open_, pivots, prev = list(range(n)), [], 1
     for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
-        if p is None:
-            raise SingularMatrixError("matrix is singular over Q(v,t)")
-        rows[c], rows[p] = rows[p], rows[c]
-        perm[c], perm[p] = perm[p], perm[c]
-        piv, prow = rows[c][c], rows[c]
-        for i in range(c + 1, n):
+        if greedy:
+            if not rows[c][c]:
+                continue
+            open_.remove(c)
+            r, cols = c, open_
+        else:
+            p = next((p for p, i in enumerate(open_) if rows[i][c]), None)
+            if p is None:
+                raise SingularMatrixError("matrix is singular over Q(v,t)")
+            open_[0], open_[p] = open_[p], open_[0]
+            r, cols = open_.pop(0), range(c + 1, n)
+        pivots.append((r, c))
+        piv, prow = rows[r][c], rows[r]
+        for i in open_:
             row = rows[i]
             f = row[c]
-            for j in range(c + 1, width):
+            for j in cols:
                 row[j] = (row[j] * piv - prow[j] * f) // prev
         prev = piv
-    w = [[0] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        row, wi = rows[i], w[i]
-        for k in range(n):
-            acc = prev * row[n + k]
-            for j in range(i + 1, n):
-                if row[j]:
-                    acc -= row[j] * w[j][k]
-            wi[k] = acc // row[i]
-    return perm, w
+    return pivots, open_
 
 
-def inverse(a: list, dens: list) -> list:
+def _int_solve(rows: list, dens: list, pivots: list) -> list:
+    """W = d A^-1 diag(dens) for the block of `_int_eliminate`'s rows on
+    its pivots, d the last pivot, as m x m ints: row i for pivot column
+    c_i, column k for the den of the k-th pivot row in input order.
+
+    The den columns first: the same elimination on [A | diag(dens)] makes
+    pivot row t's den entries, at the den columns of the pivot rows up to t,
+    from its multipliers row[c_s] and the pivots of the steps s before t.
+    Then the fraction-free back substitution
+        W_ik = (d U_i(n+k) - sum_(j>i) U_ij W_jk) // U_ii,
+    U the eliminated rows, each division exact (d A^-1 is the adjugate up
+    to sign).  The den columns are left to here so that a greedy whose
+    block is never inverted (`select_basis` alone) does not make them.
+    """
+    m = len(pivots)
+    order = sorted(r for r, _ in pivots)
+    own = [order.index(r) for r, _ in pivots]
+    u = [[0] * m for _ in range(m)]
+    for t, (r, _) in enumerate(pivots):
+        u[t][own[t]] = dens[r]
+    prev = 1
+    for s, (r, c) in enumerate(pivots):
+        piv, prow, cols = rows[r][c], u[s], own[:s + 1]
+        for t in range(s + 1, m):
+            row, f = u[t], rows[pivots[t][0]][c]
+            for j in cols:
+                row[j] = (row[j] * piv - prow[j] * f) // prev
+            row[own[t]] = row[own[t]] * piv // prev
+        prev = piv
+    w = [None] * m
+    for i in range(m - 1, -1, -1):
+        r, c = pivots[i]
+        row, ui = rows[r], u[i]
+        later = [(row[cj], w[j]) for j, (_, cj) in enumerate(pivots[i + 1:], i + 1) if row[cj]]
+        wi = w[i] = [0] * m
+        for q in range(m):
+            acc = prev * ui[q]
+            for x, wj in later:
+                acc -= x * wj[q]
+            wi[q] = acc // row[c]
+    return w
+
+
+def _forward(a: list, dens: list, greedy: bool) -> Forward:
+    """[a | diag(dens)], n = len(a) >= 2, packed once in `_frame`'s frame at
+    v = 2^(k span/g), t = 2^k (Kronecker substitution) on `ratfield._pack`'s
+    layout, and a eliminated by `_int_eliminate` with its `greedy` pivot
+    rule; `_int_solve` eliminates the den columns.
+
+    k and span are fixed before the first product, from the bounds of all n
+    rows, for one of `inverse`'s two decodes (see there): the rebuild width
+    holds every minor; the direct one, wider, also N and the row dens of the
+    inverse; direct is taken when its width is at most three times the
+    rebuild width.  A minor on some of the rows is at most the product of
+    their bounds, each at least 1, so the widths also hold the decodes of a
+    principal block that `principal_pivots` chose among the rows.
+    """
+    n = len(a)
+    s, entries, sig, kap, g, hh, tau = _frame(a, dens)
+    h2, span = prod(hh), sum(tau) + 1
+    top_h, top_t = sorted(hh, reverse=True), sorted(tau, reverse=True)
+    h2d, spand = h2, span
+    for j in range(1, n):
+        h2d *= prod(top_h[:j])
+        spand += sum(top_t[:j])
+    k, kd = _width(isqrt(h2)), _width(isqrt(h2d))
+    direct = kd <= 3 * k
+    if direct:
+        k, span = kd, spand
+    pack = ratfield._pack
+    rows, dints = [], []
+    for erow, (sv, st) in zip(entries, sig):
+        ints = [0] * n
+        for c, t, *_ in erow[:-1]:
+            kv, kt = kap[c]
+            ints[c] = pack(t, sv + kv, st + kt, g, span, k)
+        rows.append(ints)
+        c, t, *_ = erow[-1]
+        kv, kt = kap[c]
+        dints.append(pack(t, sv + kv, st + kt, g, span, k))
+    pivots, rest = _int_eliminate(rows, n, greedy)
+    return Forward(rows, dints, pivots, rest, s, sig, kap, g, k, span, direct)
+
+
+def principal_pivots(a: list, den) -> tuple:
+    """Greedy nonsingular principal block of the square matrix a / den, a
+    LaurentPoly rows and den a LaurentPoly, in one elimination.
+
+    Index k is taken when the principal block on the indices taken before
+    it plus k is nonsingular.  Pivoting on the diagonal only, in index
+    order, the entry at (k, k) after elimination by the pivots taken so far
+    is that block's determinant (Sylvester's identity), so each test costs
+    one look at the diagonal.  Rows and columns of rejected indices are
+    eliminated too.  The elimination runs on `_forward`'s ints, and a test
+    is exact: the width holds every minor of a, so a nonzero minor has a
+    nonzero image.  The rows a are left as they are.
+
+    Returns (taken, rest, forward): the taken indices, ascending; the
+    eliminated entries on the other indices, decoded to LaurentPoly rows
+    when there are any, their Schur complement times the chosen block's
+    determinant, so rank(a) == len(taken) + rank(rest); and the elimination
+    itself, for `inverse` of the chosen block.  That block's leading
+    principal minors are nonzero, so `inverse`'s own pivot rule would take
+    the same pivots, and the taken rows carry its elimination of the block.
+    A matrix of fewer than two rows packs nothing, and forward is None.
+    """
+    n = len(a)
+    if n < 2:
+        if n and not a[0][0].is_zero():
+            return [0], [], None
+        return [], [list(row) for row in a], None
+    forward = _forward(a, [den] * n, True)
+    rows, _, pivots, open_, s, sig, kap, g, k, span, _ = forward
+    rest = []
+    if open_:
+        # entry (i, j) is a minor on the pivot rows and i by the pivot
+        # columns and j, so the frame divides it by the shifts of those
+        ov = sum(sig[r][0] + kap[c][0] for r, c in pivots)
+        ot = sum(sig[r][1] + kap[c][1] for r, c in pivots)
+        unpack, make = ratfield._unpack_terms, ratfield._make
+        rest = [[make(unpack(rows[i][j], k, ov + sig[i][0] + kap[j][0],
+                             ot + sig[i][1] + kap[j][1], g, span), s)
+                 if rows[i][j] else ratfield.LP_ZERO for j in open_] for i in open_]
+    return [c for _, c in pivots], rest, forward
+
+
+def inverse(a: list, dens: list, forward: Forward = None) -> list:
     """The inverse of the matrix with rows a[r] / dens[r], all LaurentPoly,
     by one fraction-free elimination of [a | diag(dens)] over Python ints.
 
@@ -438,15 +537,16 @@ def inverse(a: list, dens: list) -> list:
     minor of [a | diag(dens)] in each entry, N_ik = W_ik d_i ... d_(n-2)
     and U_ii ... U_nn = d_i ... d_(n-1).
 
-    Each entry, shifted into the frame of `_frame` so that every minor is a
-    polynomial, is packed at v = 2^(k span/g), t = 2^k (Kronecker
-    substitution) on `ratfield._pack`'s layout.  Evaluation is a ring map,
-    so the elimination (exact `//` by the previous pivot, by Sylvester's
-    identity) and the fraction-free back substitution
+    The elimination of a is `_forward`'s on its packed ints, or, when
+    `forward` is given, the one `principal_pivots` ran on a larger block
+    whose taken principal block is a over dens (its pivots are the ones
+    `_bareiss` would take on a); `_int_solve` eliminates the den columns
+    and substitutes back.  Evaluation is a ring map, so the elimination and
+    the fraction-free back substitution
         W_ik = (d_(n-1) U_i(n+k) - sum_(j>i) U_ij W_jk) // U_ii
     give the images of the polynomial ones, and a pivot test is exact: a
     nonzero minor whose coefficients fit the digits has a nonzero image.
-    k and span are fixed before the first product so that what is decoded
+    k and span were fixed before the first product so that what is decoded
     fits, in one of two ways:
     - rebuild: k from B, the product of the rows' bounds sqrt(hh_r), which
       holds every minor, and span from the sum of the tau_r.  The pivots and
@@ -471,42 +571,27 @@ def inverse(a: list, dens: list) -> list:
             raise SingularMatrixError("matrix is singular over Q(v,t)")
         unit = RatFunc(ratfield.LP_ONE, a[0][0])
         return [[ratfield._normal(dens[0] * unit.num, unit.den)]]
-    s, entries, sig, kap, g, hh, tau = _frame(a, dens)
-    h2, span = prod(hh), sum(tau) + 1
-    top_h, top_t = sorted(hh, reverse=True), sorted(tau, reverse=True)
-    h2d, spand = h2, span
-    for j in range(1, n):
-        h2d *= prod(top_h[:j])
-        spand += sum(top_t[:j])
-    k, kd = _width(isqrt(h2)), _width(isqrt(h2d))
-    direct = kd <= 3 * k
-    if direct:
-        k, span = kd, spand
-    pack = ratfield._pack
-    rows = []
-    for erow, (sv, st) in zip(entries, sig):
-        ints = [0] * (2 * n)
-        for c, t, *_ in erow:
-            kv, kt = kap[c]
-            ints[c] = pack(t, sv + kv, st + kt, g, span, k)
-        rows.append(ints)
-    perm, w = _int_inverse(rows)
-    det = rows[n - 1][n - 1]
+    rows, dints, pivots, _, s, sig, kap, g, k, span, direct = forward or _forward(a, dens, False)
+    w = _int_solve(rows, dints, pivots)
+    piv = [rows[r][c] for r, c in pivots]
+    det = piv[-1]
     # the frame divides d_j by v^od[j] (exponent pairs: the shifts of its
     # rows, in pivot order, and of its columns) and W_ik by
-    # v^(od[n-1] - kap_i + kap_(n+k))
+    # v^(od[n-1] - kap_(c_i) + kap_(den k))
     ov = ot = 0
     od = []
-    for j in range(n):
-        ov += sig[perm[j]][0] + kap[j][0]
-        ot += sig[perm[j]][1] + kap[j][1]
+    for r, c in pivots:
+        ov += sig[r][0] + kap[c][0]
+        ot += sig[r][1] + kap[c][1]
         od.append((ov, ot))
+    # output column k is the den of the k-th pivot row in input order
+    kden = [kap[len(rows) + r] for r in sorted(r for r, _ in pivots)]
     unpack, make, normal = ratfield._unpack_terms, ratfield._make, ratfield._normal
     out = []
     if direct:
         q = 1
     else:
-        d = [make(unpack(rows[j][j], k, *od[j], g, span), s) for j in range(n)]
+        d = [make(unpack(p, k, *od[j], g, span), s) for j, p in enumerate(piv)]
         q = ratfield.LP_ONE
     for i in range(n - 1, -1, -1):
         # q = d_i ... d_(n-2); the row den d_i ... d_(n-1) in normal form, as
@@ -514,7 +599,7 @@ def inverse(a: list, dens: list) -> list:
         # top digit's, the lex-leading coefficient)
         if direct:
             if i < n - 1:
-                q *= rows[i][i]
+                q *= piv[i]
             z = q * det
             sgn = 1 if z > 0 else -1
             den, bv, bt = unpack(sgn * z, k, 0, 0, g, span), 0, 0
@@ -529,13 +614,14 @@ def inverse(a: list, dens: list) -> list:
         if mv or mt:
             den = {(x - mv, y - mt): c for (x, y), c in den.items()}
         den = ratfield.LP_ONE if den == ratfield.LP_ONE.terms else make(den, s)
-        bv, bt = bv - mv - kap[i][0], bt - mt - kap[i][1]
+        kv, kt = kap[pivots[i][1]]
+        bv, bt = bv - mv - kv, bt - mt - kt
         if direct:
             zq = q * sgn
             out.append([normal(make(unpack(z * zq, k, bv + kv, bt + kt, g, span), s), den)
-                        for z, (kv, kt) in zip(w[i], kap[n:])])
+                        for z, (kv, kt) in zip(w[i], kden)])
         else:
             out.append([normal(make(unpack(z * sgn, k, bv + kv, bt + kt, g, span), s) * q, den)
-                        for z, (kv, kt) in zip(w[i], kap[n:])])
+                        for z, (kv, kt) in zip(w[i], kden)])
     out.reverse()
     return out

@@ -4,7 +4,7 @@ For each degree mu a monomial basis is chosen greedily (in lex or revlex word
 order) so that its Gram block under phi is invertible and carries the full
 rank of the degree.  Word k joins the basis when the block on the words
 chosen before it plus word k is nonsingular.  One fraction-free elimination
-of a Gram block, pivoting on the diagonal in word order
+of a Gram block on packed ints, pivoting on the diagonal in word order
 (`linalg.principal_pivots`), makes each such test one diagonal entry.
 
 The greedy runs on candidate words only.  The words it keeps are the
@@ -41,14 +41,14 @@ is meaningful.
 
 `pairing.gram` gives each block on the candidates, in the greedy's order, as
 LaurentPoly numerators over the one den, with no t, that its entries share;
-the inverse takes the den back as its right-hand block diag(den).  The
-pairing is symmetric up to t -> t^-1, so the numerators are t-Hermitian in
-any word order: the elimination computes only half of each update (see
-`linalg`).  `linalg.inverse` inverts the chosen block by one elimination
-over Python ints, the block at v = 2^K: entry (a, c) is t^(s(a) - s(c))
-times its value at t = 1 (ROADMAP item 13), so its per-row and per-column
-shifts take t out and the ints carry v alone.  It prints the forms of the
-polynomial elimination, byte for byte.
+the elimination takes the den back as its right-hand block diag(den).  It
+runs once per (degree, order), over Python ints, the block at v = 2^K:
+entry (a, c) is t^(s(a) - s(c)) times its value at t = 1 (ROADMAP item
+13), so its per-row and per-column shifts take t out and the ints carry v
+alone.  `_selection` caches it with the basis, and `theta` hands it to
+`linalg.inverse`, which eliminates the den columns of the chosen rows,
+substitutes back and decodes the forms of the polynomial elimination,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ def require_full_rank(kept: int, full: int) -> None:
 
 @lru_cache(maxsize=None)
 def _selection(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
-    """(words, block, den): the greedy basis of degree mu and its Gram block
-    as numerators over den, both in the greedy's word order."""
+    """(words, block, den, forward): the greedy basis of degree mu, its Gram
+    block as numerators over den, both in the greedy's word order, and the
+    elimination that chose it, which `theta` hands to `linalg.inverse`."""
     if order not in ("lex", "revlex"):
         raise ValueError(f"unknown basis order {order!r}")
     root = cartan.is_root(spec, mu)
@@ -84,15 +85,16 @@ def _selection(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
     words = []
     for w in freealg.words_of_degree(mu):
         factors = freealg.lyndon_factors(w, order == "lex")
-        if root if len(factors) == 1 else all(map(good, factors)):
+        # a factor that repeats is tested once
+        if root if len(factors) == 1 else all(map(good, dict.fromkeys(factors))):
             words.append(w)
     if order == "revlex":
         words.reverse()
     gram, den = pairing.gram(spec, mu, words)
-    taken, rest = linalg.principal_pivots(gram)
+    taken, rest, forward = linalg.principal_pivots(gram, den)
     require_full_rank(len(taken), len(taken) + linalg.rank(rest))
     block = tuple(tuple(gram[a][c] for c in taken) for a in taken)
-    return tuple(words[k] for k in taken), block, den
+    return tuple(words[k] for k in taken), block, den, forward
 
 
 def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> tuple:
@@ -103,9 +105,9 @@ def select_basis(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex")
 def theta(spec: cartan.CartanSpec, mu: cartan.Degree, order: str = "lex") -> dict:
     """Component of the quasi-R-matrix in degree mu: F-side slot first, the
     inverse of the Gram block with zeros left out."""
-    words, block, den = _selection(spec, mu, order)
+    words, block, den, forward = _selection(spec, mu, order)
     out = {}
-    for wa, row in zip(words, linalg.inverse(block, [den] * len(words))):
+    for wa, row in zip(words, linalg.inverse(block, [den] * len(words), forward)):
         for wc, coeff in zip(words, row):
             if not coeff.is_zero():
                 out[(wa, wc)] = coeff

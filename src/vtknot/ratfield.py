@@ -7,7 +7,8 @@ Conventions:
                 least common denominator of its exponents.  The form is
                 minimal (scale and all exponents have gcd 1; zero has scale
                 1), so structural == and hash are value equality:
-                v^(1/2) * v^(-1/2) equals LP_ONE.
+                v^(1/2) * v^(-1/2) equals LP_ONE.  Values are immutable,
+                so a sum with a zero operand returns the other operand.
     RatFunc     num/den with den nonzero; fractions are NOT gcd-reduced,
                 equality is by cross-multiplication.  The den is normal: the
                 shared LP_ONE, or a polynomial other than 1 with least v and
@@ -34,27 +35,27 @@ scales are rescaled once to their lcm.  A LaurentPoly product with a
 monomial factor is one shift of the other factor (that factor itself when
 the monomial is LP_ONE, which lp_mono(1) returns); only two polynomials of
 two or more terms go through the loop over term pairs.  cross_div(a, b, c,
-d, e) is the fused fraction-free update (a*b - c*d)/e of `linalg.rank` and
-`linalg.principal_pivots`: both products accumulate in one term dict and the
-result is divided once, with no intermediate polynomial.  That loop,
+d, e) is the fused fraction-free update (a*b - c*d)/e of `linalg.rank`:
+both products accumulate in one term dict and the result is divided once,
+with no intermediate polynomial.  That loop,
 `_add_products`, is ratfield's one product-accumulate loop: it takes term
 dicts already on one lattice, so the pair product, `cross_div` and the
 remainder update of `poly_div_exact` rescale their operands first and share
-it.  The tangle functor and `linalg.inverse` do not: they compute on packed
-ints, with no term dicts until the end.
+it.  The tangle functor and `linalg`'s Gram elimination do not: they
+compute on packed ints, with no term dicts until the end.
 Below LARGE_PAIRS term pairs a product is that loop (`_pair_mul`); from
 there on it goes through `_large_mul`, an lru_cache keyed by the operand
 values, which makes each one once: as one big-int product
 (`_packed_product`, Kronecker substitution), or by the loop when it has
 more digits than pairs; `*` passes the operands in one order, so q * p
-after p * q is a memo hit.  `_packed_product` and `linalg.inverse` put
+after p * q is a memo hit.  `_packed_product` and `linalg._forward` put
 their term dicts on one layout, `_pack` (and read them back with
 `_unpack_terms`), and every packing reads its ints back with one codec,
 `_unpack`: balanced base-2^k digits of any width k.
 No floats anywhere.
 The involutions bar (v -> v^-1) and bar_t (t -> t^-1) are one exponent flip
-with different signs (`_flip_poly`, which `pairing` and `linalg` also use to
-mirror a t-Hermitian Gram block and its elimination).
+with different signs (`_flip_poly`, which `pairing` also uses to mirror a
+t-Hermitian Gram block's upper triangle into its lower one).
 `poly_div_exact` divides over the integers and raises ValueError on a
 coefficient remainder: Bareiss divisions (`cross_div`) are integral by
 Sylvester's identity, and `reduce_poly` divides by a primitive polynomial.
@@ -136,8 +137,8 @@ def _add_products(out: dict, left: dict, right: dict, sign: int = 1) -> None:
 
     ratfield's one product-accumulate loop: `_pair_mul`, `cross_div` and
     `poly_div_exact`'s remainder update put their operands on the lattice
-    first.  The tangle functor and `linalg.inverse` multiply packed ints
-    instead.
+    first.  The tangle functor and `linalg`'s Gram elimination multiply
+    packed ints instead.
     """
     get = out.get
     for (av, at), ac in left.items():
@@ -173,11 +174,15 @@ LARGE_PAIRS = 64
 def _unpack(z: int, k: int) -> list:
     """The balanced base-2^k digits d_i of z = sum d_i 2^(k i), least first.
 
-    Needs -2^(k-1) <= d_i < 2^(k-1).  Each digit is the low k bits of what
-    is left, read as a signed number; a negative one borrows 1 from the rest.
-    The one codec of the package: `_packed_product` and the tangle functor
-    read their packed ints back with it.
+    Needs -2^(k-1) <= d_i < 2^(k-1) and k >= 2: at k = 1 the digit range
+    is [-1, 0], so ValueError names k (a digit 1 would carry forever).  Each
+    digit is the low k bits of what is left, read as a signed number; a
+    negative one borrows 1 from the rest.  The one codec of the package:
+    `_packed_product`, `linalg` and the tangle functor read their packed
+    ints back with it.
     """
+    if k < 2:
+        raise ValueError(f"balanced digits need a width of at least 2 bits, not k = {k}")
     mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
     out = []
     while z:
@@ -193,7 +198,7 @@ def _unpack(z: int, k: int) -> list:
 def _pack(terms: dict, a0: int, b0: int, g: int, span: int, k: int) -> int:
     """The terms at v = 2^(k span / g), t = 2^k, over v^a0 t^b0: term (a, b)
     is digit (a - a0)/g * span + (b - b0), the coefficient of 2^(k i) for
-    digit i.  The layout of `_packed_product` and `linalg.inverse`; it
+    digit i.  The layout of `_packed_product` and `linalg._forward`; it
     needs every a - a0 a multiple of g and 0 <= b - b0 < span."""
     z = 0
     for (a, b), c in terms.items():
@@ -282,6 +287,11 @@ class LaurentPoly:
         return hash((self.scale, frozenset(self.terms.items())))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        # values are immutable, so a zero operand can hand back the other one
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         s = self.scale
         if s == other.scale:
             out, add = dict(self.terms), other.terms
@@ -485,6 +495,8 @@ def _flip_poly(p: LaurentPoly, v_sign: int, t_sign: int) -> LaurentPoly:
     """Multiply every v exponent by v_sign and every t exponent by t_sign.
 
     A sign flip keeps the form minimal, so the result is one dict pass.
+    `bar`, `bar_t` and `pairing`'s lower triangle of a Gram block go
+    through it.
     """
     return _raw({(v_sign * x, t_sign * y): c for (x, y), c in p.terms.items()}, p.scale)
 

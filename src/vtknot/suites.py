@@ -183,10 +183,11 @@ def suite_pairing(cfg, depth):
         # reversal takes a word to one word times a t-power, and the
         # conjugation v -> v^-1 fixes a word, so both lines read word tables
         unscale = rf.inv(qr.conj_scale(spec, mu))
-        # the symmetry, principal_pivots' precondition, is read off ("r", "F"):
-        # gram's ("l", "F") order makes its lower triangle as the flip of the
-        # upper one.  Every entry is over the one den, which has no t, so each
-        # numerator is compared with the t-flip of its mirror's
+        # the symmetry, a property check (the elimination does not need it),
+        # is read off ("r", "F"): gram's ("l", "F") order makes its lower
+        # triangle as the flip of the upper one.  Every entry is over the one
+        # den, which has no t, so each numerator is compared with the t-flip
+        # of its mirror's
         for r, ew in enumerate(words):
             er, te = fa._sigma_word(spec, ew)
             for c, fw in enumerate(words):

@@ -6,30 +6,28 @@ and by printed form: the sparse type must add the same terms in the same
 order, so unreduced values come out in the same form.
 
 The Bareiss routines take LaurentPoly rows; RatFunc matrices reach them
-through `ratfield._clear_dens`, row by row.  The one-pass basis elimination
-takes t-Hermitian rows only, as a Gram block's numerators are; on such
-rows it is checked against the greedy choice with one rank per trial
-prefix, and (the mirror step) against the full update entry by entry; it
-and `rank` must leave their input rows as they are.  The inverse
-is checked as an inverse of the RatFunc matrix and, form by form, against
-a copy of its first back substitution on [a | 1] cleared row by row, which
-fixes the unreduced values `theta` prints.  On t-dependent rows it is
-checked in the shape quasir passes, t-Hermitian numerator rows over one
-t-free den, by polynomial products only: summing RatFunc products over
-its per-row dens swells past usefulness on such input.  The integer
-elimination behind `inverse` is checked on examples that take each of its
-two decodes, on diagonal blocks that need every bit of their width, and on
-a 1 x 1 block, which must pack nothing.
+through `ratfield._clear_dens`, row by row.  The greedy basis elimination
+on packed ints is checked against the greedy choice with one rank per
+trial prefix, and on t-Hermitian rows, as a Gram block's numerators are,
+against `reference_pivots`, the polynomial greedy, entry by entry, with
+the inverse that its elimination hands on; it and `rank` must leave their
+input rows as they are.  The inverse is checked as an inverse of the
+RatFunc matrix and, form by form, against a copy of its first back
+substitution on [a | 1] cleared row by row, which fixes the unreduced
+values `theta` prints.  On t-dependent rows it is checked in the shape
+quasir passes, t-Hermitian numerator rows over one t-free den, by
+polynomial products only: summing RatFunc products over its per-row dens
+swells past usefulness on such input.  The integer
+elimination is checked on examples that take each of the inverse's two
+decodes, on diagonal blocks that need every bit of their width, for the
+greedy as for `inverse`, and on a 1 x 1 block, which must pack nothing.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vtknot import cartan as ca
-from vtknot import freealg as fa
 from vtknot import linalg as la
-from vtknot import pairing as pr
 from vtknot import ratfield as rf
 
 VALUES = [rf.parse(x) for x in ("0", "1", "-1", "v", "v^(1/2)", "(v + 1)/(v - 1)")]
@@ -193,6 +191,7 @@ def polys(*texts):
 T_FIXED = polys("0", "1", "v", "t + t^-1", "v^(1/2) * (t - 2 + t^-1)")
 T_ANY = polys("0", "1", "t", "v * t^(1/2)", "v - t^-1", "2 * v * t^2 - t")
 P0, P1, PV, PT, PTI = polys("0", "1", "v", "t", "t^-1")
+T_FREE_DENS = polys("1", "v - 1", "v^2 + 1")
 
 
 def _t_hermitian(rows):
@@ -228,19 +227,18 @@ def symmetric(draw):
     return [nums[i * n:(i + 1) * n] for i in range(n)]
 
 
-# principal_pivots takes t-Hermitian rows only (a Gram block's numerators)
+# rows like a Gram block's numerators; principal_pivots takes any square
 HERMITIAN = st.one_of(symmetric(), t_hermitian())
 
 
 @settings(max_examples=150, deadline=None)
-@given(HERMITIAN)
+@given(st.one_of(HERMITIAN, square().map(poly_rows)), st.sampled_from(T_FREE_DENS))
 # no nonsingular principal block, yet rank 2
-@example(poly_rows([[Z, ONE], [ONE, Z]]))
+@example(poly_rows([[Z, ONE], [ONE, Z]]), T_FREE_DENS[0])
 # index 1 is the only pivot; the rejected index 0 gains a nonzero Schur entry
-@example(poly_rows([[Z, ONE, Z], [ONE, ONE, Z], [Z, Z, Z]]))
-def test_principal_pivots_take_the_greedy_indices(rows):
-    assert _t_hermitian(rows)
-    taken, rest = la.principal_pivots(rows)
+@example(poly_rows([[Z, ONE, Z], [ONE, ONE, Z], [Z, Z, Z]]), T_FREE_DENS[1])
+def test_principal_pivots_take_the_greedy_indices(rows, den):
+    taken, rest, _ = la.principal_pivots(rows, den)
     assert taken == greedy_pivots(rows)
     n = len(rows) - len(taken)
     assert len(rest) == n and all(len(row) == n for row in rest)
@@ -248,67 +246,14 @@ def test_principal_pivots_take_the_greedy_indices(rows):
     assert len(taken) + la.rank(rest) == la.rank(rows)
 
 
-# ------------------------------------------------ the t-Hermitian elimination
-
-
-def full_pivots(a):
-    """principal_pivots with the full update on every entry, the reference
-    for the mirror step: (taken, the eliminated polynomial rows on the rest)."""
-    rows = [list(row) for row in a]
-    taken, open_ = [], list(range(len(a)))
-    prev = rf.LP_ONE
-    for k in range(len(a)):
-        if rows[k][k].is_zero():
-            continue
-        open_.remove(k)
-        piv, prow = rows[k][k], rows[k]
-        for i in open_:
-            fi = rows[i][k]
-            for j in open_:
-                rows[i][j] = rf.cross_div(rows[i][j], piv, prow[j], fi, prev)
-            rows[i][k] = rf.LP_ZERO
-        prev = piv
-        taken.append(k)
-    return taken, [[rows[i][j] for j in open_] for i in open_]
-
-
 @settings(max_examples=100, deadline=None)
-@given(HERMITIAN)
-@example([[P0, PT], [PTI, P0]])
-@example([[P1, PT, P0], [PTI, P1, P0], [P0, P0, PV]])
-def test_t_hermitian_elimination_matches_the_full_update(a):
-    assert _t_hermitian(a)
-    taken, rest = la.principal_pivots(a)
-    assert taken == greedy_pivots(a)
-    assert (taken, rest) == full_pivots(a)
-
-
-@settings(max_examples=100, deadline=None)
-@given(HERMITIAN, square().map(poly_rows))
-def test_pivots_and_rank_leave_their_input_rows_unchanged(hermitian, rows):
+@given(st.one_of(HERMITIAN, square().map(poly_rows)))
+def test_pivots_and_rank_leave_their_input_rows_unchanged(rows):
     # quasir reads the inverse's block from the rows it eliminated
-    for a, eliminate in ((hermitian, la.principal_pivots), (rows, la.rank)):
-        before = [list(row) for row in a]
-        eliminate(a)
-        assert a == before
-
-
-def test_mirror_step_halves_the_gram_updates(monkeypatch):
-    spec = ca.make_spec(2, [[2, -1], [-1, 2]], [[1, -1], [0, 1]])
-    gram, _ = pr.gram(spec, (2, 3), fa.words_of_degree((2, 3)))
-    calls = []
-    real = rf.cross_div
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(rf, "cross_div", counting)
-    # lex, then revlex as quasir orders it; 194 calls each with the full update
-    for block in (gram, [row[::-1] for row in reversed(gram)]):
-        calls.clear()
-        la.principal_pivots(block)
-        assert len(calls) == 109
+    for eliminate in (lambda a: la.principal_pivots(a, rf.LP_ONE), la.rank):
+        before = [list(row) for row in rows]
+        eliminate(rows)
+        assert rows == before
 
 
 # ------------------------------------------------------------ inverse
@@ -339,6 +284,30 @@ def reference_inverse(a):
             nums[i][k] = acc
             out[i][k] = rf.RatFunc(acc, suffix[i])
     return out
+
+
+def reference_pivots(a):
+    """The polynomial greedy on LaurentPoly rows, the reference for
+    `principal_pivots`: index k is taken when its diagonal entry, after
+    elimination by the indices taken before it, is nonzero, and then every
+    row left open is eliminated by row k on the open columns, one
+    `ratfield.cross_div` per entry.  (taken, the eliminated rows on the rest)."""
+    rows = [list(row) for row in a]
+    taken, open_ = [], list(range(len(a)))
+    prev = rf.LP_ONE
+    for k in range(len(a)):
+        if rows[k][k].is_zero():
+            continue
+        open_.remove(k)
+        piv, prow = rows[k][k], rows[k]
+        for i in open_:
+            fi = rows[i][k]
+            for j in open_:
+                rows[i][j] = rf.cross_div(rows[i][j], piv, prow[j], fi, prev)
+            rows[i][k] = rf.LP_ZERO
+        prev = piv
+        taken.append(k)
+    return taken, [[rows[i][j] for j in open_] for i in open_]
 
 
 def cleared_rows(a):
@@ -392,7 +361,6 @@ FOUR = [
     polys("2 * v * t^-2 - t^-1", "v - t", "1", "1"),
     polys("v - t", "v - t", "1", "t + t^-1"),
 ]
-T_FREE_DENS = polys("1", "v - 1", "v^2 + 1")
 
 
 @settings(max_examples=150, deadline=None)
@@ -427,6 +395,32 @@ def test_inverse_of_four_over_v_minus_1_inverts_as_ratfunc_matrices():
     assert la.mat_eq(la.mat_mul(a, got), la.identity(4))
 
 
+def forms(got):
+    return [[(x.num, x.den) for x in row] for row in got]
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_hermitian(), st.sampled_from(T_FREE_DENS))
+# both diagonal entries zero: nothing taken, the rest is the whole block
+@example([[P0, PT], [PTI, P0]], T_FREE_DENS[0])
+# index 1 is rejected (1 - t t^-1 = 0) and index 2 taken after it
+@example([[P1, PT, P0], [PTI, P1, P0], [P0, P0, PV]], T_FREE_DENS[2])
+# index 0 is rejected and gains a nonzero Schur entry
+@example(poly_rows([[Z, ONE, Z], [ONE, ONE, Z], [Z, Z, Z]]), T_FREE_DENS[1])
+@example(FOUR, T_FREE_DENS[1])
+def test_principal_pivots_and_their_inverse_match_the_polynomial_greedy(rows, den):
+    assert _t_hermitian(rows)
+    taken, rest, forward = la.principal_pivots(rows, den)
+    want_taken, want_rest = reference_pivots(rows)
+    assert taken == want_taken
+    assert rest == want_rest and la.rank(rest) == la.rank(want_rest)
+    block = [[rows[i][j] for j in taken] for i in taken]
+    got = la.inverse(block, [den] * len(taken), forward)
+    want = reference_inverse([[rf.RatFunc(x, den) for x in row] for row in block])
+    assert forms(got) == forms(want)
+    assert [[rf.render(x) for x in row] for row in got] == [[rf.render(x) for x in row] for row in want]
+
+
 def takes_direct(rows, dens, monkeypatch):
     """Whether `inverse` decodes N and the row dens directly, by its rule:
     when the direct width is at most three times the rebuild width."""
@@ -458,14 +452,36 @@ def test_a_diagonal_block_reaches_the_bound_and_needs_every_bit(monkeypatch, dia
     dens = [rf.LP_ONE] * n
     assert takes_direct(rows, dens, monkeypatch) == direct
     want = reference_inverse([[rf.RatFunc(x) for x in row] for row in rows])
-
-    def forms(got):
-        return [[(x.num, x.den) for x in row] for row in got]
-
     assert forms(la.inverse(rows, dens)) == forms(want)
     real = la._width
     monkeypatch.setattr(la, "_width", lambda bound: real(bound) - 1)
     assert forms(la.inverse(rows, dens)) != forms(want)
+
+
+def test_the_greedy_pivot_minor_reaches_the_bound_and_needs_every_bit(monkeypatch):
+    # the diagonal above with a zero index among it: over dens 1 the rebuild
+    # bound is the product of the entries, the chosen block's determinant,
+    # its last pivot, which the inverse of the greedy's elimination decodes
+    diagonal = (15, 13, 0, 11, 9, 7, 5)
+    n = len(diagonal)
+    rows = [[rf.lp_mono(c) if i == j and c else rf.LP_ZERO for j in range(n)]
+            for i, c in enumerate(diagonal)]
+    block = [row[:2] + row[3:] for row in rows[:2] + rows[3:]]
+    dens = [rf.LP_ONE] * len(block)
+    want = forms(reference_inverse([[rf.RatFunc(x) for x in row] for row in block]))
+
+    def greedy():
+        taken, rest, forward = la.principal_pivots(rows, rf.LP_ONE)
+        assert (taken, rest) == ([0, 1, 3, 4, 5, 6], [[rf.LP_ZERO]])
+        assert not forward.direct
+        return forms(la.inverse(block, dens, forward))
+
+    assert greedy() == want
+    real = la._width
+    monkeypatch.setattr(la, "_width", lambda bound: real(bound) - 1)
+    # a pivot test needs no sign bit (a nonzero int with digits below 2^k in
+    # absolute value is nonzero), so the same indices are taken; the decode does
+    assert greedy() != want
 
 
 def test_a_1x1_block_packs_nothing(monkeypatch):
@@ -479,3 +495,5 @@ def test_a_1x1_block_packs_nothing(monkeypatch):
     assert rf.eq(got, rf.RatFunc(den, x))
     with pytest.raises(la.SingularMatrixError):
         la.inverse([[rf.LP_ZERO]], [den])
+    assert la.principal_pivots([[x]], den) == ([0], [], None)
+    assert la.principal_pivots([[rf.LP_ZERO]], den) == ([], [[rf.LP_ZERO]], None)

@@ -294,8 +294,8 @@ def _t_hermitian(rows):
 @settings(max_examples=40, deadline=None)
 @given(admissible_specs())
 def test_gram_blocks_are_structurally_t_hermitian(spec):
-    # the precondition of linalg.principal_pivots, read off the
-    # ("r", "F") order: gram's ("l", "F") order flips its lower triangle
+    # read off the ("r", "F") order, which takes no flip: gram's
+    # ("l", "F") order flips its lower triangle
     for mu in ca.degrees_tr_upto(spec.rank, 3):
         words = fa.words_of_degree(mu)
         rows, den = pr.gram(spec, mu, words)

@@ -82,7 +82,7 @@ def _all_word_greedy(spec, mu, order):
     if order == "revlex":
         words.reverse()
     gram, den = pr.gram(spec, mu, words)
-    taken, rest = la.principal_pivots(gram)
+    taken, rest, _ = la.principal_pivots(gram, den)
     assert la.rank(rest) == 0
     block = tuple(tuple(gram[a][c] for c in taken) for a in taken)
     return tuple(words[k] for k in taken), block, den
@@ -111,7 +111,7 @@ def test_candidate_greedy_matches_the_all_word_greedy(spec):
             words, block, den = _all_word_greedy(spec, mu, order)
             assert qr.select_basis(spec, mu, order) == words, (mu, order)
             if len(words) > 7:
-                assert qr._selection(spec, mu, order) == (words, block, den)
+                assert qr._selection(spec, mu, order)[:3] == (words, block, den)
                 continue
             want = la.inverse(block, [den] * len(words))
             table = qr.theta(spec, mu, order)
@@ -218,16 +218,23 @@ def test_expansion_reconstructs_minus_side(case):
 
 def test_theta_inverts_each_gram_block_once(monkeypatch):
     # theta holds the inverse, dual_element reads its rows, theta_bar reads
-    # the table and select_basis the selection: one inverse per (degree, order)
+    # the table and select_basis the selection: one inverse per (degree, order),
+    # and one forward elimination, the greedy's, which the inverse takes on
     real, inverted = la.inverse, []
+    real_forward, eliminated = la._forward, []
 
-    def counting(a, dens):
+    def counting(a, dens, forward=None):
         inverted.append(a)
-        return real(a, dens)
+        return real(a, dens, forward)
+
+    def counting_forward(a, dens, greedy):
+        eliminated.append(greedy)
+        return real_forward(a, dens, greedy)
 
     pairs = [(mu, order) for order in ("lex", "revlex") for mu in ca.degrees_tr_upto(2, 4)]
     clear_caches()
     monkeypatch.setattr(la, "inverse", counting)
+    monkeypatch.setattr(la, "_forward", counting_forward)
     try:
         for mu, order in pairs:
             words = qr.select_basis(SL3, mu, order)
@@ -238,16 +245,19 @@ def test_theta_inverts_each_gram_block_once(monkeypatch):
             qr.theta(SL3, mu, order)
             qr.dual_element(SL3, mu, 0, order)
         blocks = [qr._selection(SL3, mu, order)[1] for mu, order in pairs]
+        # a degree of one candidate word packs nothing
+        packed = sum(qr._selection(SL3, mu, order)[3] is not None for mu, order in pairs)
     finally:
         clear_caches()
     assert len(inverted) == len(pairs)
     assert all(any(a is b for a in inverted) for b in blocks)
+    assert packed and eliminated == [True] * packed
 
 
 @pytest.mark.parametrize("order", ["lex", "revlex"])
 def test_dual_element_is_a_row_of_theta(order):
     for mu in ca.degrees_tr_upto(2, 4):
-        words, block, den = qr._selection(SL3, mu, order)
+        words, block, den, _ = qr._selection(SL3, mu, order)
         inv = la.inverse(block, [den] * len(words))
         table = qr.theta(SL3, mu, order)
         for a, wa in enumerate(words):

@@ -827,6 +827,19 @@ def test_unpack_reads_back_balanced_digits(case):
     assert rf._unpack(sum(d << k * i for i, d in enumerate(digits)), k) == digits
 
 
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_unpack_refuses_a_width_below_two_bits(k):
+    # at k = 1 a balanced digit lies in [-1, 0]: the digit 1 would carry forever
+    with pytest.raises(ValueError, match="k = %d" % k):
+        rf._unpack(1, k)
+
+
+def test_a_sum_with_zero_returns_the_other_operand():
+    for p in (rf.LP_ONE, rf.parse("v^(1/2) - 2 * t").num):
+        assert rf.LP_ZERO + p is p and p + rf.LP_ZERO is p
+    assert rf.LP_ZERO + rf.LP_ZERO is rf.LP_ZERO
+
+
 def test_a_large_product_is_made_once_per_pair_of_values():
     rf._large_mul.cache_clear()
     p, q = rf.qint(9, 1).num, rf.qint(10, 1).num
