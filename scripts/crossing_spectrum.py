@@ -3,7 +3,8 @@
 
 The degree counts the summands of the tensor square: two for the
 two-dimensional module (a Hecke-type quadratic), n + 1 in general for
-the rank-one simples.  Monomial roots are searched by brute force.
+the rank-one simples.  Monomial roots are searched by brute force, over
+half-integer exponents within a bound read from the coefficients.
 """
 
 import argparse
@@ -19,12 +20,32 @@ from vtknot import tangle as tg
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def _exponent_bounds(coeffs):
+    """Bounds on |e| and |f| for a root +-v^e t^f of x^d - sum c_k x^k.
+
+    Over the coefficients' one den D the root solves D x^d = sum N_k x^k,
+    so the largest v exponent of D x^d, d e plus D's, is k e plus a v
+    exponent of some nonzero N_k: |e| <= (|that| + |D's|) / (d - k), the
+    least one likewise, and f the same way.
+    """
+    nums, den = rf._clear_dens(coeffs)
+    d = len(coeffs)
+
+    def reach(p, i):
+        return max((abs(e[i]) for e, _ in p.fraction_terms()), default=0)
+
+    return [max((Fraction(reach(n, i) + reach(den, i), d - k)
+                 for k, n in enumerate(nums) if not n.is_zero()), default=0)
+            for i in (0, 1)]
+
+
 def monomial_roots(coeffs):
-    # roots r of x^d - sum c_k x^k among +-v^(a/2) t^(b/2), small exponents
+    # roots r of x^d - sum c_k x^k among +-v^(a/2) t^(b/2) within the bounds
     roots = []
+    va, tb = (int(2 * x) for x in _exponent_bounds(coeffs))
     for sign in (1, -1):
-        for a in range(-40, 41):
-            for b in range(-4, 5):
+        for a in range(-va, va + 1):
+            for b in range(-tb, tb + 1):
                 r = rf.mono(sign, Fraction(a, 2), Fraction(b, 2))
                 val = r
                 for _ in range(len(coeffs) - 1):

@@ -28,11 +28,12 @@ It prints each stage's share and its milliseconds per pass:
     elimination     `linalg.principal_pivots` and `linalg.rank`: basis
                     selection, the greedy's packing and forward elimination
                     on ints, which `theta` reuses, and the polynomial
-                    Bareiss rank of what it leaves
+                    Bareiss rank of what it leaves (and the rmatrix suite's
+                    annihilator, testing each coordinate it adds)
     inverse         `linalg.inverse`: the den columns' elimination, the back
                     substitution and the decode of a chosen Gram block's
-                    inverse (and, the whole elimination included, the
-                    rmatrix suite's annihilator systems)
+                    inverse (and of the annihilator's systems, on the
+                    elimination of their last test)
     print           `ratfield.reduce_poly` and `ratfield.render`: values
                     reduced and rendered for printing (and the R-matrix
                     entries, which are reduced as they are built)

@@ -11,9 +11,9 @@ its cells (`_kron_cells`) term by term into the theta operators.
 The Bareiss routines `rank`, `principal_pivots` and `inverse` work on
 plain lists of LaurentPoly rows instead, such as a Gram block's numerators
 over its one den (RatFunc rows go through `ratfield._clear_dens` first).
-`rank` eliminates the polynomials themselves (`_bareiss`), each new entry
-made by the fused exact kernel `ratfield.cross_div`: (a*b - c*d)/e with
-no polynomial temporaries.
+`rank` eliminates the polynomials themselves, each new entry made by the
+fused exact kernel `ratfield.cross_div`: (a*b - c*d)/e with no polynomial
+temporaries.
 
 `principal_pivots` and `inverse` run one elimination, `_int_eliminate`,
 on Python ints, with exact division by the previous pivot: each entry of
@@ -25,17 +25,17 @@ Evaluation is a ring map, so the ints are the images of the polynomial
 elimination, and the width k, fixed before the first product from a
 Hadamard bound on the minors (documented at `_frame`), makes each pivot
 test exact and the images that are decoded readable by `ratfield._unpack`.
-The elimination has two pivot rules.  `inverse` takes the first nonzero
-entry at or below the diagonal, as `_bareiss` does.  `principal_pivots`
-takes the diagonal in index order and passes over an index whose entry is
-zero, which picks a nonsingular principal block greedily, and hands its
-elimination on to `inverse` of that block (`quasir` caches it with the
-basis).  The den columns are eliminated only when `inverse` needs them
-(`_int_solve`), which then substitutes back and decodes.  Only the back
-substitution's results, or the pivots and the adjugate they are rebuilt
-from, are decoded: every printed form is that of the polynomial
-elimination.  Neither routine reads the t-Hermitian symmetry of a Gram
-block's numerators.
+The elimination has one pivot rule: it takes the diagonal in index order
+and passes over an index whose entry is zero, which picks a nonsingular
+principal block greedily.  `principal_pivots` returns that block and hands
+its elimination on to `inverse` of it (`quasir` caches it with the basis,
+`suites.annihilator` uses it at once); `inverse` of a matrix on its own
+refuses one with a zero leading principal minor.  The den columns are
+eliminated only when `inverse` needs them (`_int_solve`), which then
+substitutes back and decodes.  Only the back substitution's results, or
+the pivots and the adjugate they are rebuilt from, are decoded: every
+printed form is that of the polynomial elimination.  Neither routine
+reads the t-Hermitian symmetry of a Gram block's numerators.
 """
 
 from __future__ import annotations
@@ -176,51 +176,37 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 class SingularMatrixError(ZeroDivisionError):
-    pass
+    """A zero pivot: a singular matrix, or, for `inverse` of a matrix on its
+    own, a zero leading principal minor."""
 
 
-def _bareiss(rows: list, pivot_cols: int) -> list:
-    """Fraction-free forward elimination in place; returns pivot columns.
+def rank(a: list) -> int:
+    """Rank of the LaurentPoly rows a, by fraction-free forward elimination
+    of a copy.
 
-    Pivots are searched among the first pivot_cols columns only, but row
-    updates span the whole row (so an augmented block is carried along).
-    Each row below the pivot becomes (row * pivot - pivot row * row[c]) /
-    prev, one `ratfield.cross_div` per entry, where prev is the pivot taken
-    before (LP_ONE for the first, which divides nothing).  Sylvester's
-    identity makes every division exact, and every entry is a LaurentPoly
-    in minimal form, so the update's evaluation order cannot change a term.
+    Column c pivots on its first nonzero entry in the rows not yet pivoted,
+    swapped up.  Each row below the pivot becomes (row * pivot - pivot row *
+    row[c]) / prev on the later columns, one `ratfield.cross_div` per entry,
+    where prev is the pivot taken before (LP_ONE for the first, which
+    divides nothing).  Sylvester's identity makes every division exact.
     """
-    if not rows:
-        return []
-    width = len(rows[0])
-    nrows = len(rows)
-    prev = ratfield.LP_ONE
-    r = 0
-    pivots = []
-    for c in range(pivot_cols):
-        p = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+    rows = [list(row) for row in a]
+    r, prev = 0, ratfield.LP_ONE
+    for c in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         piv, prow = rows[r][c], rows[r]
-        for i in range(r + 1, nrows):
-            row = rows[i]
+        for row in rows[r + 1:]:
             fi = row[c]
-            for j in range(c + 1, width):
+            for j in range(c + 1, len(row)):
                 row[j] = ratfield.cross_div(row[j], piv, prow[j], fi, prev)
-            row[c] = ratfield.LP_ZERO
         prev = piv
-        pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == len(rows):
             break
-    return pivots
-
-
-def rank(a: list) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(_bareiss([list(row) for row in a], len(a[0])))
+    return r
 
 
 def _width(bound: int) -> int:
@@ -343,8 +329,8 @@ class Forward(NamedTuple):
 
     rows: list  # a's eliminated ints (see `_int_eliminate`), in input order
     dens: list  # the packed dens, one per row
-    pivots: list  # (row, column) of each pivot, in pivot order
-    rest: list  # the rows that took no pivot, ascending
+    taken: list  # the indices that took a pivot, ascending
+    rest: list  # the indices that took none, ascending
     s: int  # `_frame`'s lattice scale, shifts and v stride
     sig: list
     kap: list
@@ -354,83 +340,68 @@ class Forward(NamedTuple):
     direct: bool  # the decode of `inverse` that k and span hold
 
 
-def _int_eliminate(rows: list, n: int, greedy: bool) -> tuple:
-    """Fraction-free forward elimination in place of the n x n int rows A:
-    (pivots, rest), the (row, column) of each pivot in pivot order and the
-    rows that took none.
+def _int_eliminate(rows: list, n: int) -> tuple:
+    """Fraction-free forward elimination in place of the n x n int rows A,
+    on the diagonal: (taken, rest), the indices that took a pivot and the
+    ones that took none, each ascending.
 
-    Two pivot rules:
-    - general: column c pivots on its first nonzero entry in the rows not
-      yet pivoted, in the order `_bareiss`'s row swaps leave them;
-      SingularMatrixError when it has none;
-    - greedy: index c pivots on (c, c) when that entry is nonzero, and is
-      passed over otherwise, its row left among the rest.
-    Each row not yet pivoted becomes (row * piv - pivot row * row[c]) //
-    prev, prev the pivot before (1 for the first), on the columns not yet
-    pivoted.  The division is exact (Sylvester's identity): entry (i, j) is
-    then the minor on the pivot rows and i by the pivot columns and j.  Rows
-    keep their place in the list, a swap only reorders the rows not yet
-    pivoted, and column c is left as it is, so each row keeps there the
-    multiplier row[c] of step c, which `_int_solve` reads.
+    Index c pivots on (c, c) when that entry is nonzero and is passed over
+    otherwise, its row left among the rest.  Each row not yet pivoted
+    becomes (row * piv - pivot row * row[c]) // prev, prev the pivot before
+    (1 for the first), on the columns not yet pivoted.  The division is
+    exact (Sylvester's identity): entry (i, j) is then the minor on the
+    taken indices and i by the taken indices and j.  No row moves, and
+    column c is left as it is, so each row keeps there the multiplier
+    row[c] of step c, which `_int_solve` reads.
     """
-    open_, pivots, prev = list(range(n)), [], 1
+    taken, rest, prev = [], list(range(n)), 1
     for c in range(n):
-        if greedy:
-            if not rows[c][c]:
-                continue
-            open_.remove(c)
-            r, cols = c, open_
-        else:
-            p = next((p for p, i in enumerate(open_) if rows[i][c]), None)
-            if p is None:
-                raise SingularMatrixError("matrix is singular over Q(v,t)")
-            open_[0], open_[p] = open_[p], open_[0]
-            r, cols = open_.pop(0), range(c + 1, n)
-        pivots.append((r, c))
-        piv, prow = rows[r][c], rows[r]
-        for i in open_:
+        if not rows[c][c]:
+            continue
+        rest.remove(c)
+        taken.append(c)
+        piv, prow = rows[c][c], rows[c]
+        for i in rest:
             row = rows[i]
             f = row[c]
-            for j in cols:
+            for j in rest:
                 row[j] = (row[j] * piv - prow[j] * f) // prev
         prev = piv
-    return pivots, open_
+    return taken, rest
 
 
-def _int_solve(rows: list, dens: list, pivots: list) -> list:
+def _int_solve(rows: list, dens: list, taken: list) -> list:
     """W = d A^-1 diag(dens) for the block of `_int_eliminate`'s rows on
-    its pivots, d the last pivot, as m x m ints: row i for pivot column
-    c_i, column k for the den of the k-th pivot row in input order.
+    its taken indices, d the last pivot, as m x m ints: row i and column k
+    for the i-th and k-th taken index.
 
     The den columns first: the same elimination on [A | diag(dens)] makes
-    pivot row t's den entries, at the den columns of the pivot rows up to t,
-    from its multipliers row[c_s] and the pivots of the steps s before t.
-    Then the fraction-free back substitution
+    the t-th taken row's den entries, at the den columns of the taken rows
+    up to t, from its multipliers row[c_s] and the pivots of the steps s
+    before t.  Then the fraction-free back substitution
         W_ik = (d U_i(n+k) - sum_(j>i) U_ij W_jk) // U_ii,
     U the eliminated rows, each division exact (d A^-1 is the adjugate up
     to sign).  The den columns are left to here so that a greedy whose
     block is never inverted (`select_basis` alone) does not make them.
     """
-    m = len(pivots)
-    order = sorted(r for r, _ in pivots)
-    own = [order.index(r) for r, _ in pivots]
+    m = len(taken)
     u = [[0] * m for _ in range(m)]
-    for t, (r, _) in enumerate(pivots):
-        u[t][own[t]] = dens[r]
+    for t, r in enumerate(taken):
+        u[t][t] = dens[r]
     prev = 1
-    for s, (r, c) in enumerate(pivots):
-        piv, prow, cols = rows[r][c], u[s], own[:s + 1]
+    for s, c in enumerate(taken):
+        piv, prow = rows[c][c], u[s]
         for t in range(s + 1, m):
-            row, f = u[t], rows[pivots[t][0]][c]
-            for j in cols:
+            row, f = u[t], rows[taken[t]][c]
+            for j in range(s + 1):
                 row[j] = (row[j] * piv - prow[j] * f) // prev
-            row[own[t]] = row[own[t]] * piv // prev
+            row[t] = row[t] * piv // prev
         prev = piv
     w = [None] * m
     for i in range(m - 1, -1, -1):
-        r, c = pivots[i]
-        row, ui = rows[r], u[i]
-        later = [(row[cj], w[j]) for j, (_, cj) in enumerate(pivots[i + 1:], i + 1) if row[cj]]
+        c = taken[i]
+        row, ui = rows[c], u[i]
+        later = [(row[cj], w[j]) for j, cj in enumerate(taken[i + 1:], i + 1) if row[cj]]
         wi = w[i] = [0] * m
         for q in range(m):
             acc = prev * ui[q]
@@ -440,11 +411,11 @@ def _int_solve(rows: list, dens: list, pivots: list) -> list:
     return w
 
 
-def _forward(a: list, dens: list, greedy: bool) -> Forward:
+def _forward(a: list, dens: list) -> Forward:
     """[a | diag(dens)], n = len(a) >= 2, packed once in `_frame`'s frame at
     v = 2^(k span/g), t = 2^k (Kronecker substitution) on `ratfield._pack`'s
-    layout, and a eliminated by `_int_eliminate` with its `greedy` pivot
-    rule; `_int_solve` eliminates the den columns.
+    layout, and a eliminated by `_int_eliminate`; `_int_solve` eliminates
+    the den columns.
 
     k and span are fixed before the first product, from the bounds of all n
     rows, for one of `inverse`'s two decodes (see there): the rebuild width
@@ -477,13 +448,12 @@ def _forward(a: list, dens: list, greedy: bool) -> Forward:
         c, t, *_ = erow[-1]
         kv, kt = kap[c]
         dints.append(pack(t, sv + kv, st + kt, g, span, k))
-    pivots, rest = _int_eliminate(rows, n, greedy)
-    return Forward(rows, dints, pivots, rest, s, sig, kap, g, k, span, direct)
+    return Forward(rows, dints, *_int_eliminate(rows, n), s, sig, kap, g, k, span, direct)
 
 
-def principal_pivots(a: list, den) -> tuple:
-    """Greedy nonsingular principal block of the square matrix a / den, a
-    LaurentPoly rows and den a LaurentPoly, in one elimination.
+def principal_pivots(a: list, dens: list) -> tuple:
+    """Greedy nonsingular principal block of the square matrix with rows
+    a[r] / dens[r], all LaurentPoly, in one elimination.
 
     Index k is taken when the principal block on the indices taken before
     it plus k is nonsingular.  Pivoting on the diagonal only, in index
@@ -498,29 +468,28 @@ def principal_pivots(a: list, den) -> tuple:
     eliminated entries on the other indices, decoded to LaurentPoly rows
     when there are any, their Schur complement times the chosen block's
     determinant, so rank(a) == len(taken) + rank(rest); and the elimination
-    itself, for `inverse` of the chosen block.  That block's leading
-    principal minors are nonzero, so `inverse`'s own pivot rule would take
-    the same pivots, and the taken rows carry its elimination of the block.
-    A matrix of fewer than two rows packs nothing, and forward is None.
+    itself, for `inverse` of the chosen block over its rows' dens: the
+    taken rows carry that block's elimination.  A matrix of fewer than two
+    rows packs nothing, and forward is None.
     """
     n = len(a)
     if n < 2:
         if n and not a[0][0].is_zero():
             return [0], [], None
         return [], [list(row) for row in a], None
-    forward = _forward(a, [den] * n, True)
-    rows, _, pivots, open_, s, sig, kap, g, k, span, _ = forward
+    forward = _forward(a, dens)
+    rows, _, taken, open_, s, sig, kap, g, k, span, _ = forward
     rest = []
     if open_:
-        # entry (i, j) is a minor on the pivot rows and i by the pivot
-        # columns and j, so the frame divides it by the shifts of those
-        ov = sum(sig[r][0] + kap[c][0] for r, c in pivots)
-        ot = sum(sig[r][1] + kap[c][1] for r, c in pivots)
+        # entry (i, j) is a minor on the taken indices and i by the taken
+        # indices and j, so the frame divides it by the shifts of those
+        ov = sum(sig[c][0] + kap[c][0] for c in taken)
+        ot = sum(sig[c][1] + kap[c][1] for c in taken)
         unpack, make = ratfield._unpack_terms, ratfield._make
         rest = [[make(unpack(rows[i][j], k, ov + sig[i][0] + kap[j][0],
                              ot + sig[i][1] + kap[j][1], g, span), s)
                  if rows[i][j] else ratfield.LP_ZERO for j in open_] for i in open_]
-    return [c for _, c in pivots], rest, forward
+    return taken, rest, forward
 
 
 def inverse(a: list, dens: list, forward: Forward = None) -> list:
@@ -528,8 +497,7 @@ def inverse(a: list, dens: list, forward: Forward = None) -> list:
     by one fraction-free elimination of [a | diag(dens)] over Python ints.
 
     Entry (i, k) is N_ik / (U_ii ... U_nn), the form that the polynomial
-    Bareiss elimination of [a | diag(dens)] (pivots as `_bareiss` takes
-    them: the first nonzero entry at or below the diagonal) and its back
+    Bareiss elimination of [a | diag(dens)] on the diagonal and its back
     substitution give, U the eliminated rows, with row i's den in normal
     form as the RatFunc constructor makes it.  `theta` prints these forms,
     and a LaurentPoly's form is minimal, so equal values print equal
@@ -537,12 +505,12 @@ def inverse(a: list, dens: list, forward: Forward = None) -> list:
     minor of [a | diag(dens)] in each entry, N_ik = W_ik d_i ... d_(n-2)
     and U_ii ... U_nn = d_i ... d_(n-1).
 
-    The elimination of a is `_forward`'s on its packed ints, or, when
-    `forward` is given, the one `principal_pivots` ran on a larger block
-    whose taken principal block is a over dens (its pivots are the ones
-    `_bareiss` would take on a); `_int_solve` eliminates the den columns
-    and substitutes back.  Evaluation is a ring map, so the elimination and
-    the fraction-free back substitution
+    The elimination of a is `_forward`'s on its packed ints, and a with a
+    zero leading principal minor is refused (SingularMatrixError); or, when
+    `forward` is given, the one `principal_pivots` ran on a block whose
+    taken principal block is a over dens (a itself, or a larger block);
+    `_int_solve` eliminates the den columns and substitutes back.  Evaluation is a ring map, so the
+    elimination and the fraction-free back substitution
         W_ik = (d_(n-1) U_i(n+k) - sum_(j>i) U_ij W_jk) // U_ii
     give the images of the polynomial ones, and a pivot test is exact: a
     nonzero minor whose coefficients fit the digits has a nonzero image.
@@ -560,8 +528,8 @@ def inverse(a: list, dens: list, forward: Forward = None) -> list:
     blocks of sl3, B2, G2 and the affine and hyperbolic rank-two data, it
     was the faster decode at every ratio up to 3.40 (blocks up to 6 x 6)
     and the slower one from 3.45 on.  Each decoded value is shifted back by
-    the frame shifts of its rows (in pivot order) and columns.  A 1 x 1
-    block has nothing to eliminate and packs nothing.
+    the frame shifts of its rows and columns.  A 1 x 1 block has nothing to
+    eliminate and packs nothing.
     """
     n = len(a)
     if n == 0:
@@ -571,21 +539,25 @@ def inverse(a: list, dens: list, forward: Forward = None) -> list:
             raise SingularMatrixError("matrix is singular over Q(v,t)")
         unit = RatFunc(ratfield.LP_ONE, a[0][0])
         return [[ratfield._normal(dens[0] * unit.num, unit.den)]]
-    rows, dints, pivots, _, s, sig, kap, g, k, span, direct = forward or _forward(a, dens, False)
-    w = _int_solve(rows, dints, pivots)
-    piv = [rows[r][c] for r, c in pivots]
+    if forward is None:
+        forward = _forward(a, dens)
+        if forward.rest:
+            raise SingularMatrixError("a leading principal minor is zero over Q(v,t)")
+    rows, dints, taken, _, s, sig, kap, g, k, span, direct = forward
+    w = _int_solve(rows, dints, taken)
+    piv = [rows[c][c] for c in taken]
     det = piv[-1]
-    # the frame divides d_j by v^od[j] (exponent pairs: the shifts of its
-    # rows, in pivot order, and of its columns) and W_ik by
+    # the frame divides d_j by v^od[j] (exponent pairs: the shifts of the
+    # rows and columns of the taken indices up to j) and W_ik by
     # v^(od[n-1] - kap_(c_i) + kap_(den k))
     ov = ot = 0
     od = []
-    for r, c in pivots:
-        ov += sig[r][0] + kap[c][0]
-        ot += sig[r][1] + kap[c][1]
+    for c in taken:
+        ov += sig[c][0] + kap[c][0]
+        ot += sig[c][1] + kap[c][1]
         od.append((ov, ot))
-    # output column k is the den of the k-th pivot row in input order
-    kden = [kap[len(rows) + r] for r in sorted(r for r, _ in pivots)]
+    # output column k is the den of the k-th taken row
+    kden = [kap[len(rows) + c] for c in taken]
     unpack, make, normal = ratfield._unpack_terms, ratfield._make, ratfield._normal
     out = []
     if direct:
@@ -614,7 +586,7 @@ def inverse(a: list, dens: list, forward: Forward = None) -> list:
         if mv or mt:
             den = {(x - mv, y - mt): c for (x, y), c in den.items()}
         den = ratfield.LP_ONE if den == ratfield.LP_ONE.terms else make(den, s)
-        kv, kt = kap[pivots[i][1]]
+        kv, kt = kap[taken[i]]
         bv, bt = bv - mv - kv, bt - mt - kt
         if direct:
             zq = q * sgn

@@ -91,7 +91,7 @@ def _selection(spec: cartan.CartanSpec, mu: cartan.Degree, order: str):
     if order == "revlex":
         words.reverse()
     gram, den = pairing.gram(spec, mu, words)
-    taken, rest, forward = linalg.principal_pivots(gram, den)
+    taken, rest, forward = linalg.principal_pivots(gram, [den] * len(words))
     require_full_rank(len(taken), len(taken) + linalg.rank(rest))
     block = tuple(tuple(gram[a][c] for c in taken) for a in taken)
     return tuple(words[k] for k in taken), block, den, forward

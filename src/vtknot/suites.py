@@ -6,7 +6,9 @@ always over deterministic word/degree orders so repeated runs print the same
 report byte for byte.  One check, `_inverse_pair`, tests that two operators
 invert each other, theta and its conjugate, and the crossing and its
 inverse, by one product: for square matrices over a field a b = 1 implies
-b a = 1.  `annihilator` clears each coordinate's powers once per degree.
+b a = 1.  `annihilator` clears each coordinate's powers once per degree and
+adds one picked coordinate per degree, so every block it inverts has
+nonzero leading principal minors.
 """
 
 from __future__ import annotations
@@ -417,7 +419,15 @@ def _classical_matches(m, rr):
 
 
 def annihilator(mat, maxdeg):
-    """Coefficients c with mat^d = sum_k c[k] mat^k for the least d, or None."""
+    """Coefficients c with mat^d = sum_k c[k] mat^k for the least d, or None.
+
+    The coefficients solve the system on d picked coordinates (entries) of
+    the powers P^0..P^(d-1), whose d x d block is nonsingular.  The picks
+    nest: degree d keeps degree d - 1's and adds the first coordinate that
+    borders that nonsingular block to a nonsingular one, as
+    `linalg.principal_pivots` tests, so every block has nonzero leading
+    principal minors and `linalg.inverse` takes the test's elimination.
+    """
     powers = [la.identity(mat.rows)]
     # unreduced values snowball across powers and into the residue below;
     # exact division of each power entry and each coefficient tames them
@@ -425,22 +435,23 @@ def annihilator(mat, maxdeg):
         powers.append(la.mat_map(la.mat_mul(powers[-1], mat), rf.reduce_poly))
     # a position where every power is zero can never be picked
     coords = sorted({(r, c) for p in powers for r, c, _ in p.items()})
+    picked = []
     for d in range(1, maxdeg + 1):
-        # each coordinate's first d powers over one den, cleared once
-        cleared, picked = {}, []
+        # each coordinate's first d powers over one den, cleared once.  Some
+        # coordinate is always added: were P^0..P^(d-1) dependent, a smaller
+        # d would have returned, so not every coordinate's row lies in the
+        # span of the picked ones'
+        rows = [rf._clear_dens([powers[k][rc] for k in range(d)]) for rc in picked]
         for rc in coords:
-            cleared[rc] = rf._clear_dens([powers[k][rc] for k in range(d)])
-            rows = [cleared[x][0] for x in picked + [rc]]
-            if la.rank(rows) == len(rows):
-                picked.append(rc)
-                if len(picked) == d:
+            if rc not in picked:
+                a, dens = zip(*rows, rf._clear_dens([powers[k][rc] for k in range(d)]))
+                taken, _, forward = la.principal_pivots(a, dens)
+                if len(taken) == d:
+                    picked.append(rc)
                     break
-        # d coordinates are always picked: were P^0..P^(d-1) dependent, a
-        # smaller d would have returned
-        a, dens = zip(*(cleared[rc] for rc in picked))
         b = [powers[d][r, c] for r, c in picked]
         coeffs = [rf.reduce_poly(sum((x * y for x, y in zip(row, b)), ZERO))
-                  for row in la.inverse(a, dens)]
+                  for row in la.inverse(a, dens, forward)]
         residue = powers[d]
         for k in range(d):
             residue = la.mat_sub(residue, la.mat_scale(powers[k], coeffs[k]))

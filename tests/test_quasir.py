@@ -82,7 +82,7 @@ def _all_word_greedy(spec, mu, order):
     if order == "revlex":
         words.reverse()
     gram, den = pr.gram(spec, mu, words)
-    taken, rest, _ = la.principal_pivots(gram, den)
+    taken, rest, _ = la.principal_pivots(gram, [den] * len(words))
     assert la.rank(rest) == 0
     block = tuple(tuple(gram[a][c] for c in taken) for a in taken)
     return tuple(words[k] for k in taken), block, den
@@ -227,9 +227,9 @@ def test_theta_inverts_each_gram_block_once(monkeypatch):
         inverted.append(a)
         return real(a, dens, forward)
 
-    def counting_forward(a, dens, greedy):
-        eliminated.append(greedy)
-        return real_forward(a, dens, greedy)
+    def counting_forward(a, dens):
+        eliminated.append(a)
+        return real_forward(a, dens)
 
     pairs = [(mu, order) for order in ("lex", "revlex") for mu in ca.degrees_tr_upto(2, 4)]
     clear_caches()
@@ -251,7 +251,7 @@ def test_theta_inverts_each_gram_block_once(monkeypatch):
         clear_caches()
     assert len(inverted) == len(pairs)
     assert all(any(a is b for a in inverted) for b in blocks)
-    assert packed and eliminated == [True] * packed
+    assert packed and len(eliminated) == packed
 
 
 @pytest.mark.parametrize("order", ["lex", "revlex"])

@@ -42,6 +42,25 @@ def test_crossing_spectrum_runs():
     assert labels == ["rank1:1", "sl3 natural"]
 
 
+def test_crossing_spectrum_prints_every_root_of_rank1_4():
+    # rank1:n's roots are the Casimir values (-1)^k v^(n + k(2n+1-k)),
+    # k = 0..n; past |exponent| 20 sit rank1:4's v^24 and -v^22
+    proc = run_script("crossing_spectrum.py", "--max-color", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "rank1:1: degree 2, x^2 - (v^4) x^0 - (-v^3 + v) x^1\n"
+        "  monomial roots: v, -v^3\n"
+        "rank1:2: degree 3, x^3 - (-v^16) x^0 - (v^14 - v^10 + v^8) x^1 - (v^8 - v^6 + v^2) x^2\n"
+        "  monomial roots: v^2, v^8, -v^6\n"
+        "rank1:3: degree 4, x^4 - (-v^40) x^0 - (v^37 - v^31 + v^27 - v^25) x^1 - (v^28 - v^24 + v^22 + v^18 - v^16 + v^12) x^2 - (-v^15 + v^13 - v^9 + v^3) x^3\n"
+        "  monomial roots: v^3, v^13, -v^9, -v^15\n"
+        "rank1:4: degree 5, x^5 - (v^80) x^0 - (-v^76 + v^68 - v^62 + v^58 - v^56) x^1 - (-v^64 + v^58 - v^54 + v^52 - v^50 + v^46 - v^44 - v^40 + v^38 - v^34) x^2 - (v^46 - v^42 + v^40 + v^36 - v^34 + v^30 - v^28 + v^26 - v^22 + v^16) x^3 - (v^24 - v^22 + v^18 - v^12 + v^4) x^4\n"
+        "  monomial roots: v^4, v^18, v^24, -v^12, -v^22\n"
+        "sl3 natural: degree 2, x^2 - (v^6) x^0 - (-v^4 + v^2) x^1\n"
+        "  monomial roots: v^2, -v^4\n"
+    )
+
+
 def test_code_lines_runs():
     proc = run_script("code_lines.py")
     assert proc.returncode == 0, proc.stderr

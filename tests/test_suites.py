@@ -423,6 +423,19 @@ def test_annihilator_is_none_below_the_least_degree():
     assert len(su.annihilator(x, 2)) == 2
 
 
+@pytest.mark.parametrize("entries, want", [((rf.ONE,) * 3, "1"), ((V, rf.ONE, V * V), "v^3")])
+def test_annihilator_of_a_weighted_cyclic_permutation(entries, want):
+    # e_j -> e_(j+1) times a weight: x^3 is the product of the weights.  The
+    # entries of P^0, P^1, P^2 at (0, 0), (0, 1), (0, 2) are 1, 0, 0; 0, 0, w;
+    # 0, w', 0, so picks made afresh at d = 3 are (0, 0), (0, 1), (0, 2),
+    # whose leading 2 x 2 minor is zero; the nested picks add (0, 1) last
+    a, b, c = entries
+    p = la.Matrix(3, 3, {0: {2: a}, 1: {0: b}, 2: {1: c}})
+    assert su.annihilator(p, 2) is None
+    got = su.annihilator(p, 3)
+    assert [rf.render(x) for x in got] == [want, "0", "0"]
+
+
 def test_tangles_with_different_boundaries_are_not_equal():
     # up and dn both evaluate to the 2x2 identity on sl2
     m = cio.load_config(str(CONFIGS / "sl2.cfg")).module
