@@ -6,9 +6,13 @@ always over deterministic word/degree orders so repeated runs print the same
 report byte for byte.  One check, `_inverse_pair`, tests that two operators
 invert each other, theta and its conjugate, and the crossing and its
 inverse, by one product: for square matrices over a field a b = 1 implies
-b a = 1.  `annihilator` clears each coordinate's powers once per degree and
-adds one picked coordinate per degree, so every block it inverts has
-nonzero leading principal minors.
+b a = 1.  The quasiR suite compares theta tables in the dual basis: it pairs
+them with the n basis words of their degree, not all N words, as the basis
+carries the degree's full rank (the premise the pairing suite checks on all
+words).  `annihilator` makes the power P^d when it first tries degree d,
+clears each coordinate's powers once per degree and adds one picked
+coordinate per degree, so every block it inverts has nonzero leading
+principal minors.
 """
 
 from __future__ import annotations
@@ -139,11 +143,11 @@ def suite_forms(cfg, depth):
 #   every c is Laurent, the numerators are equal exactly when the values are.
 #   The line checks both premises itself and fails when either does not hold.
 # - The quasiR probe: two theta tables {(F-word, E-word): c} of one degree are
-#   compared by pairing each with every probe pair (x, y) of the degree, in
-#   two steps: half[ew] = sum_fw phi(x, fw) c(fw, ew) once per x, then
-#   sum_ew half[ew] phi(ew, y).  That is the per-pair sum of c phi(x, fw)
-#   phi(ew, y), at N n^2 + N^2 n products, not N^2 n^2, for N words in the
-#   degree and n in the table.
+#   compared by pairing each with every probe pair (x, y) of the degree's n
+#   basis words, in two steps: half[ew] = sum_fw phi(x, fw) c(fw, ew) once
+#   per x, then sum_ew half[ew] phi(ew, y).  That is the per-pair sum of
+#   c phi(x, fw) phi(ew, y), at about 2 n^3 products, not n^4, for a table
+#   of n^2 entries.
 
 def _dot(pairs):
     """The sum of a * b over the LaurentPoly pairs (a, b)."""
@@ -224,11 +228,17 @@ def suite_pairing(cfg, depth):
 
 
 # --------------------------------------------------------------- quasiR
-# The theta probe is regrouped as the pairing section's comment says.
+# The theta probe is regrouped as the pairing section's comment says, and it
+# runs in the dual basis.  Tables that are equal word tables are equal
+# elements and agree at once.  Others are paired on the n x n pairs of the
+# degree's basis words, not the N x N pairs of all its words.  The pairing
+# factors through U^-_mu and U^+_mu modulo its radical, and so do the probe
+# values; the basis words span each quotient, on the premise that the basis
+# carries the degree's full rank, which the pairing suite checks on all
+# words.  So the n x n values fix the N x N ones.
 
-def _theta_rows(spec, mu, table):
+def _theta_rows(spec, words, table):
     """Per probe word x, the pairings of a theta table with x and each y."""
-    words = fa.words_of_degree(mu)
     for x in words:
         half = {}
         for (fw, ew), c in table.items():
@@ -238,17 +248,23 @@ def _theta_rows(spec, mu, table):
         yield [fa.bilinear(pr._phi_words, spec, half, fa.felem(y)) for y in words]
 
 
-def _theta_tables_agree(spec, mu, lhs, rhs):
+def _theta_tables_agree(spec, mu, order, lhs, rhs):
+    if lhs.keys() == rhs.keys() and all(rf.eq(c, rhs[k]) for k, c in lhs.items()):
+        return True
+    words = qr.select_basis(spec, mu, order)
     return all(
         rf.eq(a, b)
-        for ra, rb in zip(_theta_rows(spec, mu, lhs), _theta_rows(spec, mu, rhs))
+        for ra, rb in zip(_theta_rows(spec, words, lhs), _theta_rows(spec, words, rhs))
         for a, b in zip(ra, rb)
     )
 
 
-def _ladder_holds(m, i, order, degrees):
+def _ladder_holds(m, i, ths):
     """Per-degree slices of the defining relations for theta on m (x) m at
-    generator i; the Kronecker products do not depend on the degree."""
+    generator i.  ths maps each degree to theta's component on m (x) m,
+    built once for all generators; below degree 0 there is none, so degree
+    0's slices hold at once.  The Kronecker products do not depend on the
+    degree."""
     ei, fi = m.act_E[i], m.act_F[i]
     ki = mo.act_K(m, ca.unit(m.spec, i))
     kpi = mo.act_K(m, ca.unit(m.spec, i), -1)
@@ -258,10 +274,9 @@ def _ladder_holds(m, i, order, degrees):
         (la.kron(ei, m.dim), la.kron(ki, ei), la.kron(kpi, ei)),
         (la.kron(m.dim, fi), la.kron(fi, kpi), la.kron(fi, ki)),
     ]
-    for mu in degrees:
-        th = mo._theta_op([m, m], 0, 1, qr.theta, order, [mu])
-        down = tuple(x - y for x, y in zip(mu, ca.unit(m.spec, i)))
-        th_down = mo._theta_op([m, m], 0, 1, qr.theta, order, [down])
+    zero = la.Matrix(m.dim * m.dim, m.dim * m.dim)
+    for mu, th in ths.items():
+        th_down = ths.get(ca.deg_sub(mu, ca.unit(m.spec, i)), zero)
         if not all(la.mat_eq(la.mat_mul(kk, th), la.mat_mul(th, kk)) for kk in kks):
             return False
         for same, straight, conjd in sides:
@@ -277,8 +292,11 @@ def _expands_coproduct(m, mm, w, order, side, terms):
 
     Side "E": the basis words pair with w, the dual elements act, and K_mu
     sits on slot 1.  Side "F": the roles swap, and K'_mu sits on slot 2.
-    `terms` keeps each degree's (element paired with w, its partner's action)
-    pairs per side across the calls of one suite run.
+    `terms` keeps, across the calls of one suite run, each degree's (element
+    paired with w, its partner's action) pairs per side, and per (side,
+    lam, mu) each product b' b of a degree lam - mu and a degree mu element
+    with the Kronecker cells of its two actions; only their pairings with w
+    are made per word.
     """
     spec = m.spec
     lam = fa.deg(spec, w)
@@ -292,13 +310,16 @@ def _expands_coproduct(m, mm, w, order, side, terms):
             terms[side, mu] = [(x, mo.act_elem(m, y, side)) for x, y in zip(paired, acting)]
     rhs = {}  # every term's Kronecker product added into one entry table
     for mu in ca.degrees_below(lam):
-        k = mo.act_K(m, mu, step)
-        partners = [(bp, la.mat_mul(bpmat, k)) for bp, bpmat in terms[side, ca.deg_sub(lam, mu)]]
-        for b, bmat in terms[side, mu]:
-            for bp, bpk in partners:
-                coeff = pr.phi(spec, *(fa.felem(w), fa.mul(bp, b))[::step])
-                if not coeff.is_zero():
-                    mo._add_terms(rhs, coeff, la._kron_cells((bpk, bmat)[::step]))
+        if (side, lam, mu) not in terms:
+            k = mo.act_K(m, mu, step)
+            partners = [(bp, la.mat_mul(bpmat, k))
+                        for bp, bpmat in terms[side, ca.deg_sub(lam, mu)]]
+            terms[side, lam, mu] = [(fa.mul(bp, b), la._kron_cells((bpk, bmat)[::step]))
+                                    for b, bmat in terms[side, mu] for bp, bpk in partners]
+        for x, cells in terms[side, lam, mu]:
+            coeff = pr.phi(spec, *(fa.felem(w), x)[::step])
+            if not coeff.is_zero():
+                mo._add_terms(rhs, coeff, cells)
     return la.mat_eq(mo.act_word(mm, w, side), la.Matrix(mm.dim, mm.dim, rhs))
 
 
@@ -317,12 +338,15 @@ def suite_quasiR(cfg, depth):
                 dual_pair = dual_pair and rf.eq(got, ONE if ai == bi else ZERO)
         bar_table = {k: rf.bar(v) for k, v in qr.theta(spec, mu, order).items()}
         conj_matches = conj_matches and _theta_tables_agree(
-            spec, mu, qr.theta_bar(spec, mu, order), bar_table
+            spec, mu, order, qr.theta_bar(spec, mu, order), bar_table
         )
         order_free = order_free and _theta_tables_agree(
-            spec, mu, qr.theta(spec, mu, "lex"), qr.theta(spec, mu, "revlex")
+            spec, mu, order, qr.theta(spec, mu, "lex"), qr.theta(spec, mu, "revlex")
         )
-    ladder = all(_ladder_holds(m, i, order, degrees) for i in range(spec.rank))
+    # theta's component on m (x) m per degree, 0 included, for every generator
+    ths = {mu: mo._theta_op([m, m], 0, 1, qr.theta, order, [mu])
+           for mu in ca.degrees_tr_upto(spec.rank, depth)}
+    ladder = all(_ladder_holds(m, i, ths) for i in range(spec.rank))
     mm = mo.tensor(m, m)
     th = mo._theta_op([m, m], 0, 1, qr.theta, order)
     tb = mo._theta_op([m, m], 0, 1, qr.theta_bar, order)
@@ -429,20 +453,21 @@ def annihilator(mat, maxdeg):
     principal minors and `linalg.inverse` takes the test's elimination.
     """
     powers = [la.identity(mat.rows)]
-    # unreduced values snowball across powers and into the residue below;
-    # exact division of each power entry and each coefficient tames them
-    for _ in range(maxdeg):
-        powers.append(la.mat_map(la.mat_mul(powers[-1], mat), rf.reduce_poly))
-    # a position where every power is zero can never be picked
-    coords = sorted({(r, c) for p in powers for r, c, _ in p.items()})
+    coords = set()
     picked = []
     for d in range(1, maxdeg + 1):
+        # P^d is made when degree d is first tried.  Unreduced values snowball
+        # across powers and into the residue below; exact division of each
+        # power entry and each coefficient tames them
+        powers.append(la.mat_map(la.mat_mul(powers[-1], mat), rf.reduce_poly))
+        # a position where P^0..P^(d-1) are all zero cannot be picked
+        coords.update((r, c) for r, c, _ in powers[d - 1].items())
         # each coordinate's first d powers over one den, cleared once.  Some
         # coordinate is always added: were P^0..P^(d-1) dependent, a smaller
         # d would have returned, so not every coordinate's row lies in the
         # span of the picked ones'
         rows = [rf._clear_dens([powers[k][rc] for k in range(d)]) for rc in picked]
-        for rc in coords:
+        for rc in sorted(coords):
             if rc not in picked:
                 a, dens = zip(*rows, rf._clear_dens([powers[k][rc] for k in range(d)]))
                 taken, _, forward = la.principal_pivots(a, dens)

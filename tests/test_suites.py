@@ -3,6 +3,7 @@ crossings and peeling orders."""
 
 import pathlib
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -28,16 +29,23 @@ CONJ = "conjugated theta is the coefficientwise conjugate"
 def _theta_form(spec, table, x, y):
     """Pair a two-sided word table against probe words (x on E, y on F).
 
-    The per-pair sum the suite computed before its two-step probe, kept as
-    the reference the probe must agree with.
+    The per-pair sum the suite computed before its two-step probe.  On all
+    N words of the degree it is the reference the suite's probe must agree
+    with: the suite probes on the n basis words only, which carry the
+    degree's full rank (the pairing suite checks that on all words), so
+    their n x n values fix the N x N ones.  The terms are summed per den
+    first: a sum over unlike dens multiplies them, and summed in table order
+    the dens of theta's rows alternate and the den snowballs, which makes
+    affine A1^(1)'s degree (2, 2) about a hundred times slower.
     """
-    acc = rf.ZERO
+    by_den = {}
     for (fw, ew), c in table.items():
         a = pr.phi(spec, fa.felem(x), fa.felem(fw))
         if a.is_zero():
             continue
-        acc = acc + c * a * pr.phi(spec, fa.felem(ew), fa.felem(y))
-    return acc
+        term = c * a * pr.phi(spec, fa.felem(ew), fa.felem(y))
+        by_den[term.den] = by_den.get(term.den, rf.ZERO) + term
+    return sum(by_den.values(), rf.ZERO)
 
 
 def _per_pair_agree(spec, mu, lhs, rhs):
@@ -67,25 +75,69 @@ def test_probe_reports_one_wrong_theta_bar_coefficient(monkeypatch):
 
 
 def test_probe_agrees_with_the_per_pair_sum():
+    # the probe's values are the per-pair sums, on all words as on the basis
     spec = SL3.spec
     for mu in ca.degrees_tr_upto(spec.rank, 4):
         if ca.tr(mu) == 0:
             continue
-        bar_table = {k: rf.bar(c) for k, c in qr.theta(spec, mu).items()}
-        cases = (
-            (qr.theta_bar(spec, mu), bar_table, True),
-            (_one_coefficient_times_v(qr.theta_bar(spec, mu)), bar_table, False),
-            (qr.theta(spec, mu, "lex"), qr.theta(spec, mu, "revlex"), True),
-        )
-        for lhs, rhs, want in cases:
-            assert _per_pair_agree(spec, mu, lhs, rhs) is want, mu
-            assert su._theta_tables_agree(spec, mu, lhs, rhs) is want, mu
-        # the probe's values themselves are the per-pair sums
         words = fa.words_of_degree(mu)
-        table = cases[1][0]
-        for x, row in zip(words, su._theta_rows(spec, mu, table)):
+        table = _one_coefficient_times_v(qr.theta_bar(spec, mu))
+        for x, row in zip(words, su._theta_rows(spec, words, table)):
             for y, got in zip(words, row, strict=True):
                 assert rf.eq(got, _theta_form(spec, table, x, y)), (mu, x, y)
+
+
+def _radical_mutant(spec, mu, table, c):
+    """table plus c times (an F-side Serre relator times a word) (x) one
+    E-word, all of degree mu, or None when no relator's degree is <= mu.
+    The relator sits in the radical, and so does each multiple of it."""
+    for i, j in product(range(spec.rank), repeat=2):
+        if i == j or spec.dot[i][j] == 0:
+            continue
+        se = fa.serre_element(spec, i, j, "F")
+        rest = ca.deg_sub(mu, fa.deg(spec, next(iter(se))))
+        if rest is not None:
+            out = dict(table)
+            ew = fa.words_of_degree(mu)[0]
+            for fw, x in fa.mul(se, fa.felem(fa.words_of_degree(rest)[0])).items():
+                fa.accumulate(out, (fw, ew), c * x)
+            return out
+    return None
+
+
+# the degrees of tr <= 4 that some Serre relator's degree is below: sl3's
+# relators have tr 3, affine A1^(1)'s tr 4 and the hyperbolic datum's tr 5
+@pytest.mark.parametrize("path, radical", [
+    (CONFIGS / "sl3.cfg", 5),
+    (CONFIGS.parent / "bench" / "configs" / "sl3_revlex.cfg", 5),
+    (CONFIGS / "affine_a1.cfg", 2),
+    (CONFIGS / "hyperbolic_23.cfg", 0),
+], ids=lambda x: getattr(x, "stem", x))
+def test_basis_probe_gives_the_all_word_verdict(path, radical):
+    cfg = cio.load_config(str(path))
+    spec, order = cfg.spec, cfg.basis_order
+    seen = 0
+    for mu in ca.degrees_tr_upto(spec.rank, 4):
+        if ca.tr(mu) == 0:
+            continue
+        bar_table = {k: rf.bar(c) for k, c in qr.theta(spec, mu, order).items()}
+        theta_bar = qr.theta_bar(spec, mu, order)
+        cases = [
+            (theta_bar, bar_table, True),
+            (qr.theta(spec, mu, "lex"), qr.theta(spec, mu, "revlex"), True),
+            (_one_coefficient_times_v(theta_bar), bar_table, False),
+        ]
+        plus_v = _radical_mutant(spec, mu, bar_table, V)
+        if plus_v is not None:
+            seen += 1
+            # equal elements, one with new keys, and two with one key set
+            # whose coefficients differ
+            cases += [(theta_bar, plus_v, True),
+                      (plus_v, _radical_mutant(spec, mu, bar_table, V * V), True)]
+        for lhs, rhs, want in cases:
+            assert _per_pair_agree(spec, mu, lhs, rhs) is want, mu
+            assert su._theta_tables_agree(spec, mu, order, lhs, rhs) is want, mu
+    assert seen == radical
 
 
 W = (0, 1)  # the word E_1 E_2 (F_1 F_2 on side F)
@@ -286,6 +338,41 @@ def test_quasiR_suite_builds_each_dual_action_once(monkeypatch):
     assert Counter(seen) == {"E": per_side, "F": per_side}
 
 
+def test_quasiR_suite_builds_theta_once_per_degree_for_the_ladder(monkeypatch):
+    # every generator's ladder reads one table of theta's components, both
+    # theta_mu and theta_(mu + alpha_i) less alpha_i
+    real, seen = mo._theta_op, Counter()
+
+    def recording(mods, s, l, table, order="lex", degrees=None):
+        if degrees is not None:
+            seen.update(degrees)
+        return real(mods, s, l, table, order, degrees)
+
+    monkeypatch.setattr(mo, "_theta_op", recording)
+    assert _failed(su.suite_quasiR(SL3, 4)) == []
+    assert seen == Counter(ca.degrees_tr_upto(2, 4))
+
+
+def test_expansion_makes_each_product_once_per_degree_pair(monkeypatch):
+    # fa.mul(b', b) is made once per (side, lam, mu), however many words of
+    # degree lam the expansions run on; only the pairing with w is per word
+    real, calls = fa.mul, []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(fa, "mul", recording)
+    assert _failed(su.suite_quasiR(SL3, 3)) == []
+    n = lambda mu: len(qr.select_basis(SL3.spec, mu))
+    pairs = [(lam, mu) for lam in ca.degrees_tr_upto(2, 3) for mu in ca.degrees_below(lam)]
+    per_side = sum(n(mu) * n(ca.deg_sub(lam, mu)) for lam, mu in pairs)
+    assert len(calls) == 2 * per_side
+    # several words share each degree of tr 2 and 3, so a count per word is larger
+    assert per_side < sum(len(fa.words_of_degree(lam)) * n(mu) * n(ca.deg_sub(lam, mu))
+                          for lam, mu in pairs)
+
+
 # Each line that reads a per-word table reports a wrong entry of it.  A
 # t-power is left alone by the conjugation v -> v^-1, and a pair (a, b) with
 # b a palindrome appears in the conjugation line only as (a, b) on both sides.
@@ -382,16 +469,15 @@ def test_ladder_rejects_one_scaled_theta_coefficient(monkeypatch):
     assert LADDER in failed
 
 
-def test_ladder_rejects_an_operator_off_the_weight_grading(monkeypatch):
+def test_ladder_rejects_an_operator_off_the_weight_grading():
     # E and F act by zero, so every E/F slice holds whatever theta is; an
     # operator that swaps the weights 1/2 and -1/2 on slot 1 fails K (x) K
     zero = (la.Matrix(2, 2),)
     m = mo.make_module(mo.RANK1, ("a", "b"), ((1,), (-1,)), zero, zero, 2)
-    assert su._ladder_holds(m, 0, "lex", [(1,)])
+    ths = {mu: mo._theta_op([m, m], 0, 1, qr.theta, "lex", [mu]) for mu in [(0,), (1,)]}
+    assert su._ladder_holds(m, 0, ths)
     swap = la.kron(la.Matrix(2, 2, {0: {1: rf.ONE}, 1: {0: rf.ONE}}), 2)
-    monkeypatch.setattr(mo, "_theta_op", lambda mods, s, l, table, order, degrees:
-                        swap if degrees == [(1,)] else la.Matrix(4, 4))
-    assert not su._ladder_holds(m, 0, "lex", [(1,)])
+    assert not su._ladder_holds(m, 0, {**ths, (1,): swap})
 
 
 def test_theta_inverse_line_rejects_one_scaled_conjugate_coefficient(monkeypatch):
@@ -434,6 +520,27 @@ def test_annihilator_of_a_weighted_cyclic_permutation(entries, want):
     assert su.annihilator(p, 2) is None
     got = su.annihilator(p, 3)
     assert [rf.render(x) for x in got] == [want, "0", "0"]
+
+
+# the least degree is the number of eigenvalues: 4 for rank1:3's crossing,
+# 2 for sl3's on the natural module
+@pytest.mark.parametrize("m, least", [(mo.rank1_simple(3), 4), (SL3.module, 2)],
+                         ids=["rank1:3", "sl3"])
+def test_annihilator_makes_no_power_past_the_least_degree(monkeypatch, m, least):
+    # a loose bound gives the same coefficients and makes no further power
+    x = tg.functor_T(tg.parse("xp"), m)
+    real, powers = la.mat_mul, []
+
+    def recording(a, b):
+        if b is x:
+            powers.append(a)
+        return real(a, b)
+
+    want = su.annihilator(x, m.dim)
+    monkeypatch.setattr(la, "mat_mul", recording)
+    got = su.annihilator(x, m.dim + 2)
+    assert [rf.render(c) for c in got] == [rf.render(c) for c in want]
+    assert len(powers) == len(want) == least
 
 
 def test_tangles_with_different_boundaries_are_not_equal():
